@@ -98,7 +98,8 @@ std::vector<KeyId>& CandidateBuffer() {
   return buf;
 }
 
-/// Reusable per-thread RIC gather scratch (rates / responsible nodes).
+/// Reusable per-thread RIC gather scratch (rates / responsible nodes /
+/// positions of candidate-table misses).
 std::vector<uint64_t>& RicRateBuffer() {
   static thread_local std::vector<uint64_t> buf;
   return buf;
@@ -107,11 +108,9 @@ std::vector<dht::NodeIndex>& RicNodeBuffer() {
   static thread_local std::vector<dht::NodeIndex> buf;
   return buf;
 }
-
-/// Reusable per-thread replica target set (the mirror fan-out of
-/// docs/failures.md resolves its successor list allocation-free once warm).
-std::vector<dht::NodeIndex>& ReplicaTargetBuffer() {
-  static thread_local std::vector<dht::NodeIndex> buf;
+std::vector<size_t>& RicMissBuffer() {
+  static thread_local std::vector<size_t> buf;
+  buf.clear();
   return buf;
 }
 
@@ -213,6 +212,7 @@ void RJoinEngine::OnBarrier(sim::SimTime round_start) {
       replication_.replica_updates += sink.replica.updates;
       replication_.replica_keys += sink.replica.keys;
       replication_.replica_bytes += sink.replica.bytes;
+      replication_.mirror_gaps += sink.replica.gaps;
       replication_.promotions_installed += sink.replica.promotions_installed;
       replication_.promoted_records += sink.replica.promoted_records;
       replication_.answers_lost += sink.replica.answers_lost;
@@ -470,7 +470,7 @@ Status RJoinEngine::ObserveStreamHistoryBulk(
     const dht::NodeIndex owner = network_->SuccessorOf(interner_->ring_id(ak));
     NodeState& st = state(owner);
     for (size_t r = 0; r < rows.size(); ++r) st.rates.Record(ak, now);
-    if (config_.replication > 1) WriteThroughRateReplica(owner, ak, now);
+    if (config_.replication > 1) WriteThroughRateReplica(owner, ak);
   }
   for (const auto& row : rows) {
     for (size_t i = 0; i < schema->arity(); ++i) {
@@ -479,7 +479,7 @@ Status RJoinEngine::ObserveStreamHistoryBulk(
       const dht::NodeIndex owner =
           network_->SuccessorOf(interner_->ring_id(vk));
       state(owner).rates.Record(vk, now);
-      if (config_.replication > 1) WriteThroughRateReplica(owner, vk, now);
+      if (config_.replication > 1) WriteThroughRateReplica(owner, vk);
     }
   }
   return Status::Ok();
@@ -505,8 +505,8 @@ Status RJoinEngine::ObserveStreamHistory(
     const dht::NodeIndex vo = network_->SuccessorOf(interner_->ring_id(vk));
     state(vo).rates.Record(vk, now);
     if (config_.replication > 1) {
-      WriteThroughRateReplica(ao, ak, now);
-      WriteThroughRateReplica(vo, vk, now);
+      WriteThroughRateReplica(ao, ak);
+      WriteThroughRateReplica(vo, vk);
     }
   }
   return Status::Ok();
@@ -733,8 +733,9 @@ void RJoinEngine::ApplyJoin(const dht::NodeId& id, dht::NodeIndex bootstrap) {
   ++churn_.joins_applied;
   forwarding_armed_ = true;
   if (stats::Tracer::On()) {
-    stats::Tracer::Record(stats::TraceCategory::kChurn, /*kind=*/1, *joined,
-                          bootstrap, 0, Now());
+    stats::Tracer::Record(stats::TraceCategory::kChurn,
+                          static_cast<uint8_t>(stats::ChurnTraceKind::kJoin),
+                          *joined, bootstrap, 0, Now());
   }
   // The joiner takes (pred, id] from its successor, the old owner.
   const dht::NodeIndex pred = network_->node(*joined).predecessor();
@@ -761,8 +762,9 @@ void RJoinEngine::ApplyLeave(dht::NodeIndex node) {
   ++churn_.leaves_applied;
   forwarding_armed_ = true;
   if (stats::Tracer::On()) {
-    stats::Tracer::Record(stats::TraceCategory::kChurn, /*kind=*/0, node,
-                          network_->SuccessorOf(range->high), 0, Now());
+    stats::Tracer::Record(stats::TraceCategory::kChurn,
+                          static_cast<uint8_t>(stats::ChurnTraceKind::kLeave),
+                          node, network_->SuccessorOf(range->high), 0, Now());
   }
   // The departed node's range belongs to its successor now (the first
   // alive node past the range's high end).
@@ -802,8 +804,10 @@ void RJoinEngine::ApplyCrash(dht::NodeIndex node, uint32_t take_successors) {
     ++churn_.crashes_applied;
     forwarding_armed_ = true;
     if (stats::Tracer::On()) {
-      stats::Tracer::Record(stats::TraceCategory::kChurn, /*kind=*/2, v,
-                            network_->SuccessorOf(range->high), 0, Now());
+      stats::Tracer::Record(
+          stats::TraceCategory::kChurn,
+          static_cast<uint8_t>(stats::ChurnTraceKind::kCrash), v,
+          network_->SuccessorOf(range->high), 0, Now());
     }
     orphaned.push_back(*range);
   }
@@ -843,86 +847,6 @@ void RJoinEngine::DropAllState(dht::NodeIndex node) {
     while (dq.head != kNil) BucketUnlink(st.altt_pool, dq, kNil, dq.head);
   });
   st.replicas.reset();
-}
-
-void RJoinEngine::PromoteReplicas(dht::NodeIndex owner,
-                                  const dht::KeyRange& range,
-                                  uint64_t crash_time) {
-  if (config_.replication <= 1) return;
-  NodeState& st = state(owner);
-  if (st.replicas == nullptr) return;  // Never mirrored to: nothing survives.
-  const std::vector<KeyId> keys = KeysInRangeSorted(
-      st.replicas->slices, *interner_, range.low, range.high);
-  if (keys.empty()) return;
-
-  auto batch = std::make_unique<HandoffBatch>();
-  batch->from = owner;
-  batch->range_low = range.low;
-  batch->range_high = range.high;
-  batch->emitted_at = crash_time;
-  batch->promoted = true;
-  for (KeyId key : keys) {
-    ReplicaKeySlice* slice = st.replicas->slices.Find(key);
-    for (Residual& r : slice->queries) {
-      batch->queries.push_back(HandoffQuery{key, StoredQuery{std::move(r), {}}});
-    }
-    for (TupleRef& t : slice->tuples) {
-      batch->tuples.push_back(HandoffTuple{key, std::move(t)});
-    }
-    for (AlttEntry& e : slice->altt) {
-      batch->altt.push_back(HandoffAltt{key, std::move(e)});
-    }
-    if (slice->rate_current > 0 || slice->rate_previous > 0) {
-      batch->rates.push_back(RateSlice{key, slice->rate_epoch,
-                                       slice->rate_current,
-                                       slice->rate_previous});
-    }
-    // Extract, don't copy: a second orphaned range overlapping this key
-    // (correlated kills) must not promote the slice twice, and an older
-    // in-flight mirror from the dead owner must not resurrect it.
-    slice->Clear();
-    slice->version = crash_time;
-  }
-  if (batch->empty()) return;
-  ++replication_.promotions_emitted;
-  // The new owner IS the survivor: the promotion is a self-addressed
-  // handoff, so the install passes (probe pre-existing state, re-arm ALTT
-  // expiries, merge rates, re-forward keys that moved again) are exactly
-  // the graceful-leave code path.
-  transport_->SendDirect(owner, owner,
-                         MessageTask(StateHandoff{std::move(batch)}));
-}
-
-void RJoinEngine::RefreshReplicasAround(const dht::NodeId& position) {
-  // Nodes whose successor window shifted: the owner at `position` and its
-  // replication-1 alive ring predecessors. (The owner's own keys may also
-  // have changed hands — its mirrors refresh as installs arrive; this
-  // barrier-time pass re-aims the stale topology.)
-  dht::NodeIndex at = network_->SuccessorOf(position);
-  const size_t hops =
-      std::min<size_t>(config_.replication - 1, network_->num_alive() - 1);
-  MirrorAllKeys(at);
-  for (size_t i = 0; i < hops; ++i) {
-    at = network_->node(at).predecessor();
-    MirrorAllKeys(at);
-  }
-}
-
-void RJoinEngine::MirrorAllKeys(dht::NodeIndex node) {
-  NodeState& st = state(node);
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  std::vector<KeyId> keys;
-  st.queries.ForEach([&](KeyId key, const BucketList&) { keys.push_back(key); });
-  st.tuples.ForEach([&](KeyId key, const TupleBucket&) { keys.push_back(key); });
-  st.altt.ForEach([&](KeyId key, const BucketList&) { keys.push_back(key); });
-  st.rates.AppendTrackedKeys(&keys);
-  std::erase_if(keys, [&](KeyId k) {
-    return network_->SuccessorOf(interner_->ring_id(k)) != node;
-  });
-  SortKeysByRingId(&keys, *interner_);
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  if (keys.empty()) return;
-  for (KeyId key : keys) MirrorKey(node, key);
 }
 
 void RJoinEngine::GrowForNode(dht::NodeIndex index) {
@@ -1118,7 +1042,7 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
       --remaining;
       StoredQuery& sq = st.query_pool.at(cur).value;
       const uint32_t next = st.query_pool.at(cur).next;
-      if (WindowClosedByTuple(sq.residual, tuple)) {
+      if (sq.residual.WindowClosedBy(tuple)) {
         // A dropped pre-existing entry shrinks the prefix later moved
         // tuples may visit (the offset keeps the slot >= 1).
         DropStoredQuery(self, key, *bucket, prev, cur);
@@ -1221,7 +1145,7 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
   if (config_.replication > 1 && !touched.empty()) {
     SortKeysByRingId(&touched, *interner_);
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    for (KeyId key : touched) MirrorKey(self, key);
+    for (KeyId key : touched) MirrorSnapshot(self, key);
     touched.clear();
   }
 }
@@ -1251,6 +1175,7 @@ void RJoinEngine::AddReplicaCounters(const ReplicaSinkCounters& delta) {
     c.updates += delta.updates;
     c.keys += delta.keys;
     c.bytes += delta.bytes;
+    c.gaps += delta.gaps;
     c.promotions_installed += delta.promotions_installed;
     c.promoted_records += delta.promoted_records;
     c.answers_lost += delta.answers_lost;
@@ -1259,6 +1184,7 @@ void RJoinEngine::AddReplicaCounters(const ReplicaSinkCounters& delta) {
   replication_.replica_updates += delta.updates;
   replication_.replica_keys += delta.keys;
   replication_.replica_bytes += delta.bytes;
+  replication_.mirror_gaps += delta.gaps;
   replication_.promotions_installed += delta.promotions_installed;
   replication_.promoted_records += delta.promoted_records;
   replication_.answers_lost += delta.answers_lost;
@@ -1275,131 +1201,6 @@ void RJoinEngine::RecordPromotionTicks(uint64_t ticks) {
   promotion_recovery_ticks_.push_back(ticks);
 }
 
-void RJoinEngine::MirrorKey(dht::NodeIndex self, KeyId key) {
-  std::vector<dht::NodeIndex>& succs = ReplicaTargetBuffer();
-  network_->SuccessorsOf(self, config_.replication - 1, &succs);
-  if (succs.empty()) return;
-
-  // Mirror traffic lives on its own allocation plane: the zero-alloc
-  // budget of the publish/rewrite hot paths is accounted with replication
-  // off, where this function is never reached.
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  NodeState& st = state(self);
-  const uint64_t now = Now();
-  ReplicaSinkCounters counters;
-  for (dht::NodeIndex dst : succs) {
-    // One REPLACE snapshot per successor. Batches are move-only (pooled
-    // records inside), so each target gets its own copy of the slice.
-    auto batch = std::make_unique<HandoffBatch>();
-    batch->from = self;
-    batch->emitted_at = now;
-    batch->replica_keys.push_back(key);
-    if (const BucketList* bucket = st.queries.Find(key)) {
-      for (uint32_t cur = bucket->head; cur != kNil;
-           cur = st.query_pool.at(cur).next) {
-        const StoredQuery& sq = st.query_pool.at(cur).value;
-        // Bare residual copies: the ProjectionSet is not mirrored (see
-        // core/replication.h for why promotion stays answer-correct).
-        batch->queries.push_back(
-            HandoffQuery{key, StoredQuery{sq.residual, {}}});
-      }
-    }
-    if (TupleBucket* bucket = st.tuples.Find(key)) {
-      TupleBucketForEach(st.tuple_chunks, *bucket, [&](TupleRef& t) {
-        batch->tuples.push_back(HandoffTuple{key, t});
-      });
-    }
-    if (const BucketList* dq = st.altt.Find(key)) {
-      for (uint32_t cur = dq->head; cur != kNil;
-           cur = st.altt_pool.at(cur).next) {
-        const AlttEntry& e = st.altt_pool.at(cur).value;
-        if (e.expires < now) continue;  // Owner would expire it anyway.
-        batch->altt.push_back(HandoffAltt{key, AlttEntry{e.tuple, e.expires}});
-      }
-    }
-    RateSlice rs{key, 0, 0, 0};
-    if (st.rates.PeekKey(key, &rs.epoch, &rs.current, &rs.previous)) {
-      batch->rates.push_back(rs);
-    }
-    ++counters.updates;
-    ++counters.keys;
-    counters.bytes += batch->ApproxBytes();
-    transport_->SendDirect(self, dst,
-                           MessageTask(ReplicaUpdate{std::move(batch)}));
-  }
-  AddReplicaCounters(counters);
-}
-
-void RJoinEngine::OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg) {
-  RJOIN_CHECK(msg.batch != nullptr);
-  if (!crashed_.empty() && crashed_[self]) return;  // Mail to the dead.
-  HandoffBatch& b = *msg.batch;
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  NodeState& st = state(self);
-  if (st.replicas == nullptr) st.replicas = std::make_unique<ReplicaStore>();
-
-  // REPLACE the listed slices, version-guarded: a refresh emitted after a
-  // churn barrier must not be overwritten by a slower pre-churn mirror.
-  // A mirror for a key this node *owns* is stale by construction (mirrors
-  // target the owner's successors, never the owner): ownership moved here
-  // after the mirror was emitted — e.g. a crashed owner's last update
-  // landing after the promotion — and installing it would resurrect
-  // records the promotion already extracted.
-  for (KeyId key : b.replica_keys) {
-    if (network_->SuccessorOf(interner_->ring_id(key)) == self) continue;
-    ReplicaKeySlice& slice = st.replicas->slices[key];
-    if (slice.version > b.emitted_at) continue;
-    slice.Clear();
-    slice.version = b.emitted_at;
-  }
-  auto slice_of = [&](KeyId key) -> ReplicaKeySlice* {
-    if (network_->SuccessorOf(interner_->ring_id(key)) == self) return nullptr;
-    ReplicaKeySlice* s = st.replicas->slices.Find(key);
-    return s != nullptr && s->version == b.emitted_at ? s : nullptr;
-  };
-  for (HandoffQuery& hq : b.queries) {
-    if (ReplicaKeySlice* s = slice_of(hq.key)) {
-      s->queries.push_back(std::move(hq.sq.residual));
-    }
-  }
-  for (HandoffTuple& ht : b.tuples) {
-    if (ReplicaKeySlice* s = slice_of(ht.key)) {
-      s->tuples.push_back(std::move(ht.tuple));
-    }
-  }
-  for (HandoffAltt& ha : b.altt) {
-    if (ReplicaKeySlice* s = slice_of(ha.key)) {
-      s->altt.push_back(std::move(ha.entry));
-    }
-  }
-  for (const RateSlice& rs : b.rates) {
-    if (ReplicaKeySlice* s = slice_of(rs.key)) {
-      s->rate_epoch = rs.epoch;
-      s->rate_current = rs.current;
-      s->rate_previous = rs.previous;
-    }
-  }
-}
-
-void RJoinEngine::WriteThroughRateReplica(dht::NodeIndex owner, KeyId key,
-                                          uint64_t now) {
-  RateSlice rs{key, 0, 0, 0};
-  if (!state(owner).rates.PeekKey(key, &rs.epoch, &rs.current, &rs.previous)) {
-    return;
-  }
-  std::vector<dht::NodeIndex>& succs = ReplicaTargetBuffer();
-  network_->SuccessorsOf(owner, config_.replication - 1, &succs);
-  for (dht::NodeIndex dst : succs) {
-    NodeState& st = state(dst);
-    if (st.replicas == nullptr) st.replicas = std::make_unique<ReplicaStore>();
-    ReplicaKeySlice& slice = st.replicas->slices[key];
-    slice.rate_epoch = rs.epoch;
-    slice.rate_current = rs.current;
-    slice.rate_previous = rs.previous;
-    slice.version = std::max(slice.version, now);
-  }
-}
-
 bool RJoinEngine::IsExpired(const Residual& r) const {
   if (r.IsInputQuery()) return false;  // Continuous queries never expire.
   const sql::WindowSpec& w = r.origin()->spec().window;
@@ -1414,18 +1215,16 @@ bool RJoinEngine::IsExpired(const Residual& r) const {
   return next_pos / w.size > r.window_min() / w.size;  // Tumbling epoch.
 }
 
-bool RJoinEngine::WindowClosedByTuple(const Residual& r,
-                                      const TupleRef& t) const {
-  if (r.IsInputQuery()) return false;
-  const sql::WindowSpec& w = r.origin()->spec().window;
-  if (!w.use_windows || w.size == 0) return false;
-  const uint64_t pos =
-      w.unit == sql::WindowSpec::Unit::kTime ? t->pub_time : t->seq_no;
-  if (pos <= r.window_min()) return false;  // Older tuple: window still open.
-  if (w.kind == sql::WindowSpec::Kind::kSliding) {
-    return pos - r.window_min() + 1 > w.size;
-  }
-  return pos / w.size > r.window_min() / w.size;
+bool RJoinEngine::TupleOutOfWindows(const TupleRef& t) const {
+  // Conservative: use both clocks; out of range only for the larger of
+  // the two interpretations.
+  const uint64_t now_time = Now();
+  const uint64_t now_seq = global_seq_ + 1;
+  const bool time_out =
+      now_time > t->pub_time && now_time - t->pub_time + 1 > max_window_span_;
+  const bool seq_out =
+      now_seq > t->seq_no && now_seq - t->seq_no + 1 > max_window_span_;
+  return time_out && seq_out;
 }
 
 uint64_t RJoinEngine::StoredFingerprint(KeyId key, const Residual& r) {
@@ -1634,7 +1433,7 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
       StoredQuery& sq = st.query_pool.at(cur).value;
       // Section 5: a triggering tuple that falls beyond the residual's
       // window proves the window closed — the residual is deleted.
-      if (WindowClosedByTuple(sq.residual, msg.tuple)) {
+      if (sq.residual.WindowClosedBy(msg.tuple)) {
         const uint32_t next = st.query_pool.at(cur).next;
         DropStoredQuery(self, msg.key, *bucket, prev, cur);
         cur = next;
@@ -1646,6 +1445,8 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
     }
   }
 
+  ReplicaUpdate::Op stored = ReplicaUpdate::Op::kRate;
+  uint64_t expires = 0;
   if (interner_->level(msg.key) == Level::kValue) {
     // Procedure 2: value-level tuples are stored for future rewritten
     // queries. Storing a TupleRef is one u32 handle copy plus a refcount;
@@ -1656,15 +1457,17 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
     }
     Metrics().AddStore(self);
     RecordKeyLoad(msg.key);
+    stored = ReplicaUpdate::Op::kTuple;
   } else if (config_.enable_altt) {
     // Section 4 fix: keep attribute-level tuples for Delta so that delayed
     // input queries are not starved (Example 1).
     stats::AllocScope plane(stats::AllocPlane::kTuple);
     BucketList& dq = st.altt[msg.key];
     const uint64_t now = Now();
-    const uint64_t expires = altt_delta_ > UINT64_MAX - now
-                                 ? UINT64_MAX
-                                 : now + altt_delta_;  // Saturating.
+    expires = altt_delta_ > UINT64_MAX - now
+                  ? UINT64_MAX
+                  : now + altt_delta_;  // Saturating.
+    stored = ReplicaUpdate::Op::kAltt;
     const uint32_t idx = BucketAppend(st.altt_pool, dq);
     st.altt_pool.at(idx).value = AlttEntry{msg.tuple, expires};
     Metrics().AddAlttStore(self);
@@ -1677,8 +1480,10 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
   }
 
   // Replication: every tuple delivery mutates the key's slice (at least
-  // the rate bucket) — push the refreshed snapshot to the successors.
-  if (config_.replication > 1) MirrorKey(self, msg.key);
+  // the rate bucket) — mirror the arrival to the successors.
+  if (config_.replication > 1) {
+    MirrorArrival(self, msg.key, stored, msg.tuple, expires);
+  }
 }
 
 void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
@@ -1711,13 +1516,14 @@ void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
     stats::AllocScope plane(stats::AllocPlane::kResidual);
     st.distinct_fingerprints.Insert(fp);
   }
-  AppendStoredQuery(st, st.queries[key], std::move(sq));
+  const StoredQuery& kept =
+      AppendStoredQuery(st, st.queries[key], std::move(sq));
   Metrics().AddStore(self);
   RecordKeyLoad(key);
 
   // Replication: the slice gained a stored residual. (Probe-and-forget
   // paths above change nothing durable, so they skip the mirror.)
-  if (config_.replication > 1) MirrorKey(self, key);
+  if (config_.replication > 1) MirrorStored(self, key, kept.residual);
 }
 
 void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
@@ -1783,7 +1589,7 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
   rates->resize(candidates.size());
   nodes->resize(candidates.size());
 
-  std::vector<size_t> unknown;
+  std::vector<size_t>& unknown = RicMissBuffer();
   for (size_t i = 0; i < candidates.size(); ++i) {
     const KeyId key = candidates[i];
     const RicEntry* cached =
@@ -1970,7 +1776,11 @@ void RJoinEngine::SweepWindows() {
   const bool drop_tuples = config_.gc_stored_tuples &&
                            num_unwindowed_queries_ == 0 &&
                            num_windowed_queries_ > 0 && max_window_span_ > 0;
-  for (dht::NodeIndex n = 0; n < states_.size(); ++n) {
+  // Without a windowed query IsExpired() never fires and no tuple is
+  // window-bound: the owner-side walk would visit every stored residual
+  // for nothing. (Replica ALTT entries still expire below.)
+  const size_t owners = num_windowed_queries_ > 0 ? states_.size() : 0;
+  for (dht::NodeIndex n = 0; n < owners; ++n) {
     NodeState& st = *states_[n];
     st.queries.ForEach([&](KeyId key, BucketList& bucket) {
       uint32_t prev = kNil;
@@ -1989,17 +1799,6 @@ void RJoinEngine::SweepWindows() {
     // A stored tuple older than the largest window can never combine with
     // future tuples for any live (all-windowed) query.
     st.tuples.ForEach([&](KeyId, TupleBucket& bucket) {
-      auto expired = [&](const TupleRef& t) {
-        // Conservative: use both clocks; drop only if out of range for the
-        // larger of the two interpretations.
-        const uint64_t now_time = Now();
-        const uint64_t now_seq = global_seq_ + 1;
-        const bool time_out = now_time > t->pub_time &&
-                              now_time - t->pub_time + 1 > max_window_span_;
-        const bool seq_out =
-            now_seq > t->seq_no && now_seq - t->seq_no + 1 > max_window_span_;
-        return time_out && seq_out;
-      };
       // Rebuild compactly through a reusable scratch: survivors move out
       // (no refcount traffic), the chunks recycle through the pool's
       // freelist, and the survivors move back in — so every chunk stays
@@ -2007,7 +1806,7 @@ void RJoinEngine::SweepWindows() {
       static thread_local std::vector<TupleRef> survivors;
       survivors.clear();
       TupleBucketForEach(st.tuple_chunks, bucket, [&](TupleRef& t) {
-        if (expired(t)) {
+        if (TupleOutOfWindows(t)) {
           Metrics().RemoveStore(n);
         } else {
           survivors.push_back(std::move(t));
@@ -2028,32 +1827,7 @@ void RJoinEngine::SweepWindows() {
       survivors.clear();
     });
   }
-  if (config_.replication <= 1) return;
-  // Replica slices age by the same rules, locally (no messages): a mirror
-  // is a point-in-time snapshot, and without this pass a promotion after a
-  // sweep would resurrect records the owner already dropped. (Queries are
-  // additionally re-filtered at install, so this is hygiene + memory.)
-  const uint64_t now = Now();
-  for (auto& stp : states_) {
-    NodeState& st = *stp;
-    if (st.replicas == nullptr) continue;
-    st.replicas->slices.ForEach([&](KeyId, ReplicaKeySlice& slice) {
-      std::erase_if(slice.queries,
-                    [&](const Residual& r) { return IsExpired(r); });
-      if (drop_tuples) {
-        std::erase_if(slice.tuples, [&](const TupleRef& t) {
-          const uint64_t now_seq = global_seq_ + 1;
-          const bool time_out = now > t->pub_time &&
-                                now - t->pub_time + 1 > max_window_span_;
-          const bool seq_out = now_seq > t->seq_no &&
-                               now_seq - t->seq_no + 1 > max_window_span_;
-          return time_out && seq_out;
-        });
-      }
-      std::erase_if(slice.altt,
-                    [&](const AlttEntry& e) { return e.expires < now; });
-    });
-  }
+  if (config_.replication > 1) SweepReplicaSlices(drop_tuples);
 }
 
 std::vector<Answer> RJoinEngine::AnswersFor(uint64_t query_id) const {

@@ -85,11 +85,11 @@ struct EngineConfig {
   uint32_t attr_replication = 1;
 
   /// Successor-list replication factor r (docs/failures.md): every
-  /// state-mutating delivery at a key's owner mirrors the key's full slice
-  /// to the next r-1 ring successors as a ReplicaUpdate, and a silent crash
-  /// promotes the surviving slices at the successor. 1 disables the whole
-  /// subsystem (no replica stores, no mirror traffic — the single
-  /// `replication > 1` branch is the entire cost when off).
+  /// state-mutating delivery at a key's owner mirrors the record it stored
+  /// to the next r-1 ring successors as a ReplicaUpdate delta, and a
+  /// silent crash promotes the surviving slices at the successor. 1
+  /// disables the whole subsystem (no replica stores, no mirror traffic —
+  /// the single `replication > 1` branch is the entire cost when off).
   uint32_t replication = 1;
 
   /// RIC migration policy on churn (docs/churn.md): true moves the old
@@ -295,9 +295,13 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// from the shard sinks at barriers; crash/promotion counters advance at
   /// barriers (driver) — all shard-count-invariant.
   struct ReplicationStats {
-    uint64_t replica_updates = 0;  ///< ReplicaUpdate envelopes sent
-    uint64_t replica_keys = 0;     ///< key slices shipped across all updates
+    uint64_t replica_updates = 0;  ///< mirrors sent (deltas and snapshots)
+    uint64_t replica_keys = 0;     ///< keys mirrored across all updates
     uint64_t replica_bytes = 0;    ///< approximate mirrored payload bytes
+    /// Sequence gaps replicas detected, each answered by a REPLACE resync.
+    /// Zero whenever mirrors between two nodes arrive in emission order
+    /// (every fixed-latency run).
+    uint64_t mirror_gaps = 0;
     uint64_t promotions_emitted = 0;    ///< promoted batches sent at crashes
     uint64_t promotions_installed = 0;  ///< promoted batches installed
     uint64_t promoted_records = 0;      ///< records recovered from replicas
@@ -416,6 +420,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     uint64_t updates = 0;
     uint64_t keys = 0;
     uint64_t bytes = 0;
+    uint64_t gaps = 0;
     uint64_t promotions_installed = 0;
     uint64_t promoted_records = 0;
     uint64_t answers_lost = 0;
@@ -439,6 +444,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// tuples, ALTT entries, replica store) with metric and pool-balance
   /// bookkeeping — nothing is emitted; the data is simply gone.
   void DropAllState(dht::NodeIndex node);
+
+  // ---- successor-list replication (core/replication.cc) ----
+
+  /// `node`'s replica store, created on first use.
+  ReplicaStore& ReplicasOf(dht::NodeIndex node);
   /// Extracts the replica slices `owner` holds for keys in `range` into one
   /// promoted HandoffBatch stamped with the crash time and self-delivers it
   /// as a StateHandoff (the install passes of a graceful handoff double as
@@ -446,26 +456,43 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// correlated ranges never promote a slice twice.
   void PromoteReplicas(dht::NodeIndex owner, const dht::KeyRange& range,
                        uint64_t crash_time);
-  /// Re-mirrors the full owned key set of every node whose replica target
-  /// set changed around ring `position` (the node owning the position plus
-  /// its replication-1 alive predecessors) — called at the barrier that
-  /// applies a churn op, so replica placement tracks the new topology.
+  /// Re-aims the mirrors of every node whose replica target set changed
+  /// around ring `position` (the node owning the position plus its
+  /// replication-1 alive predecessors) — called when a churn op is
+  /// applied, so replica placement tracks the new topology.
   void RefreshReplicasAround(const dht::NodeId& position);
-  /// Ships `node`'s full owned key set to its current successor set as one
-  /// multi-key ReplicaUpdate per successor.
-  void MirrorAllKeys(dht::NodeIndex node);
-  /// Mirrors `key`'s full current slice at `self` (stored queries as bare
-  /// residuals, value tuples, live ALTT entries, the rate bucket) to the
-  /// next replication-1 successors — one single-key ReplicaUpdate each.
-  /// Callers gate on config_.replication > 1.
-  void MirrorKey(dht::NodeIndex self, KeyId key);
-  /// kReplicaUpdate handler: REPLACES the listed key slices in `self`'s
-  /// replica store, version-guarded by the batch's emission time.
+  /// Re-aims `node` now on the serial path; under the runtime, marks it
+  /// pending and schedules the re-aim on the node's own shard (see
+  /// ReplicaStore::reaim_pending).
+  void RequestReaim(dht::NodeIndex node);
+  /// Forgets every baseline of `node` and sends a REPLACE of each owned
+  /// key to its current successors.
+  void Reaim(dht::NodeIndex node);
+  /// Mirrors a stored residual / a tuple arrival (`op` says where the tuple
+  /// went) at `key`'s owner `self` as one delta per successor.
+  void MirrorStored(dht::NodeIndex self, KeyId key, const Residual& residual);
+  void MirrorArrival(dht::NodeIndex self, KeyId key, ReplicaUpdate::Op op,
+                     const TupleRef& tuple, uint64_t expires);
+  /// Sends `delta` to self's successors as the key's next mirror — or, when
+  /// they hold no baseline for it, a REPLACE snapshot instead. Callers gate
+  /// on config_.replication > 1.
+  void MirrorDelta(dht::NodeIndex self, ReplicaUpdate&& delta);
+  /// Sends a REPLACE of `key`'s current slice to every successor under a
+  /// fresh sequence number.
+  void MirrorSnapshot(dht::NodeIndex self, KeyId key);
+  /// One REPLACE snapshot of `key` at sequence number `seq` to `dst`.
+  void SendSnapshot(dht::NodeIndex self, dht::NodeIndex dst, KeyId key,
+                    uint64_t seq);
+  /// kReplicaUpdate handler: applies a mirror from the key's current owner
+  /// (requesting a resync on a gap), serves resync requests, and runs
+  /// deferred re-aims.
   void OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg);
   /// Warmup write-through: copies `owner`'s rate bucket for `key` straight
   /// into its successors' replica slices (no messages — stream history
   /// models traffic that already happened). Driver-phase only.
-  void WriteThroughRateReplica(dht::NodeIndex owner, KeyId key, uint64_t now);
+  void WriteThroughRateReplica(dht::NodeIndex owner, KeyId key);
+  /// SweepWindows' replica pass: slices age by the owners' rules, locally.
+  void SweepReplicaSlices(bool drop_tuples);
   /// Grows every per-node table for a freshly joined node `index`.
   void GrowForNode(dht::NodeIndex index);
   /// Extracts `range` from `from`'s NodeState (ring-id order) and ships it
@@ -526,9 +553,9 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// residual arrives for storage).
   bool IsExpired(const Residual& r) const;
 
-  /// Section 5's per-trigger validity rule: the incoming tuple `t` proves
-  /// the residual's window has closed (t is newer than the window allows).
-  bool WindowClosedByTuple(const Residual& r, const TupleRef& t) const;
+  /// Window GC for stored value tuples: true when `t` is older than the
+  /// largest live window under both clocks, so it can never join again.
+  bool TupleOutOfWindows(const TupleRef& t) const;
 
   /// Fingerprint for DISTINCT set semantics of a stored residual: the
   /// interned key id folded into the residual's 64-bit content fingerprint

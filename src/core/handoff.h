@@ -69,11 +69,6 @@ struct HandoffBatch {
   std::vector<HandoffAltt> altt;
   std::vector<RateSlice> rates;
 
-  /// ReplicaUpdate reuse (docs/failures.md): the keys whose replica slices
-  /// this batch REPLACES at the receiver. Listed explicitly — not derived
-  /// from the records — so a slice that became empty at the owner still
-  /// clears the stale copy at the replica. Empty on real handoffs.
-  std::vector<KeyId> replica_keys;
   /// True when this handoff is a replica promotion after a crash: the
   /// receiver installs its own surviving replica slices as the new owner
   /// (same install passes as a graceful handoff) and samples recovery
@@ -88,19 +83,22 @@ struct HandoffBatch {
   }
 
   /// Approximate wire size of the batch, for the bench's handoff-bytes
-  /// series: fixed per-record overheads plus 8 bytes per tuple value.
+  /// series: fixed per-record overheads plus 8 bytes per tuple value. The
+  /// replication ledger charges mirrors with the same per-record sizes.
+  static constexpr uint64_t kHeaderBytes = 64;  // from + range + emission
+  static constexpr uint64_t kQueryBytes = 64;
+  static constexpr uint64_t kRateBytes = 32;
+  static uint64_t TupleBytes(const TupleRef& t) {
+    return 32 + 8 * (t ? t->arity : 0);
+  }
+  static uint64_t AlttBytes(const TupleRef& t) {
+    return 40 + 8 * (t ? t->arity : 0);
+  }
   uint64_t ApproxBytes() const {
-    uint64_t bytes = 64;  // header: from + range + emission time
-    bytes += queries.size() * 64;
-    for (const HandoffTuple& t : tuples) {
-      bytes += 32 + 8 * (t.tuple ? t.tuple->arity : 0);
-    }
-    for (const HandoffAltt& a : altt) {
-      bytes += 40 + 8 * (a.entry.tuple ? a.entry.tuple->arity : 0);
-    }
-    bytes += rates.size() * 32;
-    bytes += replica_keys.size() * 4;  // interned u32 key ids
-    return bytes;
+    uint64_t bytes = kHeaderBytes + queries.size() * kQueryBytes;
+    for (const HandoffTuple& t : tuples) bytes += TupleBytes(t.tuple);
+    for (const HandoffAltt& a : altt) bytes += AlttBytes(a.entry.tuple);
+    return bytes + rates.size() * kRateBytes;
   }
 };
 

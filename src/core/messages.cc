@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "core/handoff.h"
+#include "core/replication.h"
 #include "stats/alloc_tracker.h"
 #include "util/logging.h"
 
@@ -51,13 +52,28 @@ StateHandoff::StateHandoff(StateHandoff&&) noexcept = default;
 StateHandoff& StateHandoff::operator=(StateHandoff&&) noexcept = default;
 StateHandoff::~StateHandoff() = default;
 
-// ReplicaUpdate boxes the same batch type for the same reason.
+// ReplicaUpdate boxes its snapshot slice for the same reason.
 ReplicaUpdate::ReplicaUpdate() = default;
-ReplicaUpdate::ReplicaUpdate(std::unique_ptr<HandoffBatch> b)
-    : batch(std::move(b)) {}
+ReplicaUpdate::ReplicaUpdate(Op o) : op(o) {}
 ReplicaUpdate::ReplicaUpdate(ReplicaUpdate&&) noexcept = default;
 ReplicaUpdate& ReplicaUpdate::operator=(ReplicaUpdate&&) noexcept = default;
 ReplicaUpdate::~ReplicaUpdate() = default;
+
+ReplicaUpdate ReplicaUpdate::CopyDelta() const {
+  RJOIN_DCHECK(snapshot == nullptr);
+  ReplicaUpdate copy(op);
+  copy.key = key;
+  copy.from = from;
+  copy.seq = seq;
+  copy.prev = prev;
+  copy.rate_epoch = rate_epoch;
+  copy.rate_current = rate_current;
+  copy.rate_previous = rate_previous;
+  copy.expires = expires;
+  copy.tuple = tuple;
+  copy.residual = residual;
+  return copy;
+}
 
 namespace {
 

@@ -45,7 +45,7 @@ enum class MessageKind : uint8_t {
   kNodeJoin,       ///< churn: a node joining the ring at a given position
   kNodeLeave,      ///< churn: a voluntary, graceful departure
   kStateHandoff,   ///< churn: NodeState slices moving to a new owner
-  kReplicaUpdate,  ///< replication: a refreshed per-key slice for a successor
+  kReplicaUpdate,  ///< replication: one key's mirror (delta or snapshot)
   kNodeCrash,      ///< failure injection: a silent kill — no handoff
 };
 
@@ -152,22 +152,51 @@ struct StateHandoff {
   std::unique_ptr<HandoffBatch> batch;
 };
 
-/// Successor-list replication: the full current slice of every key listed
-/// in the batch's `replica_keys`, pushed by the owner to one of its next
-/// r-1 successors after a state-mutating delivery. Reuses the boxed
-/// HandoffBatch wire shape (docs/failures.md), so the pooled Envelope does
-/// not grow for the replication path either. A receiver REPLACES its
-/// replica slice for each listed key — deltas and deletions never travel.
+/// Successor-list replication (docs/failures.md): one mirror of one key,
+/// sent by the key's owner to each of its next r-1 successors. A delta
+/// carries the one record a delivery stored, inline; a whole-slice REPLACE
+/// snapshot is boxed and travels only when a successor may lack the
+/// owner's baseline for the key. Every mirror carries the owner's sequence
+/// number and the number of the key's previous mirror, so a replica
+/// applies a delta only on top of exactly the state it extends and asks
+/// for a REPLACE (kResync) when it detects a gap.
+struct ReplicaKeySlice;  // core/replication.h
 struct ReplicaUpdate {
+  enum class Op : uint8_t {
+    kReplace,  ///< whole-slice snapshot in `snapshot`
+    kQuery,    ///< delta: `residual` was stored
+    kTuple,    ///< delta: value-level `tuple` arrived and was stored
+    kAltt,     ///< delta: attribute-level `tuple` was stored until `expires`
+    kRate,     ///< delta: `tuple` arrived and stored nothing (ALTT off)
+    kResync,   ///< replica `from` -> owner: gap detected, send a REPLACE
+    kReaim,    ///< owner -> itself: re-send baselines after a topology change
+  };
+
   ReplicaUpdate();
-  explicit ReplicaUpdate(std::unique_ptr<HandoffBatch> b);
+  explicit ReplicaUpdate(Op o);
   ReplicaUpdate(ReplicaUpdate&&) noexcept;
   ReplicaUpdate& operator=(ReplicaUpdate&&) noexcept;
   ReplicaUpdate(const ReplicaUpdate&) = delete;
   ReplicaUpdate& operator=(const ReplicaUpdate&) = delete;
   ~ReplicaUpdate();
 
-  std::unique_ptr<HandoffBatch> batch;
+  /// Copy of an inline delta, for the second and later successors
+  /// (snapshots are never copied; each target gets its own box).
+  ReplicaUpdate CopyDelta() const;
+
+  Op op = Op::kReplace;
+  KeyId key = kInvalidKeyId;
+  dht::NodeIndex from = dht::kInvalidNode;  ///< owner, or the requester
+  uint64_t seq = 0;   ///< owner's sequence number of this mirror
+  uint64_t prev = 0;  ///< sequence number of the key's previous mirror
+  /// Tuple deltas: the owner's absolute rate bucket after the arrival.
+  uint64_t rate_epoch = 0;
+  uint64_t rate_current = 0;
+  uint64_t rate_previous = 0;
+  uint64_t expires = 0;  ///< kAltt: the entry's absolute expiry
+  TupleRef tuple;        ///< tuple deltas
+  Residual residual;     ///< kQuery
+  std::unique_ptr<ReplicaKeySlice> snapshot;  ///< kReplace
 };
 
 /// Failure injection: node `node` is killed silently — no goodbye, no
@@ -311,6 +340,12 @@ struct Envelope {
   Envelope* group = nullptr;
   MessagePool* origin = nullptr;  ///< pool the storage belongs to
 };
+
+// The variant is sized by Rewrite/QueryIndex; the inline replica delta must
+// not widen it (docs/messaging.md records the sizes).
+static_assert(sizeof(ReplicaUpdate) <= sizeof(Rewrite),
+              "replica deltas must fit the rewrite-sized payload slot");
+static_assert(sizeof(Envelope) == 496, "pooled Envelope size changed");
 
 /// Move-only owner of a pooled Envelope; releasing returns the envelope
 /// (payload dropped) to its pool's freelist.

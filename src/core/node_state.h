@@ -351,11 +351,11 @@ class NodeState {
   /// Cached RIC info (the candidate table, Section 7).
   CandidateTable ct;
 
-  /// Replica slices held for ring predecessors under successor-list
-  /// replication, created on the first ReplicaUpdate this node receives.
-  /// ReplicaStore stays an incomplete type here (core/replication.h) so the
-  /// replication surface is out of every NodeState user; null whenever
-  /// replication is off — the feature's whole cost when disabled.
+  /// Successor-list replication state: replica slices held for ring
+  /// predecessors plus this node's own mirror sequencing, created on first
+  /// use. ReplicaStore stays an incomplete type here (core/replication.h)
+  /// so the replication surface is out of every NodeState user; null
+  /// whenever replication is off — the feature's whole cost when disabled.
   std::unique_ptr<ReplicaStore> replicas;
 };
 

@@ -6,6 +6,7 @@
 
 #include "core/key.h"
 #include "core/key_map.h"
+#include "core/messages.h"
 #include "core/node_state.h"
 #include "core/residual.h"
 #include "core/tuple_ref.h"
@@ -14,12 +15,15 @@ namespace rjoin::core {
 
 // ---------------------------------------------------------------------------
 // Successor-list replication (docs/failures.md). Under a replication factor
-// r > 1, every state-mutating delivery at a key's owner pushes the key's
-// FULL current slice to the next r-1 ring successors as a ReplicaUpdate
-// (boxed HandoffBatch). A receiver REPLACES its stored copy — the protocol
-// never ships deltas or deletions, so a replica is always a consistent
-// point-in-time snapshot of the owner's slice, possibly stale by in-flight
-// updates. When the owner crashes silently, the surviving successor
+// r > 1, every state-mutating delivery at a key's owner mirrors the change
+// to the next r-1 ring successors as a ReplicaUpdate: normally a DELTA that
+// carries the one record the delivery stored, and a whole-slice REPLACE
+// snapshot only when a successor may lack the owner's baseline for the key
+// (re-aim after a topology change, handoff and promotion installs, the
+// first mirror of a key since the owner's last re-aim, and a gap a replica
+// detects in the key's sequence numbers). After every applied mirror a
+// replica slice equals the owner's slice, possibly stale by in-flight
+// mirrors. When the owner crashes silently, the surviving successor
 // promotes its slices through the normal handoff install passes.
 // ---------------------------------------------------------------------------
 
@@ -28,13 +32,14 @@ namespace rjoin::core {
 /// mirrored; DISTINCT suppression after a promotion is covered by the
 /// owner-side answer-row fingerprints and the target-side stored-residual
 /// fingerprints), value-tuple handles in arrival order, ALTT entries with
-/// their original absolute expiry, and the key's rate bucket.
+/// their original absolute expiry, and the key's rate bucket. The same
+/// struct boxes a REPLACE snapshot on the wire.
 struct ReplicaKeySlice {
-  /// Emission time of the last ReplicaUpdate applied; an older in-flight
-  /// update never overwrites a newer slice (sends are FIFO per (src, dst)
-  /// in virtual time, but a refresh after churn may overtake a pre-churn
-  /// mirror from the previous owner).
-  uint64_t version = 0;
+  /// The owner whose mirrors built this slice, and the sequence number of
+  /// the last one applied: a delta applies only when its `prev` equals
+  /// `seq` (kInvalidNode / 0 before the first baseline).
+  dht::NodeIndex owner = dht::kInvalidNode;
+  uint64_t seq = 0;
   std::vector<Residual> queries;
   std::vector<TupleRef> tuples;
   std::vector<AlttEntry> altt;
@@ -50,13 +55,49 @@ struct ReplicaKeySlice {
   }
 };
 
-/// Everything one node holds on behalf of its ring predecessors. Created
-/// lazily (NodeState::replica_store()): with replication off, no node ever
-/// pays the map's footprint — the single `replication > 1` branch is the
-/// whole cost of the feature when disabled.
+/// Everything one node keeps for successor-list replication. Created
+/// lazily (RJoinEngine::ReplicasOf): with replication off, no node ever
+/// pays the footprint — the single `replication > 1` branch is the whole
+/// cost of the feature when disabled.
 struct ReplicaStore {
+  /// Slices held on behalf of ring predecessors.
   KeyIdMap<ReplicaKeySlice> slices;
+  /// Owner side: sequence number of the last mirror this node sent for
+  /// each key it owns; 0 = no baseline at the current successors, so the
+  /// key's next mirror is a REPLACE.
+  KeyIdMap<uint64_t> last_mirror;
+  /// Owner side: source of sequence numbers, monotone for the node's life
+  /// (a REPLACE never reuses a number a replica may still hold).
+  uint64_t mirror_clock = 0;
+  /// A topology change moved this node's successor window and the re-aim
+  /// REPLACEs are still to be sent (sharded runtime only: the barrier
+  /// defers them to the node's own shard).
+  bool reaim_pending = false;
 };
+
+/// Copies `key`'s current slice at `st` into `out` (stored residuals,
+/// value tuples, ALTT entries live at `now`, the raw rate bucket) — the
+/// content of a REPLACE snapshot.
+void SnapshotKey(NodeState& st, KeyId key, uint64_t now,
+                 ReplicaKeySlice* out);
+
+/// Approximate wire size of a mirror, with the per-record sizes of
+/// HandoffBatch::ApproxBytes (the replica_bytes ledger).
+uint64_t MirrorBytes(const ReplicaUpdate& mirror);
+
+/// Outcome of applying a mirror to a replica slice.
+enum class MirrorVerdict {
+  kApplied,
+  kStale,  ///< already covered by a newer baseline from the same owner
+  kGap,    ///< the slice lacks the delta's predecessor: needs a REPLACE
+};
+
+/// Applies one REPLACE or delta from its key's current owner to `slice`.
+/// A delta appends its record and runs the owner's own drop rules for the
+/// key: a window-closing tuple deletes residuals, and ALTT entries expired
+/// at `now` leave the head of the chain.
+MirrorVerdict ApplyMirror(ReplicaKeySlice& slice, ReplicaUpdate& mirror,
+                          uint64_t now);
 
 }  // namespace rjoin::core
 

@@ -247,6 +247,18 @@ bool Residual::WindowAdmits(int rel, const sql::Tuple& t) const {
                         WindowPositionOf(w, t));
 }
 
+bool Residual::WindowClosedBy(const TupleRef& t) const {
+  if (IsInputQuery()) return false;
+  const sql::WindowSpec& w = origin_->spec().window;
+  if (!w.use_windows || w.size == 0) return false;
+  const uint64_t pos = WindowPositionOf(w, t);
+  if (pos <= window_min_) return false;  // Older tuple: window still open.
+  if (w.kind == sql::WindowSpec::Kind::kSliding) {
+    return pos - window_min_ + 1 > w.size;
+  }
+  return pos / w.size > window_min_ / w.size;
+}
+
 Residual Residual::Bind(int rel, TupleRef t) const {
   RJOIN_CHECK(!IsBound(rel)) << "relation already bound";
   Residual out = *this;

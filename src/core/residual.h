@@ -187,6 +187,11 @@ class Residual {
   bool WindowAdmits(int rel, const TupleRef& t) const;
   bool WindowAdmits(int rel, const sql::Tuple& t) const;
 
+  /// Section 5's per-trigger validity rule: an arriving tuple `t` newer
+  /// than the window allows proves the window has closed, so the stored
+  /// residual is deleted. Owners and their replicas apply the same rule.
+  bool WindowClosedBy(const TupleRef& t) const;
+
   /// Returns a new residual with `t` bound at `rel`. Caller must have
   /// verified Matches and WindowAdmits. This is the engine's rewrite step —
   /// allocation-free: a fixed-size copy plus refcount increments.

@@ -56,7 +56,13 @@ std::string EventName(const TraceEvent& e) {
       return std::string(TraceCategoryName(e.cat)) + ":" +
              core::MessageKindName(static_cast<core::MessageKind>(e.kind));
     case TraceCategory::kChurn:
-      return e.kind != 0 ? "churn:join" : "churn:leave";
+      switch (static_cast<ChurnTraceKind>(e.kind)) {
+        case ChurnTraceKind::kLeave: return "churn:leave";
+        case ChurnTraceKind::kJoin: return "churn:join";
+        case ChurnTraceKind::kCrash: return "churn:crash";
+        case ChurnTraceKind::kPromote: return "churn:promote";
+      }
+      return "churn";
     default:
       return TraceCategoryName(e.cat);
   }

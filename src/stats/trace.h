@@ -21,12 +21,20 @@ enum class TraceCategory : uint8_t {
   kAnswer,      // completed answer row delivered to the query owner
   kRicRequest,  // RIC direct-exchange request delivered
   kRicReply,    // RIC direct-exchange reply delivered
-  kChurn,       // topology churn op applied; kind 1 = join, 0 = leave
+  kChurn,       // topology change applied; kind = ChurnTraceKind
   kStall,       // worker parked waiting on a watermark; arg = wall ns
   kRendezvous,  // driver rendezvous completed; arg = epoch horizon
 };
 inline constexpr size_t kTraceCategoryCount = 10;
 const char* TraceCategoryName(TraceCategory cat);
+
+// The `kind` of a kChurn event, rendered as "churn:<name>".
+enum class ChurnTraceKind : uint8_t {
+  kLeave = 0,    // node = leaver, peer = new owner of its range
+  kJoin = 1,     // node = joiner, peer = bootstrap
+  kCrash = 2,    // node = victim, peer = new owner of its range
+  kPromote = 3,  // node = survivor promoting replicas; arg = records
+};
 
 // One trace record. Dual-stamped: `vtime` is the virtual time of the
 // traced action, `wall_ns` the steady-clock offset from tracer start.

@@ -143,6 +143,7 @@ TEST(SerialCrashTest, ReplicatedCrashesLoseNothing) {
   EXPECT_EQ(h.engine.churn_stats().handoff_messages, 0u)
       << "silent failures must not emit goodbye handoffs";
   EXPECT_GT(h.engine.replication_stats().replica_updates, 0u);
+  EXPECT_EQ(h.engine.replication_stats().mirror_gaps, 0u);
 
   h.Publish(2, "S", {7, 20, 21});
   h.Publish(2, "S", {8, 22, 23});
@@ -276,6 +277,9 @@ RunOutput RunWith(workload::ExperimentConfig cfg, uint32_t shards) {
   out.churn = e.engine().churn_stats();
   out.replication = e.engine().replication_stats();
   out.recovery_ticks = e.engine().promotion_recovery_ticks();
+  // Experiments run on fixed latency: mirrors never overtake each other,
+  // so no replica ever needs the gap fallback.
+  EXPECT_EQ(out.replication.mirror_gaps, 0u);
 
   sql::CentralizedEvaluator oracle(&e.catalog());
   for (uint64_t qid = 1; qid <= cfg.num_queries; ++qid) {
@@ -314,6 +318,7 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b) {
   EXPECT_EQ(a.replication.replica_updates, b.replication.replica_updates);
   EXPECT_EQ(a.replication.replica_keys, b.replication.replica_keys);
   EXPECT_EQ(a.replication.replica_bytes, b.replication.replica_bytes);
+  EXPECT_EQ(a.replication.mirror_gaps, b.replication.mirror_gaps);
   EXPECT_EQ(a.replication.promotions_emitted,
             b.replication.promotions_emitted);
   EXPECT_EQ(a.replication.promotions_installed,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -138,9 +139,13 @@ workload::ExperimentConfig SmallConfig(uint32_t shards, bool churn) {
     workload::ChurnSpec spec;
     spec.joins = 2;
     spec.leaves = 2;
-    spec.spare_nodes = 3;
+    spec.spare_nodes = 5;
     spec.seed = 11;
+    workload::FaultPlan faults;
+    faults.crashes = 2;
+    spec.faults = faults;
     cfg.churn = spec;
+    cfg.replication = 2;  // crashes promote replica slices
   }
   return cfg;
 }
@@ -149,7 +154,21 @@ struct TraceRun {
   std::vector<TraceEvent> events;  // kStall/kRendezvous filtered out
   Tracer::HistogramSet hist;
   uint64_t answers = 0;
+  uint64_t crashes_applied = 0;
+  uint64_t promotions_emitted = 0;
+  std::string chrome;  // the rendered Chrome trace JSON
 };
+
+/// Occurrences of events named `name` in a rendered Chrome trace.
+size_t CountNamed(const std::string& chrome, const std::string& name) {
+  const std::string needle = "{\"name\":\"" + name + "\"";
+  size_t n = 0;
+  for (size_t at = chrome.find(needle); at != std::string::npos;
+       at = chrome.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
 
 // kStall and kRendezvous are wall-clock/schedule-dependent by design
 // (docs/observability.md); everything else must be bit-identical across
@@ -167,8 +186,14 @@ TraceRun RunTraced(uint32_t shards, bool churn) {
     workload::Experiment exp(SmallConfig(shards, churn));
     const workload::ExperimentResult result = exp.Run();
     out.answers = result.answers_delivered;
+    out.crashes_applied = exp.engine().churn_stats().crashes_applied;
+    out.promotions_emitted =
+        exp.engine().replication_stats().promotions_emitted;
   }  // destructor joins the worker threads; the tracer is quiesced
   EXPECT_EQ(Tracer::Global().DroppedEvents(), 0u);
+  std::ostringstream chrome;
+  Tracer::Global().WriteChromeTrace(chrome);
+  out.chrome = chrome.str();
   for (const TraceEvent& e : Tracer::Global().MergedEvents()) {
     if (!IsScheduleDependent(e)) out.events.push_back(e);
   }
@@ -229,10 +254,25 @@ TEST(TraceDeterminismTest, MergedTraceIdenticalAcrossShardCountsUnderChurn) {
     if (e.cat == TraceCategory::kChurn) saw_churn = true;
   }
   EXPECT_TRUE(saw_churn) << "churn config produced no churn trace events";
+  // Every topology change renders under its own label: a crash is not a
+  // join, and each promotion it triggers is an event of its own.
+  EXPECT_GT(s1.crashes_applied, 0u);
+  EXPECT_GT(s1.promotions_emitted, 0u);
+  EXPECT_EQ(CountNamed(s1.chrome, "churn:crash"), s1.crashes_applied);
+  EXPECT_EQ(CountNamed(s1.chrome, "churn:promote"), s1.promotions_emitted);
+  EXPECT_GT(CountNamed(s1.chrome, "churn:join"), 0u);
+  EXPECT_GT(CountNamed(s1.chrome, "churn:leave"), 0u);
   const TraceRun s4 = RunTraced(4, /*churn=*/true);
   const TraceRun s7 = RunTraced(7, /*churn=*/true);
   ExpectSameTrace(s1, s4, "churn S=1 vs S=4");
   ExpectSameTrace(s1, s7, "churn S=1 vs S=7");
+  for (const TraceRun* run : {&s4, &s7}) {
+    EXPECT_EQ(run->crashes_applied, s1.crashes_applied);
+    EXPECT_EQ(run->promotions_emitted, s1.promotions_emitted);
+    EXPECT_EQ(CountNamed(run->chrome, "churn:crash"), s1.crashes_applied);
+    EXPECT_EQ(CountNamed(run->chrome, "churn:promote"),
+              s1.promotions_emitted);
+  }
 }
 
 TEST(TraceDeterminismTest, DisabledTracerStillFeedsHistograms) {
