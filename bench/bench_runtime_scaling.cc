@@ -68,8 +68,7 @@ int main() {
   cfg.rewrite_levels = core::RewriteIndexLevels::kIncludeAttribute;
   cfg.pipeline_stream = true;  // keep many tuple cascades in flight
   cfg.tuple_gap = 8;
-  // round_width stays 0: the watermark scheduler needs no overlap cap —
-  // epochs stretch to RIC-epoch boundaries and shards overlap freely in
+  // Epochs stretch to RIC-epoch boundaries and shards overlap freely in
   // between, with exact 1-tick message timing throughout.
   bench::PrintHeader("Runtime scaling: serial vs sharded workers", cfg);
   bench::JsonReporter json("runtime_scaling",

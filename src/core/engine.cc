@@ -188,8 +188,6 @@ void RJoinEngine::OnBarrier(sim::SimTime round_start) {
     for (auto& [key, answer] : merged) answers_.push_back(std::move(answer));
   }
   for (ShardSink& sink : sinks_) {
-    distinct_suppressed_ += sink.distinct_suppressed;
-    sink.distinct_suppressed = 0;
     sink.key_load.ForEach(
         [this](KeyId key, uint64_t count) { key_load_[key] += count; });
     sink.key_load.clear();
@@ -388,63 +386,10 @@ StatusOr<std::vector<TupleRef>> RJoinEngine::PublishBatch(
       return Status::InvalidArgument("tuple arity mismatch for " + relation);
     }
   }
-
-  const size_t k = schema->arity();
-  const uint64_t now = Now();
-  const uint32_t replication = std::max<uint32_t>(1, config_.attr_replication);
-
-  // Attribute-level keys do not depend on the row, only on its shard, so
-  // intern each (attribute, shard) pair once per batch instead of once per
-  // tuple. Shards cycle with seq_no, exactly as sequential PublishTuple
-  // calls would assign them.
-  std::vector<std::vector<KeyId>> attr_targets(replication);
-  auto shard_targets = [&](uint32_t shard) -> const std::vector<KeyId>& {
-    auto& targets = attr_targets[shard];
-    if (targets.empty()) {
-      targets.reserve(k);
-      for (size_t i = 0; i < k; ++i) {
-        KeyId key = interner_->InternAttribute(relation,
-                                               schema->attributes()[i]);
-        if (replication > 1) key = interner_->WithShard(key, shard);
-        targets.push_back(key);
-      }
-    }
-    return targets;
-  };
-
   std::vector<TupleRef> published;
   published.reserve(rows.size());
-  std::vector<std::pair<KeyId, MessageTask>>& batch = publish_batch_;
-  batch.reserve(2 * k);
-
   for (const auto& row : rows) {
-    TupleRef t = TuplePool::Global().Make(relation, row, now, ++global_seq_,
-                                          next_tuple_id_++);
-    if (config_.keep_history) history_.push_back(t.Materialize());
-    const uint32_t shard =
-        replication > 1 ? static_cast<uint32_t>(t->seq_no % replication) : 0;
-    const std::vector<KeyId>& targets = shard_targets(shard);
-    for (size_t i = 0; i < k; ++i) {
-      TuplePublish attr_msg;
-      attr_msg.tuple = t;
-      attr_msg.key = targets[i];
-      attr_msg.publisher = publisher;
-      batch.emplace_back(targets[i], MessageTask(std::move(attr_msg)));
-
-      TuplePublish value_msg;
-      value_msg.tuple = t;
-      value_msg.key = interner_->InternValue(relation, schema->attributes()[i],
-                                             row[i]);
-      value_msg.publisher = publisher;
-      const KeyId value_key = value_msg.key;
-      batch.emplace_back(value_key, MessageTask(std::move(value_msg)));
-    }
-    // One MultiSendKeys per tuple: coalescing groups the 2k index messages
-    // of a *single* publication, so a batch publish stays message-for-
-    // message identical to the same rows published one PublishTuple at a
-    // time (the equivalence engine_batch_test asserts).
-    transport_->MultiSendKeys(publisher, &batch);
-    published.push_back(std::move(t));
+    published.push_back(PublishTuple(publisher, relation, row).value());
   }
   return published;
 }
@@ -487,29 +432,7 @@ Status RJoinEngine::ObserveStreamHistoryBulk(
 
 Status RJoinEngine::ObserveStreamHistory(
     const std::string& relation, const std::vector<sql::Value>& values) {
-  const sql::Schema* schema = catalog_->Find(relation);
-  if (schema == nullptr) {
-    return Status::NotFound("unknown relation " + relation);
-  }
-  if (schema->arity() != values.size()) {
-    return Status::InvalidArgument("tuple arity mismatch for " + relation);
-  }
-  const uint64_t now = Now();
-  for (size_t i = 0; i < schema->arity(); ++i) {
-    const KeyId ak = interner_->InternAttribute(relation,
-                                                schema->attributes()[i]);
-    const dht::NodeIndex ao = network_->SuccessorOf(interner_->ring_id(ak));
-    state(ao).rates.Record(ak, now);
-    const KeyId vk =
-        interner_->InternValue(relation, schema->attributes()[i], values[i]);
-    const dht::NodeIndex vo = network_->SuccessorOf(interner_->ring_id(vk));
-    state(vo).rates.Record(vk, now);
-    if (config_.replication > 1) {
-      WriteThroughRateReplica(ao, ak);
-      WriteThroughRateReplica(vo, vk);
-    }
-  }
-  return Status::Ok();
+  return ObserveStreamHistoryBulk(relation, {values});
 }
 
 void RJoinEngine::HandleMessage(dht::NodeIndex self, MessageTask&& task) {
@@ -538,16 +461,6 @@ void RJoinEngine::HandleMessage(dht::NodeIndex self, MessageTask&& task) {
       OnEval(self, m.key, std::move(m.residual), m.piggyback);
       return;
     }
-    case MessageKind::kRicRequest:
-      if (forwarding_armed_ &&
-          MaybeForward(self, task.ric_request().key, &task)) {
-        return;
-      }
-      OnRicRequest(self, task.ric_request());
-      return;
-    case MessageKind::kRicReply:
-      OnRicReply(self, task.ric_reply());
-      return;
     case MessageKind::kAnswerDeliver:
       OnAnswer(self, task.answer());
       return;
@@ -595,39 +508,9 @@ bool RJoinEngine::MaybeForward(dht::NodeIndex self, KeyId key,
   // one — its successor chain is exact after the churn splice — so one
   // direct hop completes the delivery. Departed nodes drain their mail the
   // same way.
-  const bool ric = task->kind() == MessageKind::kRicRequest;
-  transport_->SendDirect(self, owner, std::move(*task), ric);
+  transport_->SendDirect(self, owner, std::move(*task));
   AddChurnCounters(ChurnSinkCounters{.forwarded = 1});
   return true;
-}
-
-void RJoinEngine::PrefetchRic(dht::NodeIndex src, const IndexKey& key) {
-  const KeyId id = interner_->Intern(key);
-  transport_->SendKey(src, id, MessageTask(RicRequest{id, src}),
-                      /*ric=*/true);
-}
-
-void RJoinEngine::OnRicRequest(dht::NodeIndex self, const RicRequest& msg) {
-  if (stats::Tracer::On()) {
-    stats::Tracer::Record(stats::TraceCategory::kRicRequest, 0, self,
-                          msg.requester, msg.key, Now());
-  }
-  RicReply reply;
-  const uint64_t now = Now();
-  reply.entry = RicEntry{.key = msg.key,
-                         .node = self,
-                         .rate = ReadRate(self, msg.key, now),
-                         .timestamp = now};
-  transport_->SendDirect(self, msg.requester, MessageTask(std::move(reply)),
-                         /*ric=*/true);
-}
-
-void RJoinEngine::OnRicReply(dht::NodeIndex self, const RicReply& msg) {
-  if (stats::Tracer::On()) {
-    stats::Tracer::Record(stats::TraceCategory::kRicReply, 0, self,
-                          msg.entry.node, msg.entry.rate, Now());
-  }
-  state(self).ct.Merge(msg.entry);
 }
 
 // ------------------------------------------------------------- churn ----
@@ -914,18 +797,18 @@ void RJoinEngine::EmitHandoff(dht::NodeIndex from, dht::NodeIndex to,
     }
   }
 
-  if (config_.migrate_ric_on_churn) {
-    std::vector<KeyId> rate_keys;
-    st.rates.AppendTrackedKeys(&rate_keys);
-    std::erase_if(rate_keys, [&](KeyId k) {
-      return !range.Contains(interner_->ring_id(k));
-    });
-    SortKeysByRingId(&rate_keys, *interner_);
-    for (KeyId key : rate_keys) {
-      RateSlice s{key, 0, 0, 0};
-      if (st.rates.ExtractKey(key, &s.epoch, &s.current, &s.previous)) {
-        batch->rates.push_back(s);
-      }
+  // Rates migrate with the range (docs/churn.md): observations keep aging
+  // at the new owner as if they had never moved.
+  std::vector<KeyId> rate_keys;
+  st.rates.AppendTrackedKeys(&rate_keys);
+  std::erase_if(rate_keys, [&](KeyId k) {
+    return !range.Contains(interner_->ring_id(k));
+  });
+  SortKeysByRingId(&rate_keys, *interner_);
+  for (KeyId key : rate_keys) {
+    RateSlice s{key, 0, 0, 0};
+    if (st.rates.ExtractKey(key, &s.epoch, &s.current, &s.previous)) {
+      batch->rates.push_back(s);
     }
   }
 
@@ -1557,7 +1440,6 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
     ShardSink& sink = sinks_[shard];
     if (distinct) {
       if (!sink.distinct_rows[msg.query_id].Insert(AnswerRowFingerprint(msg))) {
-        ++sink.distinct_suppressed;
         return;
       }
     }
@@ -1572,7 +1454,6 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
     // computation at the querying node, no network cost. Rows dedup on a
     // 64-bit fingerprint over interned value ids — no rendering.
     if (!distinct_rows_[msg.query_id].Insert(AnswerRowFingerprint(msg))) {
-      ++distinct_suppressed_;
       return;
     }
   }
@@ -1604,8 +1485,8 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
       const dht::NodeIndex cand =
           network_->SuccessorOf(interner_->ring_id(key));
       if (config_.charge_ric_messages) {
-        transport_->ChargeTraffic(src, 1, /*ric=*/true);
-        transport_->ChargeTraffic(cand, 1, /*ric=*/true);
+        transport_->ChargeTraffic(src, 1);
+        transport_->ChargeTraffic(cand, 1);
       }
       const uint64_t rate = ReadRate(cand, key, now);
       (*rates)[i] = rate;
@@ -1627,9 +1508,7 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
   for (size_t i : unknown) {
     const dht::NodeId& ring = interner_->ring_id(candidates[i]);
     const dht::NodeIndex cand = network_->SuccessorOf(ring);
-    if (config_.charge_ric_messages) {
-      transport_->ChargeRoute(prev, ring, /*ric=*/true);
-    }
+    if (config_.charge_ric_messages) transport_->ChargeRoute(prev, ring);
     const uint64_t rate = ReadRate(cand, candidates[i], now);
     (*rates)[i] = rate;
     (*nodes)[i] = cand;
@@ -1638,7 +1517,7 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
     prev = cand;
   }
   if (config_.charge_ric_messages) {
-    transport_->ChargeTraffic(prev, 1, /*ric=*/true);  // Direct reply to src.
+    transport_->ChargeTraffic(prev, 1);  // Direct reply to src.
   }
 }
 
@@ -1773,7 +1652,10 @@ void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
 }
 
 void RJoinEngine::SweepWindows() {
-  const bool drop_tuples = config_.gc_stored_tuples &&
+  // Stored tuples go only when every continuous query is windowed and Delta
+  // is finite: one-time queries count in neither query counter, and an
+  // infinite Delta promises them the whole history (SubmitOneTimeQuery).
+  const bool drop_tuples = altt_delta_ != EngineConfig::kInfiniteDelta &&
                            num_unwindowed_queries_ == 0 &&
                            num_windowed_queries_ > 0 && max_window_span_ > 0;
   // Without a windowed query IsExpired() never fires and no tuple is

@@ -72,10 +72,6 @@ struct EngineConfig {
   /// Record every published tuple (for oracle-based tests).
   bool keep_history = false;
 
-  /// During SweepWindows(), also drop stored value-level tuples that can no
-  /// longer fall into any window (only when every live query is windowed).
-  bool gc_stored_tuples = true;
-
   /// Replication factor for attribute-level indexing, the load-spreading
   /// scheme of [18] referenced in Section 3: queries indexed at attribute
   /// level are stored at `attr_replication` shard positions and each
@@ -91,15 +87,6 @@ struct EngineConfig {
   /// disables the whole subsystem (no replica stores, no mirror traffic —
   /// the single `replication > 1` branch is the entire cost when off).
   uint32_t replication = 1;
-
-  /// RIC migration policy on churn (docs/churn.md): true moves the old
-  /// owner's RateTracker buckets along with the key range (observations
-  /// keep aging as if they had never moved); false resets them — the new
-  /// owner starts counting from zero and RIC decisions degrade for up to
-  /// two epochs. Candidate-table entries never migrate under either
-  /// policy: they are cached hints that expire and self-heal through the
-  /// post-churn forwarding rule.
-  bool migrate_ric_on_churn = true;
 
   /// Seed for the engine's internal randomness (kRandom policy).
   uint64_t seed = 42;
@@ -182,14 +169,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
                                   const std::vector<sql::Value>& values);
 
   /// Batched Procedure 1: publishes every row of `rows` as one tuple of
-  /// `relation`, in order, producing exactly the messages, routing, and
-  /// metrics of the equivalent PublishTuple sequence while amortizing the
-  /// schema lookup, the attribute-level key construction + hashing (those
-  /// keys repeat across rows of one relation; only the value-level keys are
-  /// per-row), and the MultiSend dispatch across the batch. The whole batch
-  /// is validated before anything is sent, so a bad row means no tuple of
-  /// the batch is published. `rows` is borrowed, never consumed — callers
-  /// (the workload generator) reuse one row-buffer across batches.
+  /// `relation`, in order — one PublishTuple per row, so the messages,
+  /// routing, and metrics are those of the equivalent PublishTuple
+  /// sequence. The whole batch is validated before anything is sent, so a
+  /// bad row means no tuple of the batch is published. `rows` is borrowed,
+  /// never consumed — callers reuse one row-buffer across batches.
   StatusOr<std::vector<TupleRef>> PublishBatch(
       dht::NodeIndex publisher, const std::string& relation,
       const std::vector<std::vector<sql::Value>>& rows);
@@ -199,10 +183,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// tuple's 2k keys. Models the stream history a long-running network has
   /// already seen — Section 6's RIC decisions "observe what has happened
   /// during the last time window", which requires a last window to exist.
+  /// A one-row ObserveStreamHistoryBulk.
   Status ObserveStreamHistory(const std::string& relation,
                               const std::vector<sql::Value>& values);
 
-  /// Bulk ObserveStreamHistory over rows of one relation: the relation's
+  /// ObserveStreamHistory over rows of one relation: the relation's
   /// attribute-level keys and their responsible nodes are resolved once for
   /// the whole batch instead of once per row. Validates every row first;
   /// a bad row records nothing.
@@ -210,36 +195,17 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
       const std::string& relation,
       const std::vector<std::vector<sql::Value>>& rows);
 
-  /// dht::MessageHandler: the dispatch switch of the typed message plane —
-  /// TuplePublish / QueryIndex / Rewrite / RicRequest / RicReply /
-  /// AnswerDeliver / Control, one handler per MessageKind.
+  /// dht::MessageHandler: the dispatch switch of the typed message plane,
+  /// one handler per MessageKind.
   void HandleMessage(dht::NodeIndex self, core::MessageTask&& task) override;
 
-  /// Asynchronously warms `src`'s candidate table for `key`: a RicRequest
-  /// routes to the responsible node, whose RicReply (one direct hop back)
-  /// merges the observed rate into src's CT — Section 7's direct exchange
-  /// as explicit wire messages. A later IndexResidual whose candidate set
-  /// contains `key` then hits the cache instead of paying the chained
-  /// O(log N) RIC route. Both messages are charged as RIC traffic.
-  void PrefetchRic(dht::NodeIndex src, const IndexKey& key);
-
-  /// True when `node`'s candidate table holds an entry for `key_text` at
-  /// either level (tests of the RicRequest/RicReply plumbing; the same
-  /// text can be interned at both levels — see KeyInterner::Intern).
-  bool HasCachedRic(dht::NodeIndex node, const std::string& key_text) const {
-    for (Level level : {Level::kAttribute, Level::kValue}) {
-      const KeyId key = interner_->Find(key_text, level);
-      if (key != kInvalidKeyId && states_[node]->ct.Find(key) != nullptr) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Garbage collection: drops expired window residuals everywhere, and —
-  /// when every live query is windowed and gc_stored_tuples is set — stored
-  /// tuples that cannot participate in any future window (Section 5's
-  /// status-reduction mechanism).
+  /// Garbage collection: drops expired window residuals everywhere, and
+  /// stored value-level tuples that cannot participate in any future window
+  /// (Section 5's status-reduction mechanism). Tuples are dropped only when
+  /// every live continuous query is windowed AND the ALTT Delta is finite:
+  /// Delta = kInfiniteDelta promises one-time queries — which count as
+  /// neither windowed nor unwindowed and may arrive after any sweep — the
+  /// whole published history.
   void SweepWindows();
 
   // ------------------------------------------------------ live churn ----
@@ -341,9 +307,6 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// weights — the input of the id-movement balancer (Fig. 9).
   std::vector<dht::KeyLoad> KeyLoadProfile() const;
 
-  /// Duplicate answer rows suppressed at owners of DISTINCT queries.
-  uint64_t distinct_suppressed() const { return distinct_suppressed_; }
-
   /// The input query object (for tests).
   InputQueryPtr FindQuery(uint64_t query_id) const;
 
@@ -390,8 +353,6 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   void OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
               const RicVec& piggyback);
   void OnAnswer(dht::NodeIndex self, AnswerDeliver& msg);
-  void OnRicRequest(dht::NodeIndex self, const RicRequest& msg);
-  void OnRicReply(dht::NodeIndex self, const RicReply& msg);
 
   // ---- churn plumbing (docs/churn.md) ----
 
@@ -597,7 +558,6 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     /// Per-DISTINCT-query delivered rows, as 64-bit fingerprints over the
     /// row's value ids (flat plane: no per-row key string).
     std::unordered_map<uint64_t, FlatU64Set> distinct_rows;
-    uint64_t distinct_suppressed = 0;
     KeyIdMap<uint64_t> key_load;
     /// Join/leave requests staged by this shard's events, applied by the
     /// driver at the next barrier in global EventKey order.
@@ -627,14 +587,13 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// Per-DISTINCT-query delivered row fingerprints (owner-side, serial
   /// path) — value-id FNV, same scheme as ShardSink::distinct_rows.
   std::unordered_map<uint64_t, FlatU64Set> distinct_rows_;
-  uint64_t distinct_suppressed_ = 0;
 
   std::vector<sql::TuplePtr> history_;
   KeyIdMap<uint64_t> key_load_;
 
-  /// Reusable Procedure-1 emission buffer: PublishTuple/PublishBatch fill
-  /// it and MultiSendKeys drains it in place, so a steady-state publish
-  /// performs no vector allocation. Driver-phase only (like publishing).
+  /// Reusable Procedure-1 emission buffer: PublishTuple fills it and
+  /// MultiSendKeys drains it in place, so a steady-state publish performs
+  /// no vector allocation. Driver-phase only (like publishing).
   std::vector<std::pair<KeyId, MessageTask>> publish_batch_;
 
   // ---- churn state ----

@@ -75,8 +75,8 @@ class KeyInterner {
   /// Lock-free.
   KeyId Find(std::string_view text, Level level) const;
 
-  /// Level-agnostic lookup (tests, cold boundaries like HasCachedRic):
-  /// the attribute-level entry if one exists, else the value-level one.
+  /// Level-agnostic lookup (tests and other cold boundaries): the
+  /// attribute-level entry if one exists, else the value-level one.
   KeyId Find(std::string_view text) const;
 
   /// Canonical text of an interned key. The reference is stable for the

@@ -20,10 +20,6 @@ const char* MessageKindName(MessageKind kind) {
       return "query_index";
     case MessageKind::kRewrite:
       return "rewrite";
-    case MessageKind::kRicRequest:
-      return "ric_request";
-    case MessageKind::kRicReply:
-      return "ric_reply";
     case MessageKind::kAnswerDeliver:
       return "answer_deliver";
     case MessageKind::kControl:
@@ -171,7 +167,6 @@ EnvelopeRef MessagePool::Acquire() {
   env->emit_time = 0;
   env->route_key_id = kInvalidKeyId;
   env->stage = EnvelopeStage::kDeliver;
-  env->ric = false;
   env->group = nullptr;
   return EnvelopeRef(env);
 }

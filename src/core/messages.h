@@ -38,8 +38,6 @@ enum class MessageKind : uint8_t {
   kTuplePublish,   ///< Procedure 1: a tuple indexed under one of its 2k keys
   kQueryIndex,     ///< Procedure 2: an *input* query being indexed
   kRewrite,        ///< Procedure 3: a rewritten residual being (re)indexed
-  kRicRequest,     ///< Section 7: direct rate lookup at a responsible node
-  kRicReply,       ///< Section 7: the rate answer, merged into the CT
   kAnswerDeliver,  ///< a completed join row returning to Owner(q)
   kControl,        ///< runtime plumbing: timers, deferred driver work, tests
   kNodeJoin,       ///< churn: a node joining the ring at a given position
@@ -81,20 +79,6 @@ struct Rewrite {
   Residual residual;
   KeyId key = kInvalidKeyId;
   RicVec piggyback;
-};
-
-/// Section 7's direct RIC exchange, request half: "what is the rate of
-/// `key` at your node?" — sent to the responsible node, answered with
-/// a RicReply to `requester`. Two machine words on the wire.
-struct RicRequest {
-  KeyId key = kInvalidKeyId;
-  dht::NodeIndex requester = dht::kInvalidNode;
-};
-
-/// Section 7's direct RIC exchange, reply half: the rate observation,
-/// merged into the requester's candidate table.
-struct RicReply {
-  RicEntry entry;
 };
 
 /// An answer tuple sent back to the node that submitted the input query
@@ -218,8 +202,6 @@ class MessageTask {
   MessageTask(TuplePublish&& p) : v_(std::move(p)) {}
   MessageTask(QueryIndex&& p) : v_(std::move(p)) {}
   MessageTask(Rewrite&& p) : v_(std::move(p)) {}
-  MessageTask(RicRequest&& p) : v_(std::move(p)) {}
-  MessageTask(RicReply&& p) : v_(std::move(p)) {}
   MessageTask(AnswerDeliver&& p) : v_(std::move(p)) {}
   MessageTask(Control&& p) : v_(std::move(p)) {}
   MessageTask(NodeJoin&& p) : v_(std::move(p)) {}
@@ -239,8 +221,6 @@ class MessageTask {
   TuplePublish& tuple_publish() { return std::get<TuplePublish>(v_); }
   QueryIndex& query_index() { return std::get<QueryIndex>(v_); }
   Rewrite& rewrite() { return std::get<Rewrite>(v_); }
-  RicRequest& ric_request() { return std::get<RicRequest>(v_); }
-  RicReply& ric_reply() { return std::get<RicReply>(v_); }
   AnswerDeliver& answer() { return std::get<AnswerDeliver>(v_); }
   Control& control() { return std::get<Control>(v_); }
   NodeJoin& node_join() { return std::get<NodeJoin>(v_); }
@@ -255,8 +235,8 @@ class MessageTask {
  private:
   using Variant =
       std::variant<std::monostate, TuplePublish, QueryIndex, Rewrite,
-                   RicRequest, RicReply, AnswerDeliver, Control, NodeJoin,
-                   NodeLeave, StateHandoff, ReplicaUpdate, NodeCrash>;
+                   AnswerDeliver, Control, NodeJoin, NodeLeave, StateHandoff,
+                   ReplicaUpdate, NodeCrash>;
 
   template <MessageKind K, typename T>
   static constexpr bool kMatches =
@@ -267,8 +247,6 @@ class MessageTask {
   static_assert(kMatches<MessageKind::kTuplePublish, TuplePublish>);
   static_assert(kMatches<MessageKind::kQueryIndex, QueryIndex>);
   static_assert(kMatches<MessageKind::kRewrite, Rewrite>);
-  static_assert(kMatches<MessageKind::kRicRequest, RicRequest>);
-  static_assert(kMatches<MessageKind::kRicReply, RicReply>);
   static_assert(kMatches<MessageKind::kAnswerDeliver, AnswerDeliver>);
   static_assert(kMatches<MessageKind::kControl, Control>);
   static_assert(kMatches<MessageKind::kNodeJoin, NodeJoin>);
@@ -278,6 +256,10 @@ class MessageTask {
   static_assert(kMatches<MessageKind::kNodeCrash, NodeCrash>);
 
   Variant v_;
+
+ public:
+  /// Number of MessageKinds, kNone included (kinds are dense from 0).
+  static constexpr size_t kNumKinds = std::variant_size_v<Variant>;
 };
 
 // ---------------------------------------------------------------------------
@@ -329,7 +311,6 @@ struct Envelope {
   /// the worker-side routing stage can hit the per-node route cache.
   KeyId route_key_id = kInvalidKeyId;
   EnvelopeStage stage = EnvelopeStage::kDeliver;
-  bool ric = false;  ///< charge traffic as RIC overhead
 
   // --- plumbing ------------------------------------------------------------
   Envelope* link = nullptr;   ///< MultiSend batch chain / pool freelist

@@ -80,11 +80,6 @@ class InputQuery {
   /// Index of `relation` in the FROM list, or -1.
   int RelIndex(const std::string& relation) const;
 
-  /// Dense TuplePool id of FROM-relation `rel` (resolved at Create).
-  uint32_t relation_id(int rel) const {
-    return rel_ids_[static_cast<size_t>(rel)];
-  }
-
   /// Index of the FROM relation with dense pool id `rel_id`, or -1. The
   /// trigger hot path resolves an arriving tuple's relation with this
   /// integer scan instead of string comparison.
@@ -163,12 +158,9 @@ class Residual {
 
   /// Window positions (pub_time or seq_no, per the window unit) of the
   /// earliest and latest bound tuples. Meaningful once num_bound > 0.
+  /// window_min is the paper's start(q) parameter (Section 5).
   uint64_t window_min() const { return window_min_; }
   uint64_t window_max() const { return window_max_; }
-
-  /// The paper's start(q) parameter (Section 5): set by the first binding,
-  /// then propagated per the inheritance rules.
-  uint64_t window_start() const { return window_min_; }
 
   /// True iff tuple `t` (of FROM-relation index `rel`) satisfies every
   /// constraint the residual currently places on that relation: original

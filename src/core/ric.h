@@ -93,8 +93,6 @@ class RateTracker {
   bool PeekKey(KeyId key, uint64_t* epoch, uint64_t* current,
                uint64_t* previous) const;
 
-  size_t tracked_keys() const { return counts_.size(); }
-
  private:
   struct Bucket {
     uint64_t epoch = 0;

@@ -134,7 +134,6 @@ class ChordNetwork {
   size_t num_total() const { return nodes_.size(); }
 
   const ChordNode& node(NodeIndex i) const { return *nodes_[i]; }
-  ChordNode& mutable_node(NodeIndex i) { return *nodes_[i]; }
 
   /// Ground truth: the node responsible for `key` (its successor on the
   /// ring). Requires a non-empty network.

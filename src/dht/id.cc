@@ -96,8 +96,6 @@ double NodeId::ToDouble() const {
 
 std::string NodeId::ToHex() const { return Sha1ToHex(words_); }
 
-std::string NodeId::ToShortString() const { return ToHex().substr(0, 8); }
-
 bool InIntervalOpenClosed(const NodeId& x, const NodeId& a, const NodeId& b) {
   if (a == b) return true;  // Whole ring.
   if (a < b) return a < x && x <= b;

@@ -50,8 +50,6 @@ class NodeId {
   double ToDouble() const;
 
   std::string ToHex() const;
-  /// Short prefix of the hex form, for logs.
-  std::string ToShortString() const;
 
   friend auto operator<=>(const NodeId&, const NodeId&) = default;
 

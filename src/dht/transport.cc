@@ -56,22 +56,21 @@ std::vector<NodeIndex>& Transport::RouteScratch() {
 }
 
 core::EnvelopeRef Transport::MakeRouted(NodeIndex src, const NodeId& key,
-                                        core::MessageTask task, bool ric,
+                                        core::MessageTask task,
                                         core::EnvelopeStage stage) {
   core::EnvelopeRef env = router_->AcquireEnvelope(src);
   env->src = src;
   env->route_key = key;
   env->stage = stage;
-  env->ric = ric;
   env->task = std::move(task);
   return env;
 }
 
 size_t Transport::Send(NodeIndex src, const NodeId& key,
-                       core::MessageTask task, bool ric) {
+                       core::MessageTask task) {
   if (router_ != nullptr) {
     core::EnvelopeRef env =
-        MakeRouted(src, key, std::move(task), ric, core::EnvelopeStage::kRoute);
+        MakeRouted(src, key, std::move(task), core::EnvelopeStage::kRoute);
     if (!router_->InWorker()) {
       // Driver-phase send: run the routing work as an event on src's shard.
       router_->Defer(src, std::move(env));
@@ -79,14 +78,14 @@ size_t Transport::Send(NodeIndex src, const NodeId& key,
     }
     return FinishRoute(std::move(env));
   }
-  return SerialSend(src, key, std::move(task), ric);
+  return SerialSend(src, key, std::move(task));
 }
 
 size_t Transport::SendKey(NodeIndex src, core::KeyId key,
-                          core::MessageTask task, bool ric) {
+                          core::MessageTask task) {
   const NodeId& ring_id = interner_->ring_id(key);
   if (router_ != nullptr) {
-    core::EnvelopeRef env = MakeRouted(src, ring_id, std::move(task), ric,
+    core::EnvelopeRef env = MakeRouted(src, ring_id, std::move(task),
                                        core::EnvelopeStage::kRoute);
     env->route_key_id = key;  // lets the deferred stage hit the route cache
     if (!router_->InWorker()) {
@@ -95,7 +94,7 @@ size_t Transport::SendKey(NodeIndex src, core::KeyId key,
     }
     return FinishRoute(std::move(env));
   }
-  return SerialSend(src, ring_id, std::move(task), ric, key);
+  return SerialSend(src, ring_id, std::move(task), key);
 }
 
 Transport::RouteView Transport::ResolveRoute(NodeIndex src, core::KeyId key_id,
@@ -143,13 +142,12 @@ NodeIndex Transport::CachedSuccessorOf(core::KeyId key_id,
 }
 
 size_t Transport::SerialSend(NodeIndex src, const NodeId& key,
-                             core::MessageTask task, bool ric,
-                             core::KeyId key_id) {
+                             core::MessageTask task, core::KeyId key_id) {
   if (!network_->node(src).alive()) {
     // A departed node draining in-flight work: it cannot greedy-route (it
     // is off the ring) but still knows the responsible node — one direct
     // hop, like the forwarding rule of docs/churn.md.
-    Metrics().AddTraffic(src, 1, ric);
+    Metrics().AddTraffic(src);
     const NodeIndex dst = CachedSuccessorOf(key_id, key);
     stats::Tracer::RecordRouteHops(1);
     if (stats::Tracer::On())
@@ -163,10 +161,10 @@ size_t Transport::SerialSend(NodeIndex src, const NodeId& key,
   // Each node of the path except the last transmits the message once: the
   // source, then every forwarding hop before the responsible node.
   if (view.count > 0) {
-    metrics.AddTraffic(src, 1, ric);
+    metrics.AddTraffic(src);
     delay += latency_->Delay(rng_);
     for (uint32_t i = 0; i + 1 < view.count; ++i) {
-      metrics.AddTraffic(view.hops[i], 1, ric);
+      metrics.AddTraffic(view.hops[i]);
       delay += latency_->Delay(rng_);
     }
   }
@@ -196,10 +194,10 @@ size_t Transport::FinishRoute(core::EnvelopeRef env) {
   Rng msg_rng = router_->MessageRng(env->src, seq);
   sim::SimTime delay = 0;
   if (view.count > 0) {
-    metrics.AddTraffic(env->src, 1, env->ric);
+    metrics.AddTraffic(env->src);
     delay += latency_->Delay(msg_rng);
     for (uint32_t i = 0; i + 1 < view.count; ++i) {
-      metrics.AddTraffic(view.hops[i], 1, env->ric);
+      metrics.AddTraffic(view.hops[i]);
       delay += latency_->Delay(msg_rng);
     }
   }
@@ -218,7 +216,7 @@ size_t Transport::FinishRoute(core::EnvelopeRef env) {
 }
 
 void Transport::FinishDirect(core::EnvelopeRef env) {
-  Metrics().AddTraffic(env->src, 1, env->ric);
+  Metrics().AddTraffic(env->src);
   const uint64_t seq = router_->NextEmitSeq(env->src);
   Rng msg_rng = router_->MessageRng(env->src, seq);
   const sim::SimTime delay = latency_->Delay(msg_rng);
@@ -234,8 +232,8 @@ void Transport::FinishDirect(core::EnvelopeRef env) {
 }
 
 size_t Transport::MultiSend(
-    NodeIndex src, std::vector<std::pair<NodeId, core::MessageTask>>* messages,
-    bool ric) {
+    NodeIndex src,
+    std::vector<std::pair<NodeId, core::MessageTask>>* messages) {
   if (router_ != nullptr && !router_->InWorker()) {
     // One defer event carries the whole batch to src's shard as an intrusive
     // envelope chain; emission sequence numbers are drawn there, in batch
@@ -243,8 +241,8 @@ size_t Transport::MultiSend(
     core::EnvelopeRef head;
     core::Envelope* tail = nullptr;
     for (auto& [key, task] : *messages) {
-      core::EnvelopeRef env = MakeRouted(src, key, std::move(task), ric,
-                                         core::EnvelopeStage::kRoute);
+      core::EnvelopeRef env =
+          MakeRouted(src, key, std::move(task), core::EnvelopeStage::kRoute);
       if (tail == nullptr) {
         head = std::move(env);
         tail = head.get();
@@ -259,7 +257,7 @@ size_t Transport::MultiSend(
   }
   size_t hops = 0;
   for (auto& [key, task] : *messages) {
-    hops += Send(src, key, std::move(task), ric);
+    hops += Send(src, key, std::move(task));
   }
   messages->clear();
   return hops;
@@ -267,8 +265,7 @@ size_t Transport::MultiSend(
 
 size_t Transport::MultiSendKeys(
     NodeIndex src,
-    std::vector<std::pair<core::KeyId, core::MessageTask>>* messages,
-    bool ric) {
+    std::vector<std::pair<core::KeyId, core::MessageTask>>* messages) {
   // Materialize the batch as one kRouteGroup chain up front — the same
   // shape on every path, so the coalescing pass (and therefore grouping,
   // charging, and emission order) is identical for serial, worker-phase,
@@ -282,7 +279,6 @@ size_t Transport::MultiSendKeys(
     env->route_key = interner_->ring_id(key);
     env->route_key_id = key;
     env->stage = core::EnvelopeStage::kRouteGroup;
-    env->ric = ric;
     env->task = std::move(task);
     if (tail == nullptr) {
       head = std::move(env);
@@ -392,7 +388,7 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
     sim::SimTime delay = 0;
     size_t hops = 0;
     if (dead_src) {
-      metrics.AddTraffic(src, 1, env->ric);
+      metrics.AddTraffic(src);
       delay = latency_->Delay(router_ != nullptr ? msg_rng : rng_);
       hops = 1;
     } else {
@@ -406,10 +402,10 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
       RJOIN_DCHECK(path.back() == g.dst);
       hops = path.size() - 1;
       if (hops > 0) {
-        metrics.AddTraffic(src, 1, env->ric);
+        metrics.AddTraffic(src);
         delay += latency_->Delay(router_ != nullptr ? msg_rng : rng_);
         for (size_t i = 1; i + 1 < path.size(); ++i) {
-          metrics.AddTraffic(path[i], 1, env->ric);
+          metrics.AddTraffic(path[i]);
           delay += latency_->Delay(router_ != nullptr ? msg_rng : rng_);
         }
       }
@@ -434,9 +430,9 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
 }
 
 void Transport::SendDirect(NodeIndex src, NodeIndex dst,
-                           core::MessageTask task, bool ric) {
+                           core::MessageTask task) {
   if (router_ != nullptr) {
-    core::EnvelopeRef env = MakeRouted(src, NodeId(), std::move(task), ric,
+    core::EnvelopeRef env = MakeRouted(src, NodeId(), std::move(task),
                                        core::EnvelopeStage::kDirect);
     env->dst = dst;
     if (!router_->InWorker()) {
@@ -446,7 +442,7 @@ void Transport::SendDirect(NodeIndex src, NodeIndex dst,
     FinishDirect(std::move(env));
     return;
   }
-  Metrics().AddTraffic(src, 1, ric);
+  Metrics().AddTraffic(src);
   stats::Tracer::RecordRouteHops(1);
   if (stats::Tracer::On())
     TraceMessage(stats::TraceCategory::kSend, task.kind(), src, dst, 1);
@@ -519,20 +515,20 @@ void Transport::DispatchOne(core::EnvelopeRef env) {
   }
 }
 
-void Transport::ChargeTraffic(NodeIndex node, uint64_t count, bool ric) {
-  Metrics().AddTraffic(node, count, ric);
+void Transport::ChargeTraffic(NodeIndex node, uint64_t count) {
+  Metrics().AddTraffic(node, count, /*ric=*/true);
 }
 
-size_t Transport::ChargeRoute(NodeIndex src, const NodeId& key, bool ric) {
+size_t Transport::ChargeRoute(NodeIndex src, const NodeId& key) {
   if (!network_->node(src).alive()) {
-    Metrics().AddTraffic(src, 1, ric);  // departed source: one direct hop
+    Metrics().AddTraffic(src, 1, /*ric=*/true);  // departed: one hop
     return 1;
   }
   std::vector<NodeIndex>& path = RouteScratch();
   network_->RoutePath(src, key, &path);
   stats::MetricsRegistry& metrics = Metrics();
   for (size_t i = 0; i + 1 < path.size(); ++i) {
-    metrics.AddTraffic(path[i], 1, ric);
+    metrics.AddTraffic(path[i], 1, /*ric=*/true);
   }
   return path.size() - 1;
 }

@@ -116,17 +116,13 @@ class Transport : public core::EnvelopeDispatcher {
 
   /// Routes `task` from `src` to Successor(key). Returns the number of hops
   /// (0 when the send was deferred onto a worker shard by the router).
-  /// `ric` tags the traffic as RIC-request overhead (separate series in the
-  /// paper's figures).
-  size_t Send(NodeIndex src, const NodeId& key, core::MessageTask task,
-              bool ric = false);
+  size_t Send(NodeIndex src, const NodeId& key, core::MessageTask task);
 
   /// Send() keyed by an interned key id: routes on the interner's cached
   /// ring identifier — no SHA-1, no key text, anywhere on the path — and
   /// memoizes the route in the sender's RouteCache, so a warm send resolves
   /// its path in O(1) instead of an O(log N) finger walk.
-  size_t SendKey(NodeIndex src, core::KeyId key, core::MessageTask task,
-                 bool ric = false);
+  size_t SendKey(NodeIndex src, core::KeyId key, core::MessageTask task);
 
   /// The paper's multiSend(M, I): one message per identifier. Returns total
   /// hops across all messages (0 when deferred). Under the router the whole
@@ -135,8 +131,7 @@ class Transport : public core::EnvelopeDispatcher {
   /// calls would. Drains `*messages` in place and clears it, keeping its
   /// capacity — the publish path reuses one batch buffer forever.
   size_t MultiSend(NodeIndex src,
-                   std::vector<std::pair<NodeId, core::MessageTask>>* messages,
-                   bool ric = false);
+                   std::vector<std::pair<NodeId, core::MessageTask>>* messages);
 
   /// MultiSend keyed by interned key ids, with destination coalescing: the
   /// batch is grouped by responsible node (resolved through the per-node
@@ -148,19 +143,16 @@ class Transport : public core::EnvelopeDispatcher {
   /// publication fan-out path (2k index messages per tuple).
   size_t MultiSendKeys(
       NodeIndex src,
-      std::vector<std::pair<core::KeyId, core::MessageTask>>* messages,
-      bool ric = false);
+      std::vector<std::pair<core::KeyId, core::MessageTask>>* messages);
 
   /// Convenience overload consuming the batch by value.
   size_t MultiSend(NodeIndex src,
-                   std::vector<std::pair<NodeId, core::MessageTask>> messages,
-                   bool ric = false) {
-    return MultiSend(src, &messages, ric);
+                   std::vector<std::pair<NodeId, core::MessageTask>> messages) {
+    return MultiSend(src, &messages);
   }
 
   /// One-hop delivery to a node whose address is already known.
-  void SendDirect(NodeIndex src, NodeIndex dst, core::MessageTask task,
-                  bool ric = false);
+  void SendDirect(NodeIndex src, NodeIndex dst, core::MessageTask task);
 
   /// core::EnvelopeDispatcher: executes a due envelope (and any MultiSend
   /// chain linked behind it) — kRoute/kDirect stages finish their routing
@@ -172,20 +164,21 @@ class Transport : public core::EnvelopeDispatcher {
   sim::Simulator* simulator() { return simulator_; }
   stats::MetricsRegistry* metrics() { return metrics_; }
 
-  /// Charges `count` messages of pure routing traffic to `node` without a
-  /// payload (used by the RIC chain accounting in Section 6/7).
-  void ChargeTraffic(NodeIndex node, uint64_t count, bool ric);
+  /// Charges `count` messages of RIC traffic to `node` without a payload.
+  /// RIC lookups (Sections 6-7) are modeled, not sent: the engine charges
+  /// their messages here and reads the rate directly, so every message the
+  /// send calls above carry is non-RIC traffic.
+  void ChargeTraffic(NodeIndex node, uint64_t count);
 
-  /// Charges traffic for an O(log N) route from src towards `key`,
+  /// Charges RIC traffic for an O(log N) route from src towards `key`,
   /// hop-by-hop at each forwarding node, without delivering a payload.
   /// Returns the hop count. Always recomputes: the charged source may live
   /// on a foreign shard, whose route cache this thread must not touch.
-  size_t ChargeRoute(NodeIndex src, const NodeId& key, bool ric);
+  size_t ChargeRoute(NodeIndex src, const NodeId& key);
 
   /// Route-cache kill switch (RJOIN_ROUTE_CACHE=0 disables; default on).
   /// With the cache off every send recomputes its path — the oracle the
   /// cache must match bit-for-bit.
-  bool route_cache_enabled() const { return route_cache_enabled_; }
   void set_route_cache_enabled(bool on) { route_cache_enabled_ = on; }
 
   /// Process-wide destination-coalescing counters (all transports):
@@ -193,11 +186,6 @@ class Transport : public core::EnvelopeDispatcher {
   struct CoalesceStats {
     uint64_t groups = 0;
     uint64_t payloads = 0;
-    double mean_width() const {
-      return groups == 0 ? 0.0
-                         : static_cast<double>(payloads) /
-                               static_cast<double>(groups);
-    }
   };
   static CoalesceStats AggregateCoalesce();
 
@@ -213,7 +201,7 @@ class Transport : public core::EnvelopeDispatcher {
 
   /// Fills a fresh route-stage envelope (router path).
   core::EnvelopeRef MakeRouted(NodeIndex src, const NodeId& key,
-                               core::MessageTask task, bool ric,
+                               core::MessageTask task,
                                core::EnvelopeStage stage);
 
   /// Executes one envelope stage (no chain walking).
@@ -229,7 +217,7 @@ class Transport : public core::EnvelopeDispatcher {
 
   /// Serial-path send bodies (route/charge/schedule on the simulator).
   size_t SerialSend(NodeIndex src, const NodeId& key, core::MessageTask task,
-                    bool ric, core::KeyId key_id = core::kInvalidKeyId);
+                    core::KeyId key_id = core::kInvalidKeyId);
   void SerialDeliver(NodeIndex dst, core::MessageTask task,
                      sim::SimTime delay);
 

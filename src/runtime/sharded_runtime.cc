@@ -77,14 +77,11 @@ ShardedRuntime::ShardedRuntime(const Options& options, size_t num_nodes,
       num_nodes_(num_nodes),
       initial_nodes_(num_nodes),
       lookahead_(std::max<sim::SimTime>(1, options.lookahead)),
-      overlap_cap_(options.overlap_cap),
       chunk_(BlockChunk(num_nodes, std::max<uint32_t>(1, options.shards))),
       emit_seq_(num_nodes, 0),
       main_metrics_(main_metrics),
       mailboxes_(static_cast<size_t>(num_shards_) * num_shards_),
-      floors_(num_shards_),
-      link_lookahead_(static_cast<size_t>(num_shards_) * num_shards_,
-                      std::max<sim::SimTime>(1, options.lookahead)) {
+      floors_(num_shards_) {
   RJOIN_CHECK(main_metrics_ != nullptr);
   main_metrics_->Resize(num_nodes_);
   shard_state_.reserve(num_shards_);
@@ -120,16 +117,6 @@ ShardedRuntime::~ShardedRuntime() {
     if (e != nullptr) core::MessagePool::Release(e);
   }
   for (auto& shard : shard_state_) shard->heap.Clear();
-}
-
-void ShardedRuntime::SetLinkLookahead(uint32_t src_shard, uint32_t dst_shard,
-                                      sim::SimTime bound) {
-  RJOIN_CHECK(tls_current_shard < 0)
-      << "SetLinkLookahead must run on the driver (workers parked)";
-  RJOIN_CHECK(bound >= lookahead_)
-      << "per-link lookahead below the base lookahead";
-  link_lookahead_[static_cast<size_t>(src_shard) * num_shards_ + dst_shard] =
-      bound;
 }
 
 void ShardedRuntime::GrowNodes(size_t num_nodes) {
@@ -232,11 +219,8 @@ void ShardedRuntime::ScheduleEnvelope(core::EnvelopeRef env) {
   core::Envelope* e = env.release();
   RJOIN_DCHECK(e->link == nullptr);
   e->emit_time = self.now;
-  // Cross-shard sends may not be due before emission + link lookahead.
-  RJOIN_DCHECK(e->time >=
-               sim::SaturatingAdd(e->emit_time,
-                                  LinkLookahead(static_cast<uint32_t>(cur),
-                                                dst_shard)));
+  // Cross-shard sends may not be due before emission + lookahead.
+  RJOIN_DCHECK(e->time >= sim::SaturatingAdd(e->emit_time, lookahead_));
   Mailbox& box =
       mailboxes_[static_cast<size_t>(cur) * num_shards_ + dst_shard];
   core::Envelope* head = box.head.load(std::memory_order_relaxed);
@@ -285,10 +269,9 @@ void ShardedRuntime::DrainMailbox(uint32_t from, uint32_t self,
     core::Envelope* next = e->link;
     e->link = nullptr;
     newest = std::max(newest, e->emit_time);
-    // A drained delivery due before emission + link lookahead would mean
-    // the sender broke the bound this shard's watermark is built on.
-    RJOIN_DCHECK(e->time >=
-                 sim::SaturatingAdd(e->emit_time, LinkLookahead(from, self)));
+    // A drained delivery due before emission + lookahead would mean the
+    // sender broke the bound this shard's watermark is built on.
+    RJOIN_DCHECK(e->time >= sim::SaturatingAdd(e->emit_time, lookahead_));
     PushLocal(shard, core::EnvelopeRef(e));
     e = next;
     ++n;
@@ -304,15 +287,14 @@ sim::SimTime ShardedRuntime::ScanFrontier(uint32_t self, ShardState& shard) {
     if (p == self) continue;
     // Read the peer's floor *before* draining its mailbox: anything the
     // peer emitted before publishing that floor is then guaranteed to be
-    // in our heap, and anything later is due at or after floor + link
-    // lookahead. The drained chain's own send-times tighten the bound
-    // further (a shard's emissions are nondecreasing in time).
+    // in our heap, and anything later is due at or after floor + lookahead.
+    // The drained chain's own send-times tighten the bound further (a
+    // shard's emissions are nondecreasing in time).
     const sim::SimTime floor =
         floors_[p].value.load(std::memory_order_acquire);
     DrainMailbox(p, self, shard);
     const sim::SimTime known = std::max(floor, shard.last_drained_emit[p]);
-    in_bound = std::min(in_bound,
-                        sim::SaturatingAdd(known, LinkLookahead(p, self)));
+    in_bound = std::min(in_bound, sim::SaturatingAdd(known, lookahead_));
   }
   return in_bound;
 }
@@ -496,13 +478,9 @@ void ShardedRuntime::InitFloors() {
     const auto& heap = shard_state_[s]->heap;
     const sim::SimTime own =
         heap.empty() ? sim::kTimeMax : heap.PeekTime();
-    sim::SimTime min_in = sim::kTimeMax;
-    for (uint32_t q = 0; q < num_shards_; ++q) {
-      if (q != s) min_in = std::min(min_in, LinkLookahead(q, s));
-    }
     const sim::SimTime others = s == min_shard ? second : min_all;
     const sim::SimTime floor =
-        std::min(own, sim::SaturatingAdd(others, min_in));
+        std::min(own, sim::SaturatingAdd(others, lookahead_));
     floors_[s].value.store(floor, std::memory_order_relaxed);
   }
 }
@@ -512,9 +490,6 @@ sim::SimTime ShardedRuntime::ComputeHorizon(sim::SimTime base, bool bounded,
   sim::SimTime horizon = sim::kTimeMax;
   for (BarrierHook* hook : hooks_) {
     horizon = std::min(horizon, hook->NextRendezvous(base));
-  }
-  if (overlap_cap_ > 0) {
-    horizon = std::min(horizon, sim::SaturatingAdd(base, overlap_cap_));
   }
   if (bounded) horizon = std::min(horizon, until + 1);  // until is inclusive
   // A bounded run whose clock already sits past `until` (events scheduled

@@ -39,10 +39,9 @@ struct EventKey {
 /// (clamped to 1 for zero-latency-capable models, whose cross-node
 /// deliveries the router defers by one tick, still deterministically).
 /// A shard may run this many ticks past the least conservative bound it
-/// holds on its peers without risking a late message. Experiments use this
-/// when ExperimentConfig::round_width is left unset; the name is kept from
-/// the retired lockstep scheduler, where the same quantity was the largest
-/// exact-timing round width.
+/// holds on its peers without risking a late message. Experiments run with
+/// this lookahead; the name is kept from the retired lockstep scheduler,
+/// where the same quantity was the largest exact-timing round width.
 sim::SimTime AutoRoundWidth(const sim::LatencyModel& latency);
 
 /// Sentinel for BarrierHook::NextRendezvous: no serial phase requested.
@@ -84,8 +83,8 @@ class BarrierHook {
 /// degenerates into a *rendezvous*: the driver only parks workers at a
 /// horizon — the next time a BarrierHook needs a serial phase (RIC epoch
 /// boundary), a staged churn/handoff op caps it (RequestRendezvousBy), or
-/// the overlap cap / RunUntil bound is hit. Between rendezvous, shards
-/// overlap freely across what the lockstep scheduler ran as many rounds.
+/// the RunUntil bound is hit. Between rendezvous, shards overlap freely
+/// across what the lockstep scheduler ran as many rounds.
 ///
 /// Determinism is unchanged: per-shard execution order stays (time, src,
 /// emit-seq), and a shard never consumes a cross-shard message before its
@@ -117,14 +116,7 @@ class ShardedRuntime {
     /// the message plane guarantees (AutoRoundWidth() derives it from a
     /// latency model; ShardRouter::Deliver enforces it). A receiver may
     /// execute up to its least peer bound plus this many ticks.
-    /// SetLinkLookahead() widens individual links above this base.
     sim::SimTime lookahead = 1;
-    /// Caps how far execution may overlap between two rendezvous: epochs
-    /// span at most this many ticks. 0 = unbounded (hooks and churn alone
-    /// schedule rendezvous). ExperimentConfig::round_width maps here as a
-    /// compatibility knob — the retired lockstep scheduler barriered every
-    /// `round_width` ticks; this bounds the same interval from below.
-    sim::SimTime overlap_cap = 0;
   };
 
   /// `main_metrics` is the registry experiments read; shard deltas are
@@ -139,16 +131,6 @@ class ShardedRuntime {
   uint32_t shards() const { return num_shards_; }
   size_t num_nodes() const { return num_nodes_; }
   sim::SimTime lookahead() const { return lookahead_; }
-  sim::SimTime overlap_cap() const { return overlap_cap_; }
-
-  /// Per-link lookahead override: messages from `src_shard` to `dst_shard`
-  /// are guaranteed to take at least `bound` ticks, letting dst_shard run
-  /// that far ahead of src_shard. Must be >= the base lookahead and must
-  /// match what the caller's delivery rule actually enforces. Driver-only,
-  /// before any traffic (tests; experiments keep the uniform bound from
-  /// sim::LatencyModel::MinDelayBetween via AutoRoundWidth).
-  void SetLinkLookahead(uint32_t src_shard, uint32_t dst_shard,
-                        sim::SimTime bound);
 
   /// Shard owning `node`: contiguous blocks of the initial NodeIndex space;
   /// churn-joined nodes (indices past the initial size) round-robin across
@@ -247,7 +229,6 @@ class ShardedRuntime {
   bool Idle() const;
   size_t PendingEvents() const;
   uint64_t TotalEventsExecuted() const { return total_executed_; }
-  uint64_t TotalEpochs() const { return sched_.epochs; }
 
   /// Registers a serial rendezvous callback (driver thread, workers
   /// parked).
@@ -391,8 +372,8 @@ class ShardedRuntime {
   /// chains into heaps, merge metrics deltas and scheduler counters.
   void RendezvousDrain();
   /// Floors for the next epoch: floor(s) = min(own next event, earliest
-  /// peer event + its last-hop lookahead) — the exact serial fixpoint,
-  /// cheap to compute with every heap visible.
+  /// peer event + lookahead) — the exact serial fixpoint, cheap to compute
+  /// with every heap visible.
   void InitFloors();
   sim::SimTime ComputeHorizon(sim::SimTime base, bool bounded,
                               sim::SimTime until);
@@ -400,15 +381,10 @@ class ShardedRuntime {
   sim::SimTime MinHeapTime() const;
   uint64_t RunLoop(bool bounded, sim::SimTime until);
 
-  sim::SimTime LinkLookahead(uint32_t src_shard, uint32_t dst_shard) const {
-    return link_lookahead_[src_shard * num_shards_ + dst_shard];
-  }
-
   const uint32_t num_shards_;
   size_t num_nodes_;  // grows on join churn (GrowNodes, driver-only)
   const size_t initial_nodes_;  // block-partitioned prefix of the id space
   const sim::SimTime lookahead_;
-  const sim::SimTime overlap_cap_;
   const uint32_t chunk_;
 
   std::vector<std::unique_ptr<ShardState>> shard_state_;
@@ -419,7 +395,6 @@ class ShardedRuntime {
 
   std::vector<Mailbox> mailboxes_;          // [src * S + dst]
   std::vector<Floor> floors_;               // [shard]
-  std::vector<sim::SimTime> link_lookahead_;  // [src * S + dst]
 
   /// End of the running epoch. Monotone within an epoch except for
   /// RequestRendezvousBy, which only lowers it — and proves no shard has

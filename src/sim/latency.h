@@ -28,16 +28,6 @@ class LatencyModel {
   /// ticks must return 0 (the runtime then defers such cross-node
   /// deliveries by one tick, still deterministically).
   virtual SimTime min_delay() const { return 1; }
-
-  /// Per-link lower bound on a hop from `src` to `dst`. The watermark
-  /// scheduler folds this into each receiver's frontier — a link with a
-  /// larger guaranteed minimum lets the receiving shard run further ahead
-  /// of that peer. The default is the uniform bound; heterogeneous models
-  /// (e.g. a slow WAN link between two clusters) override it. Must never
-  /// exceed any delay the model can actually draw for that link.
-  virtual SimTime MinDelayBetween(uint32_t /*src*/, uint32_t /*dst*/) const {
-    return min_delay();
-  }
 };
 
 /// Every hop takes exactly `ticks`.

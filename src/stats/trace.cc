@@ -77,8 +77,6 @@ const char* TraceCategoryName(TraceCategory cat) {
     case TraceCategory::kDeliver: return "deliver";
     case TraceCategory::kRewrite: return "rewrite";
     case TraceCategory::kAnswer: return "answer";
-    case TraceCategory::kRicRequest: return "ric_request";
-    case TraceCategory::kRicReply: return "ric_reply";
     case TraceCategory::kChurn: return "churn";
     case TraceCategory::kStall: return "stall";
     case TraceCategory::kRendezvous: return "rendezvous";

@@ -19,13 +19,10 @@ enum class TraceCategory : uint8_t {
   kDeliver,     // typed payload handed to the engine
   kRewrite,     // residual shipped onward after a rewrite; arg = bound count
   kAnswer,      // completed answer row delivered to the query owner
-  kRicRequest,  // RIC direct-exchange request delivered
-  kRicReply,    // RIC direct-exchange reply delivered
   kChurn,       // topology change applied; kind = ChurnTraceKind
   kStall,       // worker parked waiting on a watermark; arg = wall ns
   kRendezvous,  // driver rendezvous completed; arg = epoch horizon
 };
-inline constexpr size_t kTraceCategoryCount = 10;
 const char* TraceCategoryName(TraceCategory cat);
 
 // The `kind` of a kChurn event, rendered as "churn:<name>".

@@ -90,12 +90,6 @@ double ExperimentResult::QplPerNode() const {
          static_cast<double>(num_nodes);
 }
 
-double ExperimentResult::StoragePerNode() const {
-  if (per_tuple.empty() || num_nodes == 0) return 0.0;
-  return static_cast<double>(per_tuple.back().total_storage) /
-         static_cast<double>(num_nodes);
-}
-
 Experiment::Experiment(ExperimentConfig config)
     : config_(std::move(config)),
       resolved_churn_(ResolveChurnSpec(config_)),
@@ -137,10 +131,8 @@ Experiment::Experiment(ExperimentConfig config)
     runtime::ShardedRuntime::Options opt;
     opt.shards = resolved_shards_;
     // Lookahead comes from the latency model alone — it is a timing
-    // guarantee, not a tuning knob. The legacy round_width knob survives
-    // as an overlap cap: 0 (default) lets epochs span whole RIC epochs.
+    // guarantee, not a tuning knob.
     opt.lookahead = runtime::AutoRoundWidth(latency_);
-    opt.overlap_cap = config_.round_width;
     runtime_ = std::make_unique<runtime::ShardedRuntime>(
         opt, network_->num_total(), &metrics_);
     router_ = std::make_unique<runtime::ShardRouter>(runtime_.get(),

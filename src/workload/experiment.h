@@ -85,17 +85,6 @@ struct ExperimentConfig {
 
   static constexpr uint32_t kForceSerial = UINT32_MAX;
 
-  /// Compatibility knob from the retired lockstep scheduler, now the
-  /// watermark runtime's overlap cap: a positive value bounds how far
-  /// execution may overlap between two rendezvous (epochs span at most
-  /// this many ticks — the old scheduler barriered at exactly this
-  /// spacing). 0 (default) leaves the overlap window unbounded; epochs
-  /// then stretch to the next RIC-epoch boundary or staged churn op.
-  /// Message *timing* is unaffected either way: the delivery lookahead is
-  /// always runtime::AutoRoundWidth(latency) — a property of the latency
-  /// model, not a tunable.
-  sim::SimTime round_width = 0;
-
   /// Stream tuples back-to-back (one publication per tuple_gap of virtual
   /// time, with cascades from many tuples in flight at once) instead of
   /// draining each tuple to quiescence before the next. This is the
@@ -192,7 +181,6 @@ struct ExperimentResult {
   double TotalMsgsPerNode() const;
   double RicMsgsPerNode() const;
   double QplPerNode() const;
-  double StoragePerNode() const;
 };
 
 /// Drives one experiment end to end. Also exposes the pieces so benches and
@@ -215,14 +203,6 @@ class Experiment {
   sim::Simulator& simulator() { return sim_; }
   dht::ChordNetwork& network() { return *network_; }
   const ExperimentConfig& config() const { return config_; }
-
-  /// Shard count actually in use; 0 = serial simulator path.
-  uint32_t shard_count() const { return resolved_shards_; }
-
-  /// Churn spec actually in use (config or RJOIN_CHURN), if any.
-  const std::optional<ChurnSpec>& churn_spec() const {
-    return resolved_churn_;
-  }
 
   /// The parallel runtime, or nullptr on the serial path.
   runtime::ShardedRuntime* runtime() { return runtime_.get(); }

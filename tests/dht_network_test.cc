@@ -265,11 +265,10 @@ TEST_F(TransportTest, SendDirectIsOneMessageOneHop) {
 }
 
 TEST_F(TransportTest, RicTrafficTaggedSeparately) {
+  // RIC traffic is charged, never sent; a payload send is not RIC traffic.
   const NodeIndex src = net_->AliveNodes()[0];
-  transport_->SendDirect(src, net_->AliveNodes()[1], TestMsg(4),
-                         /*ric=*/true);
-  transport_->SendDirect(src, net_->AliveNodes()[2], TestMsg(5),
-                         /*ric=*/false);
+  transport_->ChargeTraffic(src, 1);
+  transport_->SendDirect(src, net_->AliveNodes()[2], TestMsg(5));
   sim_.Run();
   EXPECT_EQ(metrics_.total_messages(), 2u);
   EXPECT_EQ(metrics_.total_ric_messages(), 1u);
@@ -278,7 +277,7 @@ TEST_F(TransportTest, RicTrafficTaggedSeparately) {
 TEST_F(TransportTest, ChargeRouteCountsWithoutDelivering) {
   const NodeId key = NodeId::FromKey("charge-only");
   const NodeIndex src = net_->AliveNodes()[3];
-  const size_t hops = transport_->ChargeRoute(src, key, /*ric=*/true);
+  const size_t hops = transport_->ChargeRoute(src, key);
   EXPECT_EQ(metrics_.total_messages(), hops);
   EXPECT_EQ(metrics_.total_ric_messages(), hops);
   sim_.Run();

@@ -149,6 +149,35 @@ TEST(OneTimeQueryTest, AddsNoPermanentState) {
   EXPECT_EQ(h.engine.CountStoredQueries(), stored_before);
 }
 
+TEST(OneTimeQueryTest, WindowSweepKeepsHistoryUnderInfiniteDelta) {
+  // Delta = infinity promises one-time queries the whole history. They
+  // count as neither windowed nor unwindowed queries and may arrive after
+  // any sweep, so a sweep while every continuous query is windowed must
+  // not drop stored tuples.
+  Harness h(24, SnapshotConfig(), TestCatalog());
+  auto windowed = sql::Parser::Parse(
+      "SELECT R.B, S.B FROM R,S WHERE R.A=S.A WINDOW 2 TUPLES");
+  ASSERT_TRUE(windowed.ok());
+  ASSERT_TRUE(h.engine.SubmitQuery(0, *windowed).ok());
+  h.simulator.Run();
+  h.Publish(1, "R", {1, 10});
+  h.Publish(2, "S", {1, 20});
+  for (int64_t i = 0; i < 6; ++i) h.Publish(3, "R", {2 + i, 30 + i});
+  const size_t stored = h.engine.CountStoredTuples();
+  h.engine.SweepWindows();
+  EXPECT_EQ(h.engine.CountStoredTuples(), stored);
+
+  auto spec = sql::Parser::Parse("SELECT R.B, S.B FROM R,S WHERE R.A=S.A");
+  ASSERT_TRUE(spec.ok());
+  auto qid = h.engine.SubmitOneTimeQuery(0, *spec);
+  ASSERT_TRUE(qid.ok()) << qid.status().ToString();
+  h.simulator.Run();
+  const std::vector<Answer> answers = h.engine.AnswersFor(*qid);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].row[0], sql::Value::Int(10));
+  EXPECT_EQ(answers[0].row[1], sql::Value::Int(20));
+}
+
 TEST(OneTimeQueryTest, RejectsWindowClause) {
   Harness h(8, SnapshotConfig(), TestCatalog());
   auto spec = sql::Parser::Parse(

@@ -2,7 +2,7 @@
 // Envelope pooling (slab growth stops at the in-flight high-water mark —
 // steady-state delivery performs zero heap allocations per message, on the
 // serial simulator and on the sharded runtime), MultiSend envelope chains,
-// the RicRequest/RicReply direct exchange, and the auto-tuned round width.
+// and the auto-tuned round width.
 
 #include <gtest/gtest.h>
 
@@ -27,15 +27,27 @@ namespace {
 // ----------------------------------------------------------- MessageTask --
 
 TEST(MessageTaskTest, KindTracksAlternative) {
-  EXPECT_EQ(MessageTask().kind(), MessageKind::kNone);
+  // One case per enumerator, in enumerator order: a kind added without a
+  // case here fails the size check.
+  std::vector<std::pair<MessageKind, MessageTask>> cases;
+  cases.emplace_back(MessageKind::kNone, MessageTask());
+  cases.emplace_back(MessageKind::kTuplePublish, TuplePublish{});
+  cases.emplace_back(MessageKind::kQueryIndex, QueryIndex{});
+  cases.emplace_back(MessageKind::kRewrite, Rewrite{});
+  cases.emplace_back(MessageKind::kAnswerDeliver, AnswerDeliver{});
+  cases.emplace_back(MessageKind::kControl, Control{[] {}});
+  cases.emplace_back(MessageKind::kNodeJoin, NodeJoin{});
+  cases.emplace_back(MessageKind::kNodeLeave, NodeLeave{});
+  cases.emplace_back(MessageKind::kStateHandoff, StateHandoff{});
+  cases.emplace_back(MessageKind::kReplicaUpdate, ReplicaUpdate{});
+  cases.emplace_back(MessageKind::kNodeCrash, NodeCrash{});
+  ASSERT_EQ(cases.size(), MessageTask::kNumKinds);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto& [kind, task] = cases[i];
+    EXPECT_EQ(static_cast<size_t>(kind), i) << MessageKindName(kind);
+    EXPECT_EQ(task.kind(), kind) << MessageKindName(kind);
+  }
   EXPECT_TRUE(MessageTask().empty());
-  EXPECT_EQ(MessageTask(TuplePublish{}).kind(), MessageKind::kTuplePublish);
-  EXPECT_EQ(MessageTask(QueryIndex{}).kind(), MessageKind::kQueryIndex);
-  EXPECT_EQ(MessageTask(Rewrite{}).kind(), MessageKind::kRewrite);
-  EXPECT_EQ(MessageTask(RicRequest{}).kind(), MessageKind::kRicRequest);
-  EXPECT_EQ(MessageTask(RicReply{}).kind(), MessageKind::kRicReply);
-  EXPECT_EQ(MessageTask(AnswerDeliver{}).kind(), MessageKind::kAnswerDeliver);
-  EXPECT_EQ(MessageTask(Control{[] {}}).kind(), MessageKind::kControl);
 }
 
 TEST(MessageTaskTest, ResetDropsPayload) {
@@ -51,12 +63,9 @@ TEST(MessageTaskTest, ResetDropsPayload) {
 
 TEST(MessageTaskTest, KindNamesAreDistinct) {
   std::vector<std::string> names;
-  for (MessageKind k :
-       {MessageKind::kNone, MessageKind::kTuplePublish,
-        MessageKind::kQueryIndex, MessageKind::kRewrite,
-        MessageKind::kRicRequest, MessageKind::kRicReply,
-        MessageKind::kAnswerDeliver, MessageKind::kControl}) {
-    names.push_back(MessageKindName(k));
+  for (size_t k = 0; k < MessageTask::kNumKinds; ++k) {
+    names.push_back(MessageKindName(static_cast<MessageKind>(k)));
+    EXPECT_NE(names.back(), "unknown") << "kind " << k;
   }
   for (size_t i = 0; i < names.size(); ++i) {
     for (size_t j = i + 1; j < names.size(); ++j) {
@@ -234,33 +243,6 @@ TEST(ZeroAllocationTest, SerialAndShardedAnswersAgree) {
   Stream(sharded, 64);
   EXPECT_GT(serial.engine.answers().size(), 0u);
   EXPECT_EQ(serial.engine.answers().size(), sharded.engine.answers().size());
-}
-
-// ------------------------------------------------- RicRequest / RicReply --
-
-TEST(RicExchangeTest, PrefetchWarmsTheCandidateTable) {
-  Harness h(24);
-  // Give the responsible node a non-zero rate to report.
-  ASSERT_TRUE(h.engine.ObserveStreamHistory("R", Row(1, 2)).ok());
-  const IndexKey key = AttributeKey("R", "A");
-  const dht::NodeIndex requester = h.network->AliveNodes()[0];
-  ASSERT_FALSE(h.engine.HasCachedRic(requester, key.text));
-  h.engine.PrefetchRic(requester, key);
-  h.Run();
-  EXPECT_TRUE(h.engine.HasCachedRic(requester, key.text));
-  // Request route + direct reply are charged as RIC traffic.
-  EXPECT_GT(h.metrics.total_ric_messages(), 0u);
-  EXPECT_EQ(h.metrics.total_messages(), h.metrics.total_ric_messages());
-}
-
-TEST(RicExchangeTest, PrefetchWorksOnTheShardedRuntime) {
-  Harness h(24, /*shards=*/3);
-  ASSERT_TRUE(h.engine.ObserveStreamHistory("S", Row(3, 4)).ok());
-  const IndexKey key = AttributeKey("S", "B");
-  const dht::NodeIndex requester = h.network->AliveNodes()[1];
-  h.engine.PrefetchRic(requester, key);
-  h.Run();
-  EXPECT_TRUE(h.engine.HasCachedRic(requester, key.text));
 }
 
 // ---------------------------------------------------------- round width --

@@ -48,13 +48,15 @@ struct Trace {
 
 /// A deterministic message storm: every executed event at `node` fans out to
 /// (node + 1) % nodes and (node + 3) % nodes until `depth` generations have
-/// run. Cross-shard for most partitions, self-sends included when nodes are
-/// few. Returns the merged execution trace.
-std::vector<TraceEntry> RunStorm(uint32_t shards, size_t nodes, int depth) {
+/// run, every hop taking exactly `lookahead` ticks. Cross-shard for most
+/// partitions, self-sends included when nodes are few. Returns the merged
+/// execution trace.
+std::vector<TraceEntry> RunStorm(uint32_t shards, size_t nodes, int depth,
+                                 sim::SimTime lookahead = 2) {
   stats::MetricsRegistry metrics(nodes);
   ShardedRuntime::Options opt;
   opt.shards = shards;
-  opt.lookahead = 2;
+  opt.lookahead = lookahead;
   ShardedRuntime rt(opt, nodes, &metrics);
   Trace trace(nodes);
 
@@ -68,7 +70,7 @@ std::vector<TraceEntry> RunStorm(uint32_t shards, size_t nodes, int depth) {
           const stats::NodeIndex dst =
               static_cast<stats::NodeIndex>((node + step) % nodes);
           const uint64_t seq = rt.NextEmitSeq(node);
-          sim::SimTime when = rt.Now() + 2;  // matches lookahead
+          sim::SimTime when = rt.Now() + lookahead;
           if (dst != node) when = std::max(when, rt.CurrentRoundEnd());
           rt.ScheduleEvent(EventKey{when, node, seq}, dst,
                            [&fire, dst, remaining, tag, step] {
@@ -178,48 +180,14 @@ TEST(ShardedRuntimeTest, ZeroLatencyLinksDeferOneTickInvariantly) {
   }
 }
 
-/// Storm over slow links: every cross-shard hop is guaranteed to take at
-/// least `kLink` ticks, declared via SetLinkLookahead — receivers may run
-/// that far ahead of their peers, and the trace must not change.
-std::vector<TraceEntry> RunWideLinkStorm(uint32_t shards, size_t nodes,
-                                         int depth) {
-  constexpr sim::SimTime kLink = 4;
-  stats::MetricsRegistry metrics(nodes);
-  ShardedRuntime rt({.shards = shards, .lookahead = 1}, nodes, &metrics);
-  for (uint32_t i = 0; i < shards; ++i) {
-    for (uint32_t j = 0; j < shards; ++j) {
-      if (i != j) rt.SetLinkLookahead(i, j, kLink);
-    }
-  }
-  Trace trace(nodes);
-  std::function<void(stats::NodeIndex, int)> fire =
-      [&](stats::NodeIndex node, int remaining) {
-        trace.per_node[node].push_back(TraceEntry{rt.Now(), node, 2});
-        if (remaining == 0) return;
-        for (stats::NodeIndex step : {1u, 5u}) {
-          const stats::NodeIndex dst =
-              static_cast<stats::NodeIndex>((node + step) % nodes);
-          // Every cross-node hop takes the full link minimum (the schedule
-          // rule must respect the widest bound for any partitioning).
-          rt.ScheduleEvent(
-              EventKey{rt.Now() + kLink, node, rt.NextEmitSeq(node)}, dst,
-              [&fire, dst, remaining] { fire(dst, remaining - 1); });
-        }
-      };
-  for (stats::NodeIndex n = 0; n < nodes; ++n) {
-    rt.ScheduleEvent(EventKey{0, n, rt.NextEmitSeq(n)}, n,
-                     [&fire, n, depth] { fire(n, depth); });
-  }
-  rt.Run();
-  return trace.Merged();
-}
-
-TEST(ShardedRuntimeTest, PerLinkLookaheadKeepsTraceInvariant) {
-  const auto serial = RunWideLinkStorm(/*shards=*/1, /*nodes=*/12, 5);
+TEST(ShardedRuntimeTest, WideLookaheadKeepsTraceInvariant) {
+  // Slow links: with a 4-tick lookahead receivers may run that far ahead
+  // of their peers, and the trace must not change.
+  const auto serial =
+      RunStorm(/*shards=*/1, /*nodes=*/12, /*depth=*/5, /*lookahead=*/4);
   EXPECT_FALSE(serial.empty());
   for (uint32_t shards : {2u, 4u}) {
-    EXPECT_EQ(RunWideLinkStorm(shards, 12, 5), serial)
-        << "shards=" << shards;
+    EXPECT_EQ(RunStorm(shards, 12, 5, 4), serial) << "shards=" << shards;
   }
 }
 

@@ -65,9 +65,7 @@ REQUIRED_PROVENANCE = [
     "rjoin_scale",
 ]
 
-# Categories every traced bench run emits. RIC wire categories
-# (ric_request/ric_reply) are not required: the benches reuse piggy-backed
-# RIC info, so direct-exchange round trips only occur in dedicated runs.
+# Categories every traced bench run emits.
 REQUIRED_CATEGORIES = {"send", "route", "deliver", "rewrite", "answer"}
 
 
