@@ -6,7 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
-#include <map>
+#include <utility>
 
 #include "core/replication.h"
 #include "stats/alloc_tracker.h"
@@ -114,14 +114,6 @@ std::vector<size_t>& RicMissBuffer() {
   return buf;
 }
 
-/// Reusable per-thread key set of the per-install mirror pass in
-/// OnStateHandoff (installed keys, deduplicated in ring order).
-std::vector<KeyId>& InstalledKeyBuffer() {
-  static thread_local std::vector<KeyId> buf;
-  buf.clear();
-  return buf;
-}
-
 }  // namespace
 
 RJoinEngine::RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
@@ -202,19 +194,8 @@ void RJoinEngine::OnBarrier(sim::SimTime round_start) {
     std::vector<std::pair<runtime::EventKey, ChurnOp>> ops;
     std::vector<std::pair<runtime::EventKey, uint64_t>> ticks;
     for (ShardSink& sink : sinks_) {
-      churn_.handoffs_installed += sink.churn.installed;
-      churn_.handoffs_reforwarded += sink.churn.reforwarded;
-      churn_.handoff_recovery_ticks += sink.churn.recovery_ticks;
-      churn_.forwarded_messages += sink.churn.forwarded;
-      sink.churn = ChurnSinkCounters{};
-      replication_.replica_updates += sink.replica.updates;
-      replication_.replica_keys += sink.replica.keys;
-      replication_.replica_bytes += sink.replica.bytes;
-      replication_.mirror_gaps += sink.replica.gaps;
-      replication_.promotions_installed += sink.replica.promotions_installed;
-      replication_.promoted_records += sink.replica.promoted_records;
-      replication_.answers_lost += sink.replica.answers_lost;
-      sink.replica = ReplicaSinkCounters{};
+      churn_ += std::exchange(sink.churn, ChurnStats{});
+      replication_ += std::exchange(sink.replica, ReplicationStats{});
       ticks.insert(ticks.end(), sink.promotion_ticks.begin(),
                    sink.promotion_ticks.end());
       sink.promotion_ticks.clear();
@@ -509,7 +490,7 @@ bool RJoinEngine::MaybeForward(dht::NodeIndex self, KeyId key,
   // direct hop completes the delivery. Departed nodes drain their mail the
   // same way.
   transport_->SendDirect(self, owner, std::move(*task));
-  AddChurnCounters(ChurnSinkCounters{.forwarded = 1});
+  AddChurnCounters(ChurnStats{.forwarded_messages = 1});
   return true;
 }
 
@@ -745,332 +726,16 @@ void RJoinEngine::GrowForNode(dht::NodeIndex index) {
   }
 }
 
-void RJoinEngine::EmitHandoff(dht::NodeIndex from, dht::NodeIndex to,
-                              const dht::KeyRange& range) {
-  NodeState& st = state(from);
-  auto batch = std::make_unique<HandoffBatch>();
-  batch->from = from;
-  batch->range_low = range.low;
-  batch->range_high = range.high;
-  batch->emitted_at = Now();
-
-  // Every structure emits its keys in ring order (KeysInRangeSorted), not
-  // KeyIdMap iteration order — the batch layout is a pure function of the
-  // key set, so runs with different intern histories still hand off
-  // identically.
-  for (KeyId key :
-       KeysInRangeSorted(st.queries, *interner_, range.low, range.high)) {
-    BucketList* bucket = st.queries.Find(key);
-    while (bucket->head != kNil) {
-      StoredQuery& sq = st.query_pool.at(bucket->head).value;
-      if (sq.residual.origin()->spec().distinct) {
-        st.distinct_fingerprints.Erase(StoredFingerprint(key, sq.residual));
-      }
-      Metrics().RemoveStore(from);
-      batch->queries.push_back(HandoffQuery{key, std::move(sq)});
-      BucketUnlink(st.query_pool, *bucket, kNil, bucket->head);
-    }
-  }
-
-  for (KeyId key :
-       KeysInRangeSorted(st.tuples, *interner_, range.low, range.high)) {
-    TupleBucket* bucket = st.tuples.Find(key);
-    TupleBucketForEach(st.tuple_chunks, *bucket, [&](TupleRef& t) {
-      Metrics().RemoveStore(from);
-      batch->tuples.push_back(HandoffTuple{key, std::move(t)});
-    });
-    TupleBucketClear(st.tuple_chunks, *bucket);
-  }
-
-  const uint64_t now = Now();
-  for (KeyId key :
-       KeysInRangeSorted(st.altt, *interner_, range.low, range.high)) {
-    BucketList* dq = st.altt.Find(key);
-    while (dq->head != kNil) {
-      AlttEntry& e = st.altt_pool.at(dq->head).value;
-      // Already-expired entries are dropped here instead of moved — the
-      // old owner's amortized expiry would have discarded them anyway.
-      if (e.expires >= now) {
-        batch->altt.push_back(HandoffAltt{key, std::move(e)});
-      }
-      BucketUnlink(st.altt_pool, *dq, kNil, dq->head);
-    }
-  }
-
-  // Rates migrate with the range (docs/churn.md): observations keep aging
-  // at the new owner as if they had never moved.
-  std::vector<KeyId> rate_keys;
-  st.rates.AppendTrackedKeys(&rate_keys);
-  std::erase_if(rate_keys, [&](KeyId k) {
-    return !range.Contains(interner_->ring_id(k));
-  });
-  SortKeysByRingId(&rate_keys, *interner_);
-  for (KeyId key : rate_keys) {
-    RateSlice s{key, 0, 0, 0};
-    if (st.rates.ExtractKey(key, &s.epoch, &s.current, &s.previous)) {
-      batch->rates.push_back(s);
-    }
-  }
-
-  if (batch->empty()) return;  // Nothing to move: no message.
-  churn_.handoff_messages += 1;
-  churn_.handoff_queries += batch->queries.size();
-  churn_.handoff_tuples += batch->tuples.size();
-  churn_.handoff_altt += batch->altt.size();
-  churn_.handoff_rates += batch->rates.size();
-  churn_.handoff_bytes += batch->ApproxBytes();
-  transport_->SendDirect(from, to, MessageTask(StateHandoff{std::move(batch)}));
-}
-
-void RJoinEngine::InstallQuery(dht::NodeIndex self, KeyId key,
-                               StoredQuery&& sq) {
-  NodeState& st = state(self);
-  Metrics().AddQpl(self);
-  const bool distinct = sq.residual.origin()->spec().distinct;
-  uint64_t fp = 0;
-  if (distinct) {
-    fp = StoredFingerprint(key, sq.residual);
-    // An identical rewritten query was already indexed at the new owner
-    // after the responsibility change: set semantics keep one copy.
-    if (st.distinct_fingerprints.Contains(fp)) return;
-  }
-
-  // Probe the destination's pre-handoff state, exactly as OnEval probes on
-  // arrival: tuples that landed here after the ring change but before this
-  // batch are precisely the ones the moved query has never seen. (Moved
-  // tuples of the same batch install after the queries, so they are not
-  // visible here — those pairs were already evaluated at the old owner.)
-  ProbeStoredState(self, key, sq);
-
-  if (IsExpired(sq.residual)) return;  // Window closed while in flight.
-  if (distinct) st.distinct_fingerprints.Insert(fp);
-  AppendStoredQuery(st, st.queries[key], std::move(sq));
-  Metrics().AddStore(self);
-}
-
-void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
-  RJOIN_CHECK(msg.batch != nullptr);
-  HandoffBatch& b = *msg.batch;
-  NodeState& st = state(self);
-  const uint64_t now = Now();
-
-  // Chained churn: responsibility for part of the batch may have moved
-  // again while it was in flight. Split those slices toward their current
-  // owners (std::map: deterministic emission order) and install the rest.
-  std::map<dht::NodeIndex, std::unique_ptr<HandoffBatch>> reforward;
-  auto owner_of = [&](KeyId key) {
-    return network_->SuccessorOf(interner_->ring_id(key));
-  };
-  auto slice_for = [&](dht::NodeIndex owner) -> HandoffBatch& {
-    std::unique_ptr<HandoffBatch>& slot = reforward[owner];
-    if (slot == nullptr) {
-      slot = std::make_unique<HandoffBatch>();
-      slot->from = self;
-      slot->range_low = b.range_low;
-      slot->range_high = b.range_high;
-      slot->emitted_at = b.emitted_at;  // recovery measures the full trip
-      slot->promoted = b.promoted;  // a split promotion is still a promotion
-    }
-    return *slot;
-  };
-
-  // Keys whose slice at `self` this batch changes (installed records or
-  // merged rates): each is re-mirrored below, so replicas catch up with the
-  // post-handoff owner — and a promoted slice that was itself stale gets
-  // overwritten at the next mutation of the key.
-  std::vector<KeyId>& touched = InstalledKeyBuffer();
-  uint64_t installed_records = 0;
-
-  // Snapshot pre-handoff stored-query counts for every key that receives
-  // tuples or ALTT entries: the moved-tuple trigger walk below must visit
-  // pre-existing queries only (moved queries append behind them in pass A,
-  // and every moved-vs-moved pair was already evaluated at the old owner).
-  // Counts are offset by one so 0 still means "key not snapshotted".
-  KeyIdMap<uint32_t> pre_counts;
-  auto pre_count_of = [&](KeyId key) -> uint32_t* {
-    uint32_t* n = pre_counts.Find(key);
-    return n != nullptr && *n > 0 ? n : nullptr;
-  };
-  auto snapshot_key = [&](KeyId key) {
-    uint32_t& slot = pre_counts[key];
-    if (slot > 0) return;
-    uint32_t n = 0;
-    if (const BucketList* bucket = st.queries.Find(key)) {
-      for (uint32_t cur = bucket->head; cur != kNil;
-           cur = st.query_pool.at(cur).next) {
-        ++n;
-      }
-    }
-    slot = n + 1;
-  };
-  for (const HandoffTuple& ht : b.tuples) {
-    if (owner_of(ht.key) == self) snapshot_key(ht.key);
-  }
-  for (const HandoffAltt& ha : b.altt) {
-    if (owner_of(ha.key) == self) snapshot_key(ha.key);
-  }
-
-  // The limited trigger walk shared by moved tuples and moved ALTT
-  // entries: visit at most *budget pre-existing stored queries; drops
-  // shrink the budget so later moved tuples stay inside the pre-existing
-  // prefix.
-  auto trigger_preexisting = [&](KeyId key, const TupleRef& tuple) {
-    uint32_t* budget = pre_count_of(key);
-    BucketList* bucket = st.queries.Find(key);
-    if (budget == nullptr || bucket == nullptr) return;
-    uint32_t remaining = *budget - 1;  // counts are stored offset by one
-    uint32_t prev = kNil;
-    uint32_t cur = bucket->head;
-    while (cur != kNil && remaining > 0) {
-      --remaining;
-      StoredQuery& sq = st.query_pool.at(cur).value;
-      const uint32_t next = st.query_pool.at(cur).next;
-      if (sq.residual.WindowClosedBy(tuple)) {
-        // A dropped pre-existing entry shrinks the prefix later moved
-        // tuples may visit (the offset keeps the slot >= 1).
-        DropStoredQuery(self, key, *bucket, prev, cur);
-        --(*budget);
-        cur = next;
-        continue;
-      }
-      TryTrigger(self, sq, key, tuple);
-      prev = cur;
-      cur = next;
-    }
-  };
-
-  // Pass A: stored queries (probe pre-handoff tuples/ALTT, then store).
-  for (HandoffQuery& hq : b.queries) {
-    const dht::NodeIndex owner = owner_of(hq.key);
-    if (owner != self) {
-      slice_for(owner).queries.push_back(std::move(hq));
-      continue;
-    }
-    touched.push_back(hq.key);
-    ++installed_records;
-    InstallQuery(self, hq.key, std::move(hq.sq));
-  }
-
-  // Pass B: value-level tuples (trigger pre-existing queries, then store).
-  for (HandoffTuple& ht : b.tuples) {
-    const dht::NodeIndex owner = owner_of(ht.key);
-    if (owner != self) {
-      slice_for(owner).tuples.push_back(std::move(ht));
-      continue;
-    }
-    Metrics().AddQpl(self);
-    touched.push_back(ht.key);
-    ++installed_records;
-    trigger_preexisting(ht.key, ht.tuple);
-    {
-      stats::AllocScope plane(stats::AllocPlane::kTuple);
-      TupleBucketAppend(st.tuple_chunks, st.tuples[ht.key],
-                        std::move(ht.tuple));
-    }
-    Metrics().AddStore(self);
-  }
-
-  // Pass C: ALTT entries — same walk, then append with the ORIGINAL
-  // absolute expiry, so the Section 4 Delta bound spans the handoff.
-  for (HandoffAltt& ha : b.altt) {
-    const dht::NodeIndex owner = owner_of(ha.key);
-    if (owner != self) {
-      slice_for(owner).altt.push_back(std::move(ha));
-      continue;
-    }
-    if (ha.entry.expires < now) continue;  // Delta elapsed in flight.
-    Metrics().AddQpl(self);
-    touched.push_back(ha.key);
-    ++installed_records;
-    trigger_preexisting(ha.key, ha.entry.tuple);
-    stats::AllocScope plane(stats::AllocPlane::kTuple);
-    BucketList& dq = st.altt[ha.key];
-    const uint32_t idx = BucketAppend(st.altt_pool, dq);
-    st.altt_pool.at(idx).value = std::move(ha.entry);
-  }
-
-  // Rates merge (the migrate half of the RIC policy; see docs/churn.md).
-  for (const RateSlice& rs : b.rates) {
-    const dht::NodeIndex owner = owner_of(rs.key);
-    if (owner != self) {
-      slice_for(owner).rates.push_back(rs);
-      continue;
-    }
-    touched.push_back(rs.key);
-    if (b.promoted) ++installed_records;
-    st.rates.MergeSlice(rs.key, rs.epoch, rs.current, rs.previous);
-  }
-
-  ChurnSinkCounters counters;
-  const uint64_t trip_ticks = now >= b.emitted_at ? now - b.emitted_at : 0;
-  if (b.promoted) {
-    // Promotions ride the handoff plane but count on their own ledger:
-    // their latency is the crash-recovery metric, not handoff recovery.
-    ReplicaSinkCounters promo;
-    promo.promotions_installed = 1;
-    promo.promoted_records = installed_records;
-    AddReplicaCounters(promo);
-    RecordPromotionTicks(trip_ticks);
-  } else {
-    counters.installed = 1;
-    counters.recovery_ticks = trip_ticks;
-  }
-  for (auto& [owner, slice] : reforward) {
-    ++counters.reforwarded;
-    transport_->SendDirect(self, owner,
-                           MessageTask(StateHandoff{std::move(slice)}));
-  }
-  AddChurnCounters(counters);
-
-  // Replication: the moved (or promoted) slices now live here — overwrite
-  // the stale copies at this node's successors so a later crash promotes
-  // current data, not the pre-churn snapshot.
-  if (config_.replication > 1 && !touched.empty()) {
-    SortKeysByRingId(&touched, *interner_);
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    for (KeyId key : touched) MirrorSnapshot(self, key);
-    touched.clear();
-  }
-}
-
-void RJoinEngine::AddChurnCounters(const ChurnSinkCounters& delta) {
+void RJoinEngine::AddChurnCounters(const ChurnStats& delta) {
   const int shard =
       runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
-  if (shard >= 0) {
-    ChurnSinkCounters& c = sinks_[shard].churn;
-    c.installed += delta.installed;
-    c.reforwarded += delta.reforwarded;
-    c.recovery_ticks += delta.recovery_ticks;
-    c.forwarded += delta.forwarded;
-    return;
-  }
-  churn_.handoffs_installed += delta.installed;
-  churn_.handoffs_reforwarded += delta.reforwarded;
-  churn_.handoff_recovery_ticks += delta.recovery_ticks;
-  churn_.forwarded_messages += delta.forwarded;
+  (shard >= 0 ? sinks_[shard].churn : churn_) += delta;
 }
 
-void RJoinEngine::AddReplicaCounters(const ReplicaSinkCounters& delta) {
+void RJoinEngine::AddReplicaCounters(const ReplicationStats& delta) {
   const int shard =
       runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
-  if (shard >= 0) {
-    ReplicaSinkCounters& c = sinks_[shard].replica;
-    c.updates += delta.updates;
-    c.keys += delta.keys;
-    c.bytes += delta.bytes;
-    c.gaps += delta.gaps;
-    c.promotions_installed += delta.promotions_installed;
-    c.promoted_records += delta.promoted_records;
-    c.answers_lost += delta.answers_lost;
-    return;
-  }
-  replication_.replica_updates += delta.updates;
-  replication_.replica_keys += delta.keys;
-  replication_.replica_bytes += delta.bytes;
-  replication_.mirror_gaps += delta.gaps;
-  replication_.promotions_installed += delta.promotions_installed;
-  replication_.promoted_records += delta.promoted_records;
-  replication_.answers_lost += delta.answers_lost;
+  (shard >= 0 ? sinks_[shard].replica : replication_) += delta;
 }
 
 void RJoinEngine::RecordPromotionTicks(uint64_t ticks) {
@@ -1414,9 +1079,7 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
     // The query's owner crashed: nobody is listening. This is the answer
     // loss the replication bench measures — graceful leavers, by contrast,
     // keep collecting their answers (they left the overlay, not the app).
-    ReplicaSinkCounters lost;
-    lost.answers_lost = 1;
-    AddReplicaCounters(lost);
+    AddReplicaCounters(ReplicationStats{.answers_lost = 1});
     return;
   }
   // End-to-end answer latency in virtual time: publication of the tuple

@@ -253,6 +253,24 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     uint64_t handoffs_reforwarded = 0;  ///< batches split toward newer owners
     uint64_t handoff_recovery_ticks = 0;  ///< sum(install time - emit time)
     uint64_t forwarded_messages = 0;  ///< mis-addressed payloads re-sent
+
+    ChurnStats& operator+=(const ChurnStats& o) {
+      joins_applied += o.joins_applied;
+      leaves_applied += o.leaves_applied;
+      crashes_applied += o.crashes_applied;
+      ops_rejected += o.ops_rejected;
+      handoff_messages += o.handoff_messages;
+      handoff_queries += o.handoff_queries;
+      handoff_tuples += o.handoff_tuples;
+      handoff_altt += o.handoff_altt;
+      handoff_rates += o.handoff_rates;
+      handoff_bytes += o.handoff_bytes;
+      handoffs_installed += o.handoffs_installed;
+      handoffs_reforwarded += o.handoffs_reforwarded;
+      handoff_recovery_ticks += o.handoff_recovery_ticks;
+      forwarded_messages += o.forwarded_messages;
+      return *this;
+    }
   };
   const ChurnStats& churn_stats() const { return churn_; }
 
@@ -272,6 +290,18 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     uint64_t promotions_installed = 0;  ///< promoted batches installed
     uint64_t promoted_records = 0;      ///< records recovered from replicas
     uint64_t answers_lost = 0;  ///< answers addressed to crashed owners
+
+    ReplicationStats& operator+=(const ReplicationStats& o) {
+      replica_updates += o.replica_updates;
+      replica_keys += o.replica_keys;
+      replica_bytes += o.replica_bytes;
+      mirror_gaps += o.mirror_gaps;
+      promotions_emitted += o.promotions_emitted;
+      promotions_installed += o.promotions_installed;
+      promoted_records += o.promoted_records;
+      answers_lost += o.answers_lost;
+      return *this;
+    }
   };
   const ReplicationStats& replication_stats() const { return replication_; }
 
@@ -367,26 +397,6 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     uint32_t take_successors = 0;  ///< crash: adjacent successors to kill too
   };
 
-  /// Worker-side churn counters, merged into churn_ at barriers.
-  struct ChurnSinkCounters {
-    uint64_t installed = 0;
-    uint64_t reforwarded = 0;
-    uint64_t recovery_ticks = 0;
-    uint64_t forwarded = 0;
-  };
-
-  /// Worker-side replication counters, merged into replication_ at
-  /// barriers.
-  struct ReplicaSinkCounters {
-    uint64_t updates = 0;
-    uint64_t keys = 0;
-    uint64_t bytes = 0;
-    uint64_t gaps = 0;
-    uint64_t promotions_installed = 0;
-    uint64_t promoted_records = 0;
-    uint64_t answers_lost = 0;
-  };
-
   /// Wraps a churn task into an envelope delivered to `dst` at `when`.
   Status ScheduleChurnEvent(sim::SimTime when, dht::NodeIndex dst,
                             MessageTask task);
@@ -410,13 +420,6 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
 
   /// `node`'s replica store, created on first use.
   ReplicaStore& ReplicasOf(dht::NodeIndex node);
-  /// Extracts the replica slices `owner` holds for keys in `range` into one
-  /// promoted HandoffBatch stamped with the crash time and self-delivers it
-  /// as a StateHandoff (the install passes of a graceful handoff double as
-  /// the promotion path). Extracted slices are cleared, so overlapping
-  /// correlated ranges never promote a slice twice.
-  void PromoteReplicas(dht::NodeIndex owner, const dht::KeyRange& range,
-                       uint64_t crash_time);
   /// Re-aims the mirrors of every node whose replica target set changed
   /// around ring `position` (the node owning the position plus its
   /// replication-1 alive predecessors) — called when a churn op is
@@ -456,26 +459,46 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   void SweepReplicaSlices(bool drop_tuples);
   /// Grows every per-node table for a freshly joined node `index`.
   void GrowForNode(dht::NodeIndex index);
-  /// Extracts `range` from `from`'s NodeState (ring-id order) and ships it
-  /// to `to` as one StateHandoff. Serial-phase / serial-path only.
-  void EmitHandoff(dht::NodeIndex from, dht::NodeIndex to,
-                   const dht::KeyRange& range);
-  /// kStateHandoff handler: installs the slices `self` is responsible for
-  /// (probing against pre-handoff local state only — moved-vs-moved pairs
-  /// were already evaluated at the old owner) and re-forwards slices whose
-  /// responsibility moved again while the batch was in flight.
-  void OnStateHandoff(dht::NodeIndex self, StateHandoff& msg);
-  /// OnEval's storage logic for a migrated stored query: keeps the moved
-  /// ProjectionSet, probes only pre-handoff tuples/ALTT entries.
-  void InstallQuery(dht::NodeIndex self, KeyId key, StoredQuery&& sq);
   /// Post-churn responsibility check: true when `self` no longer owns
   /// `key` and the payload was re-sent (one direct hop) to the owner.
   bool MaybeForward(dht::NodeIndex self, KeyId key, MessageTask* task);
   /// Adds worker-side churn counters: into the shard sink on a worker
   /// (merged into churn_ at the barrier), straight into churn_ otherwise.
-  void AddChurnCounters(const ChurnSinkCounters& delta);
+  void AddChurnCounters(const ChurnStats& delta);
   /// Same discipline for replication counters.
-  void AddReplicaCounters(const ReplicaSinkCounters& delta);
+  void AddReplicaCounters(const ReplicationStats& delta);
+
+  // ---- moving key slices (core/handoff.cc) ----
+
+  /// The one slice extractor: `key`'s stored residuals, value tuples, ALTT
+  /// entries live at Now() and rate bucket at `node`. take = false copies
+  /// (a REPLACE snapshot); take = true removes the key's records from
+  /// `node` (expired ALTT entries are discarded, not moved) with the
+  /// storage-metric and DISTINCT-fingerprint bookkeeping, and appends each
+  /// residual's projection memory to `projections`.
+  KeySlice SliceOf(dht::NodeIndex node, KeyId key, bool take,
+                   std::vector<ProjectionSet>* projections = nullptr);
+  /// Takes the slices of every key in `range` from `from` (ring order) and
+  /// ships them to `to` as one StateHandoff. Serial-phase / serial-path
+  /// only.
+  void EmitHandoff(dht::NodeIndex from, dht::NodeIndex to,
+                   const dht::KeyRange& range);
+  /// Moves the replica slices `owner` holds for keys in `range` into one
+  /// promoted HandoffBatch stamped with the crash time and self-delivers it
+  /// as a StateHandoff (the install loop of a graceful handoff doubles as
+  /// the promotion path). Moved-out slices are left empty, so overlapping
+  /// correlated ranges never promote a slice twice.
+  void PromoteReplicas(dht::NodeIndex owner, const dht::KeyRange& range,
+                       uint64_t crash_time);
+  /// kStateHandoff handler, the one install loop: checks ownership once per
+  /// slice, re-forwards whole slices whose key moved again while the batch
+  /// was in flight, and installs the rest (probing against pre-handoff
+  /// local state only — moved-vs-moved pairs were already evaluated at the
+  /// old owner).
+  void OnStateHandoff(dht::NodeIndex self, StateHandoff& msg);
+  /// OnEval's storage logic for a migrated stored query: keeps the moved
+  /// ProjectionSet, probes only pre-handoff tuples/ALTT entries.
+  void InstallQuery(dht::NodeIndex self, KeyId key, StoredQuery&& sq);
   /// Records one promotion install's recovery time: staged with the
   /// current EventKey on a worker (merged in order at the barrier),
   /// appended directly otherwise.
@@ -562,8 +585,8 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     /// Join/leave requests staged by this shard's events, applied by the
     /// driver at the next barrier in global EventKey order.
     std::vector<std::pair<runtime::EventKey, ChurnOp>> churn_ops;
-    ChurnSinkCounters churn;
-    ReplicaSinkCounters replica;
+    ChurnStats churn;
+    ReplicationStats replica;
     /// Per-promotion recovery times staged by this shard, merged into
     /// promotion_recovery_ticks_ at barriers in global EventKey order.
     std::vector<std::pair<runtime::EventKey, uint64_t>> promotion_ticks;

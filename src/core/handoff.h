@@ -9,83 +9,59 @@
 #include "core/key.h"
 #include "core/key_map.h"
 #include "core/node_state.h"
+#include "core/residual.h"
+#include "core/ric.h"
+#include "core/tuple_ref.h"
 #include "dht/id.h"
-#include "sql/tuple.h"
 
 namespace rjoin::core {
 
 // ---------------------------------------------------------------------------
-// State handoff on topology churn. When ring responsibility for a key range
-// moves (a node joins in front of its successor, or a node leaves toward its
-// successor), the old owner extracts every piece of per-key NodeState in the
-// range — stored queries, value-level tuples, ALTT entries, and rate-tracker
-// counters — into one HandoffBatch that travels as a StateHandoff message
-// through the normal message plane (and therefore through the sharded
-// runtime's per-(src, dst, round) mailbox chains). See docs/churn.md.
+// Moving a key's state. Everything a responsible node keeps under one index
+// key — stored queries, value-level tuples, ALTT entries and the RIC rate
+// bucket — is the key's slice. Slices move when ring responsibility changes
+// (a join or leave hands them to the new owner, a crash promotes the
+// survivor's replica copies) and are copied to successors (replica
+// snapshots); all of these use one KeySlice format, built by one extractor
+// (RJoinEngine::SliceOf) and installed by one loop
+// (RJoinEngine::OnStateHandoff). See docs/churn.md and docs/failures.md.
 // ---------------------------------------------------------------------------
 
-/// A stored (input or rewritten) query changing owners. The ProjectionSet
-/// inside StoredQuery moves along, so the DISTINCT projection rule keeps its
-/// memory across the handoff.
-struct HandoffQuery {
-  KeyId key = kInvalidKeyId;
-  StoredQuery sq;
-};
+/// One key's slice, as flat records: residuals (no DISTINCT projection
+/// memory — see HandoffBatch::projections), value-tuple handles in arrival
+/// order, ALTT entries with their original absolute expiry (so the
+/// Section 4 Delta bound spans a move), and the key's rate bucket (rates
+/// migrate and merge; candidate tables do not move — docs/churn.md).
+/// Move-only: copying a slice is a deliberate SliceOf call.
+struct KeySlice {
+  std::vector<Residual> queries;
+  std::vector<TupleRef> tuples;
+  std::vector<AlttEntry> altt;
+  RateBucket rate;
+  KeyId key = kInvalidKeyId;  // last: ReplicaSlice packs into its padding
 
-/// A value-level stored tuple changing owners (arrival order per key is
-/// preserved by the batch's emission order). Moves a 4-byte pooled-record
-/// handle, not a shared_ptr graph.
-struct HandoffTuple {
-  KeyId key = kInvalidKeyId;
-  TupleRef tuple;
-};
+  KeySlice() = default;
+  explicit KeySlice(KeyId k) : key(k) {}
+  KeySlice(KeySlice&&) noexcept = default;
+  KeySlice& operator=(KeySlice&&) noexcept = default;
+  KeySlice(const KeySlice&) = delete;
+  KeySlice& operator=(const KeySlice&) = delete;
 
-/// An ALTT entry changing owners. `expires` is the entry's original absolute
-/// expiry, so the Section 4 Delta bound is honored across the handoff: the
-/// new owner keeps the tuple exactly as long as the old owner would have.
-struct HandoffAltt {
-  KeyId key = kInvalidKeyId;
-  AlttEntry entry;
-};
-
-/// One key's RateTracker bucket changing owners (the RIC migration policy:
-/// rate observations migrate and merge; candidate-table entries do not —
-/// they age out and self-heal through forwarding; see docs/churn.md).
-struct RateSlice {
-  KeyId key = kInvalidKeyId;
-  uint64_t epoch = 0;
-  uint64_t current = 0;
-  uint64_t previous = 0;
-};
-
-/// Everything one responsibility transfer moves, in ring-id order.
-struct HandoffBatch {
-  dht::NodeIndex from = dht::kInvalidNode;  ///< the old owner
-  dht::NodeId range_low;   ///< moved responsibility: ring interval
-  dht::NodeId range_high;  ///< (range_low, range_high]
-  uint64_t emitted_at = 0;  ///< virtual emission time (recovery metric)
-  std::vector<HandoffQuery> queries;
-  std::vector<HandoffTuple> tuples;
-  std::vector<HandoffAltt> altt;
-  std::vector<RateSlice> rates;
-
-  /// True when this handoff is a replica promotion after a crash: the
-  /// receiver installs its own surviving replica slices as the new owner
-  /// (same install passes as a graceful handoff) and samples recovery
-  /// rounds separately.
-  bool promoted = false;
-
-  bool empty() const {
-    return queries.empty() && tuples.empty() && altt.empty() && rates.empty();
-  }
+  /// Records the slice holds; a non-empty rate bucket counts as one.
   uint64_t records() const {
-    return queries.size() + tuples.size() + altt.size() + rates.size();
+    return queries.size() + tuples.size() + altt.size() +
+           (rate.empty() ? 0 : 1);
   }
+  bool empty() const { return records() == 0; }
 
-  /// Approximate wire size of the batch, for the bench's handoff-bytes
-  /// series: fixed per-record overheads plus 8 bytes per tuple value. The
-  /// replication ledger charges mirrors with the same per-record sizes.
-  static constexpr uint64_t kHeaderBytes = 64;  // from + range + emission
+  /// Approximate wire size, for the handoff-bytes and replica-bytes
+  /// ledgers: fixed per-record overheads plus 8 bytes per tuple value.
+  uint64_t Bytes() const {
+    uint64_t bytes = queries.size() * kQueryBytes;
+    for (const TupleRef& t : tuples) bytes += TupleBytes(t);
+    for (const AlttEntry& e : altt) bytes += AlttBytes(e.tuple);
+    return bytes + (rate.empty() ? 0 : kRateBytes);
+  }
   static constexpr uint64_t kQueryBytes = 64;
   static constexpr uint64_t kRateBytes = 32;
   static uint64_t TupleBytes(const TupleRef& t) {
@@ -94,11 +70,37 @@ struct HandoffBatch {
   static uint64_t AlttBytes(const TupleRef& t) {
     return 40 + 8 * (t ? t->arity : 0);
   }
+};
+
+/// Everything one responsibility transfer moves: whole key slices in ring
+/// order, travelling as one StateHandoff message through the normal
+/// message plane (and therefore through the sharded runtime's mailboxes).
+struct HandoffBatch {
+  uint64_t emitted_at = 0;  ///< virtual emission time (recovery metric)
+  /// True when this handoff is a replica promotion after a crash: the
+  /// receiver installs its own surviving replica slices as the new owner
+  /// (same install passes as a graceful handoff) and samples recovery
+  /// rounds separately.
+  bool promoted = false;
+  std::vector<KeySlice> slices;
+  /// Graceful handoffs only: each moved residual's DISTINCT projection
+  /// memory (ProjectionSet), in slice then residual order. Empty for
+  /// promotions — replicas do not mirror it; DISTINCT suppression after a
+  /// promotion rests on the owner-side answer-row fingerprints and the
+  /// target-side stored-residual fingerprints.
+  std::vector<ProjectionSet> projections;
+
+  uint64_t records() const {
+    uint64_t n = 0;
+    for (const KeySlice& s : slices) n += s.records();
+    return n;
+  }
+
+  static constexpr uint64_t kHeaderBytes = 64;  ///< modeled message header
   uint64_t ApproxBytes() const {
-    uint64_t bytes = kHeaderBytes + queries.size() * kQueryBytes;
-    for (const HandoffTuple& t : tuples) bytes += TupleBytes(t.tuple);
-    for (const HandoffAltt& a : altt) bytes += AlttBytes(a.entry.tuple);
-    return bytes + rates.size() * kRateBytes;
+    uint64_t bytes = kHeaderBytes;
+    for (const KeySlice& s : slices) bytes += s.Bytes();
+    return bytes;
   }
 };
 
@@ -123,9 +125,8 @@ inline void SortKeysByRingId(std::vector<KeyId>* keys,
 /// Keys of `map` whose interned ring identifier falls inside the ring
 /// interval (low, high], sorted by (ring id, level, id) — i.e. ring order,
 /// NOT KeyIdMap iteration order, which is unspecified (see docs/keys.md).
-/// This is the one definition of handoff emission order: every structure a
-/// handoff extracts walks its keys through this helper, so the batch layout
-/// is a pure function of the key set regardless of insertion history.
+/// Slice moves emit in this order, so a batch's layout is a pure function
+/// of its key set regardless of insertion history.
 template <typename V>
 std::vector<KeyId> KeysInRangeSorted(const KeyIdMap<V>& map,
                                      const KeyInterner& interner,
@@ -138,6 +139,24 @@ std::vector<KeyId> KeysInRangeSorted(const KeyIdMap<V>& map,
     }
   });
   SortKeysByRingId(&keys, interner);
+  return keys;
+}
+
+/// Every key `st` keeps slice state under — stored queries, value tuples,
+/// ALTT entries or a live rate bucket (buckets emptied since count too) —
+/// for which keep(key) holds, once each, in ring order.
+template <typename Keep>
+std::vector<KeyId> SliceKeys(const NodeState& st, const KeyInterner& interner,
+                             Keep&& keep) {
+  std::vector<KeyId> keys;
+  auto add = [&](KeyId key, const auto&) { keys.push_back(key); };
+  st.queries.ForEach(add);
+  st.tuples.ForEach(add);
+  st.altt.ForEach(add);
+  st.rates.AppendTrackedKeys(&keys);
+  std::erase_if(keys, [&](KeyId key) { return !keep(key); });
+  SortKeysByRingId(&keys, interner);
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   return keys;
 }
 

@@ -95,7 +95,9 @@ class KeyIdMap {
   void Grow() {
     stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    // Value-initialized, not copied from one default slot: V may be move-only
+    // (replica stores hold whole key slices).
+    slots_ = std::vector<Slot>(old.empty() ? 16 : old.size() * 2);
     size_ = 0;
     for (Slot& s : old) {
       if (s.key != kInvalidKeyId) (*this)[s.key] = std::move(s.value);

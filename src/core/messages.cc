@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "core/handoff.h"
-#include "core/replication.h"
 #include "stats/alloc_tracker.h"
 #include "util/logging.h"
 
@@ -62,9 +61,7 @@ ReplicaUpdate ReplicaUpdate::CopyDelta() const {
   copy.from = from;
   copy.seq = seq;
   copy.prev = prev;
-  copy.rate_epoch = rate_epoch;
-  copy.rate_current = rate_current;
-  copy.rate_previous = rate_previous;
+  copy.rate = rate;
   copy.expires = expires;
   copy.tuple = tuple;
   copy.residual = residual;
@@ -172,9 +169,9 @@ EnvelopeRef MessagePool::Acquire() {
 }
 
 void MessagePool::Release(Envelope* env) {
-  // An envelope may still carry a MultiSend chain behind it (teardown of a
-  // never-dispatched batch); `link` doubles as the freelist pointer, so
-  // walk the chain before repurposing it.
+  // An envelope may still carry a MultiSendKeys chain behind it (teardown
+  // of a never-dispatched batch); `link` doubles as the freelist pointer,
+  // so walk the chain before repurposing it.
   while (env != nullptr) {
     Envelope* next = env->link;
     if (env->group != nullptr) {

@@ -144,7 +144,7 @@ struct StateHandoff {
 /// number and the number of the key's previous mirror, so a replica
 /// applies a delta only on top of exactly the state it extends and asks
 /// for a REPLACE (kResync) when it detects a gap.
-struct ReplicaKeySlice;  // core/replication.h
+struct KeySlice;  // core/handoff.h
 struct ReplicaUpdate {
   enum class Op : uint8_t {
     kReplace,  ///< whole-slice snapshot in `snapshot`
@@ -174,13 +174,11 @@ struct ReplicaUpdate {
   uint64_t seq = 0;   ///< owner's sequence number of this mirror
   uint64_t prev = 0;  ///< sequence number of the key's previous mirror
   /// Tuple deltas: the owner's absolute rate bucket after the arrival.
-  uint64_t rate_epoch = 0;
-  uint64_t rate_current = 0;
-  uint64_t rate_previous = 0;
+  RateBucket rate;
   uint64_t expires = 0;  ///< kAltt: the entry's absolute expiry
   TupleRef tuple;        ///< tuple deltas
   Residual residual;     ///< kQuery
-  std::unique_ptr<ReplicaKeySlice> snapshot;  ///< kReplace
+  std::unique_ptr<KeySlice> snapshot;  ///< kReplace
 };
 
 /// Failure injection: node `node` is killed silently — no goodbye, no
@@ -306,14 +304,14 @@ struct Envelope {
 
   // --- routing stage (see EnvelopeStage) -----------------------------------
   dht::NodeId route_key;  ///< target identifier while stage != kDeliver
-  /// Interned id of route_key when the sender knew it (kInvalidKeyId
-  /// otherwise). Carries the route-cache key across a driver-phase defer so
-  /// the worker-side routing stage can hit the per-node route cache.
+  /// Interned id of route_key (routed stages only). Carries the route-cache
+  /// key across a driver-phase defer so the worker-side routing stage can
+  /// hit the per-node route cache.
   KeyId route_key_id = kInvalidKeyId;
   EnvelopeStage stage = EnvelopeStage::kDeliver;
 
   // --- plumbing ------------------------------------------------------------
-  Envelope* link = nullptr;   ///< MultiSend batch chain / pool freelist
+  Envelope* link = nullptr;   ///< MultiSendKeys batch chain / pool freelist
   /// Head of a destination-coalesced delivery group: extra payloads that
   /// ride this envelope to the same dst (chained through their own `link`).
   /// Only kDeliver envelopes carry one; the group shares this envelope's

@@ -7,13 +7,10 @@
 #include "core/engine.h"
 #include "core/handoff.h"
 #include "stats/alloc_tracker.h"
-#include "stats/trace.h"
 
 namespace rjoin::core {
 
 namespace {
-
-constexpr uint32_t kNil = SlabPool<StoredQuery>::kNil;
 
 /// Reusable per-thread replica target set (the mirror fan-out resolves its
 /// successor list allocation-free once warm).
@@ -24,56 +21,19 @@ std::vector<dht::NodeIndex>& ReplicaTargetBuffer() {
 
 }  // namespace
 
-void SnapshotKey(NodeState& st, KeyId key, uint64_t now,
-                 ReplicaKeySlice* out) {
-  if (const BucketList* bucket = st.queries.Find(key)) {
-    for (uint32_t cur = bucket->head; cur != kNil;
-         cur = st.query_pool.at(cur).next) {
-      // Bare residual copies: the ProjectionSet is not mirrored.
-      out->queries.push_back(st.query_pool.at(cur).value.residual);
-    }
-  }
-  if (const TupleBucket* bucket = st.tuples.Find(key)) {
-    TupleBucketForEach(st.tuple_chunks, *bucket,
-                       [&](const TupleRef& t) { out->tuples.push_back(t); });
-  }
-  if (const BucketList* dq = st.altt.Find(key)) {
-    for (uint32_t cur = dq->head; cur != kNil;
-         cur = st.altt_pool.at(cur).next) {
-      const AlttEntry& e = st.altt_pool.at(cur).value;
-      if (e.expires < now) continue;  // Owner would expire it anyway.
-      out->altt.push_back(AlttEntry{e.tuple, e.expires});
-    }
-  }
-  st.rates.PeekKey(key, &out->rate_epoch, &out->rate_current,
-                   &out->rate_previous);
-}
-
 uint64_t MirrorBytes(const ReplicaUpdate& mirror) {
   using Op = ReplicaUpdate::Op;
-  uint64_t bytes = HandoffBatch::kHeaderBytes + sizeof(KeyId);
+  const uint64_t bytes = HandoffBatch::kHeaderBytes + sizeof(KeyId);
   switch (mirror.op) {
-    case Op::kReplace: {
-      const ReplicaKeySlice& s = *mirror.snapshot;
-      bytes += s.queries.size() * HandoffBatch::kQueryBytes;
-      for (const TupleRef& t : s.tuples) bytes += HandoffBatch::TupleBytes(t);
-      for (const AlttEntry& e : s.altt) {
-        bytes += HandoffBatch::AlttBytes(e.tuple);
-      }
-      if (s.rate_current > 0 || s.rate_previous > 0) {
-        bytes += HandoffBatch::kRateBytes;
-      }
-      return bytes;
-    }
+    case Op::kReplace:
+      return bytes + mirror.snapshot->Bytes();
     case Op::kQuery:
-      return bytes + HandoffBatch::kQueryBytes;
+      return bytes + KeySlice::kQueryBytes;
     case Op::kTuple:
     case Op::kRate:
-      return bytes + HandoffBatch::TupleBytes(mirror.tuple) +
-             HandoffBatch::kRateBytes;
+      return bytes + KeySlice::TupleBytes(mirror.tuple) + KeySlice::kRateBytes;
     case Op::kAltt:
-      return bytes + HandoffBatch::AlttBytes(mirror.tuple) +
-             HandoffBatch::kRateBytes;
+      return bytes + KeySlice::AlttBytes(mirror.tuple) + KeySlice::kRateBytes;
     case Op::kResync:
     case Op::kReaim:
       break;
@@ -81,30 +41,25 @@ uint64_t MirrorBytes(const ReplicaUpdate& mirror) {
   return bytes;
 }
 
-MirrorVerdict ApplyMirror(ReplicaKeySlice& slice, ReplicaUpdate& mirror,
+MirrorVerdict ApplyMirror(ReplicaSlice& replica, ReplicaUpdate& mirror,
                           uint64_t now) {
   using Op = ReplicaUpdate::Op;
   // One owner's sequence numbers only grow, so a mirror numbered at or
   // below the slice's is already covered by a later REPLACE.
-  if (slice.owner == mirror.from && mirror.seq <= slice.seq) {
+  if (replica.owner == mirror.from && mirror.seq <= replica.seq) {
     return MirrorVerdict::kStale;
   }
   if (mirror.op == Op::kReplace) {
-    ReplicaKeySlice& snap = *mirror.snapshot;
-    slice.queries.swap(snap.queries);
-    slice.tuples.swap(snap.tuples);
-    slice.altt.swap(snap.altt);
-    slice.rate_epoch = snap.rate_epoch;
-    slice.rate_current = snap.rate_current;
-    slice.rate_previous = snap.rate_previous;
-    slice.owner = mirror.from;
-    slice.seq = mirror.seq;
+    replica.slice = std::move(*mirror.snapshot);
+    replica.owner = mirror.from;
+    replica.seq = mirror.seq;
     return MirrorVerdict::kApplied;
   }
-  if (slice.owner != mirror.from || slice.seq != mirror.prev) {
+  if (replica.owner != mirror.from || replica.seq != mirror.prev) {
     return MirrorVerdict::kGap;
   }
-  slice.seq = mirror.seq;
+  replica.seq = mirror.seq;
+  KeySlice& slice = replica.slice;
   if (mirror.op == Op::kQuery) {
     slice.queries.push_back(std::move(mirror.residual));
     return MirrorVerdict::kApplied;
@@ -114,9 +69,7 @@ MirrorVerdict ApplyMirror(ReplicaKeySlice& slice, ReplicaUpdate& mirror,
   std::erase_if(slice.queries, [&](const Residual& r) {
     return r.WindowClosedBy(mirror.tuple);
   });
-  slice.rate_epoch = mirror.rate_epoch;
-  slice.rate_current = mirror.rate_current;
-  slice.rate_previous = mirror.rate_previous;
+  slice.rate = mirror.rate;
   if (mirror.op == Op::kTuple) {
     slice.tuples.push_back(std::move(mirror.tuple));
   } else if (mirror.op == Op::kAltt) {
@@ -153,8 +106,7 @@ void RJoinEngine::MirrorArrival(dht::NodeIndex self, KeyId key,
   delta.key = key;
   delta.tuple = tuple;
   delta.expires = expires;
-  state(self).rates.PeekKey(key, &delta.rate_epoch, &delta.rate_current,
-                            &delta.rate_previous);
+  delta.rate = state(self).rates.PeekKey(key);
   MirrorDelta(self, std::move(delta));
 }
 
@@ -182,9 +134,10 @@ void RJoinEngine::MirrorDelta(dht::NodeIndex self, ReplicaUpdate&& delta) {
   delta.prev = last;
   delta.seq = last = ++store.mirror_clock;
   const uint64_t fanout = succs.size();
-  AddReplicaCounters(ReplicaSinkCounters{.updates = fanout,
-                                         .keys = fanout,
-                                         .bytes = fanout * MirrorBytes(delta)});
+  AddReplicaCounters(
+      ReplicationStats{.replica_updates = fanout,
+                       .replica_keys = fanout,
+                       .replica_bytes = fanout * MirrorBytes(delta)});
   for (size_t i = 0; i + 1 < fanout; ++i) {
     transport_->SendDirect(self, succs[i], MessageTask(delta.CopyDelta()));
   }
@@ -210,10 +163,10 @@ void RJoinEngine::SendSnapshot(dht::NodeIndex self, dht::NodeIndex dst,
   snap.key = key;
   snap.from = self;
   snap.seq = seq;
-  snap.snapshot = std::make_unique<ReplicaKeySlice>();
-  SnapshotKey(state(self), key, Now(), snap.snapshot.get());
-  AddReplicaCounters(ReplicaSinkCounters{
-      .updates = 1, .keys = 1, .bytes = MirrorBytes(snap)});
+  snap.snapshot = std::make_unique<KeySlice>(SliceOf(self, key, false));
+  AddReplicaCounters(ReplicationStats{.replica_updates = 1,
+                                      .replica_keys = 1,
+                                      .replica_bytes = MirrorBytes(snap)});
   transport_->SendDirect(self, dst, MessageTask(std::move(snap)));
 }
 
@@ -258,33 +211,23 @@ void RJoinEngine::Reaim(dht::NodeIndex node) {
   // Baselines at the old successor window no longer count: a key that is
   // not re-sent below starts over with a REPLACE at its next mirror.
   store.last_mirror.clear();
-  NodeState& st = state(node);
   stats::AllocScope plane(stats::AllocPlane::kOther);
-  std::vector<KeyId> keys;
-  st.queries.ForEach([&](KeyId key, const BucketList&) { keys.push_back(key); });
-  st.tuples.ForEach([&](KeyId key, const TupleBucket&) { keys.push_back(key); });
-  st.altt.ForEach([&](KeyId key, const BucketList&) { keys.push_back(key); });
-  st.rates.AppendTrackedKeys(&keys);
-  std::erase_if(keys, [&](KeyId k) {
-    return network_->SuccessorOf(interner_->ring_id(k)) != node;
-  });
-  SortKeysByRingId(&keys, *interner_);
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  for (KeyId key : keys) MirrorSnapshot(node, key);
+  for (KeyId key : SliceKeys(state(node), *interner_, [&](KeyId k) {
+         return network_->SuccessorOf(interner_->ring_id(k)) == node;
+       })) {
+    MirrorSnapshot(node, key);
+  }
 }
 
 void RJoinEngine::WriteThroughRateReplica(dht::NodeIndex owner, KeyId key) {
-  uint64_t epoch = 0;
-  uint64_t current = 0;
-  uint64_t previous = 0;
-  if (!state(owner).rates.PeekKey(key, &epoch, &current, &previous)) return;
+  const RateBucket rate = state(owner).rates.PeekKey(key);
+  if (rate.empty()) return;
   std::vector<dht::NodeIndex>& succs = ReplicaTargetBuffer();
   network_->SuccessorsOf(owner, config_.replication - 1, &succs);
   for (dht::NodeIndex dst : succs) {
-    ReplicaKeySlice& slice = ReplicasOf(dst).slices[key];
-    slice.rate_epoch = epoch;
-    slice.rate_current = current;
-    slice.rate_previous = previous;
+    KeySlice& slice = ReplicasOf(dst).slices[key].slice;
+    slice.key = key;
+    slice.rate = rate;
   }
 }
 
@@ -317,67 +260,15 @@ void RJoinEngine::OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg) {
   // promotion) would resurrect records the promotion already extracted,
   // and elsewhere the new owner's own REPLACE supersedes it.
   if (owner != msg.from) return;
-  ReplicaKeySlice& slice = ReplicasOf(self).slices[msg.key];
-  if (ApplyMirror(slice, msg, Now()) != MirrorVerdict::kGap) return;
+  ReplicaSlice& replica = ReplicasOf(self).slices[msg.key];
+  if (ApplyMirror(replica, msg, Now()) != MirrorVerdict::kGap) return;
   // The delta overtook the mirror it extends (or this replica never got a
   // baseline): ask the owner for a REPLACE.
   ReplicaUpdate request(ReplicaUpdate::Op::kResync);
   request.key = msg.key;
   request.from = self;
-  AddReplicaCounters(ReplicaSinkCounters{.gaps = 1});
+  AddReplicaCounters(ReplicationStats{.mirror_gaps = 1});
   transport_->SendDirect(self, msg.from, MessageTask(std::move(request)));
-}
-
-void RJoinEngine::PromoteReplicas(dht::NodeIndex owner,
-                                  const dht::KeyRange& range,
-                                  uint64_t crash_time) {
-  if (config_.replication <= 1) return;
-  NodeState& st = state(owner);
-  if (st.replicas == nullptr) return;  // Never mirrored to: nothing survives.
-  const std::vector<KeyId> keys = KeysInRangeSorted(
-      st.replicas->slices, *interner_, range.low, range.high);
-  if (keys.empty()) return;
-
-  auto batch = std::make_unique<HandoffBatch>();
-  batch->from = owner;
-  batch->range_low = range.low;
-  batch->range_high = range.high;
-  batch->emitted_at = crash_time;
-  batch->promoted = true;
-  for (KeyId key : keys) {
-    ReplicaKeySlice* slice = st.replicas->slices.Find(key);
-    for (Residual& r : slice->queries) {
-      batch->queries.push_back(HandoffQuery{key, StoredQuery{std::move(r), {}}});
-    }
-    for (TupleRef& t : slice->tuples) {
-      batch->tuples.push_back(HandoffTuple{key, std::move(t)});
-    }
-    for (AlttEntry& e : slice->altt) {
-      batch->altt.push_back(HandoffAltt{key, std::move(e)});
-    }
-    if (slice->rate_current > 0 || slice->rate_previous > 0) {
-      batch->rates.push_back(RateSlice{key, slice->rate_epoch,
-                                       slice->rate_current,
-                                       slice->rate_previous});
-    }
-    // Extract, don't copy: a second orphaned range overlapping this key
-    // (correlated kills) must not promote the slice twice. Late mirrors
-    // from the dead owner are dropped by OnReplicaUpdate's ownership rule.
-    slice->Clear();
-  }
-  if (batch->empty()) return;
-  ++replication_.promotions_emitted;
-  if (stats::Tracer::On()) {
-    stats::Tracer::Record(stats::TraceCategory::kChurn,
-                          static_cast<uint8_t>(stats::ChurnTraceKind::kPromote),
-                          owner, owner, batch->records(), Now());
-  }
-  // The new owner IS the survivor: the promotion is a self-addressed
-  // handoff, so the install passes (probe pre-existing state, re-arm ALTT
-  // expiries, merge rates, re-forward keys that moved again) are exactly
-  // the graceful-leave code path.
-  transport_->SendDirect(owner, owner,
-                         MessageTask(StateHandoff{std::move(batch)}));
 }
 
 void RJoinEngine::SweepReplicaSlices(bool drop_tuples) {
@@ -389,7 +280,8 @@ void RJoinEngine::SweepReplicaSlices(bool drop_tuples) {
   const uint64_t now = Now();
   for (auto& stp : states_) {
     if (stp->replicas == nullptr) continue;
-    stp->replicas->slices.ForEach([&](KeyId, ReplicaKeySlice& slice) {
+    stp->replicas->slices.ForEach([&](KeyId, ReplicaSlice& replica) {
+      KeySlice& slice = replica.slice;
       if (windowed) {
         std::erase_if(slice.queries,
                       [&](const Residual& r) { return IsExpired(r); });

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/handoff.h"
 #include "core/key.h"
 #include "core/key_map.h"
 #include "core/messages.h"
@@ -27,33 +28,23 @@ namespace rjoin::core {
 // promotes its slices through the normal handoff install passes.
 // ---------------------------------------------------------------------------
 
-/// A replica's copy of one key's NodeState slice. Plain flat copies of the
-/// owner's records: Residuals (not StoredQuery — the ProjectionSet is not
-/// mirrored; DISTINCT suppression after a promotion is covered by the
-/// owner-side answer-row fingerprints and the target-side stored-residual
-/// fingerprints), value-tuple handles in arrival order, ALTT entries with
-/// their original absolute expiry, and the key's rate bucket. The same
-/// struct boxes a REPLACE snapshot on the wire.
-struct ReplicaKeySlice {
+/// A replica's copy of one key's slice, plus which owner's mirrors built
+/// it. The slice holds flat copies of the owner's records (no DISTINCT
+/// projection memory: see HandoffBatch::projections); a REPLACE snapshot
+/// boxes the same KeySlice on the wire.
+struct ReplicaSlice {
+  /// May overlap: `owner` then sits in the tail padding after the slice's
+  /// 4-byte key, so a replica costs 8 bytes more than its slice (the store
+  /// holds one per replicated key, and peak RSS shows every slot byte).
+  [[no_unique_address]] KeySlice slice;
   /// The owner whose mirrors built this slice, and the sequence number of
   /// the last one applied: a delta applies only when its `prev` equals
   /// `seq` (kInvalidNode / 0 before the first baseline).
   dht::NodeIndex owner = dht::kInvalidNode;
   uint64_t seq = 0;
-  std::vector<Residual> queries;
-  std::vector<TupleRef> tuples;
-  std::vector<AlttEntry> altt;
-  uint64_t rate_epoch = 0;
-  uint64_t rate_current = 0;
-  uint64_t rate_previous = 0;
-
-  void Clear() {
-    queries.clear();
-    tuples.clear();
-    altt.clear();
-    rate_epoch = rate_current = rate_previous = 0;
-  }
 };
+static_assert(sizeof(ReplicaSlice) == sizeof(KeySlice) + sizeof(uint64_t),
+              "ReplicaSlice::owner no longer packs into KeySlice's padding");
 
 /// Everything one node keeps for successor-list replication. Created
 /// lazily (RJoinEngine::ReplicasOf): with replication off, no node ever
@@ -61,7 +52,7 @@ struct ReplicaKeySlice {
 /// cost of the feature when disabled.
 struct ReplicaStore {
   /// Slices held on behalf of ring predecessors.
-  KeyIdMap<ReplicaKeySlice> slices;
+  KeyIdMap<ReplicaSlice> slices;
   /// Owner side: sequence number of the last mirror this node sent for
   /// each key it owns; 0 = no baseline at the current successors, so the
   /// key's next mirror is a REPLACE.
@@ -75,14 +66,8 @@ struct ReplicaStore {
   bool reaim_pending = false;
 };
 
-/// Copies `key`'s current slice at `st` into `out` (stored residuals,
-/// value tuples, ALTT entries live at `now`, the raw rate bucket) — the
-/// content of a REPLACE snapshot.
-void SnapshotKey(NodeState& st, KeyId key, uint64_t now,
-                 ReplicaKeySlice* out);
-
-/// Approximate wire size of a mirror, with the per-record sizes of
-/// HandoffBatch::ApproxBytes (the replica_bytes ledger).
+/// Approximate wire size of a mirror, with KeySlice's per-record sizes
+/// (the replica_bytes ledger).
 uint64_t MirrorBytes(const ReplicaUpdate& mirror);
 
 /// Outcome of applying a mirror to a replica slice.
@@ -92,11 +77,11 @@ enum class MirrorVerdict {
   kGap,    ///< the slice lacks the delta's predecessor: needs a REPLACE
 };
 
-/// Applies one REPLACE or delta from its key's current owner to `slice`.
+/// Applies one REPLACE or delta from its key's current owner to `replica`.
 /// A delta appends its record and runs the owner's own drop rules for the
 /// key: a window-closing tuple deletes residuals, and ALTT entries expired
 /// at `now` leave the head of the chain.
-MirrorVerdict ApplyMirror(ReplicaKeySlice& slice, ReplicaUpdate& mirror,
+MirrorVerdict ApplyMirror(ReplicaSlice& replica, ReplicaUpdate& mirror,
                           uint64_t now);
 
 }  // namespace rjoin::core

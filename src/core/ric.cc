@@ -1,10 +1,11 @@
 #include "core/ric.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace rjoin::core {
 
-void RateTracker::Roll(Bucket& b, uint64_t epoch) const {
+void RateTracker::Roll(RateBucket& b, uint64_t epoch) const {
   if (b.epoch == epoch) return;
   if (epoch == b.epoch + 1) {
     b.previous = b.current;
@@ -16,23 +17,23 @@ void RateTracker::Roll(Bucket& b, uint64_t epoch) const {
 }
 
 void RateTracker::Record(KeyId key, uint64_t now) {
-  Bucket& b = counts_[key];
+  RateBucket& b = counts_[key];
   Roll(b, EpochOf(now));
   ++b.current;
 }
 
 uint64_t RateTracker::Rate(KeyId key, uint64_t now) const {
-  const Bucket* found = counts_.Find(key);
+  const RateBucket* found = counts_.Find(key);
   if (found == nullptr) return 0;
-  Bucket b = *found;  // Roll a copy; lookups are logically const.
+  RateBucket b = *found;  // Roll a copy; lookups are logically const.
   Roll(b, EpochOf(now));
   return b.current + b.previous;
 }
 
 void RateTracker::SnapshotInto(uint64_t now, KeyIdMap<uint64_t>* out) const {
   const uint64_t epoch = EpochOf(now);
-  counts_.ForEach([&](KeyId key, const Bucket& bucket) {
-    Bucket b = bucket;  // Roll a copy; lookups are logically const.
+  counts_.ForEach([&](KeyId key, const RateBucket& bucket) {
+    RateBucket b = bucket;  // Roll a copy; lookups are logically const.
     Roll(b, epoch);
     const uint64_t rate = b.current + b.previous;
     if (rate > 0) (*out)[key] = rate;
@@ -40,38 +41,26 @@ void RateTracker::SnapshotInto(uint64_t now, KeyIdMap<uint64_t>* out) const {
 }
 
 void RateTracker::AppendTrackedKeys(std::vector<KeyId>* out) const {
-  counts_.ForEach([&](KeyId key, const Bucket& bucket) {
-    if (bucket.current > 0 || bucket.previous > 0) out->push_back(key);
+  counts_.ForEach([&](KeyId key, const RateBucket& bucket) {
+    if (!bucket.empty()) out->push_back(key);
   });
 }
 
-bool RateTracker::ExtractKey(KeyId key, uint64_t* epoch, uint64_t* current,
-                             uint64_t* previous) {
-  Bucket* b = counts_.Find(key);
-  if (b == nullptr || (b->current == 0 && b->previous == 0)) return false;
-  *epoch = b->epoch;
-  *current = b->current;
-  *previous = b->previous;
+RateBucket RateTracker::ExtractKey(KeyId key) {
+  RateBucket* b = counts_.Find(key);
+  if (b == nullptr || b->empty()) return RateBucket{};
   // KeyIdMap never erases; an empty bucket is equivalent (Rate reads 0 and
   // SnapshotInto skips zero rates).
-  *b = Bucket{};
-  return true;
+  return std::exchange(*b, RateBucket{});
 }
 
-bool RateTracker::PeekKey(KeyId key, uint64_t* epoch, uint64_t* current,
-                          uint64_t* previous) const {
-  const Bucket* b = counts_.Find(key);
-  if (b == nullptr || (b->current == 0 && b->previous == 0)) return false;
-  *epoch = b->epoch;
-  *current = b->current;
-  *previous = b->previous;
-  return true;
+RateBucket RateTracker::PeekKey(KeyId key) const {
+  const RateBucket* b = counts_.Find(key);
+  return b == nullptr || b->empty() ? RateBucket{} : *b;
 }
 
-void RateTracker::MergeSlice(KeyId key, uint64_t epoch, uint64_t current,
-                             uint64_t previous) {
-  Bucket incoming{epoch, current, previous};
-  Bucket& b = counts_[key];
+void RateTracker::MergeSlice(KeyId key, RateBucket incoming) {
+  RateBucket& b = counts_[key];
   const uint64_t target = std::max(b.epoch, incoming.epoch);
   Roll(b, target);
   Roll(incoming, target);

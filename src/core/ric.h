@@ -46,6 +46,17 @@ struct RicVec {
   bool empty() const { return count == 0; }
 };
 
+/// One key's arrival counts: the unit RIC state moves in (churn handoff,
+/// crash promotion, replica mirrors). Empty when both epochs counted
+/// nothing.
+struct RateBucket {
+  uint64_t epoch = 0;
+  uint64_t current = 0;
+  uint64_t previous = 0;
+
+  bool empty() const { return current == 0 && previous == 0; }
+};
+
 /// Per-node tuple-arrival counter. Tracks, for every index key the node is
 /// responsible for, the number of tuples received in the current and the
 /// previous observation epoch; the predicted rate is their sum — i.e. "we
@@ -74,39 +85,30 @@ class RateTracker {
   /// path sorts by ring id).
   void AppendTrackedKeys(std::vector<KeyId>* out) const;
 
-  /// Moves `key`'s bucket out (zeroing it here). Returns false when the
-  /// key is untracked or empty. The extracted epoch/current/previous
-  /// triple feeds MergeSlice at the new owner.
-  bool ExtractKey(KeyId key, uint64_t* epoch, uint64_t* current,
-                  uint64_t* previous);
+  /// Moves `key`'s bucket out (zeroing it here). Returns an empty bucket
+  /// when the key is untracked or empty. The result feeds MergeSlice at
+  /// the new owner.
+  RateBucket ExtractKey(KeyId key);
 
   /// Folds a migrated bucket into this tracker: both sides roll forward to
   /// the newer epoch (observations age across the handoff exactly as they
   /// would have in place), then counts add.
-  void MergeSlice(KeyId key, uint64_t epoch, uint64_t current,
-                  uint64_t previous);
+  void MergeSlice(KeyId key, RateBucket incoming);
 
-  /// Read-only copy of `key`'s raw bucket (no roll, no zeroing). Returns
-  /// false when the key is untracked or empty. The replication mirror path
-  /// peeks the owner's bucket without disturbing it; the promoted owner
-  /// MergeSlices the copy later.
-  bool PeekKey(KeyId key, uint64_t* epoch, uint64_t* current,
-               uint64_t* previous) const;
+  /// Read-only copy of `key`'s raw bucket (no roll, no zeroing); empty when
+  /// the key is untracked or empty. The replication mirror path peeks the
+  /// owner's bucket without disturbing it; the promoted owner MergeSlices
+  /// the copy later.
+  RateBucket PeekKey(KeyId key) const;
 
  private:
-  struct Bucket {
-    uint64_t epoch = 0;
-    uint64_t current = 0;
-    uint64_t previous = 0;
-  };
-
-  void Roll(Bucket& b, uint64_t epoch) const;
+  void Roll(RateBucket& b, uint64_t epoch) const;
   uint64_t EpochOf(uint64_t now) const {
     return epoch_len_ == 0 ? 0 : now / epoch_len_;
   }
 
   uint64_t epoch_len_;
-  KeyIdMap<Bucket> counts_;
+  KeyIdMap<RateBucket> counts_;
 };
 
 /// The candidate table (CT) of Section 7: RIC info cached per key so that

@@ -66,21 +66,6 @@ core::EnvelopeRef Transport::MakeRouted(NodeIndex src, const NodeId& key,
   return env;
 }
 
-size_t Transport::Send(NodeIndex src, const NodeId& key,
-                       core::MessageTask task) {
-  if (router_ != nullptr) {
-    core::EnvelopeRef env =
-        MakeRouted(src, key, std::move(task), core::EnvelopeStage::kRoute);
-    if (!router_->InWorker()) {
-      // Driver-phase send: run the routing work as an event on src's shard.
-      router_->Defer(src, std::move(env));
-      return 0;
-    }
-    return FinishRoute(std::move(env));
-  }
-  return SerialSend(src, key, std::move(task));
-}
-
 size_t Transport::SendKey(NodeIndex src, core::KeyId key,
                           core::MessageTask task) {
   const NodeId& ring_id = interner_->ring_id(key);
@@ -94,12 +79,12 @@ size_t Transport::SendKey(NodeIndex src, core::KeyId key,
     }
     return FinishRoute(std::move(env));
   }
-  return SerialSend(src, ring_id, std::move(task), key);
+  return SerialSend(src, key, std::move(task));
 }
 
 Transport::RouteView Transport::ResolveRoute(NodeIndex src, core::KeyId key_id,
                                              const NodeId& ring_id) {
-  if (route_cache_enabled_ && key_id != core::kInvalidKeyId) {
+  if (route_cache_enabled_) {
     RouteCache& cache = network_->route_cache(src);
     const uint64_t gen = network_->topology_generation();
     if (const RouteCache::Entry* e = cache.Lookup(key_id, gen)) {
@@ -117,9 +102,7 @@ Transport::RouteView Transport::ResolveRoute(NodeIndex src, core::KeyId key_id,
 
 NodeIndex Transport::CachedSuccessorOf(core::KeyId key_id,
                                        const NodeId& ring_id) {
-  if (!route_cache_enabled_ || key_id == core::kInvalidKeyId) {
-    return network_->SuccessorOf(ring_id);
-  }
+  if (!route_cache_enabled_) return network_->SuccessorOf(ring_id);
   SuccessorCache& cache = SuccessorCache::Tls();
   const uint64_t gen = network_->topology_generation();
   if (cache.swept_generation() != gen) {
@@ -141,8 +124,9 @@ NodeIndex Transport::CachedSuccessorOf(core::KeyId key_id,
   return responsible;
 }
 
-size_t Transport::SerialSend(NodeIndex src, const NodeId& key,
-                             core::MessageTask task, core::KeyId key_id) {
+size_t Transport::SerialSend(NodeIndex src, core::KeyId key_id,
+                             core::MessageTask task) {
+  const NodeId& key = interner_->ring_id(key_id);
   if (!network_->node(src).alive()) {
     // A departed node draining in-flight work: it cannot greedy-route (it
     // is off the ring) but still knows the responsible node — one direct
@@ -229,38 +213,6 @@ void Transport::FinishDirect(core::EnvelopeRef env) {
                  1);
   }
   router_->Deliver(src, seq, delay, std::move(env));
-}
-
-size_t Transport::MultiSend(
-    NodeIndex src,
-    std::vector<std::pair<NodeId, core::MessageTask>>* messages) {
-  if (router_ != nullptr && !router_->InWorker()) {
-    // One defer event carries the whole batch to src's shard as an intrusive
-    // envelope chain; emission sequence numbers are drawn there, in batch
-    // order, exactly as a serial sequence of Send calls would draw them.
-    core::EnvelopeRef head;
-    core::Envelope* tail = nullptr;
-    for (auto& [key, task] : *messages) {
-      core::EnvelopeRef env =
-          MakeRouted(src, key, std::move(task), core::EnvelopeStage::kRoute);
-      if (tail == nullptr) {
-        head = std::move(env);
-        tail = head.get();
-      } else {
-        tail->link = env.release();
-        tail = tail->link;
-      }
-    }
-    messages->clear();
-    if (head) router_->Defer(src, std::move(head));
-    return 0;
-  }
-  size_t hops = 0;
-  for (auto& [key, task] : *messages) {
-    hops += Send(src, key, std::move(task));
-  }
-  messages->clear();
-  return hops;
 }
 
 size_t Transport::MultiSendKeys(
@@ -450,22 +402,9 @@ void Transport::SendDirect(NodeIndex src, NodeIndex dst,
 }
 
 void Transport::DispatchEnvelope(core::EnvelopeRef env) {
-  if (env->stage == core::EnvelopeStage::kRouteGroup) {
-    // A deferred MultiSendKeys batch: the whole chain coalesces by
-    // destination instead of dispatching one envelope at a time.
-    CoalesceAndSend(std::move(env));
-    return;
-  }
-  core::EnvelopeRef cur = std::move(env);
-  while (cur) {
-    core::EnvelopeRef next(cur->link);
-    cur->link = nullptr;
-    DispatchOne(std::move(cur));
-    cur = std::move(next);
-  }
-}
-
-void Transport::DispatchOne(core::EnvelopeRef env) {
+  // Only a deferred MultiSendKeys batch arrives as a chain.
+  RJOIN_DCHECK(env->link == nullptr ||
+               env->stage == core::EnvelopeStage::kRouteGroup);
   switch (env->stage) {
     case core::EnvelopeStage::kRoute:
       FinishRoute(std::move(env));
@@ -474,8 +413,8 @@ void Transport::DispatchOne(core::EnvelopeRef env) {
       FinishDirect(std::move(env));
       return;
     case core::EnvelopeStage::kRouteGroup:
-      // A group chain is intercepted whole in DispatchEnvelope; a lone
-      // member degenerates to the same coalescing pass over one payload.
+      // A deferred MultiSendKeys batch: the whole chain coalesces by
+      // destination instead of dispatching one envelope at a time.
       CoalesceAndSend(std::move(env));
       return;
     case core::EnvelopeStage::kDeliver:

@@ -78,10 +78,11 @@ class DeliveryRouter {
   virtual void BindDispatcher(core::EnvelopeDispatcher* dispatcher) = 0;
 };
 
-/// The messaging API of Section 2 (originally from [18]):
-///   Send(msg, id)        — deliver msg to Successor(id) in O(log N) hops;
-///   MultiSend(M, I)      — deliver message M_j to Successor(I_j) for all j;
-///   SendDirect(msg, addr)— deliver msg to a known address in one hop.
+/// The messaging API of Section 2 (originally from [18]), over interned
+/// index keys:
+///   SendKey(msg, id)       — deliver msg to Successor(id) in O(log N) hops;
+///   MultiSendKeys(M, I)    — deliver message M_j to Successor(I_j) for all j;
+///   SendDirect(msg, addr)  — deliver msg to a known address in one hop.
 ///
 /// Every message transmission (creation and every DHT-routing forward) is
 /// charged one unit of traffic to the transmitting node, matching the
@@ -114,50 +115,36 @@ class Transport : public core::EnvelopeDispatcher {
     if (router_ != nullptr) router_->BindDispatcher(this);
   }
 
-  /// Routes `task` from `src` to Successor(key). Returns the number of hops
-  /// (0 when the send was deferred onto a worker shard by the router).
-  size_t Send(NodeIndex src, const NodeId& key, core::MessageTask task);
-
-  /// Send() keyed by an interned key id: routes on the interner's cached
+  /// Routes `task` from `src` to Successor(key) on the interner's cached
   /// ring identifier — no SHA-1, no key text, anywhere on the path — and
   /// memoizes the route in the sender's RouteCache, so a warm send resolves
-  /// its path in O(1) instead of an O(log N) finger walk.
+  /// its path in O(1) instead of an O(log N) finger walk. Returns the
+  /// number of hops (0 when the send was deferred onto a worker shard by
+  /// the router).
   size_t SendKey(NodeIndex src, core::KeyId key, core::MessageTask task);
 
-  /// The paper's multiSend(M, I): one message per identifier. Returns total
-  /// hops across all messages (0 when deferred). Under the router the whole
-  /// batch defers as one envelope chain — a single event on src's shard
-  /// that draws emission seqs in batch order, exactly as sequential Send
-  /// calls would. Drains `*messages` in place and clears it, keeping its
-  /// capacity — the publish path reuses one batch buffer forever.
-  size_t MultiSend(NodeIndex src,
-                   std::vector<std::pair<NodeId, core::MessageTask>>* messages);
-
-  /// MultiSend keyed by interned key ids, with destination coalescing: the
-  /// batch is grouped by responsible node (resolved through the per-node
-  /// route cache) and each group travels as ONE wire message — one emission
-  /// seq, one route's worth of traffic charges and latency draws, one
-  /// delivery event — whose envelope carries the remaining payloads as a
-  /// `group` chain. Grouping is a pure function of the batch and the
-  /// topology, so serial and sharded runs coalesce identically. This is the
-  /// publication fan-out path (2k index messages per tuple).
+  /// The paper's multiSend(M, I), with destination coalescing: the batch is
+  /// grouped by responsible node (resolved through the per-node route
+  /// cache) and each group travels as ONE wire message — one emission seq,
+  /// one route's worth of traffic charges and latency draws, one delivery
+  /// event — whose envelope carries the remaining payloads as a `group`
+  /// chain. Grouping is a pure function of the batch and the topology, so
+  /// serial and sharded runs coalesce identically. This is the publication
+  /// fan-out path (2k index messages per tuple). Returns total wire hops
+  /// (0 when deferred). Drains `*messages` in place and clears it, keeping
+  /// its capacity — the publish path reuses one batch buffer forever.
   size_t MultiSendKeys(
       NodeIndex src,
       std::vector<std::pair<core::KeyId, core::MessageTask>>* messages);
 
-  /// Convenience overload consuming the batch by value.
-  size_t MultiSend(NodeIndex src,
-                   std::vector<std::pair<NodeId, core::MessageTask>> messages) {
-    return MultiSend(src, &messages);
-  }
-
   /// One-hop delivery to a node whose address is already known.
   void SendDirect(NodeIndex src, NodeIndex dst, core::MessageTask task);
 
-  /// core::EnvelopeDispatcher: executes a due envelope (and any MultiSend
-  /// chain linked behind it) — kRoute/kDirect stages finish their routing
-  /// work and reschedule the same envelope; kDeliver recycles the envelope
-  /// and hands the payload to the handler; kControl closures run inline.
+  /// core::EnvelopeDispatcher: executes a due envelope — kRoute/kDirect
+  /// stages finish their routing work and reschedule the same envelope; a
+  /// kRouteGroup chain (a deferred MultiSendKeys batch) coalesces and
+  /// sends; kDeliver recycles the envelope and hands the payload to the
+  /// handler; kControl closures run inline.
   void DispatchEnvelope(core::EnvelopeRef env) override;
 
   ChordNetwork* network() { return network_; }
@@ -204,9 +191,6 @@ class Transport : public core::EnvelopeDispatcher {
                                core::MessageTask task,
                                core::EnvelopeStage stage);
 
-  /// Executes one envelope stage (no chain walking).
-  void DispatchOne(core::EnvelopeRef env);
-
   /// Finishes the O(log N) routing of a kRoute envelope and reschedules it
   /// as kDeliver (router path). Returns the hop count.
   size_t FinishRoute(core::EnvelopeRef env);
@@ -216,8 +200,7 @@ class Transport : public core::EnvelopeDispatcher {
   void FinishDirect(core::EnvelopeRef env);
 
   /// Serial-path send bodies (route/charge/schedule on the simulator).
-  size_t SerialSend(NodeIndex src, const NodeId& key, core::MessageTask task,
-                    core::KeyId key_id = core::kInvalidKeyId);
+  size_t SerialSend(NodeIndex src, core::KeyId key, core::MessageTask task);
   void SerialDeliver(NodeIndex dst, core::MessageTask task,
                      sim::SimTime delay);
 
@@ -234,17 +217,16 @@ class Transport : public core::EnvelopeDispatcher {
     }
   };
 
-  /// Resolves the route src -> Successor(ring_id): cache hit when `key_id`
-  /// is interned, the cache is enabled, and the topology generation still
-  /// matches; otherwise one RoutePath walk, memoized for next time.
+  /// Resolves the route src -> Successor(ring_id of key_id): cache hit when
+  /// the cache is enabled and the topology generation still matches;
+  /// otherwise one RoutePath walk, memoized for next time.
   RouteView ResolveRoute(NodeIndex src, core::KeyId key_id,
                          const NodeId& ring_id);
 
-  /// Resolves Successor(ring_id) through the thread's SuccessorCache
-  /// (destination resolution is sender-independent, so the fan-out's
-  /// grouping pass shares one memo across every node this thread runs).
-  /// Falls back to the ring search when the cache is disabled or the key
-  /// is not interned.
+  /// Resolves Successor(ring_id of key_id) through the thread's
+  /// SuccessorCache (destination resolution is sender-independent, so the
+  /// fan-out's grouping pass shares one memo across every node this thread
+  /// runs). Falls back to the ring search when the cache is disabled.
   NodeIndex CachedSuccessorOf(core::KeyId key_id, const NodeId& ring_id);
 
   /// Destination-coalesced emission of a kRouteGroup chain (serial inline,

@@ -214,7 +214,7 @@ void ShardedRuntime::ScheduleEnvelope(core::EnvelopeRef env) {
   }
   // Cross-shard send: stamp the emission time (the receiver's frontier
   // term) and CAS the envelope onto the (src, dst) mailbox chain. Single
-  // envelopes only reach here (MultiSend chains defer driver-side onto
+  // envelopes only reach here (MultiSendKeys chains defer driver-side onto
   // their own shard), so `link` is free to carry the chain.
   core::Envelope* e = env.release();
   RJOIN_DCHECK(e->link == nullptr);

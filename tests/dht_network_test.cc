@@ -3,7 +3,9 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
 
+#include "core/interner.h"
 #include "dht/chord_network.h"
 #include "dht/load_balancer.h"
 #include "dht/transport.h"
@@ -173,6 +175,16 @@ TEST(ChordNetworkTest, SizeEstimateIsRightOrderOfMagnitude) {
 
 // ------------------------------------------------------------- Transport --
 
+// An interned test key: sends route on interned ids (SendKey,
+// MultiSendKeys), so test keys are interned like the engine's index keys.
+core::KeyId TestKey(const std::string& text) {
+  return core::KeyInterner::Global().Intern(text, core::Level::kValue);
+}
+
+const NodeId& RingId(core::KeyId key) {
+  return core::KeyInterner::Global().ring_id(key);
+}
+
 // Typed test payload: an AnswerDeliver whose query_id carries the value.
 core::MessageTask TestMsg(int v) {
   core::AnswerDeliver msg;
@@ -208,22 +220,22 @@ class TransportTest : public ::testing::Test {
 };
 
 TEST_F(TransportTest, SendDeliversToResponsibleNode) {
-  const NodeId key = NodeId::FromKey("t-key");
+  const core::KeyId key = TestKey("t-key");
   const NodeIndex src = net_->AliveNodes()[0];
-  const size_t hops = transport_->Send(src, key, TestMsg(7));
+  const size_t hops = transport_->SendKey(src, key, TestMsg(7));
   sim_.Run();
   ASSERT_EQ(collector_.received.size(), 1u);
-  EXPECT_EQ(collector_.received[0].first, net_->SuccessorOf(key));
+  EXPECT_EQ(collector_.received[0].first, net_->SuccessorOf(RingId(key)));
   EXPECT_EQ(collector_.received[0].second, 7);
   // Traffic: exactly `hops` transmissions were charged in total.
   EXPECT_EQ(metrics_.total_messages(), hops);
 }
 
 TEST_F(TransportTest, SendChargesEachForwarderOnce) {
-  const NodeId key = NodeId::FromKey("charge-key");
+  const core::KeyId key = TestKey("charge-key");
   const NodeIndex src = net_->AliveNodes()[0];
-  const auto path = net_->Route(src, key);
-  transport_->Send(src, key, TestMsg(1));
+  const auto path = net_->Route(src, RingId(key));
+  transport_->SendKey(src, key, TestMsg(1));
   sim_.Run();
   for (size_t i = 0; i + 1 < path.size(); ++i) {
     EXPECT_GE(metrics_.node(path[i]).messages_sent, 1u);
@@ -235,20 +247,20 @@ TEST_F(TransportTest, SendChargesEachForwarderOnce) {
 }
 
 TEST_F(TransportTest, DeliveryDelayEqualsHopCount) {
-  const NodeId key = NodeId::FromKey("delay-key");
+  const core::KeyId key = TestKey("delay-key");
   const NodeIndex src = net_->AliveNodes()[0];
-  const size_t hops = transport_->Send(src, key, TestMsg(2));
+  const size_t hops = transport_->SendKey(src, key, TestMsg(2));
   sim_.Run();
   EXPECT_EQ(sim_.Now(), hops);  // FixedLatency(1) per hop.
 }
 
 TEST_F(TransportTest, MultiSendDeliversAll) {
   const NodeIndex src = net_->AliveNodes()[0];
-  std::vector<std::pair<NodeId, core::MessageTask>> batch;
+  std::vector<std::pair<core::KeyId, core::MessageTask>> batch;
   for (int i = 0; i < 10; ++i) {
-    batch.emplace_back(NodeId::FromKey("k" + std::to_string(i)), TestMsg(i));
+    batch.emplace_back(TestKey("k" + std::to_string(i)), TestMsg(i));
   }
-  transport_->MultiSend(src, std::move(batch));
+  transport_->MultiSendKeys(src, &batch);
   sim_.Run();
   EXPECT_EQ(collector_.received.size(), 10u);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -408,6 +409,13 @@ struct OracleParam {
   uint64_t seed;
   PlannerPolicy policy;
 };
+
+// Without a printer gtest prints the parameter's raw bytes, padding
+// included, into every test's full name — which then differs from build to
+// build.
+void PrintTo(const OracleParam& p, std::ostream* os) {
+  *os << "{seed " << p.seed << ", " << PlannerPolicyName(p.policy) << "}";
+}
 
 class OracleEquivalenceTest
     : public ::testing::TestWithParam<OracleParam> {};

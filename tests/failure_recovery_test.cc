@@ -541,11 +541,11 @@ std::map<core::KeyId, std::string> StateDigest(const core::RJoinEngine& eng,
   std::vector<core::KeyId> rate_keys;
   st.rates.AppendTrackedKeys(&rate_keys);
   for (core::KeyId key : rate_keys) {
-    uint64_t epoch = 0, current = 0, previous = 0;
-    if (st.rates.PeekKey(key, &epoch, &current, &previous)) {
-      parts[key].push_back("r:" + std::to_string(epoch) + ":" +
-                           std::to_string(current) + ":" +
-                           std::to_string(previous));
+    const core::RateBucket rate = st.rates.PeekKey(key);
+    if (!rate.empty()) {
+      parts[key].push_back("r:" + std::to_string(rate.epoch) + ":" +
+                           std::to_string(rate.current) + ":" +
+                           std::to_string(rate.previous));
     }
   }
   std::map<core::KeyId, std::string> digest;

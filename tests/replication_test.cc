@@ -6,11 +6,13 @@
 // slice — residuals in order, tuple refs in order, live ALTT entries with
 // their expiries, and the rate bucket. The suite checks it under churn and
 // crashes for r = 2/3 on every event pump, forces reordering with a uniform
-// latency model to exercise the gap fallback, and pins the steady-state
-// allocation budget of the mirror and RIC paths.
+// latency model to exercise the gap fallback, drives a handoff and a
+// promotion whose keys move again in flight (whole slices travel on), and
+// pins the steady-state allocation budget of the mirror and RIC paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -18,6 +20,8 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/handoff.h"
+#include "core/interner.h"
 #include "core/node_state.h"
 #include "core/replication.h"
 #include "core/slab_pool.h"
@@ -92,19 +96,18 @@ SliceView OwnerView(const core::NodeState& st, core::KeyId key,
       if (e.expires >= now) v.altt.emplace_back(e.tuple->tuple_id, e.expires);
     }
   }
-  uint64_t epoch = 0, current = 0, previous = 0;
-  if (st.rates.PeekKey(key, &epoch, &current, &previous)) {
-    v.rate = {epoch, current, previous};
-  }
+  const core::RateBucket rate = st.rates.PeekKey(key);
+  if (!rate.empty()) v.rate = {rate.epoch, rate.current, rate.previous};
   return v;
 }
 
 SliceView ReplicaView(const core::NodeState& st, core::KeyId key,
                       uint64_t now) {
   SliceView v;
-  const core::ReplicaKeySlice* s =
+  const core::ReplicaSlice* replica =
       st.replicas == nullptr ? nullptr : st.replicas->slices.Find(key);
-  if (s == nullptr) return v;
+  if (replica == nullptr) return v;
+  const core::KeySlice* s = &replica->slice;
   for (const core::Residual& r : s->queries) {
     v.queries.push_back(r.ContentFingerprint64());
   }
@@ -112,8 +115,8 @@ SliceView ReplicaView(const core::NodeState& st, core::KeyId key,
   for (const core::AlttEntry& e : s->altt) {
     if (e.expires >= now) v.altt.emplace_back(e.tuple->tuple_id, e.expires);
   }
-  if (s->rate_current > 0 || s->rate_previous > 0) {
-    v.rate = {s->rate_epoch, s->rate_current, s->rate_previous};
+  if (!s->rate.empty()) {
+    v.rate = {s->rate.epoch, s->rate.current, s->rate.previous};
   }
   return v;
 }
@@ -250,6 +253,171 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(2u, 3u),
         ::testing::Values(workload::ExperimentConfig::kForceSerial, 1u, 4u),
         ::testing::Bool()));
+
+// ------------------------------------------------ chained re-forward ----
+
+/// Outcome of one chained-churn run, in comparable form.
+struct ChainedRun {
+  std::vector<std::string> answers;  // query|row|delivery time, in order
+  std::vector<std::string> got;       // sorted answer rows
+  std::vector<std::string> expected;  // sorted oracle rows
+  core::RJoinEngine::ChurnStats churn;
+  core::RJoinEngine::ReplicationStats replication;
+  size_t stored_queries = 0;
+  size_t stored_tuples = 0;
+  size_t replicas_compared = 0;
+};
+
+/// Node X departs — a graceful leave, or a crash under r = 2 — and in the
+/// same instant a node joins inside X's range, at the ring position of a
+/// key X stores rewritten queries under. X's handoff (or the survivor's
+/// promotion of its replica slices) reaches X's successor after the join,
+/// so that successor must send the joiner's slices on, whole. The joiner
+/// bootstraps through the highest-indexed node: the sharded runtime
+/// applies same-instant churn in (time, node) order, so the departure
+/// applies first on every event pump.
+ChainedRun RunChainedChurn(uint32_t shards, bool crash) {
+  workload::ExperimentConfig cfg;
+  cfg.num_nodes = 20;
+  cfg.workload.num_relations = 2;
+  cfg.workload.num_attributes = 2;
+  cfg.replication = crash ? 2 : 1;
+  cfg.shards = shards;
+  cfg.warmup_observations = 0;
+  cfg.keep_history = true;
+  workload::Experiment e(cfg);
+  core::RJoinEngine& engine = e.engine();
+  const core::KeyInterner& interner = core::KeyInterner::Global();
+  auto publish = [&](const char* rel, int64_t a, int64_t b,
+                     dht::NodeIndex node) {
+    ASSERT_TRUE(engine
+                    .PublishTuple(node, rel,
+                                  {sql::Value::Int(a), sql::Value::Int(b)})
+                    .ok());
+    e.RunToQuiescence();
+  };
+
+  auto qid = engine.SubmitQuerySql(
+      0, "SELECT R0.A1, R1.A1 FROM R0, R1 WHERE R0.A0=R1.A0");
+  EXPECT_TRUE(qid.ok()) << qid.status().ToString();
+  e.RunToQuiescence();
+  for (int i = 0; i < 40; ++i) publish("R0", i % 5, i, i % 20);
+
+  // X: the first node (not the query owner, not the bootstrap) storing
+  // rewritten queries; the joiner lands on the ring id of the first such
+  // key in ring order, so at least that key moves on to it.
+  const dht::NodeIndex bootstrap = cfg.num_nodes - 1;
+  dht::NodeIndex victim = dht::kInvalidNode;
+  std::vector<core::KeyId> keys;
+  for (dht::NodeIndex n = 1; n < bootstrap && keys.empty(); ++n) {
+    engine.state_of(n).queries.ForEach(
+        [&](core::KeyId key, const core::BucketList& bucket) {
+          if (bucket.head != kNilQ &&
+              e.network().SuccessorOf(interner.ring_id(key)) == n) {
+            keys.push_back(key);
+          }
+        });
+    victim = n;
+  }
+  EXPECT_FALSE(keys.empty()) << "no node stores rewritten queries";
+  if (keys.empty()) return {};
+  core::SortKeysByRingId(&keys, interner);
+  const dht::NodeId joiner = interner.ring_id(keys.front());
+
+  const sim::SimTime now = e.NowTime();
+  EXPECT_TRUE((crash ? engine.ScheduleCrash(now, victim)
+                     : engine.ScheduleLeave(now, victim))
+                  .ok());
+  EXPECT_TRUE(engine.ScheduleJoin(now, joiner, bootstrap).ok());
+  e.RunToQuiescence();
+  for (int i = 0; i < 40; ++i) publish("R1", i % 5, 100 + i, 1 + i % 18);
+
+  ChainedRun out;
+  for (const core::Answer& a : engine.answers()) {
+    out.answers.push_back(std::to_string(a.query_id) + "|" +
+                          sql::AnswerRowKey(a.row) + "|" +
+                          std::to_string(a.delivered_at));
+    out.got.push_back(sql::AnswerRowKey(a.row));
+  }
+  std::sort(out.got.begin(), out.got.end());
+  sql::CentralizedEvaluator oracle(&e.catalog());
+  auto iq = engine.FindQuery(*qid);
+  for (const auto& row :
+       oracle.Evaluate(iq->spec(), iq->ins_time(), engine.history())) {
+    out.expected.push_back(sql::AnswerRowKey(row));
+  }
+  std::sort(out.expected.begin(), out.expected.end());
+  out.churn = engine.churn_stats();
+  out.replication = engine.replication_stats();
+  out.stored_queries = engine.CountStoredQueries();
+  out.stored_tuples = engine.CountStoredTuples();
+  if (crash) {
+    out.replicas_compared =
+        ExpectReplicasMatchOwners(engine, e.network(), 2, e.NowTime());
+  }
+  return out;
+}
+
+void ExpectChainedRunsIdentical(const ChainedRun& a, const ChainedRun& b) {
+  EXPECT_EQ(a.answers, b.answers);
+  EXPECT_EQ(a.stored_queries, b.stored_queries);
+  EXPECT_EQ(a.stored_tuples, b.stored_tuples);
+  EXPECT_EQ(a.churn.handoff_messages, b.churn.handoff_messages);
+  EXPECT_EQ(a.churn.handoff_bytes, b.churn.handoff_bytes);
+  EXPECT_EQ(a.churn.handoffs_installed, b.churn.handoffs_installed);
+  EXPECT_EQ(a.churn.handoffs_reforwarded, b.churn.handoffs_reforwarded);
+  EXPECT_EQ(a.churn.forwarded_messages, b.churn.forwarded_messages);
+  EXPECT_EQ(a.replication.replica_updates, b.replication.replica_updates);
+  EXPECT_EQ(a.replication.promotions_installed,
+            b.replication.promotions_installed);
+  EXPECT_EQ(a.replication.promoted_records, b.replication.promoted_records);
+}
+
+TEST(ChainedReforwardTest, LeaveThenJoinInsideRangeReforwardsHandoff) {
+  std::vector<ChainedRun> sharded;
+  for (uint32_t shards :
+       {workload::ExperimentConfig::kForceSerial, 1u, 4u, 7u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ChainedRun run = RunChainedChurn(shards, /*crash=*/false);
+    EXPECT_EQ(run.churn.leaves_applied, 1u);
+    EXPECT_EQ(run.churn.joins_applied, 1u);
+    EXPECT_GE(run.churn.handoffs_reforwarded, 1u);
+    EXPECT_FALSE(run.expected.empty());
+    EXPECT_EQ(run.got, run.expected);
+    if (shards != workload::ExperimentConfig::kForceSerial) {
+      sharded.push_back(std::move(run));
+    }
+  }
+  for (size_t i = 1; i < sharded.size(); ++i) {
+    ExpectChainedRunsIdentical(sharded.front(), sharded[i]);
+  }
+}
+
+TEST(ChainedReforwardTest, CrashThenJoinInsideRangeReforwardsPromotion) {
+  std::vector<ChainedRun> sharded;
+  for (uint32_t shards :
+       {workload::ExperimentConfig::kForceSerial, 1u, 4u, 7u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ChainedRun run = RunChainedChurn(shards, /*crash=*/true);
+    EXPECT_EQ(run.churn.crashes_applied, 1u);
+    EXPECT_EQ(run.churn.joins_applied, 1u);
+    EXPECT_GE(run.churn.handoffs_reforwarded, 1u);
+    // The survivor installs the promotion, the joiner its re-forwarded
+    // part: both count as promotion installs.
+    EXPECT_GE(run.replication.promotions_installed, 2u);
+    EXPECT_GT(run.replication.promoted_records, 0u);
+    EXPECT_EQ(run.replication.answers_lost, 0u);
+    EXPECT_FALSE(run.expected.empty());
+    EXPECT_EQ(run.got, run.expected);
+    EXPECT_GT(run.replicas_compared, 0u);
+    if (shards != workload::ExperimentConfig::kForceSerial) {
+      sharded.push_back(std::move(run));
+    }
+  }
+  for (size_t i = 1; i < sharded.size(); ++i) {
+    ExpectChainedRunsIdentical(sharded.front(), sharded[i]);
+  }
+}
 
 // ------------------------------------------------------ reordering ----
 
