@@ -326,18 +326,19 @@ struct IngestHarness {
             {.num_relations = 4, .num_attributes = 5, .num_values = 100})),
         network(dht::ChordNetwork::Create(nodes, 1)),
         latency(1),
-        transport(network.get(), &sim, &latency, &metrics, Rng(99)) {
+        sim(&metrics, 99),
+        transport(network.get(), &sim, &latency) {
     core::EngineConfig cfg;
     cfg.attr_replication = attr_replication;
     engine = std::make_unique<core::RJoinEngine>(
-        cfg, catalog.get(), network.get(), &transport, &sim, &metrics);
+        cfg, catalog.get(), network.get(), &transport, &sim);
   }
 
   std::unique_ptr<sql::Catalog> catalog;
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator sim;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
+  sim::Simulator sim;
   dht::Transport transport;
   std::unique_ptr<core::RJoinEngine> engine;
 };

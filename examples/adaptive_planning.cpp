@@ -29,11 +29,10 @@ struct Run {
 
 Run Evaluate(core::PlannerPolicy policy) {
   auto network = dht::ChordNetwork::Create(64, 11);
-  sim::Simulator simulator;
   sim::FixedLatency latency(1);
   stats::MetricsRegistry metrics(network->num_total());
-  dht::Transport transport(network.get(), &simulator, &latency, &metrics,
-                           Rng(5));
+  sim::Simulator simulator(&metrics, 5);
+  dht::Transport transport(network.get(), &simulator, &latency);
 
   sql::Catalog catalog;
   // Clicks is a firehose; Purchases is a trickle.
@@ -43,7 +42,7 @@ Run Evaluate(core::PlannerPolicy policy) {
   core::EngineConfig config;
   config.policy = policy;
   core::RJoinEngine engine(config, &catalog, network.get(), &transport,
-                           &simulator, &metrics);
+                           &simulator);
 
   Rng rng(21);
   auto I = [](int64_t v) { return sql::Value::Int(v); };

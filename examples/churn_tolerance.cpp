@@ -17,7 +17,6 @@
 #include "sim/simulator.h"
 #include "sql/schema.h"
 #include "stats/metrics.h"
-#include "util/random.h"
 
 using namespace rjoin;
 
@@ -26,12 +25,11 @@ namespace {
 /// Runs the Example-1 race once; returns true iff the answer arrived.
 bool RaceOnce(uint64_t seed, bool enable_altt) {
   auto network = dht::ChordNetwork::Create(32, seed);
-  sim::Simulator simulator;
   // Heavy network traffic: one hop in ten takes 80 ticks instead of 1.
   sim::BurstyLatency latency(1, 80, 0.1);
   stats::MetricsRegistry metrics(network->num_total());
-  dht::Transport transport(network.get(), &simulator, &latency, &metrics,
-                           Rng(seed * 17));
+  sim::Simulator simulator(&metrics, seed * 17);
+  dht::Transport transport(network.get(), &simulator, &latency);
 
   sql::Catalog catalog;
   (void)catalog.AddRelation(sql::Schema("R", {"A1", "A2", "A3"}));
@@ -41,7 +39,7 @@ bool RaceOnce(uint64_t seed, bool enable_altt) {
   config.enable_altt = enable_altt;
   config.altt_delta = 1 << 16;  // A comfortable overestimate of Delta.
   core::RJoinEngine engine(config, &catalog, network.get(), &transport,
-                           &simulator, &metrics);
+                           &simulator);
 
   // The query of Example 1, submitted at T0...
   auto qid = engine.SubmitQuerySql(

@@ -86,13 +86,12 @@ int main() {
 
   // ---- Live view: the distributed engine on a 48-node overlay. -------
   auto network = dht::ChordNetwork::Create(48, 7);
-  sim::Simulator simulator;
   sim::FixedLatency latency(1);
   stats::MetricsRegistry metrics(network->num_total());
-  dht::Transport transport(network.get(), &simulator, &latency, &metrics,
-                           Rng(77));
+  sim::Simulator simulator(&metrics, 77);
+  dht::Transport transport(network.get(), &simulator, &latency);
   core::RJoinEngine engine({}, &catalog, network.get(), &transport,
-                           &simulator, &metrics);
+                           &simulator);
 
   auto qid = engine.SubmitQuerySql(0, kQueryText);
   if (!qid.ok()) {

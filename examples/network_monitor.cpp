@@ -28,11 +28,10 @@ using namespace rjoin;
 
 int main() {
   auto network = dht::ChordNetwork::Create(64, 3);
-  sim::Simulator simulator;
   sim::FixedLatency latency(1);
   stats::MetricsRegistry metrics(network->num_total());
-  dht::Transport transport(network.get(), &simulator, &latency, &metrics,
-                           Rng(99));
+  sim::Simulator simulator(&metrics, 99);
+  dht::Transport transport(network.get(), &simulator, &latency);
 
   sql::Catalog catalog;
   (void)catalog.AddRelation(sql::Schema("Alerts", {"host", "sig", "sev"}));
@@ -41,7 +40,7 @@ int main() {
 
   core::EngineConfig config;
   core::RJoinEngine engine(config, &catalog, network.get(), &transport,
-                           &simulator, &metrics);
+                           &simulator);
 
   // The security console at node 0 watches for correlated incidents within
   // a 64-tuple sliding window; only failed logins (ok = 0) are relevant.

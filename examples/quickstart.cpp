@@ -20,11 +20,10 @@ int main() {
   // 1. The substrate: a stabilized 32-node Chord overlay, a discrete-event
   //    simulator, and the hop-counting message transport.
   auto network = dht::ChordNetwork::Create(32, /*seed=*/7);
-  sim::Simulator simulator;
   sim::FixedLatency latency(1);
   stats::MetricsRegistry metrics(network->num_total());
-  dht::Transport transport(network.get(), &simulator, &latency, &metrics,
-                           Rng(1234));
+  sim::Simulator simulator(&metrics, 1234);
+  dht::Transport transport(network.get(), &simulator, &latency);
 
   // 2. The schema: three append-only relations.
   sql::Catalog catalog;
@@ -36,7 +35,7 @@ int main() {
   core::EngineConfig config;
   config.keep_history = true;
   core::RJoinEngine engine(config, &catalog, network.get(), &transport,
-                           &simulator, &metrics);
+                           &simulator);
 
   // 4. Node 0 submits a continuous 3-way join.
   auto qid = engine.SubmitQuerySql(

@@ -118,16 +118,15 @@ std::vector<size_t>& RicMissBuffer() {
 
 RJoinEngine::RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
                          dht::ChordNetwork* network, dht::Transport* transport,
-                         sim::Simulator* simulator,
-                         stats::MetricsRegistry* metrics)
+                         sim::EventPump* pump)
     : config_(config),
       catalog_(catalog),
       network_(network),
       transport_(transport),
-      simulator_(simulator),
-      metrics_(metrics),
-      rng_(config.seed) {
-  metrics_->Resize(network_->num_total());
+      pump_(pump),
+      rng_(config.seed),
+      runtime_(dynamic_cast<runtime::ShardedRuntime*>(pump)) {
+  Metrics().Resize(network_->num_total());
   states_.reserve(network_->num_total());
   for (size_t i = 0; i < network_->num_total(); ++i) {
     states_.push_back(std::make_unique<NodeState>(config_.ric_epoch));
@@ -147,17 +146,15 @@ RJoinEngine::RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
     // repo use single-digit tick hops, so bound a hop by 16 ticks.
     altt_delta_ = static_cast<uint64_t>(4.0 * hops * 16.0);
   }
-}
 
-void RJoinEngine::AttachRuntime(runtime::ShardedRuntime* rt) {
-  RJOIN_CHECK(runtime_ == nullptr) << "runtime already attached";
-  RJOIN_CHECK(rt->num_nodes() == states_.size())
-      << "runtime sized for a different network";
-  runtime_ = rt;
-  sinks_ = std::vector<ShardSink>(rt->shards());
-  frozen_rates_.assign(states_.size(), {});
-  planner_seq_.assign(states_.size(), 0);
-  rt->AddBarrierHook(this);
+  if (runtime_ != nullptr) {
+    RJOIN_CHECK(runtime_->num_nodes() == states_.size())
+        << "runtime sized for a different network";
+    sinks_ = std::vector<ShardSink>(runtime_->shards());
+    frozen_rates_.assign(states_.size(), {});
+    planner_seq_.assign(states_.size(), 0);
+    runtime_->AddBarrierHook(this);
+  }
 }
 
 void RJoinEngine::OnBarrier(sim::SimTime round_start) {
@@ -251,7 +248,7 @@ sim::SimTime RJoinEngine::NextRendezvous(sim::SimTime after) {
 
 uint64_t RJoinEngine::ReadRate(dht::NodeIndex cand, KeyId key,
                                uint64_t now) {
-  if (runtime_ != nullptr && runtime::ShardedRuntime::CurrentShard() >= 0) {
+  if (WorkerSink() >= 0) {
     const uint64_t* rate = frozen_rates_[cand].Find(key);
     return rate == nullptr ? 0 : *rate;
   }
@@ -445,9 +442,6 @@ void RJoinEngine::HandleMessage(dht::NodeIndex self, MessageTask&& task) {
     case MessageKind::kAnswerDeliver:
       OnAnswer(self, task.answer());
       return;
-    case MessageKind::kControl:
-      task.control().run();
-      return;
     case MessageKind::kNodeJoin: {
       const NodeJoin& m = task.node_join();
       StageOrApplyChurn(ChurnOp{.kind = ChurnOp::Kind::kJoin,
@@ -473,6 +467,7 @@ void RJoinEngine::HandleMessage(dht::NodeIndex self, MessageTask&& task) {
       OnReplicaUpdate(self, task.replica_update());
       return;
     case MessageKind::kNone:
+    case MessageKind::kControl:  // the pump runs closures before dispatch
       break;
   }
   RJOIN_CHECK(false) << "undispatchable message kind "
@@ -525,29 +520,19 @@ Status RJoinEngine::ScheduleCrash(sim::SimTime when, dht::NodeIndex node,
 
 Status RJoinEngine::ScheduleChurnEvent(sim::SimTime when, dht::NodeIndex dst,
                                        MessageTask task) {
-  if (runtime_ != nullptr) {
-    RJOIN_CHECK(runtime::ShardedRuntime::CurrentShard() < 0)
-        << "churn is scheduled from the driver";
-    EnvelopeRef env = runtime_->AcquireFor(dst);
-    env->time = std::max<sim::SimTime>(when, runtime_->Now());
-    env->src = dst;
-    env->seq = runtime_->NextEmitSeq(dst);
-    env->dst = dst;
-    env->task = std::move(task);
-    runtime_->ScheduleEnvelope(std::move(env));
-    return Status::Ok();
-  }
-  EnvelopeRef env = simulator_->pool().Acquire();
+  RJOIN_CHECK(WorkerSink() < 0) << "churn is scheduled from the driver";
+  EnvelopeRef env = pump_->AcquireFor(dst);
+  env->time = std::max<sim::SimTime>(when, pump_->Now());
+  env->src = dst;
+  env->seq = pump_->NextEmitSeq(dst);
   env->dst = dst;
   env->task = std::move(task);
-  simulator_->Schedule(std::max<sim::SimTime>(when, simulator_->Now()),
-                       std::move(env));
+  pump_->ScheduleEnvelope(std::move(env));
   return Status::Ok();
 }
 
 void RJoinEngine::StageOrApplyChurn(ChurnOp op) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
+  const int shard = WorkerSink();
   if (shard >= 0) {
     // Worker context: ring mutations are serial-phase work. Stage the
     // request keyed by this event's (time, src, seq); the driver applies
@@ -718,7 +703,7 @@ void RJoinEngine::GrowForNode(dht::NodeIndex index) {
       << "joins must append node indices sequentially";
   states_.push_back(std::make_unique<NodeState>(config_.ric_epoch));
   crashed_.push_back(0);
-  metrics_->Resize(states_.size());
+  Metrics().Resize(states_.size());
   if (runtime_ != nullptr) {
     runtime_->GrowNodes(states_.size());
     frozen_rates_.emplace_back();
@@ -727,20 +712,17 @@ void RJoinEngine::GrowForNode(dht::NodeIndex index) {
 }
 
 void RJoinEngine::AddChurnCounters(const ChurnStats& delta) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
+  const int shard = WorkerSink();
   (shard >= 0 ? sinks_[shard].churn : churn_) += delta;
 }
 
 void RJoinEngine::AddReplicaCounters(const ReplicationStats& delta) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
+  const int shard = WorkerSink();
   (shard >= 0 ? sinks_[shard].replica : replication_) += delta;
 }
 
 void RJoinEngine::RecordPromotionTicks(uint64_t ticks) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
+  const int shard = WorkerSink();
   if (shard >= 0) {
     sinks_[shard].promotion_ticks.emplace_back(runtime_->CurrentEventKey(),
                                                ticks);
@@ -1094,33 +1076,26 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
     auto it = queries_.find(msg.query_id);
     return it != queries_.end() && it->second->spec().distinct;
   }();
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
-  if (shard >= 0) {
-    // Worker path: stage into this shard's sink. A query's answers always
-    // arrive at its owner, so all DISTINCT state of one query lives on one
-    // shard and dedup is exact.
-    ShardSink& sink = sinks_[shard];
-    if (distinct) {
-      if (!sink.distinct_rows[msg.query_id].Insert(AnswerRowFingerprint(msg))) {
-        return;
-      }
-    }
-    sink.answers.emplace_back(
-        runtime_->CurrentEventKey(),
-        Answer{msg.query_id, MaterializeRow(msg), Now()});
-    Metrics().AddAnswer();
+  // A worker stages into its shard's sink. Owner-side final duplicate
+  // suppression for DISTINCT queries is a local computation at the querying
+  // node, no network cost: rows dedup on a 64-bit fingerprint over interned
+  // value ids, no rendering. A query's answers always arrive at its owner,
+  // so all DISTINCT state of one query lives on one shard and dedup is
+  // exact.
+  const int shard = WorkerSink();
+  auto& distinct_rows =
+      shard >= 0 ? sinks_[shard].distinct_rows : distinct_rows_;
+  if (distinct &&
+      !distinct_rows[msg.query_id].Insert(AnswerRowFingerprint(msg))) {
     return;
   }
-  if (distinct) {
-    // Owner-side final duplicate suppression for DISTINCT queries: a local
-    // computation at the querying node, no network cost. Rows dedup on a
-    // 64-bit fingerprint over interned value ids — no rendering.
-    if (!distinct_rows_[msg.query_id].Insert(AnswerRowFingerprint(msg))) {
-      return;
-    }
+  Answer answer{msg.query_id, MaterializeRow(msg), Now()};
+  if (shard >= 0) {
+    sinks_[shard].answers.emplace_back(runtime_->CurrentEventKey(),
+                                       std::move(answer));
+  } else {
+    answers_.push_back(std::move(answer));
   }
-  answers_.push_back(Answer{msg.query_id, MaterializeRow(msg), Now()});
   Metrics().AddAnswer();
 }
 
@@ -1415,8 +1390,7 @@ InputQueryPtr RJoinEngine::FindQuery(uint64_t query_id) const {
 }
 
 void RJoinEngine::RecordKeyLoad(KeyId key) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
+  const int shard = WorkerSink();
   if (shard >= 0) {
     ++sinks_[shard].key_load[key];
     return;

@@ -20,7 +20,7 @@
 #include "dht/load_balancer.h"
 #include "dht/transport.h"
 #include "runtime/sharded_runtime.h"
-#include "sim/simulator.h"
+#include "sim/event_pump.h"
 #include "sql/parser.h"
 #include "sql/schema.h"
 #include "stats/metrics.h"
@@ -106,28 +106,26 @@ struct Answer {
 ///
 /// Typical use:
 ///   auto net = dht::ChordNetwork::Create(1000);
-///   ... build Transport, Simulator, MetricsRegistry ...
-///   RJoinEngine engine(cfg, &catalog, net.get(), &transport, &sim, &metrics);
+///   ... build MetricsRegistry, Simulator (or MakeEventPump), Transport ...
+///   RJoinEngine engine(cfg, &catalog, net.get(), &transport, &sim);
 ///   engine.SubmitQuerySql(owner, "SELECT R.B, S.B FROM R,S,P WHERE ...");
 ///   engine.PublishTuple(publisher, "R", {Value::Int(3), Value::Int(5)});
 ///   sim.Run();
 ///   for (const Answer& a : engine.answers()) ...
 class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
  public:
+  /// `pump` is the pump `transport` sends through. When it is a
+  /// runtime::ShardedRuntime, per-shard answer/key-load staging replaces
+  /// the serial globals, worker threads answer remote RIC rate lookups from
+  /// frozen per-epoch snapshots instead of live cross-shard state
+  /// (driver-phase lookups stay live), and the engine registers as the
+  /// runtime's barrier hook.
   RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
               dht::ChordNetwork* network, dht::Transport* transport,
-              sim::Simulator* simulator, stats::MetricsRegistry* metrics);
+              sim::EventPump* pump);
 
   RJoinEngine(const RJoinEngine&) = delete;
   RJoinEngine& operator=(const RJoinEngine&) = delete;
-
-  /// Switches the engine onto the sharded parallel runtime (the transport
-  /// must have the matching ShardRouter attached). Per-shard answer/key-load
-  /// staging replaces the serial globals, and worker threads answer remote
-  /// RIC rate lookups from frozen per-epoch snapshots instead of live
-  /// cross-shard state (driver-phase lookups stay live). Registers this
-  /// engine as a barrier hook on `rt`. Call once, before any traffic.
-  void AttachRuntime(runtime::ShardedRuntime* rt);
 
   /// runtime::BarrierHook: serial rendezvous work — publish answers staged
   /// by the previous epoch (in deterministic EventKey order), fold
@@ -349,16 +347,18 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
  private:
   NodeState& state(dht::NodeIndex n) { return *states_[n]; }
 
-  /// Virtual time for stamps and window math: the sharded runtime's clock
-  /// when attached (event time on workers, round cursor on the driver),
-  /// else the serial simulator's.
-  uint64_t Now() const {
-    return runtime_ != nullptr ? runtime_->Now() : simulator_->Now();
-  }
+  /// Virtual time for stamps and window math: the executing event's time,
+  /// or the pump's clock on the driver.
+  uint64_t Now() const { return pump_->Now(); }
 
   /// Registry the calling thread may write (shard delta on a worker).
-  stats::MetricsRegistry& Metrics() {
-    return runtime_ != nullptr ? *runtime_->ActiveMetrics() : *metrics_;
+  stats::MetricsRegistry& Metrics() { return *pump_->ActiveMetrics(); }
+
+  /// Index of the calling worker's ShardSink, or -1 on the driver and on
+  /// the serial pump (where the engine's own globals take the write).
+  int WorkerSink() const {
+    if (runtime_ == nullptr) return -1;
+    return runtime::ShardedRuntime::CurrentShard();
   }
 
   /// Rate of `key` at its responsible node `cand` — the one synchronous
@@ -564,8 +564,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   const sql::Catalog* catalog_;
   dht::ChordNetwork* network_;
   dht::Transport* transport_;
-  sim::Simulator* simulator_;
-  stats::MetricsRegistry* metrics_;
+  sim::EventPump* pump_;
   KeyInterner* interner_ = &KeyInterner::Global();
   Rng rng_;
 
@@ -592,6 +591,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     std::vector<std::pair<runtime::EventKey, uint64_t>> promotion_ticks;
   };
 
+  /// pump_ when it is the sharded runtime, else nullptr.
   runtime::ShardedRuntime* runtime_ = nullptr;
   std::vector<ShardSink> sinks_;
   /// Frozen Rate() snapshots per node, rebuilt at epoch barriers; read-only

@@ -292,11 +292,11 @@ struct Envelope {
   uint64_t seq = 0;     ///< per-src emission seq (the runtime ordering key)
   uint64_t order = 0;   ///< serial EventQueue insertion seq (FIFO on ties)
   dht::NodeIndex dst = dht::kInvalidNode;  ///< receiving node
-  /// Virtual time the send was emitted (stamped by ShardRouter / the
-  /// runtime's cross-shard push). Receivers fold `emit_time + min hop
-  /// latency` into their watermark frontier: a shard's emissions are
-  /// nondecreasing in time, so the last drained send-time from a peer
-  /// bounds everything that peer will still send.
+  /// Virtual time the send was emitted (stamped by the runtime's
+  /// cross-shard push). Receivers fold `emit_time + min hop latency` into
+  /// their watermark frontier: a shard's emissions are nondecreasing in
+  /// time, so the last drained send-time from a peer bounds everything
+  /// that peer will still send.
   sim::SimTime emit_time = 0;
 
   // --- payload -------------------------------------------------------------

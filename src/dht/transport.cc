@@ -31,16 +31,13 @@ bool RouteCacheEnabledFromEnv() {
 
 }  // namespace
 
-Transport::Transport(ChordNetwork* network, sim::Simulator* simulator,
-                     sim::LatencyModel* latency,
-                     stats::MetricsRegistry* metrics, Rng rng)
+Transport::Transport(ChordNetwork* network, sim::EventPump* pump,
+                     sim::LatencyModel* latency)
     : network_(network),
-      simulator_(simulator),
+      pump_(pump),
       latency_(latency),
-      metrics_(metrics),
-      rng_(rng),
       route_cache_enabled_(RouteCacheEnabledFromEnv()) {
-  simulator_->set_dispatcher(this);
+  pump_->set_dispatcher(this);
 }
 
 Transport::CoalesceStats Transport::AggregateCoalesce() {
@@ -55,12 +52,10 @@ std::vector<NodeIndex>& Transport::RouteScratch() {
   return path;
 }
 
-core::EnvelopeRef Transport::MakeRouted(NodeIndex src, const NodeId& key,
-                                        core::MessageTask task,
+core::EnvelopeRef Transport::MakeStaged(NodeIndex src, core::MessageTask task,
                                         core::EnvelopeStage stage) {
-  core::EnvelopeRef env = router_->AcquireEnvelope(src);
+  core::EnvelopeRef env = pump_->AcquireFor(src);
   env->src = src;
-  env->route_key = key;
   env->stage = stage;
   env->task = std::move(task);
   return env;
@@ -68,18 +63,15 @@ core::EnvelopeRef Transport::MakeRouted(NodeIndex src, const NodeId& key,
 
 size_t Transport::SendKey(NodeIndex src, core::KeyId key,
                           core::MessageTask task) {
-  const NodeId& ring_id = interner_->ring_id(key);
-  if (router_ != nullptr) {
-    core::EnvelopeRef env = MakeRouted(src, ring_id, std::move(task),
-                                       core::EnvelopeStage::kRoute);
-    env->route_key_id = key;  // lets the deferred stage hit the route cache
-    if (!router_->InWorker()) {
-      router_->Defer(src, std::move(env));
-      return 0;
-    }
-    return FinishRoute(std::move(env));
+  core::EnvelopeRef env =
+      MakeStaged(src, std::move(task), core::EnvelopeStage::kRoute);
+  env->route_key = interner_->ring_id(key);
+  env->route_key_id = key;  // lets the routing stage hit the route cache
+  if (pump_->DefersSends()) {
+    pump_->Defer(src, std::move(env));
+    return 0;
   }
-  return SerialSend(src, key, std::move(task));
+  return FinishRoute(std::move(env));
 }
 
 Transport::RouteView Transport::ResolveRoute(NodeIndex src, core::KeyId key_id,
@@ -124,49 +116,12 @@ NodeIndex Transport::CachedSuccessorOf(core::KeyId key_id,
   return responsible;
 }
 
-size_t Transport::SerialSend(NodeIndex src, core::KeyId key_id,
-                             core::MessageTask task) {
-  const NodeId& key = interner_->ring_id(key_id);
-  if (!network_->node(src).alive()) {
-    // A departed node draining in-flight work: it cannot greedy-route (it
-    // is off the ring) but still knows the responsible node — one direct
-    // hop, like the forwarding rule of docs/churn.md.
-    Metrics().AddTraffic(src);
-    const NodeIndex dst = CachedSuccessorOf(key_id, key);
-    stats::Tracer::RecordRouteHops(1);
-    if (stats::Tracer::On())
-      TraceMessage(stats::TraceCategory::kSend, task.kind(), src, dst, 1);
-    SerialDeliver(dst, std::move(task), latency_->Delay(rng_));
-    return 1;
-  }
-  const RouteView view = ResolveRoute(src, key_id, key);
-  stats::MetricsRegistry& metrics = Metrics();
-  sim::SimTime delay = 0;
-  // Each node of the path except the last transmits the message once: the
-  // source, then every forwarding hop before the responsible node.
-  if (view.count > 0) {
-    metrics.AddTraffic(src);
-    delay += latency_->Delay(rng_);
-    for (uint32_t i = 0; i + 1 < view.count; ++i) {
-      metrics.AddTraffic(view.hops[i]);
-      delay += latency_->Delay(rng_);
-    }
-  }
-  const NodeIndex dst = view.dst_or(src);
-  stats::Tracer::RecordRouteHops(view.count);
-  if (stats::Tracer::On()) {
-    TraceMessage(stats::TraceCategory::kRoute, task.kind(), src, dst,
-                 view.count);
-  }
-  SerialDeliver(dst, std::move(task), delay);
-  return view.count;
-}
-
 size_t Transport::FinishRoute(core::EnvelopeRef env) {
   if (!network_->node(env->src).alive()) {
-    // Deferred route whose source left at a barrier in between: finish as
-    // a one-hop direct send to the responsible node (the departed node
-    // drains its outbox before disappearing).
+    // A departed node draining in-flight work (or a deferred route whose
+    // source left at a barrier in between): it cannot greedy-route (it is
+    // off the ring) but still knows the responsible node — one direct hop,
+    // like the forwarding rule of docs/churn.md.
     env->dst = CachedSuccessorOf(env->route_key_id, env->route_key);
     FinishDirect(std::move(env));
     return 1;
@@ -174,9 +129,11 @@ size_t Transport::FinishRoute(core::EnvelopeRef env) {
   const RouteView view =
       ResolveRoute(env->src, env->route_key_id, env->route_key);
   stats::MetricsRegistry& metrics = Metrics();
-  const uint64_t seq = router_->NextEmitSeq(env->src);
-  Rng msg_rng = router_->MessageRng(env->src, seq);
+  const uint64_t seq = pump_->NextEmitSeq(env->src);
+  Rng& msg_rng = pump_->MessageRng(env->src, seq);
   sim::SimTime delay = 0;
+  // Each node of the path except the last transmits the message once: the
+  // source, then every forwarding hop before the responsible node.
   if (view.count > 0) {
     metrics.AddTraffic(env->src);
     delay += latency_->Delay(msg_rng);
@@ -195,15 +152,15 @@ size_t Transport::FinishRoute(core::EnvelopeRef env) {
     TraceMessage(stats::TraceCategory::kRoute, env->task.kind(), src, env->dst,
                  hops);
   }
-  router_->Deliver(src, seq, delay, std::move(env));
+  pump_->Deliver(src, seq, delay, std::move(env));
   return hops;
 }
 
 void Transport::FinishDirect(core::EnvelopeRef env) {
   Metrics().AddTraffic(env->src);
-  const uint64_t seq = router_->NextEmitSeq(env->src);
-  Rng msg_rng = router_->MessageRng(env->src, seq);
-  const sim::SimTime delay = latency_->Delay(msg_rng);
+  const uint64_t seq = pump_->NextEmitSeq(env->src);
+  const sim::SimTime delay =
+      latency_->Delay(pump_->MessageRng(env->src, seq));
   RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
   env->stage = core::EnvelopeStage::kDeliver;
   const NodeIndex src = env->src;
@@ -212,7 +169,7 @@ void Transport::FinishDirect(core::EnvelopeRef env) {
     TraceMessage(stats::TraceCategory::kSend, env->task.kind(), src, env->dst,
                  1);
   }
-  router_->Deliver(src, seq, delay, std::move(env));
+  pump_->Deliver(src, seq, delay, std::move(env));
 }
 
 size_t Transport::MultiSendKeys(
@@ -220,18 +177,15 @@ size_t Transport::MultiSendKeys(
     std::vector<std::pair<core::KeyId, core::MessageTask>>* messages) {
   // Materialize the batch as one kRouteGroup chain up front — the same
   // shape on every path, so the coalescing pass (and therefore grouping,
-  // charging, and emission order) is identical for serial, worker-phase,
-  // and deferred execution.
+  // charging, and emission order) is identical for inline and deferred
+  // execution.
   core::EnvelopeRef head;
   core::Envelope* tail = nullptr;
   for (auto& [key, task] : *messages) {
-    core::EnvelopeRef env = router_ != nullptr ? router_->AcquireEnvelope(src)
-                                               : simulator_->pool().Acquire();
-    env->src = src;
+    core::EnvelopeRef env =
+        MakeStaged(src, std::move(task), core::EnvelopeStage::kRouteGroup);
     env->route_key = interner_->ring_id(key);
     env->route_key_id = key;
-    env->stage = core::EnvelopeStage::kRouteGroup;
-    env->task = std::move(task);
     if (tail == nullptr) {
       head = std::move(env);
       tail = head.get();
@@ -242,8 +196,8 @@ size_t Transport::MultiSendKeys(
   }
   messages->clear();
   if (!head) return 0;
-  if (router_ != nullptr && !router_->InWorker()) {
-    router_->Defer(src, std::move(head));
+  if (pump_->DefersSends()) {
+    pump_->Defer(src, std::move(head));
     return 0;
   }
   return CoalesceAndSend(std::move(head));
@@ -331,17 +285,13 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
     core::EnvelopeRef env(g.head);
     env->stage = core::EnvelopeStage::kDeliver;
     env->dst = g.dst;
-    uint64_t seq = 0;
-    Rng msg_rng = rng_;  // serial path draws from the transport stream
-    if (router_ != nullptr) {
-      seq = router_->NextEmitSeq(src);
-      msg_rng = router_->MessageRng(src, seq);
-    }
+    const uint64_t seq = pump_->NextEmitSeq(src);
+    Rng& msg_rng = pump_->MessageRng(src, seq);
     sim::SimTime delay = 0;
     size_t hops = 0;
     if (dead_src) {
       metrics.AddTraffic(src);
-      delay = latency_->Delay(router_ != nullptr ? msg_rng : rng_);
+      delay = latency_->Delay(msg_rng);
       hops = 1;
     } else {
       // One wire-route walk per group. The per-node tail cache is NOT
@@ -355,10 +305,10 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
       hops = path.size() - 1;
       if (hops > 0) {
         metrics.AddTraffic(src);
-        delay += latency_->Delay(router_ != nullptr ? msg_rng : rng_);
+        delay += latency_->Delay(msg_rng);
         for (size_t i = 1; i + 1 < path.size(); ++i) {
           metrics.AddTraffic(path[i]);
-          delay += latency_->Delay(router_ != nullptr ? msg_rng : rng_);
+          delay += latency_->Delay(msg_rng);
         }
       }
     }
@@ -369,11 +319,7 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
                             : stats::TraceCategory::kRoute,
                    env->task.kind(), src, g.dst, hops);
     }
-    if (router_ != nullptr) {
-      router_->Deliver(src, seq, delay, std::move(env));
-    } else {
-      simulator_->Schedule(simulator_->Now() + delay, std::move(env));
-    }
+    pump_->Deliver(src, seq, delay, std::move(env));
   }
   g_coalesce_groups.fetch_add(scratch.groups.size(),
                               std::memory_order_relaxed);
@@ -383,22 +329,14 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
 
 void Transport::SendDirect(NodeIndex src, NodeIndex dst,
                            core::MessageTask task) {
-  if (router_ != nullptr) {
-    core::EnvelopeRef env = MakeRouted(src, NodeId(), std::move(task),
-                                       core::EnvelopeStage::kDirect);
-    env->dst = dst;
-    if (!router_->InWorker()) {
-      router_->Defer(src, std::move(env));
-      return;
-    }
-    FinishDirect(std::move(env));
+  core::EnvelopeRef env =
+      MakeStaged(src, std::move(task), core::EnvelopeStage::kDirect);
+  env->dst = dst;
+  if (pump_->DefersSends()) {
+    pump_->Defer(src, std::move(env));
     return;
   }
-  Metrics().AddTraffic(src);
-  stats::Tracer::RecordRouteHops(1);
-  if (stats::Tracer::On())
-    TraceMessage(stats::TraceCategory::kSend, task.kind(), src, dst, 1);
-  SerialDeliver(dst, std::move(task), latency_->Delay(rng_));
+  FinishDirect(std::move(env));
 }
 
 void Transport::DispatchEnvelope(core::EnvelopeRef env) {
@@ -419,10 +357,6 @@ void Transport::DispatchEnvelope(core::EnvelopeRef env) {
       return;
     case core::EnvelopeStage::kDeliver:
       break;
-  }
-  if (env->task.kind() == core::MessageKind::kControl) {
-    core::RunControl(std::move(env));
-    return;
   }
   RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
   const NodeIndex dst = env->dst;
@@ -470,15 +404,6 @@ size_t Transport::ChargeRoute(NodeIndex src, const NodeId& key) {
     metrics.AddTraffic(path[i], 1, /*ric=*/true);
   }
   return path.size() - 1;
-}
-
-void Transport::SerialDeliver(NodeIndex dst, core::MessageTask task,
-                              sim::SimTime delay) {
-  RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
-  core::EnvelopeRef env = simulator_->pool().Acquire();
-  env->dst = dst;
-  env->task = std::move(task);
-  simulator_->Schedule(simulator_->Now() + delay, std::move(env));
 }
 
 }  // namespace rjoin::dht

@@ -8,10 +8,9 @@
 #include "core/messages.h"
 #include "dht/chord_network.h"
 #include "dht/id.h"
+#include "sim/event_pump.h"
 #include "sim/latency.h"
-#include "sim/simulator.h"
 #include "stats/metrics.h"
-#include "util/random.h"
 
 namespace rjoin::dht {
 
@@ -24,60 +23,6 @@ class MessageHandler {
   virtual void HandleMessage(NodeIndex self, core::MessageTask&& task) = 0;
 };
 
-/// Scheduling backend the sharded runtime plugs into the transport
-/// (implemented by runtime::ShardRouter). When a router is attached, the
-/// transport stops scheduling deliveries on the serial simulator and
-/// instead:
-///  * tags every message with (src, per-src emission seq) — the
-///    deterministic identity its delivery order and latency draws hang off;
-///  * draws per-hop latency from an Rng derived from that identity, so
-///    delays do not depend on thread interleaving or shard count;
-///  * hands the pooled envelope to the router, which places it in the
-///    destination shard's event heap or mailbox.
-/// Driver-phase sends (tuple publications, query submissions) defer the
-/// envelope — still in its kRoute/kDirect stage — onto the source node's
-/// shard, which moves the O(log N) routing work onto the worker threads
-/// without any closure allocation.
-class DeliveryRouter {
- public:
-  virtual ~DeliveryRouter() = default;
-
-  /// Virtual time at the caller (event time on a worker, round cursor on
-  /// the driver).
-  virtual sim::SimTime Now() const = 0;
-
-  /// True when the calling thread is a shard worker executing events.
-  virtual bool InWorker() const = 0;
-
-  /// Registry the calling thread may write (its shard's delta registry on
-  /// a worker, the main registry on the driver).
-  virtual stats::MetricsRegistry* ActiveMetrics() = 0;
-
-  /// Next emission sequence number of `src`.
-  virtual uint64_t NextEmitSeq(NodeIndex src) = 0;
-
-  /// Deterministic per-message RNG derived from (src, seq).
-  virtual Rng MessageRng(NodeIndex src, uint64_t seq) = 0;
-
-  /// Envelope from the pool of the shard that will execute the next stage:
-  /// the calling worker's own pool, or `src`'s shard pool on the driver.
-  virtual core::EnvelopeRef AcquireEnvelope(NodeIndex src) = 0;
-
-  /// Runs `env` (and its `link` chain) as one event on `src`'s shard at
-  /// the current time (driver-phase send deferral).
-  virtual void Defer(NodeIndex src, core::EnvelopeRef env) = 0;
-
-  /// Delivers `env` at Now() + delay on `env->dst`'s shard. Cross-node
-  /// deliveries are deferred to at least the end of the current round
-  /// (deterministically), preserving the round-lookahead invariant.
-  virtual void Deliver(NodeIndex src, uint64_t seq, sim::SimTime delay,
-                       core::EnvelopeRef env) = 0;
-
-  /// Attaches the dispatcher the runtime must hand typed envelopes to
-  /// (called by Transport::set_router).
-  virtual void BindDispatcher(core::EnvelopeDispatcher* dispatcher) = 0;
-};
-
 /// The messaging API of Section 2 (originally from [18]), over interned
 /// index keys:
 ///   SendKey(msg, id)       — deliver msg to Successor(id) in O(log N) hops;
@@ -87,40 +32,32 @@ class DeliveryRouter {
 /// Every message transmission (creation and every DHT-routing forward) is
 /// charged one unit of traffic to the transmitting node, matching the
 /// traffic definition of Section 8. Delivery is asynchronous through the
-/// discrete-event simulator — or, when a DeliveryRouter is attached, through
-/// the sharded parallel runtime — with per-hop latency drawn from the
-/// latency model (bounded by delta).
+/// event pump (sim::EventPump: the serial simulator or the sharded
+/// parallel runtime), with per-hop latency drawn from the latency model
+/// (bounded by delta).
 ///
 /// Messages are typed core::MessageTask payloads carried in pooled
-/// core::Envelopes: the transport is the core::EnvelopeDispatcher both
-/// event pumps call, finishing deferred routing stages and handing
-/// delivered payloads to the MessageHandler. The steady-state path —
-/// acquire envelope, route, schedule, pop, dispatch, recycle — performs
-/// zero heap allocations per message.
+/// core::Envelopes: the transport is the core::EnvelopeDispatcher the pump
+/// calls, finishing deferred routing stages and handing delivered payloads
+/// to the MessageHandler. The steady-state path — acquire envelope, route,
+/// schedule, pop, dispatch, recycle — performs zero heap allocations per
+/// message.
 class Transport : public core::EnvelopeDispatcher {
  public:
-  Transport(ChordNetwork* network, sim::Simulator* simulator,
-            sim::LatencyModel* latency, stats::MetricsRegistry* metrics,
-            Rng rng);
+  /// Attaches itself to `pump` as its dispatcher.
+  Transport(ChordNetwork* network, sim::EventPump* pump,
+            sim::LatencyModel* latency);
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
   void set_handler(MessageHandler* handler) { handler_ = handler; }
 
-  /// Attaches the sharded runtime's router. nullptr restores the serial
-  /// simulator path.
-  void set_router(DeliveryRouter* router) {
-    router_ = router;
-    if (router_ != nullptr) router_->BindDispatcher(this);
-  }
-
   /// Routes `task` from `src` to Successor(key) on the interner's cached
   /// ring identifier — no SHA-1, no key text, anywhere on the path — and
   /// memoizes the route in the sender's RouteCache, so a warm send resolves
   /// its path in O(1) instead of an O(log N) finger walk. Returns the
-  /// number of hops (0 when the send was deferred onto a worker shard by
-  /// the router).
+  /// number of hops (0 when the pump deferred the send).
   size_t SendKey(NodeIndex src, core::KeyId key, core::MessageTask task);
 
   /// The paper's multiSend(M, I), with destination coalescing: the batch is
@@ -144,12 +81,8 @@ class Transport : public core::EnvelopeDispatcher {
   /// stages finish their routing work and reschedule the same envelope; a
   /// kRouteGroup chain (a deferred MultiSendKeys batch) coalesces and
   /// sends; kDeliver recycles the envelope and hands the payload to the
-  /// handler; kControl closures run inline.
+  /// handler.
   void DispatchEnvelope(core::EnvelopeRef env) override;
-
-  ChordNetwork* network() { return network_; }
-  sim::Simulator* simulator() { return simulator_; }
-  stats::MetricsRegistry* metrics() { return metrics_; }
 
   /// Charges `count` messages of RIC traffic to `node` without a payload.
   /// RIC lookups (Sections 6-7) are modeled, not sent: the engine charges
@@ -177,32 +110,25 @@ class Transport : public core::EnvelopeDispatcher {
   static CoalesceStats AggregateCoalesce();
 
  private:
-  /// Registry for the calling thread (shard delta under the router).
-  stats::MetricsRegistry& Metrics() {
-    return router_ != nullptr ? *router_->ActiveMetrics() : *metrics_;
-  }
+  /// Registry for the calling thread (a shard's delta on a worker).
+  stats::MetricsRegistry& Metrics() { return *pump_->ActiveMetrics(); }
 
   /// Scratch path buffer for the calling thread (workers dispatch
   /// concurrently, so the buffer cannot live on the transport).
   static std::vector<NodeIndex>& RouteScratch();
 
-  /// Fills a fresh route-stage envelope (router path).
-  core::EnvelopeRef MakeRouted(NodeIndex src, const NodeId& key,
-                               core::MessageTask task,
+  /// A fresh envelope from `src` in routing stage `stage`.
+  core::EnvelopeRef MakeStaged(NodeIndex src, core::MessageTask task,
                                core::EnvelopeStage stage);
 
   /// Finishes the O(log N) routing of a kRoute envelope and reschedules it
-  /// as kDeliver (router path). Returns the hop count.
+  /// as kDeliver. A departed source sends one direct hop to the
+  /// responsible node instead. Returns the hop count.
   size_t FinishRoute(core::EnvelopeRef env);
 
-  /// Finishes a kDirect envelope: one traffic unit, derived latency,
-  /// reschedule as kDeliver (router path).
+  /// Finishes a kDirect envelope: one traffic unit, one latency draw,
+  /// reschedule as kDeliver.
   void FinishDirect(core::EnvelopeRef env);
-
-  /// Serial-path send bodies (route/charge/schedule on the simulator).
-  size_t SerialSend(NodeIndex src, core::KeyId key, core::MessageTask task);
-  void SerialDeliver(NodeIndex dst, core::MessageTask task,
-                     sim::SimTime delay);
 
   /// A resolved forwarding tail: hops[0..count-1] are the nodes after the
   /// source on the greedy route, hops[count-1] the responsible node; count
@@ -229,19 +155,15 @@ class Transport : public core::EnvelopeDispatcher {
   /// runs). Falls back to the ring search when the cache is disabled.
   NodeIndex CachedSuccessorOf(core::KeyId key_id, const NodeId& ring_id);
 
-  /// Destination-coalesced emission of a kRouteGroup chain (serial inline,
-  /// router worker-phase, or dispatched deferred chain). Returns total wire
-  /// hops.
+  /// Destination-coalesced emission of a kRouteGroup chain (inline, or a
+  /// dispatched deferred chain). Returns total wire hops.
   size_t CoalesceAndSend(core::EnvelopeRef chain);
 
   ChordNetwork* network_;
-  sim::Simulator* simulator_;
+  sim::EventPump* pump_;
   sim::LatencyModel* latency_;
-  stats::MetricsRegistry* metrics_;
   MessageHandler* handler_ = nullptr;
-  DeliveryRouter* router_ = nullptr;
   core::KeyInterner* interner_ = &core::KeyInterner::Global();
-  Rng rng_;
   bool route_cache_enabled_;
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 
+#include "sim/simulator.h"
 #include "stats/trace.h"
 #include "util/logging.h"
 
@@ -78,6 +79,7 @@ ShardedRuntime::ShardedRuntime(const Options& options, size_t num_nodes,
       initial_nodes_(num_nodes),
       lookahead_(std::max<sim::SimTime>(1, options.lookahead)),
       chunk_(BlockChunk(num_nodes, std::max<uint32_t>(1, options.shards))),
+      seed_(options.seed),
       emit_seq_(num_nodes, 0),
       main_metrics_(main_metrics),
       mailboxes_(static_cast<size_t>(num_shards_) * num_shards_),
@@ -229,6 +231,43 @@ void ShardedRuntime::ScheduleEnvelope(core::EnvelopeRef env) {
   } while (!box.head.compare_exchange_weak(
       head, e, std::memory_order_release, std::memory_order_relaxed));
   MaybeWakeParked();
+}
+
+void ShardedRuntime::Defer(NodeIndex src, core::EnvelopeRef env) {
+  // env->dst is left alone: a kDirect envelope already carries its true
+  // destination, and ScheduleEnvelope places pre-delivery stages on src's
+  // shard anyway.
+  env->time = Now();
+  env->src = src;
+  env->seq = NextEmitSeq(src);
+  ScheduleEnvelope(std::move(env));
+}
+
+Rng& ShardedRuntime::MessageRng(NodeIndex src, uint64_t seq) {
+  static thread_local Rng rng;
+  rng = Rng(MixSeed(seed_, src, seq));
+  return rng;
+}
+
+void ShardedRuntime::Deliver(NodeIndex src, uint64_t seq, sim::SimTime delay,
+                             core::EnvelopeRef env) {
+  sim::SimTime when = Now() + delay;
+  if (src != env->dst) {
+    // Lookahead invariant: a message to another node may not be due
+    // before emission time + the lookahead — whether or not the
+    // destination happens to share the shard — otherwise results would
+    // depend on the partitioning. With lookahead = the latency model's
+    // minimum hop delay (AutoRoundWidth) this never changes a delivery
+    // time; it only defers zero-delay cross-node hops of
+    // zero-latency-capable models by one tick, deterministically.
+    // Self-sends always stay on their own shard for any S, so zero-delay
+    // self-delivery (src == Successor(key)) keeps its serial timing.
+    when = std::max(when, CurrentRoundEnd());
+  }
+  env->time = when;
+  env->src = src;
+  env->seq = seq;
+  ScheduleEnvelope(std::move(env));
 }
 
 void ShardedRuntime::ScheduleEvent(const EventKey& key, NodeIndex dst,
@@ -611,6 +650,21 @@ bool ShardedRuntime::Idle() const { return PendingEvents() == 0; }
 size_t ShardedRuntime::PendingEvents() const {
   const int64_t pending = pending_.load(std::memory_order_acquire);
   return pending > 0 ? static_cast<size_t>(pending) : 0;
+}
+
+std::unique_ptr<sim::EventPump> MakeEventPump(uint32_t shards,
+                                              size_t num_nodes,
+                                              const sim::LatencyModel& latency,
+                                              stats::MetricsRegistry* metrics,
+                                              uint64_t seed) {
+  if (shards == 0) return std::make_unique<sim::Simulator>(metrics, seed);
+  // The lookahead comes from the latency model alone: it is a timing
+  // guarantee, not a tuning knob.
+  return std::make_unique<ShardedRuntime>(
+      ShardedRuntime::Options{.shards = shards,
+                              .lookahead = AutoRoundWidth(latency),
+                              .seed = seed},
+      num_nodes, metrics);
 }
 
 }  // namespace rjoin::runtime

@@ -13,9 +13,11 @@
 
 #include "core/messages.h"
 #include "sim/calendar_queue.h"
+#include "sim/event_pump.h"
 #include "sim/latency.h"
 #include "sim/time.h"
 #include "stats/metrics.h"
+#include "util/random.h"
 
 namespace rjoin::runtime {
 
@@ -37,7 +39,7 @@ struct EventKey {
 
 /// The scheduler lookahead `latency` guarantees: its minimum hop delay
 /// (clamped to 1 for zero-latency-capable models, whose cross-node
-/// deliveries the router defers by one tick, still deterministically).
+/// deliveries Deliver defers by one tick, still deterministically).
 /// A shard may run this many ticks past the least conservative bound it
 /// holds on its peers without risking a late message. Experiments run with
 /// this lookahead; the name is kept from the retired lockstep scheduler,
@@ -99,6 +101,13 @@ class BarrierHook {
 /// (cross-shard returns ride a lock-free remote list), so the steady-state
 /// delivery path performs zero heap allocations per message.
 ///
+/// As a sim::EventPump, the runtime tags every message with (src, per-src
+/// emission seq), draws its latency from an Rng derived from that identity
+/// (so delays do not depend on thread interleaving or shard count), and
+/// defers driver-phase sends, still in their routing stage, onto the
+/// source node's shard, which moves the O(log N) routing work onto the
+/// workers without any closure allocation.
+///
 /// Topology churn: the network (ChordNetwork) and the engine's per-node
 /// state may change *at rendezvous only* — workers are parked there, so
 /// the serial phase (BarrierHook::OnBarrier) may mutate the ring, grow the
@@ -108,25 +117,24 @@ class BarrierHook {
 /// schedule is a pure function of the (shard-count-invariant) event
 /// population, so every run applies the same churn at the same virtual
 /// instants for any S. See docs/churn.md.
-class ShardedRuntime {
+class ShardedRuntime final : public sim::EventPump {
  public:
   struct Options {
     uint32_t shards = 1;
     /// Conservative lookahead: the uniform minimum cross-shard hop latency
     /// the message plane guarantees (AutoRoundWidth() derives it from a
-    /// latency model; ShardRouter::Deliver enforces it). A receiver may
-    /// execute up to its least peer bound plus this many ticks.
+    /// latency model; Deliver enforces it). A receiver may execute up to
+    /// its least peer bound plus this many ticks.
     sim::SimTime lookahead = 1;
+    /// Root of every per-message latency stream (MessageRng).
+    uint64_t seed = 0;
   };
 
   /// `main_metrics` is the registry experiments read; shard deltas are
   /// drained into it at every rendezvous.
   ShardedRuntime(const Options& options, size_t num_nodes,
                  stats::MetricsRegistry* main_metrics);
-  ~ShardedRuntime();
-
-  ShardedRuntime(const ShardedRuntime&) = delete;
-  ShardedRuntime& operator=(const ShardedRuntime&) = delete;
+  ~ShardedRuntime() override;
 
   uint32_t shards() const { return num_shards_; }
   size_t num_nodes() const { return num_nodes_; }
@@ -148,7 +156,7 @@ class ShardedRuntime {
 
   /// Virtual time: the executing event's time on a worker, the rendezvous
   /// cursor on the driver.
-  sim::SimTime Now() const;
+  sim::SimTime Now() const override;
 
   /// Earliest time a cross-node message emitted now may be delivered:
   /// Now() + lookahead on a worker; Now() on the driver (workers parked, so
@@ -161,7 +169,24 @@ class ShardedRuntime {
 
   /// Next emission sequence number of `src`. Must be called either from the
   /// worker owning `src`'s shard or from the driver between epochs.
-  uint64_t NextEmitSeq(NodeIndex src) { return ++emit_seq_[src]; }
+  uint64_t NextEmitSeq(NodeIndex src) override { return ++emit_seq_[src]; }
+
+  /// Sends defer on the driver: the routing stage runs on the source
+  /// node's shard.
+  bool DefersSends() const override { return CurrentShard() < 0; }
+
+  /// Schedules the routing stage on `src`'s own shard at Now(); as a
+  /// self-event it is exempt from the lookahead bound.
+  void Defer(NodeIndex src, core::EnvelopeRef env) override;
+
+  /// A stream derived from (seed, src, seq): the same draws for any shard
+  /// count and any thread interleaving.
+  Rng& MessageRng(NodeIndex src, uint64_t seq) override;
+
+  /// Schedules the delivery at Now() + delay, or at CurrentRoundEnd() if
+  /// that is later and the message crosses nodes (the lookahead bound).
+  void Deliver(NodeIndex src, uint64_t seq, sim::SimTime delay,
+               core::EnvelopeRef env) override;
 
   /// Grows the node space to `num_nodes` (nodes joining at a rendezvous).
   /// Driver-only, workers parked: emission counters and every metrics
@@ -180,7 +205,7 @@ class ShardedRuntime {
   /// calling worker's own pool (the freelist is owner-thread-only), or from
   /// the executing shard's pool on the driver (workers parked). The single
   /// definition of the pool-borrowing rule.
-  core::EnvelopeRef AcquireFor(NodeIndex executor) {
+  core::EnvelopeRef AcquireFor(NodeIndex executor) override {
     const int cur = CurrentShard();
     const uint32_t shard =
         cur >= 0 ? static_cast<uint32_t>(cur) : ShardOf(executor);
@@ -189,7 +214,7 @@ class ShardedRuntime {
 
   /// Receiver of typed envelopes (the transport); Control envelopes run
   /// without it.
-  void set_dispatcher(core::EnvelopeDispatcher* dispatcher) {
+  void set_dispatcher(core::EnvelopeDispatcher* dispatcher) override {
     dispatcher_ = dispatcher;
   }
 
@@ -199,12 +224,11 @@ class ShardedRuntime {
   /// direct heap push; foreign shard: lock-free mailbox push, stamped with
   /// the emitting event's time so the receiver can advance its frontier).
   /// Worker-emitted cross-node events must not be due before Now() +
-  /// lookahead — ShardRouter's Deliver() enforces that bound.
-  void ScheduleEnvelope(core::EnvelopeRef env);
+  /// lookahead — Deliver() enforces that bound.
+  void ScheduleEnvelope(core::EnvelopeRef env) override;
 
-  /// Closure convenience over ScheduleEnvelope (tests, driver-phase
-  /// plumbing): wraps `action` in a Control envelope from the appropriate
-  /// shard pool.
+  /// Closure convenience over ScheduleEnvelope for tests: wraps `action`
+  /// in a Control envelope from the appropriate shard pool.
   void ScheduleEvent(const EventKey& key, NodeIndex dst,
                      std::function<void()> action);
 
@@ -220,11 +244,11 @@ class ShardedRuntime {
   /// Runs epochs until every shard heap and mailbox drains. Returns the
   /// number of events executed. Leaves Now() at the last executed event's
   /// time (mirrors sim::Simulator::Run).
-  uint64_t Run();
+  uint64_t Run() override;
 
   /// Runs events with time <= `until`; advances the clock to `until` even
   /// if everything drains earlier (mirrors sim::Simulator::RunUntil).
-  uint64_t RunUntil(sim::SimTime until);
+  uint64_t RunUntil(sim::SimTime until) override;
 
   bool Idle() const;
   size_t PendingEvents() const;
@@ -283,7 +307,7 @@ class ShardedRuntime {
 
   /// Registry the calling thread must write: its shard's delta registry on
   /// a worker, the main registry on the driver.
-  stats::MetricsRegistry* ActiveMetrics();
+  stats::MetricsRegistry* ActiveMetrics() override;
 
   stats::MetricsRegistry* shard_metrics(uint32_t shard) {
     return shard_state_[shard]->metrics.get();
@@ -386,6 +410,7 @@ class ShardedRuntime {
   const size_t initial_nodes_;  // block-partitioned prefix of the id space
   const sim::SimTime lookahead_;
   const uint32_t chunk_;
+  const uint64_t seed_;
 
   std::vector<std::unique_ptr<ShardState>> shard_state_;
   std::vector<uint64_t> emit_seq_;  // per node; owner-shard written
@@ -426,6 +451,16 @@ class ShardedRuntime {
   Gate end_gate_;
   bool stop_ = false;  // read by workers after start_gate_ only
 };
+
+/// The event pump for `shards` worker shards: the serial sim::Simulator
+/// for 0, otherwise a ShardedRuntime over `num_nodes` nodes whose lookahead
+/// is AutoRoundWidth(latency). `metrics` is the registry callers read;
+/// `seed` roots every latency draw.
+std::unique_ptr<sim::EventPump> MakeEventPump(uint32_t shards,
+                                              size_t num_nodes,
+                                              const sim::LatencyModel& latency,
+                                              stats::MetricsRegistry* metrics,
+                                              uint64_t seed);
 
 }  // namespace rjoin::runtime
 

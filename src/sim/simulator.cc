@@ -5,16 +5,24 @@
 
 namespace rjoin::sim {
 
-void Simulator::Schedule(SimTime when, core::EnvelopeRef env) {
-  RJOIN_CHECK(when >= now_) << "cannot schedule events in the past";
-  env->time = when;
+Simulator::Simulator(stats::MetricsRegistry* metrics, uint64_t seed)
+    : metrics_(metrics), rng_(seed) {}
+
+void Simulator::Defer(NodeIndex, core::EnvelopeRef) {
+  RJOIN_CHECK(false) << "the serial pump routes sends inline";
+}
+
+void Simulator::Deliver(NodeIndex src, uint64_t seq, SimTime delay,
+                        core::EnvelopeRef env) {
+  env->time = now_ + delay;
+  env->src = src;
+  env->seq = seq;
   queue_.Push(std::move(env));
 }
 
-void Simulator::ScheduleAt(SimTime when, std::function<void()> action) {
-  core::EnvelopeRef env = pool_.Acquire();
-  env->task = core::MessageTask(core::Control{std::move(action)});
-  Schedule(when, std::move(env));
+void Simulator::ScheduleEnvelope(core::EnvelopeRef env) {
+  RJOIN_CHECK(env->time >= now_) << "cannot schedule events in the past";
+  queue_.Push(std::move(env));
 }
 
 void Simulator::Step() {
@@ -47,16 +55,5 @@ uint64_t Simulator::RunUntil(SimTime until) {
   if (now_ < until) now_ = until;
   return executed_ - before;
 }
-
-uint64_t Simulator::RunSteps(uint64_t max_events) {
-  uint64_t n = 0;
-  while (n < max_events && !queue_.empty()) {
-    Step();
-    ++n;
-  }
-  return n;
-}
-
-void Simulator::Reset() { queue_.Clear(); }
 
 }  // namespace rjoin::sim

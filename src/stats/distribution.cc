@@ -46,20 +46,4 @@ RankedDistribution MakeRanked(const std::vector<uint64_t>& loads) {
   return d;
 }
 
-std::vector<uint64_t> SampleRanks(const RankedDistribution& dist,
-                                  size_t points) {
-  std::vector<uint64_t> out;
-  if (points == 0 || dist.sorted_desc.empty()) return out;
-  const size_t n = dist.sorted_desc.size();
-  // Same dedupe rule as SampleRankGrid: never sample a rank twice when the
-  // population is smaller than the requested grid.
-  const size_t m = std::min(points, n);
-  out.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    const size_t rank = m > 1 ? (n - 1) * i / (m - 1) : 0;
-    out.push_back(dist.sorted_desc[rank]);
-  }
-  return out;
-}
-
 }  // namespace rjoin::stats

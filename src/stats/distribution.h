@@ -28,11 +28,6 @@ struct RankedDistribution {
 /// Builds a ranked distribution from raw per-node loads.
 RankedDistribution MakeRanked(const std::vector<uint64_t>& loads);
 
-/// Samples a ranked distribution at `points` evenly spaced ranks
-/// (for printing compact figure series).
-std::vector<uint64_t> SampleRanks(const RankedDistribution& dist,
-                                  size_t points);
-
 }  // namespace rjoin::stats
 
 #endif  // RJOIN_STATS_DISTRIBUTION_H_

@@ -2,17 +2,6 @@
 
 namespace rjoin::stats {
 
-void MetricsRegistry::ResetAll() {
-  for (auto& n : nodes_) n = NodeMetrics{};
-  total_messages_ = 0;
-  total_ric_messages_ = 0;
-  total_qpl_ = 0;
-  total_storage_ = 0;
-  answers_delivered_ = 0;
-  for (auto& t : touched_) t = 0;
-  dirty_.clear();
-}
-
 void MetricsRegistry::MergeFrom(MetricsRegistry* shard) {
   RJOIN_CHECK(shard->nodes_.size() <= nodes_.size())
       << "shard registry larger than the main registry";

@@ -111,9 +111,6 @@ class MetricsRegistry {
     ++answers_delivered_;
   }
 
-  /// Zeroes every counter (e.g. to exclude bootstrap traffic).
-  void ResetAll();
-
   // ------------------------------------------------------ sharded support
 
   /// Marks this registry as a per-shard delta: mutators keep a dirty-node

@@ -106,9 +106,11 @@ Experiment::Experiment(ExperimentConfig config)
         dht::ChordNetwork::Create(config_.num_nodes + spares, config_.seed);
   }
   metrics_.Resize(network_->num_total());
-  transport_ = std::make_unique<dht::Transport>(network_.get(), &sim_,
-                                                &latency_, &metrics_,
-                                                Rng(config_.seed ^ 0xabcdef));
+  pump_ = runtime::MakeEventPump(ResolveShardCount(config_.shards),
+                                 network_->num_total(), latency_, &metrics_,
+                                 config_.seed ^ 0xabcdef);
+  transport_ =
+      std::make_unique<dht::Transport>(network_.get(), pump_.get(), &latency_);
   core::EngineConfig ecfg;
   ecfg.policy = config_.policy;
   ecfg.rewrite_levels = config_.rewrite_levels;
@@ -121,48 +123,11 @@ Experiment::Experiment(ExperimentConfig config)
   // Observation epoch: roughly 16 tuple publications.
   ecfg.ric_epoch = std::max<uint64_t>(1, 16 * config_.tuple_gap);
   ecfg.ct_validity = 4 * ecfg.ric_epoch;
-  engine_ = std::make_unique<core::RJoinEngine>(ecfg, catalog_.get(),
-                                                network_.get(),
-                                                transport_.get(), &sim_,
-                                                &metrics_);
-
-  resolved_shards_ = ResolveShardCount(config_.shards);
-  if (resolved_shards_ >= 1) {
-    runtime::ShardedRuntime::Options opt;
-    opt.shards = resolved_shards_;
-    // Lookahead comes from the latency model alone — it is a timing
-    // guarantee, not a tuning knob.
-    opt.lookahead = runtime::AutoRoundWidth(latency_);
-    runtime_ = std::make_unique<runtime::ShardedRuntime>(
-        opt, network_->num_total(), &metrics_);
-    router_ = std::make_unique<runtime::ShardRouter>(runtime_.get(),
-                                                     config_.seed ^ 0xabcdef);
-    transport_->set_router(router_.get());
-    engine_->AttachRuntime(runtime_.get());
-  }
+  engine_ = std::make_unique<core::RJoinEngine>(
+      ecfg, catalog_.get(), network_.get(), transport_.get(), pump_.get());
 }
 
 Experiment::~Experiment() = default;
-
-void Experiment::RunToQuiescence() {
-  if (runtime_ != nullptr) {
-    runtime_->Run();
-  } else {
-    sim_.Run();
-  }
-}
-
-void Experiment::RunUntilTime(sim::SimTime until) {
-  if (runtime_ != nullptr) {
-    runtime_->RunUntil(until);
-  } else {
-    sim_.RunUntil(until);
-  }
-}
-
-sim::SimTime Experiment::NowTime() const {
-  return runtime_ != nullptr ? runtime_->Now() : sim_.Now();
-}
 
 LoadSnapshot Experiment::Snapshot(size_t after_tuples) const {
   LoadSnapshot snap;

@@ -11,10 +11,9 @@
 #include "dht/chord_network.h"
 #include "dht/route_cache.h"
 #include "dht/transport.h"
-#include "runtime/shard_router.h"
 #include "runtime/sharded_runtime.h"
 #include "sim/latency.h"
-#include "sim/simulator.h"
+#include "sim/event_pump.h"
 #include "sql/schema.h"
 #include "stats/alloc_tracker.h"
 #include "stats/distribution.h"
@@ -75,8 +74,8 @@ struct ExperimentConfig {
 
   /// Worker shards of the parallel runtime. 0 (default) resolves from the
   /// RJOIN_SHARDS environment variable; when that is unset/0 too, the
-  /// experiment runs on the serial sim::Simulator exactly as before. Any
-  /// value >= 1 (explicit or via env) runs on the ShardedRuntime — S=1
+  /// experiment runs on the serial sim::Simulator. Any value >= 1
+  /// (explicit or via env) runs on the ShardedRuntime — S=1
   /// executes the identical round schedule serially, so S=1 vs S=4 runs
   /// are bit-identical (see docs/runtime.md). kForceSerial pins the legacy
   /// serial path even when RJOIN_SHARDS is set (baseline rows of the
@@ -200,17 +199,18 @@ class Experiment {
   core::RJoinEngine& engine() { return *engine_; }
   const stats::MetricsRegistry& metrics() const { return metrics_; }
   const sql::Catalog& catalog() const { return *catalog_; }
-  sim::Simulator& simulator() { return sim_; }
   dht::ChordNetwork& network() { return *network_; }
   const ExperimentConfig& config() const { return config_; }
 
   /// The parallel runtime, or nullptr on the serial path.
-  runtime::ShardedRuntime* runtime() { return runtime_.get(); }
+  runtime::ShardedRuntime* runtime() {
+    return dynamic_cast<runtime::ShardedRuntime*>(pump_.get());
+  }
 
   /// Event-pump seams (serial simulator or sharded runtime).
-  void RunToQuiescence();
-  void RunUntilTime(sim::SimTime until);
-  sim::SimTime NowTime() const;
+  void RunToQuiescence() { pump_->Run(); }
+  void RunUntilTime(sim::SimTime until) { pump_->RunUntil(until); }
+  sim::SimTime NowTime() const { return pump_->Now(); }
 
  private:
   LoadSnapshot Snapshot(size_t after_tuples) const;
@@ -231,16 +231,13 @@ class Experiment {
   size_t churn_cursor_ = 0;
   std::unique_ptr<sql::Catalog> catalog_;
   std::unique_ptr<dht::ChordNetwork> network_;
-  sim::Simulator sim_;
   sim::FixedLatency latency_;
   stats::MetricsRegistry metrics_;
+  // After latency_ and metrics_, which it reads; before transport_ and
+  // engine_, which hold it.
+  std::unique_ptr<sim::EventPump> pump_;
   std::unique_ptr<dht::Transport> transport_;
   std::unique_ptr<core::RJoinEngine> engine_;
-  // Declared after engine_/transport_ so workers are joined (runtime_
-  // destroyed) first on teardown.
-  uint32_t resolved_shards_ = 0;
-  std::unique_ptr<runtime::ShardedRuntime> runtime_;
-  std::unique_ptr<runtime::ShardRouter> router_;
 };
 
 }  // namespace rjoin::workload

@@ -38,10 +38,10 @@ struct SerialHarness {
       : network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics,
-                  Rng(seed * 31)),
+        simulator(&metrics, seed * 31),
+        transport(network.get(), &simulator, &latency),
         engine(HistoryConfig(), &catalog, network.get(), &transport,
-               &simulator, &metrics) {}
+               &simulator) {}
 
   static core::EngineConfig HistoryConfig() {
     core::EngineConfig cfg;
@@ -94,9 +94,9 @@ struct SerialHarness {
 
   sql::Catalog catalog = MakeCatalog();
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
+  sim::Simulator simulator;
   dht::Transport transport;
   core::RJoinEngine engine;
 };

@@ -224,16 +224,15 @@ TEST(InBandChurnTest, NoEnvelopeLostOrDuplicatedAcrossHandoffs) {
   // message pool must balance exactly: every envelope acquired was
   // released — none leaked inside a handoff, none double-freed.
   auto network = ChordNetwork::Create(20, 13);
-  sim::Simulator simulator;
   sim::FixedLatency latency(3);  // several ticks in flight per hop
   stats::MetricsRegistry metrics(network->num_total());
-  Transport transport(network.get(), &simulator, &latency, &metrics,
-                      Rng(13 * 31));
+  sim::Simulator simulator(&metrics, 13 * 31);
+  Transport transport(network.get(), &simulator, &latency);
   sql::Catalog catalog = ChurnCatalog();
   core::EngineConfig cfg;
   cfg.keep_history = true;
   core::RJoinEngine engine(cfg, &catalog, network.get(), &transport,
-                           &simulator, &metrics);
+                           &simulator);
 
   auto qid = engine.SubmitQuerySql(0, "SELECT R.B, S.C FROM R, S "
                                       "WHERE R.A = S.A");
@@ -319,16 +318,15 @@ TEST(InBandChurnTest, RoutingOnCachedRingIdsFindsMovedState) {
   // does. The joined node must end up holding stored state (the handoff)
   // and receiving new deliveries for its range.
   auto network = ChordNetwork::Create(12, 17);
-  sim::Simulator simulator;
   sim::FixedLatency latency(1);
   stats::MetricsRegistry metrics(network->num_total());
-  Transport transport(network.get(), &simulator, &latency, &metrics,
-                      Rng(17 * 31));
+  sim::Simulator simulator(&metrics, 17 * 31);
+  Transport transport(network.get(), &simulator, &latency);
   sql::Catalog catalog = ChurnCatalog();
   core::EngineConfig cfg;
   cfg.keep_history = true;
   core::RJoinEngine engine(cfg, &catalog, network.get(), &transport,
-                           &simulator, &metrics);
+                           &simulator);
 
   ASSERT_TRUE(
       engine.SubmitQuerySql(0, "SELECT R.B, S.C FROM R, S WHERE R.A = S.A")

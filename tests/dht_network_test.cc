@@ -206,15 +206,14 @@ class TransportTest : public ::testing::Test {
   void SetUp() override {
     net_ = ChordNetwork::Create(32, 11);
     metrics_.Resize(net_->num_total());
-    transport_ = std::make_unique<Transport>(net_.get(), &sim_, &latency_,
-                                             &metrics_, Rng(5));
+    transport_ = std::make_unique<Transport>(net_.get(), &sim_, &latency_);
     transport_->set_handler(&collector_);
   }
 
   std::unique_ptr<ChordNetwork> net_;
-  sim::Simulator sim_;
   sim::FixedLatency latency_{1};
   stats::MetricsRegistry metrics_;
+  sim::Simulator sim_{&metrics_, 5};
   std::unique_ptr<Transport> transport_;
   Collector collector_;
 };

@@ -13,10 +13,9 @@
 #include "core/engine.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
-#include "runtime/shard_router.h"
 #include "runtime/sharded_runtime.h"
 #include "sim/latency.h"
-#include "sim/simulator.h"
+#include "sim/event_pump.h"
 #include "sql/evaluator.h"
 #include "sql/schema.h"
 #include "stats/metrics.h"
@@ -34,30 +33,12 @@ struct Harness {
         network(dht::ChordNetwork::Create(nodes, seed)),
         latency(std::make_unique<sim::FixedLatency>(1)),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, latency.get(), &metrics,
-                  Rng(seed * 31)),
-        engine(cfg, &catalog, network.get(), &transport, &simulator,
-               &metrics) {
-    if (shards > 0) {
-      runtime = std::make_unique<runtime::ShardedRuntime>(
-          runtime::ShardedRuntime::Options{
-              .shards = shards,
-              .lookahead = runtime::AutoRoundWidth(*latency)},
-          network->num_total(), &metrics);
-      router =
-          std::make_unique<runtime::ShardRouter>(runtime.get(), seed * 31);
-      transport.set_router(router.get());
-      engine.AttachRuntime(runtime.get());
-    }
-  }
+        pump(runtime::MakeEventPump(shards, network->num_total(), *latency,
+                                    &metrics, seed * 31)),
+        transport(network.get(), pump.get(), latency.get()),
+        engine(cfg, &catalog, network.get(), &transport, pump.get()) {}
 
-  void Run() {
-    if (runtime != nullptr) {
-      runtime->Run();
-    } else {
-      simulator.Run();
-    }
-  }
+  void Run() { pump->Run(); }
 
   static sql::Catalog TestCatalog() {
     sql::Catalog c;
@@ -76,15 +57,11 @@ struct Harness {
 
   sql::Catalog catalog;
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   std::unique_ptr<sim::LatencyModel> latency;
   stats::MetricsRegistry metrics;
+  std::unique_ptr<sim::EventPump> pump;
   dht::Transport transport;
   RJoinEngine engine;
-  // Declared last so worker threads join (and shard heaps drain into
-  // still-live pools) before the rest of the stack is destroyed.
-  std::unique_ptr<runtime::ShardedRuntime> runtime;
-  std::unique_ptr<runtime::ShardRouter> router;
 };
 
 std::vector<sql::Value> Row(std::vector<int64_t> ints) {
@@ -134,14 +111,14 @@ TEST(PublishBatchTest, BatchOfOneEqualsPublishTuple) {
   for (const auto& [rel, ints] : StreamRows()) {
     auto t = single.engine.PublishTuple(3, rel, Row(ints));
     ASSERT_TRUE(t.ok()) << t.status().ToString();
-    single.simulator.Run();
+    single.Run();
 
     std::vector<std::vector<sql::Value>> rows;
     rows.push_back(Row(ints));
     auto b = batched.engine.PublishBatch(3, rel, std::move(rows));
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ASSERT_EQ(b->size(), 1u);
-    batched.simulator.Run();
+    batched.Run();
 
     EXPECT_EQ((*t)->seq_no, (*b)[0]->seq_no);
     EXPECT_EQ((*t)->pub_time, (*b)[0]->pub_time);
@@ -180,8 +157,8 @@ TEST(PublishBatchTest, WholeBatchEqualsSequentialPublishes) {
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(b->size(), 3u);
 
-  single.simulator.Run();
-  batched.simulator.Run();
+  single.Run();
+  batched.Run();
 
   // Sequence numbers continue from the same counter in the same order.
   EXPECT_EQ((*b)[0]->seq_no + 1, (*b)[1]->seq_no);
@@ -207,7 +184,7 @@ TEST(PublishBatchTest, UnknownRelationPublishesNothing) {
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.status().code(), StatusCode::kNotFound);
 
-  h.simulator.Run();
+  h.Run();
   EXPECT_EQ(h.metrics.total_messages(), msgs_before);
   EXPECT_TRUE(h.engine.history().empty());
 }
@@ -226,7 +203,7 @@ TEST(PublishBatchTest, ArityMismatchAnywhereInBatchIsAtomic) {
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
 
-  h.simulator.Run();
+  h.Run();
   EXPECT_EQ(h.metrics.total_messages(), 0u);
   EXPECT_EQ(h.engine.CountStoredTuples(), 0u);
   EXPECT_TRUE(h.engine.history().empty());
@@ -244,7 +221,7 @@ TEST(PublishBatchTest, EmptyBatchIsANoOp) {
   auto b = h.engine.PublishBatch(0, "R", {});
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_TRUE(b->empty());
-  h.simulator.Run();
+  h.Run();
   EXPECT_EQ(h.metrics.total_messages(), 0u);
 }
 
@@ -269,9 +246,9 @@ TEST(PublishBatchTest, AttrReplicationShardsCycleLikeSequentialPublishes) {
     one.push_back(Row(ints));
     ASSERT_TRUE(batched.engine.PublishBatch(3, rel, std::move(one)).ok());
   }
-  single.simulator.Run();
-  batched.simulator.Run();
-  unreplicated.simulator.Run();
+  single.Run();
+  batched.Run();
+  unreplicated.Run();
 
   EXPECT_EQ(single.metrics.total_messages(), batched.metrics.total_messages());
   EXPECT_EQ(single.metrics.total_qpl(), batched.metrics.total_qpl());

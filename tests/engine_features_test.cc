@@ -27,10 +27,9 @@ struct Harness {
         network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics,
-                  Rng(seed * 31)),
-        engine(cfg, &catalog, network.get(), &transport, &simulator,
-               &metrics) {}
+        simulator(&metrics, seed * 31),
+        transport(network.get(), &simulator, &latency),
+        engine(cfg, &catalog, network.get(), &transport, &simulator) {}
 
   void Publish(dht::NodeIndex node, const std::string& rel,
                std::vector<int64_t> ints) {
@@ -42,9 +41,9 @@ struct Harness {
 
   sql::Catalog catalog;
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
+  sim::Simulator simulator;
   dht::Transport transport;
   RJoinEngine engine;
 };

@@ -28,10 +28,9 @@ struct Harness {
         network(dht::ChordNetwork::Create(nodes, seed)),
         latency(std::move(lat)),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, latency.get(), &metrics,
-                  Rng(seed * 31)),
-        engine(cfg, &catalog, network.get(), &transport, &simulator,
-               &metrics) {}
+        simulator(&metrics, seed * 31),
+        transport(network.get(), &simulator, latency.get()),
+        engine(cfg, &catalog, network.get(), &transport, &simulator) {}
 
   uint64_t Submit(dht::NodeIndex owner, const std::string& text) {
     auto id = engine.SubmitQuerySql(owner, text);
@@ -56,9 +55,9 @@ struct Harness {
 
   sql::Catalog catalog;
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   std::unique_ptr<sim::LatencyModel> latency;
   stats::MetricsRegistry metrics;
+  sim::Simulator simulator;
   dht::Transport transport;
   RJoinEngine engine;
 };

@@ -48,10 +48,10 @@ struct FaultHarness {
       : network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics,
-                  Rng(seed * 31)),
+        simulator(&metrics, seed * 31),
+        transport(network.get(), &simulator, &latency),
         engine(Config(replication), &catalog, network.get(), &transport,
-               &simulator, &metrics) {}
+               &simulator) {}
 
   static core::EngineConfig Config(uint32_t replication) {
     core::EngineConfig cfg;
@@ -115,9 +115,9 @@ struct FaultHarness {
 
   sql::Catalog catalog = MakeCatalog();
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
+  sim::Simulator simulator;
   dht::Transport transport;
   core::RJoinEngine engine;
 };

@@ -19,10 +19,9 @@
 #include "core/slab_pool.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
-#include "runtime/shard_router.h"
 #include "runtime/sharded_runtime.h"
 #include "sim/latency.h"
-#include "sim/simulator.h"
+#include "sim/event_pump.h"
 #include "sql/parser.h"
 #include "sql/schema.h"
 #include "stats/metrics.h"
@@ -369,20 +368,11 @@ struct Harness {
         network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics,
-                  Rng(seed * 31)),
+        pump(runtime::MakeEventPump(shards, network->num_total(), latency,
+                                    &metrics, seed * 31)),
+        transport(network.get(), pump.get(), &latency),
         engine(EngineConfig{}, &catalog, network.get(), &transport,
-               &simulator, &metrics) {
-    if (shards > 0) {
-      runtime = std::make_unique<runtime::ShardedRuntime>(
-          runtime::ShardedRuntime::Options{shards, 1}, network->num_total(),
-          &metrics);
-      router = std::make_unique<runtime::ShardRouter>(runtime.get(),
-                                                      seed * 31);
-      transport.set_router(router.get());
-      engine.AttachRuntime(runtime.get());
-    }
-  }
+               pump.get()) {}
 
   static sql::Catalog TestCatalog() {
     sql::Catalog c;
@@ -391,24 +381,15 @@ struct Harness {
     return c;
   }
 
-  void Run() {
-    if (runtime != nullptr) {
-      runtime->Run();
-    } else {
-      simulator.Run();
-    }
-  }
+  void Run() { pump->Run(); }
 
   sql::Catalog catalog;
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
+  std::unique_ptr<sim::EventPump> pump;
   dht::Transport transport;
   RJoinEngine engine;
-  // Declared last: workers join before transport/simulator go away.
-  std::unique_ptr<runtime::ShardedRuntime> runtime;
-  std::unique_ptr<runtime::ShardRouter> router;
 };
 
 std::vector<sql::Value> Row(int64_t a, int64_t b) {

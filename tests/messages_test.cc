@@ -14,7 +14,6 @@
 #include "core/messages.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
-#include "runtime/shard_router.h"
 #include "runtime/sharded_runtime.h"
 #include "sim/latency.h"
 #include "sim/simulator.h"
@@ -128,20 +127,11 @@ struct Harness {
         network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics,
-                  Rng(seed * 31)),
+        pump(runtime::MakeEventPump(shards, network->num_total(), latency,
+                                    &metrics, seed * 31)),
+        transport(network.get(), pump.get(), &latency),
         engine(EngineConfig{}, &catalog, network.get(), &transport,
-               &simulator, &metrics) {
-    if (shards > 0) {
-      runtime = std::make_unique<runtime::ShardedRuntime>(
-          runtime::ShardedRuntime::Options{shards, 1}, network->num_total(),
-          &metrics);
-      router = std::make_unique<runtime::ShardRouter>(runtime.get(),
-                                                      seed * 31);
-      transport.set_router(router.get());
-      engine.AttachRuntime(runtime.get());
-    }
-  }
+               pump.get()) {}
 
   static sql::Catalog TestCatalog() {
     sql::Catalog c;
@@ -150,37 +140,32 @@ struct Harness {
     return c;
   }
 
-  void Run() {
-    if (runtime != nullptr) {
-      runtime->Run();
-    } else {
-      simulator.Run();
-    }
+  void Run() { pump->Run(); }
+
+  /// The serial pump's one envelope pool (shards == 0 only).
+  MessagePool& SerialPool() {
+    return dynamic_cast<sim::Simulator&>(*pump).pool();
   }
 
-  /// Envelope allocations across every pool the stack uses (serial
-  /// simulator pool + shard pools).
+  /// Envelope allocations across every pool of the pump (the simulator's
+  /// pool, or each shard pool of the runtime).
   uint64_t EnvelopesAllocated() {
-    uint64_t total = simulator.pool().stats().envelopes_allocated;
-    if (runtime != nullptr) {
-      for (uint32_t s = 0; s < runtime->shards(); ++s) {
-        total += runtime->shard_pool(s)->stats().envelopes_allocated;
-      }
+    auto* rt = dynamic_cast<runtime::ShardedRuntime*>(pump.get());
+    if (rt == nullptr) return SerialPool().stats().envelopes_allocated;
+    uint64_t total = 0;
+    for (uint32_t s = 0; s < rt->shards(); ++s) {
+      total += rt->shard_pool(s)->stats().envelopes_allocated;
     }
     return total;
   }
 
   sql::Catalog catalog;
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
+  std::unique_ptr<sim::EventPump> pump;
   dht::Transport transport;
   RJoinEngine engine;
-  // Declared last: workers join (and shard heaps drain into still-live
-  // pools) before the transport and simulator go away.
-  std::unique_ptr<runtime::ShardedRuntime> runtime;
-  std::unique_ptr<runtime::ShardRouter> router;
 };
 
 std::vector<sql::Value> Row(int64_t a, int64_t b) {
@@ -213,11 +198,11 @@ TEST(ZeroAllocationTest, SerialSteadyStateAllocatesNoEnvelopes) {
   SubmitWindowedJoin(h);
   Stream(h, 48);  // warm-up: pools grow to the in-flight high-water mark
   const uint64_t allocated_after_warmup = h.EnvelopesAllocated();
-  const uint64_t acquired_after_warmup = h.simulator.pool().stats().acquired;
+  const uint64_t acquired_after_warmup = h.SerialPool().stats().acquired;
   Stream(h, 96);  // steady state: every envelope is a freelist hit
   EXPECT_EQ(h.EnvelopesAllocated(), allocated_after_warmup)
       << "steady-state delivery allocated envelopes";
-  EXPECT_GT(h.simulator.pool().stats().acquired, acquired_after_warmup + 500)
+  EXPECT_GT(h.SerialPool().stats().acquired, acquired_after_warmup + 500)
       << "warm stream stopped producing messages — vacuous check";
 }
 

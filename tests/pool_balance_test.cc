@@ -157,16 +157,15 @@ struct Harness {
         network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics,
-                  Rng(seed * 31)),
-        engine(cfg, &catalog, network.get(), &transport, &simulator,
-               &metrics) {}
+        simulator(&metrics, seed * 31),
+        transport(network.get(), &simulator, &latency),
+        engine(cfg, &catalog, network.get(), &transport, &simulator) {}
 
   sql::Catalog catalog;
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
+  sim::Simulator simulator;
   dht::Transport transport;
   RJoinEngine engine;
 };

@@ -428,10 +428,9 @@ struct ReorderHarness {
       : network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1, 9),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics,
-                  Rng(seed * 31)),
-        engine(Config(), &catalog, network.get(), &transport, &simulator,
-               &metrics) {}
+        simulator(&metrics, seed * 31),
+        transport(network.get(), &simulator, &latency),
+        engine(Config(), &catalog, network.get(), &transport, &simulator) {}
 
   static core::EngineConfig Config() {
     core::EngineConfig cfg;
@@ -450,9 +449,9 @@ struct ReorderHarness {
 
   sql::Catalog catalog = MakeCatalog();
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   sim::UniformLatency latency;
   stats::MetricsRegistry metrics;
+  sim::Simulator simulator;
   dht::Transport transport;
   core::RJoinEngine engine;
 };
@@ -506,9 +505,10 @@ struct SteadyHarness {
       : network(dht::ChordNetwork::Create(32, 5)),
         latency(1),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics, Rng(9)),
+        simulator(&metrics, 9),
+        transport(network.get(), &simulator, &latency),
         engine(Config(replication, reuse_ric), &catalog, network.get(),
-               &transport, &simulator, &metrics) {
+               &transport, &simulator) {
     for (int i = 0; i < 16; ++i) {
       EXPECT_TRUE(engine
                       .SubmitQuerySql(
@@ -553,9 +553,9 @@ struct SteadyHarness {
 
   sql::Catalog catalog = MakeCatalog();
   std::unique_ptr<dht::ChordNetwork> network;
-  sim::Simulator simulator;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
+  sim::Simulator simulator;
   dht::Transport transport;
   core::RJoinEngine engine;
 };

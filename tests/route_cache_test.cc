@@ -186,8 +186,7 @@ class TransportCacheTest : public ::testing::Test {
   void SetUp() override {
     net_ = ChordNetwork::Create(32, 11);
     metrics_.Resize(net_->num_total());
-    transport_ = std::make_unique<Transport>(net_.get(), &sim_, &latency_,
-                                             &metrics_, Rng(5));
+    transport_ = std::make_unique<Transport>(net_.get(), &sim_, &latency_);
     transport_->set_handler(&collector_);
   }
 
@@ -196,9 +195,9 @@ class TransportCacheTest : public ::testing::Test {
   }
 
   std::unique_ptr<ChordNetwork> net_;
-  sim::Simulator sim_;
   sim::FixedLatency latency_{1};
   stats::MetricsRegistry metrics_;
+  sim::Simulator sim_{&metrics_, 5};
   std::unique_ptr<Transport> transport_;
   Collector collector_;
 };
@@ -284,9 +283,9 @@ TEST_F(TransportCacheTest, DisabledCacheMatchesEnabledCacheExactly) {
   auto net2 = ChordNetwork::Create(32, 11);
   stats::MetricsRegistry metrics2;
   metrics2.Resize(net2->num_total());
-  sim::Simulator sim2;
+  sim::Simulator sim2(&metrics2, 5);
   Collector collector2;
-  Transport uncached(net2.get(), &sim2, &latency_, &metrics2, Rng(5));
+  Transport uncached(net2.get(), &sim2, &latency_);
   uncached.set_handler(&collector2);
   uncached.set_route_cache_enabled(false);
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "runtime/shard_router.h"
 #include "runtime/sharded_runtime.h"
 #include "sql/evaluator.h"
 #include "stats/metrics.h"

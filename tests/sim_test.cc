@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -168,22 +169,26 @@ TEST(CalendarQueueTest, RandomizedShootoutMatchesReferenceModel) {
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
-  Simulator s;
+  Simulator s(/*metrics=*/nullptr, /*seed=*/1);
   SimTime seen = 0;
-  s.ScheduleAfter(7, [&] { seen = s.Now(); });
+  s.ScheduleEnvelope(ControlAt(s.pool(), 7, [&] { seen = s.Now(); }));
   s.Run();
   EXPECT_EQ(seen, 7u);
   EXPECT_EQ(s.Now(), 7u);
 }
 
 TEST(SimulatorTest, NestedSchedulingRuns) {
-  Simulator s;
+  Simulator s(/*metrics=*/nullptr, /*seed=*/1);
+  auto after = [&s](SimTime delay, std::function<void()> action) {
+    s.ScheduleEnvelope(
+        ControlAt(s.pool(), s.Now() + delay, std::move(action)));
+  };
   int fired = 0;
-  s.ScheduleAfter(1, [&] {
+  after(1, [&] {
     ++fired;
-    s.ScheduleAfter(1, [&] {
+    after(1, [&] {
       ++fired;
-      s.ScheduleAfter(1, [&] { ++fired; });
+      after(1, [&] { ++fired; });
     });
   });
   EXPECT_EQ(s.Run(), 3u);
@@ -192,42 +197,16 @@ TEST(SimulatorTest, NestedSchedulingRuns) {
 }
 
 TEST(SimulatorTest, RunUntilStopsAtBoundaryAndAdvancesClock) {
-  Simulator s;
+  Simulator s(/*metrics=*/nullptr, /*seed=*/1);
   int fired = 0;
-  s.ScheduleAfter(5, [&] { ++fired; });
-  s.ScheduleAfter(15, [&] { ++fired; });
+  s.ScheduleEnvelope(ControlAt(s.pool(), 5, [&] { ++fired; }));
+  s.ScheduleEnvelope(ControlAt(s.pool(), 15, [&] { ++fired; }));
   s.RunUntil(10);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(s.Now(), 10u);  // Clock advances even without events.
   s.Run();
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(s.Now(), 15u);
-}
-
-TEST(SimulatorTest, RunStepsBoundsExecution) {
-  Simulator s;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) s.ScheduleAfter(1, [&] { ++fired; });
-  EXPECT_EQ(s.RunSteps(4), 4u);
-  EXPECT_EQ(fired, 4);
-  EXPECT_EQ(s.PendingEvents(), 6u);
-}
-
-TEST(SimulatorTest, ResetDropsPending) {
-  Simulator s;
-  int fired = 0;
-  s.ScheduleAfter(1, [&] { ++fired; });
-  s.Reset();
-  s.Run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(SimulatorTest, ScheduleAtAbsoluteTime) {
-  Simulator s;
-  SimTime seen = 0;
-  s.ScheduleAt(42, [&] { seen = s.Now(); });
-  s.Run();
-  EXPECT_EQ(seen, 42u);
 }
 
 TEST(LatencyTest, FixedIsConstant) {

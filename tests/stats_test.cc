@@ -39,20 +39,6 @@ TEST(MetricsTest, ResizeKeepsCounts) {
   EXPECT_EQ(m.num_nodes(), 3u);
 }
 
-TEST(MetricsTest, ResetZeroesEverything) {
-  MetricsRegistry m(2);
-  m.AddTraffic(0);
-  m.AddQpl(1);
-  m.AddStore(1);
-  m.AddAnswer();
-  m.ResetAll();
-  EXPECT_EQ(m.total_messages(), 0u);
-  EXPECT_EQ(m.total_qpl(), 0u);
-  EXPECT_EQ(m.total_storage(), 0u);
-  EXPECT_EQ(m.answers_delivered(), 0u);
-  EXPECT_EQ(m.node(1).qpl, 0u);
-}
-
 TEST(DistributionTest, RankedSortsDescending) {
   auto d = MakeRanked({3, 9, 1, 7});
   EXPECT_EQ(d.sorted_desc, (std::vector<uint64_t>{9, 7, 3, 1}));
@@ -112,29 +98,6 @@ TEST(DistributionTest, AtRankBeyondEndIsZero) {
   auto d = MakeRanked({5});
   EXPECT_EQ(d.at_rank(0), 5u);
   EXPECT_EQ(d.at_rank(9), 0u);
-}
-
-TEST(DistributionTest, SampleRanksSpansRange) {
-  std::vector<uint64_t> loads;
-  for (int i = 100; i > 0; --i) loads.push_back(static_cast<uint64_t>(i));
-  auto d = MakeRanked(loads);
-  auto samples = SampleRanks(d, 5);
-  ASSERT_EQ(samples.size(), 5u);
-  EXPECT_EQ(samples.front(), 100u);  // Rank 0: the max.
-  EXPECT_EQ(samples.back(), 1u);     // Last rank: the min.
-}
-
-TEST(DistributionTest, SampleRanksClampsToPopulation) {
-  // Fewer nodes than requested points: one sample per node, no repeats.
-  auto d = MakeRanked({9, 5, 2});
-  auto samples = SampleRanks(d, 10);
-  EXPECT_EQ(samples, (std::vector<uint64_t>{9, 5, 2}));
-}
-
-TEST(DistributionTest, SampleRanksSingleNode) {
-  auto d = MakeRanked({7});
-  auto samples = SampleRanks(d, 10);
-  EXPECT_EQ(samples, (std::vector<uint64_t>{7}));
 }
 
 TEST(ReporterTest, SampleRankGridNeverRepeatsARank) {

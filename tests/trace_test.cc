@@ -275,6 +275,29 @@ TEST(TraceDeterminismTest, MergedTraceIdenticalAcrossShardCountsUnderChurn) {
   }
 }
 
+// The serial pump stamps each event's sender into the trace context, and
+// the transport records it as the peer of each delivery. Every envelope
+// must therefore name its sender: a send, a coalesced fan-out group, a
+// direct hop or a scheduled churn notice.
+TEST(TraceDeterminismTest, SerialTraceNamesEverySender) {
+  const TraceRun run =
+      RunTraced(workload::ExperimentConfig::kForceSerial, /*churn=*/true);
+  size_t delivers = 0;
+  size_t anonymous_peers = 0;
+  size_t anonymous_contexts = 0;
+  for (const TraceEvent& e : run.events) {
+    if (e.key_src == dht::kInvalidNode) ++anonymous_contexts;
+    if (e.cat != TraceCategory::kDeliver) continue;
+    ++delivers;
+    if (e.peer == dht::kInvalidNode) ++anonymous_peers;
+  }
+  EXPECT_GT(delivers, 0u);
+  EXPECT_GT(run.crashes_applied, 0u);  // churn notices were scheduled too
+  EXPECT_EQ(anonymous_peers, 0u) << "of " << delivers << " deliveries";
+  EXPECT_EQ(anonymous_contexts, 0u) << "of " << run.events.size()
+                                    << " records";
+}
+
 TEST(TraceDeterminismTest, DisabledTracerStillFeedsHistograms) {
   Tracer::Global().set_enabled(false);
   Tracer::Global().Reset();
