@@ -12,6 +12,8 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "core/interner.h"
 #include "core/messages.h"
 #include "core/planner.h"
@@ -477,6 +479,12 @@ std::string JsonReporter::Write() const {
                            ? static_cast<double>(tuples_processed_) /
                                  wall_seconds
                            : 0.0);
+  // Peak resident set of the whole bench process so far (getrusage), in
+  // MiB: the memory figure beside the wall-clock ones.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  os << ", \"peak_rss_mb\": ";
+  AppendJsonNumber(os, static_cast<double>(usage.ru_maxrss) / 1024.0);
   // Message-plane scalars: every delivered message is one pooled-envelope
   // acquire, and envelope allocations only happen while the in-flight
   // high-water mark still grows. "allocs_per_tuple" is the data-plane heap

@@ -39,31 +39,6 @@ uint64_t ProjectionFingerprint(const InputQuery& q, int rel,
   return h;
 }
 
-/// Owner-side DISTINCT row fingerprint: FNV over the flat answer row's
-/// value ids (replaces the seed's per-row key string).
-uint64_t AnswerRowFingerprint(const AnswerDeliver& msg) {
-  uint64_t h = kFnvOffset;
-  for (uint16_t i = 0; i < msg.row_len; ++i) {
-    h ^= static_cast<uint64_t>(msg.row[i]) + 1;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-/// Materializes the flat answer row at the user-facing sink — the one
-/// deliberate allocation left on the answer path, tagged kOther (answers
-/// are output, not rewrite-plane work; see docs/perf.md).
-std::vector<sql::Value> MaterializeRow(const AnswerDeliver& msg) {
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  std::vector<sql::Value> row;
-  row.reserve(msg.row_len);
-  ValueInterner& vi = ValueInterner::Global();
-  for (uint16_t i = 0; i < msg.row_len; ++i) {
-    row.push_back(vi.value(msg.row[i]));
-  }
-  return row;
-}
-
 /// Reusable per-thread match buffer of the batched probe kernel (phase 1
 /// collects pointers to matched refs here; phase 2 consumes them). The
 /// pointers address chunk/span storage that phase 2 never mutates.
@@ -158,24 +133,22 @@ RJoinEngine::RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
 }
 
 void RJoinEngine::OnBarrier(sim::SimTime round_start) {
-  // Publish answers staged by the previous round. Each shard stages in
-  // EventKey order already; a merge-sort across shards reconstructs the
-  // global, shard-count-invariant delivery order.
-  size_t staged = 0;
-  for (const ShardSink& sink : sinks_) staged += sink.answers.size();
-  if (staged > 0) {
-    std::vector<std::pair<runtime::EventKey, Answer>> merged;
-    merged.reserve(staged);
-    for (ShardSink& sink : sinks_) {
-      merged.insert(merged.end(),
-                    std::make_move_iterator(sink.answers.begin()),
-                    std::make_move_iterator(sink.answers.end()));
-      sink.answers.clear();
+  // Append the answers staged by the previous epoch. Each shard staged its
+  // own in EventKey order; sorting the union restores the global delivery
+  // order, so row ids and DISTINCT's first answer match any shard count.
+  {
+    stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
+    answer_merge_.clear();
+    for (const ShardSink& sink : sinks_) {
+      for (const auto& staged : sink.answers) answer_merge_.push_back(&staged);
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [key, answer] : merged) answers_.push_back(std::move(answer));
   }
+  std::sort(answer_merge_.begin(), answer_merge_.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* staged : answer_merge_) {
+    AppendAnswer(staged->second, staged->first.time);
+  }
+  for (ShardSink& sink : sinks_) sink.answers.clear();
   for (ShardSink& sink : sinks_) {
     sink.key_load.ForEach(
         [this](KeyId key, uint64_t count) { key_load_[key] += count; });
@@ -1072,31 +1045,27 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
     stats::Tracer::Record(stats::TraceCategory::kAnswer, 0, self,
                           static_cast<uint32_t>(msg.query_id), latency, Now());
   }
-  const bool distinct = [&] {
-    auto it = queries_.find(msg.query_id);
-    return it != queries_.end() && it->second->spec().distinct;
-  }();
-  // A worker stages into its shard's sink. Owner-side final duplicate
-  // suppression for DISTINCT queries is a local computation at the querying
-  // node, no network cost: rows dedup on a 64-bit fingerprint over interned
-  // value ids, no rendering. A query's answers always arrive at its owner,
-  // so all DISTINCT state of one query lives on one shard and dedup is
-  // exact.
+  // A worker stages the flat row with its EventKey; the barrier appends
+  // it (runtime::EventKey::time is the delivery time).
   const int shard = WorkerSink();
-  auto& distinct_rows =
-      shard >= 0 ? sinks_[shard].distinct_rows : distinct_rows_;
-  if (distinct &&
-      !distinct_rows[msg.query_id].Insert(AnswerRowFingerprint(msg))) {
+  if (shard >= 0) {
+    stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
+    sinks_[shard].answers.emplace_back(runtime_->CurrentEventKey(), msg);
     return;
   }
-  Answer answer{msg.query_id, MaterializeRow(msg), Now()};
-  if (shard >= 0) {
-    sinks_[shard].answers.emplace_back(runtime_->CurrentEventKey(),
-                                       std::move(answer));
-  } else {
-    answers_.push_back(std::move(answer));
+  AppendAnswer(msg, Now());
+}
+
+void RJoinEngine::AppendAnswer(const AnswerDeliver& msg,
+                               uint64_t delivered_at) {
+  // Owner-side duplicate suppression for DISTINCT queries is a local
+  // computation at the querying node, no network cost.
+  auto it = queries_.find(msg.query_id);
+  const bool distinct = it != queries_.end() && it->second->spec().distinct;
+  if (answers_.Append(msg.query_id, msg.row, msg.row_len, delivered_at,
+                      distinct)) {
+    Metrics().AddAnswer();
   }
-  Metrics().AddAnswer();
 }
 
 void RJoinEngine::GatherRic(dht::NodeIndex src,
@@ -1351,11 +1320,7 @@ void RJoinEngine::SweepWindows() {
 }
 
 std::vector<Answer> RJoinEngine::AnswersFor(uint64_t query_id) const {
-  std::vector<Answer> out;
-  for (const Answer& a : answers_) {
-    if (a.query_id == query_id) out.push_back(a);
-  }
-  return out;
+  return answers_.For(query_id);
 }
 
 size_t RJoinEngine::CountStoredQueries() const {

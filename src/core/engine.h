@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/answer_log.h"
 #include "core/handoff.h"
 #include "core/interner.h"
 #include "core/key.h"
@@ -90,13 +91,6 @@ struct EngineConfig {
 
   /// Seed for the engine's internal randomness (kRandom policy).
   uint64_t seed = 42;
-};
-
-/// An answer delivered to the owner of a continuous query.
-struct Answer {
-  uint64_t query_id = 0;
-  std::vector<sql::Value> row;
-  uint64_t delivered_at = 0;
 };
 
 /// The RJoin engine: implements the recursive-join algorithm of the paper on
@@ -315,7 +309,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   size_t num_nodes() const { return states_.size(); }
 
   /// All answers delivered so far (across queries), in delivery order.
-  const std::vector<Answer>& answers() const { return answers_; }
+  const AnswerLog& answers() const { return answers_; }
 
   /// Answers of one query.
   std::vector<Answer> AnswersFor(uint64_t query_id) const;
@@ -383,6 +377,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   void OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
               const RicVec& piggyback);
   void OnAnswer(dht::NodeIndex self, AnswerDeliver& msg);
+  /// Appends a delivered answer row to the log (DISTINCT decided here) and
+  /// counts it. The serial pump calls it at delivery, the runtime at the
+  /// barrier, in EventKey order.
+  void AppendAnswer(const AnswerDeliver& msg, uint64_t delivered_at);
 
   // ---- churn plumbing (docs/churn.md) ----
 
@@ -571,15 +569,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   // ---- sharded-runtime state (unused on the serial path) ----
 
   /// Per-shard staging: everything a worker would otherwise write to a
-  /// global. Answer order is reconstructed at barriers from EventKeys, so
-  /// answers_ ends up in the same order for any shard count. DISTINCT
-  /// owner-side state lives here too — a query's answers always arrive at
-  /// its owner, i.e. on one fixed shard.
+  /// global. Staged answers are appended to answers_ at barriers in
+  /// EventKey order, so the log (row ids and DISTINCT decisions included)
+  /// is the same for any shard count.
   struct alignas(64) ShardSink {
-    std::vector<std::pair<runtime::EventKey, Answer>> answers;
-    /// Per-DISTINCT-query delivered rows, as 64-bit fingerprints over the
-    /// row's value ids (flat plane: no per-row key string).
-    std::unordered_map<uint64_t, FlatU64Set> distinct_rows;
+    std::vector<std::pair<runtime::EventKey, AnswerDeliver>> answers;
     KeyIdMap<uint64_t> key_load;
     /// Join/leave requests staged by this shard's events, applied by the
     /// driver at the next barrier in global EventKey order.
@@ -594,6 +588,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// pump_ when it is the sharded runtime, else nullptr.
   runtime::ShardedRuntime* runtime_ = nullptr;
   std::vector<ShardSink> sinks_;
+  /// OnBarrier's merge buffer for the staged answers, reused across
+  /// barriers.
+  std::vector<const std::pair<runtime::EventKey, AnswerDeliver>*>
+      answer_merge_;
   /// Frozen Rate() snapshots per node, rebuilt at epoch barriers; read-only
   /// while workers run.
   std::vector<KeyIdMap<uint64_t>> frozen_rates_;
@@ -606,10 +604,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
 
   std::vector<std::unique_ptr<NodeState>> states_;
   std::unordered_map<uint64_t, InputQueryPtr> queries_;
-  std::vector<Answer> answers_;
-  /// Per-DISTINCT-query delivered row fingerprints (owner-side, serial
-  /// path) — value-id FNV, same scheme as ShardSink::distinct_rows.
-  std::unordered_map<uint64_t, FlatU64Set> distinct_rows_;
+  AnswerLog answers_;
 
   std::vector<sql::TuplePtr> history_;
   KeyIdMap<uint64_t> key_load_;

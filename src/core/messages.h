@@ -83,8 +83,9 @@ struct Rewrite {
 
 /// An answer tuple sent back to the node that submitted the input query
 /// (sendDirect to Owner(q)). The row is a flat array of interned ValueIds
-/// (select lists are bounded by kMaxSelectItems): the message is POD and
-/// the owner materializes sql::Values only at the user-facing sink.
+/// (select lists are bounded by kMaxSelectItems): the message is POD, the
+/// owner's AnswerLog keeps the flat row, and an Answer with sql::Values is
+/// built only when the log is read.
 struct AnswerDeliver {
   uint64_t query_id = 0;
   uint64_t completed_at = 0;

@@ -17,17 +17,19 @@
 
 namespace rjoin::core {
 
-/// Flat open-addressing set of 64-bit fingerprints with erase support
+/// Flat open-addressing set of 64-bit values with erase support
 /// (backward-shift deletion, so probing stays tombstone-free). The
-/// DISTINCT bookkeeping — stored-residual fingerprints per node, answer
-/// rows per query at the owner — keys by u64 hashes on the flat plane
+/// DISTINCT bookkeeping — stored-residual fingerprints per node, and the
+/// answer log's (query, row id) pairs — keys by u64 on the flat plane
 /// instead of the seed's unordered_set<std::string>, and churn handoff
 /// needs to *remove* a stored residual's fingerprint, which ProjectionSet
-/// (insert-only) cannot.
+/// (insert-only) cannot. The home slot is the value's low bits, so values
+/// should be well mixed; 0 is stored as an alias and cannot be told apart
+/// from it.
 ///
-/// Like ProjectionSet, two different payloads can collide in 64 bits
-/// (probability ~n^2/2^64) and the later one is suppressed — same
-/// documented trade.
+/// Fingerprint users accept ProjectionSet's trade: two different payloads
+/// can collide in 64 bits (probability ~n^2/2^64) and the later one is
+/// suppressed.
 class FlatU64Set {
  public:
   FlatU64Set() = default;

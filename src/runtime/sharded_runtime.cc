@@ -645,13 +645,6 @@ uint64_t ShardedRuntime::RunUntil(sim::SimTime until) {
   return RunLoop(/*bounded=*/true, until);
 }
 
-bool ShardedRuntime::Idle() const { return PendingEvents() == 0; }
-
-size_t ShardedRuntime::PendingEvents() const {
-  const int64_t pending = pending_.load(std::memory_order_acquire);
-  return pending > 0 ? static_cast<size_t>(pending) : 0;
-}
-
 std::unique_ptr<sim::EventPump> MakeEventPump(uint32_t shards,
                                               size_t num_nodes,
                                               const sim::LatencyModel& latency,

@@ -250,10 +250,6 @@ class ShardedRuntime final : public sim::EventPump {
   /// if everything drains earlier (mirrors sim::Simulator::RunUntil).
   uint64_t RunUntil(sim::SimTime until) override;
 
-  bool Idle() const;
-  size_t PendingEvents() const;
-  uint64_t TotalEventsExecuted() const { return total_executed_; }
-
   /// Registers a serial rendezvous callback (driver thread, workers
   /// parked).
   void AddBarrierHook(BarrierHook* hook) { hooks_.push_back(hook); }

@@ -9,6 +9,7 @@
 
 #include "core/messages.h"
 #include "sim/time.h"
+#include "stats/alloc_tracker.h"
 #include "stats/trace.h"
 #include "util/logging.h"
 
@@ -66,6 +67,7 @@ class CalendarQueue {
     if (t < SaturatingAdd(wstart_, kBuckets)) {
       RingInsert(std::move(env), t);
     } else {
+      MakeRoom(overflow_);
       overflow_.push_back(std::move(env));
       std::push_heap(overflow_.begin(), overflow_.end(), Later{});
     }
@@ -162,6 +164,7 @@ class CalendarQueue {
   void Rebase(SimTime t) {
     for (Bucket& b : buckets_) {
       for (size_t j = b.pos; j < b.items.size(); ++j) {
+        MakeRoom(overflow_);
         overflow_.push_back(std::move(b.items[j]));
         std::push_heap(overflow_.begin(), overflow_.end(), Later{});
       }
@@ -173,9 +176,20 @@ class CalendarQueue {
     wstart_ = t;
   }
 
+  /// Makes room for one more event in `v`. Growing a bucket or the
+  /// overflow heap is capacity acquisition of an amortized structure, so it
+  /// is charged to kPoolCapacity whichever plane the pushing code runs in
+  /// (on a shard, when a bucket grows depends on the schedule).
+  static void MakeRoom(std::vector<core::EnvelopeRef>& v) {
+    if (v.size() < v.capacity()) return;
+    stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
+    v.reserve(std::max<size_t>(1, 2 * v.capacity()));
+  }
+
   void RingInsert(core::EnvelopeRef env, SimTime t) {
     Bucket& b = buckets_[t & kMask];
     bitmap_[(t & kMask) >> 6] |= uint64_t{1} << (t & 63);
+    MakeRoom(b.items);
     if (b.items.empty() || !Before(env, b.items.back())) {
       b.items.push_back(std::move(env));  // in-order arrival: stays sorted
       return;

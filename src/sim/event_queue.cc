@@ -9,9 +9,4 @@ void EventQueue::Push(core::EnvelopeRef env) {
   calendar_.Push(std::move(env));
 }
 
-void EventQueue::Clear() {
-  calendar_.Clear();
-  next_order_ = 0;
-}
-
 }  // namespace rjoin::sim

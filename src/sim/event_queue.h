@@ -39,9 +39,6 @@ class EventQueue {
   /// Removes and returns the earliest pending event. Requires !empty().
   core::EnvelopeRef Pop() { return calendar_.Pop(); }
 
-  /// Discards all pending events (envelopes return to their pools).
-  void Clear();
-
  private:
   struct Later {
     bool operator()(const core::EnvelopeRef& a,

@@ -43,9 +43,16 @@ void Simulator::Step() {
   dispatcher_->DispatchEnvelope(std::move(env));
 }
 
+void Simulator::EnterDriverPhase() {
+  // Sends the driver makes until the next Run route inline, so their
+  // records carry the driver's EventKey (now, 0, 0), as on the runtime.
+  if (stats::Tracer::On()) stats::Tracer::SetContext(now_, 0, 0);
+}
+
 uint64_t Simulator::Run() {
   const uint64_t before = executed_;
   while (!queue_.empty()) Step();
+  EnterDriverPhase();
   return executed_ - before;
 }
 
@@ -53,6 +60,7 @@ uint64_t Simulator::RunUntil(SimTime until) {
   const uint64_t before = executed_;
   while (!queue_.empty() && queue_.PeekTime() <= until) Step();
   if (now_ < until) now_ = until;
+  EnterDriverPhase();
   return executed_ - before;
 }
 

@@ -52,6 +52,8 @@ class Simulator final : public EventPump {
 
  private:
   void Step();
+  /// Stamps the tracer context (now, 0, 0) as Run/RunUntil return.
+  void EnterDriverPhase();
 
   core::MessagePool pool_;  // before queue_: members destroy in reverse
   EventQueue queue_;

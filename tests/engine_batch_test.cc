@@ -71,7 +71,7 @@ std::vector<sql::Value> Row(std::vector<int64_t> ints) {
   return vals;
 }
 
-std::vector<std::string> SortedRowKeys(const std::vector<Answer>& answers) {
+std::vector<std::string> SortedRowKeys(const AnswerLog& answers) {
   std::vector<std::string> keys;
   keys.reserve(answers.size());
   for (const Answer& a : answers) {

@@ -45,16 +45,6 @@ TEST(EventQueueTest, FifoOnTies) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-TEST(EventQueueTest, ClearEmpties) {
-  core::MessagePool pool;
-  EventQueue q;
-  q.Push(ControlAt(pool, 1, [] {}));
-  q.Push(ControlAt(pool, 2, [] {}));
-  q.Clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-}
-
 TEST(EventQueueTest, PoppedEnvelopesRecycleThroughThePool) {
   core::MessagePool pool;
   EventQueue q;

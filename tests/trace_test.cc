@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/messages.h"
 #include "stats/histogram.h"
 #include "stats/trace.h"
 #include "workload/experiment.h"
@@ -296,6 +298,31 @@ TEST(TraceDeterminismTest, SerialTraceNamesEverySender) {
   EXPECT_EQ(anonymous_peers, 0u) << "of " << delivers << " deliveries";
   EXPECT_EQ(anonymous_contexts, 0u) << "of " << run.events.size()
                                     << " records";
+}
+
+// A driver-phase send carries the driver's clock on either pump: the
+// serial pump routes a publication inline under the driver context it sets
+// as Run/RunUntil return, the runtime defers it to an event at the same
+// instant. So the publication routes of a serial run happen at the times
+// S=1's do.
+TEST(TraceDeterminismTest, SerialPublicationsCarryTheDriverClock) {
+  auto publication_vtimes = [](const TraceRun& run) {
+    std::vector<uint64_t> out;
+    for (const TraceEvent& e : run.events) {
+      if (e.cat == TraceCategory::kRoute &&
+          e.kind == static_cast<uint8_t>(core::MessageKind::kTuplePublish)) {
+        out.push_back(e.vtime);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<uint64_t> serial = publication_vtimes(
+      RunTraced(workload::ExperimentConfig::kForceSerial, /*churn=*/false));
+  const std::vector<uint64_t> s1 =
+      publication_vtimes(RunTraced(1, /*churn=*/false));
+  ASSERT_FALSE(s1.empty());
+  EXPECT_EQ(serial, s1);
 }
 
 TEST(TraceDeterminismTest, DisabledTracerStillFeedsHistograms) {

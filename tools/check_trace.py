@@ -26,6 +26,7 @@ REQUIRED_SCALARS = [
     "wall_seconds",
     "tuples_processed",
     "tuples_per_sec",
+    "peak_rss_mb",
     "messages_per_sec",
     "allocs_per_tuple",
     "interned_keys",
