@@ -275,7 +275,7 @@ void BM_ResidualBind(benchmark::State& state) {
   auto spec = sql::Parser::Parse(
       "SELECT R.B, S.B FROM R,S,P WHERE R.A=S.A AND S.B=P.B");
   auto iq = core::InputQuery::Create(1, 0, 0, *spec, &catalog);
-  core::Residual r0(*iq);
+  core::Residual r0(iq->get());
   auto t = sql::MakeTuple(
       "R", {sql::Value::Int(3), sql::Value::Int(5), sql::Value::Int(7)}, 1,
       1, 1);
@@ -295,7 +295,7 @@ void BM_IndexingCandidates(benchmark::State& state) {
   auto t = sql::MakeTuple(
       "R", {sql::Value::Int(3), sql::Value::Int(5), sql::Value::Int(7)}, 1,
       1, 1);
-  core::Residual r = core::Residual(*iq).Bind(0, t);
+  core::Residual r = core::Residual(iq->get()).Bind(0, t);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::IndexingCandidates(
         r, core::RewriteIndexLevels::kIncludeAttribute));

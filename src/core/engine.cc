@@ -20,24 +20,7 @@ namespace {
 
 constexpr uint32_t kNil = SlabPool<StoredQuery>::kNil;
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-/// DISTINCT projection fingerprint of Section 4, over interned value ids:
-/// vid equality is value equality (injective interner) and vids are
-/// canonical across shard counts, so the fingerprint is deterministic and
-/// needs no string rendering. Shared by the single-tuple trigger and the
-/// batched probe kernel — both sides of the rule must hash identically.
-uint64_t ProjectionFingerprint(const InputQuery& q, int rel,
-                               const TupleRef& t) {
-  uint64_t h = kFnvOffset;
-  const ValueId* cols = t.rec().columns();
-  for (int attr : q.projection_attrs(rel)) {
-    h ^= static_cast<uint64_t>(cols[attr]) + 1;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Reusable per-thread match buffer of the batched probe kernel (phase 1
 /// collects pointers to matched refs here; phase 2 consumes them). The
@@ -244,7 +227,7 @@ StatusOr<uint64_t> RJoinEngine::SubmitQuery(dht::NodeIndex owner,
     ++num_unwindowed_queries_;
   }
 
-  IndexResidual(owner, Residual(*compiled));
+  IndexResidual(owner, Residual(compiled->get()));
   return id;
 }
 
@@ -260,7 +243,7 @@ StatusOr<uint64_t> RJoinEngine::SubmitOneTimeQuery(dht::NodeIndex owner,
   if (!compiled.ok()) return compiled.status();
   const uint64_t id = next_query_id_++;
   queries_.emplace(id, *compiled);
-  IndexResidual(owner, Residual(*compiled));
+  IndexResidual(owner, Residual(compiled->get()));
   return id;
 }
 
@@ -653,12 +636,7 @@ void RJoinEngine::DropAllState(dht::NodeIndex node) {
   NodeState& st = state(node);
   st.queries.ForEach([&](KeyId key, BucketList& bucket) {
     while (bucket.head != kNil) {
-      StoredQuery& sq = st.query_pool.at(bucket.head).value;
-      if (sq.residual.origin()->spec().distinct) {
-        st.distinct_fingerprints.Erase(StoredFingerprint(key, sq.residual));
-      }
-      Metrics().RemoveStore(node);
-      BucketUnlink(st.query_pool, bucket, kNil, bucket.head);
+      DropStoredQuery(node, key, bucket, kNil, bucket.head);
     }
   });
   st.tuples.ForEach([&](KeyId, TupleBucket& bucket) {
@@ -744,6 +722,7 @@ void RJoinEngine::DropStoredQuery(dht::NodeIndex self, KeyId key,
   StoredQuery& sq = st.query_pool.at(idx).value;
   if (sq.residual.origin()->spec().distinct) {
     st.distinct_fingerprints.Erase(StoredFingerprint(key, sq.residual));
+    st.projection_pool.Free(sq.projections);
   }
   Metrics().RemoveStore(self);
   BucketUnlink(st.query_pool, bucket, prev_idx, idx);
@@ -864,12 +843,13 @@ void RJoinEngine::ProbeTupleSpans(dht::NodeIndex self, KeyId key,
 
   // Phase 2: DISTINCT rule + bind + forward for the matches. Sends are
   // async (never re-entering this node's state), so the spans stay stable.
-  const bool check_distinct =
-      q.spec().distinct && interner_->level(key) == Level::kValue;
+  ProjectionSet* seen =
+      q.spec().distinct && interner_->level(key) == Level::kValue
+          ? &state(self).ProjectionsOf(sq)
+          : nullptr;
   for (const TupleRef* match : matches) {
     const TupleRef& t = *match;
-    if (check_distinct &&
-        !sq.seen_projections.Insert(ProjectionFingerprint(q, rel, t))) {
+    if (seen != nullptr && !seen->Insert(ProjectionFingerprint(q, rel, t))) {
       continue;
     }
     CompleteOrForward(self, r.Bind(rel, t), t->pub_time);
@@ -897,7 +877,7 @@ void RJoinEngine::TryTrigger(dht::NodeIndex self, StoredQuery& sq,
   // no rendering, no allocation per trigger.
   if (r.origin()->spec().distinct &&
       interner_->level(key) == Level::kValue) {
-    if (!sq.seen_projections.Insert(
+    if (!state(self).ProjectionsOf(sq).Insert(
             ProjectionFingerprint(*r.origin(), rel, t))) {
       return;
     }
@@ -1006,15 +986,17 @@ void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
   // Procedure 3: probe already-present tuples first — stored tuples can be
   // older than the residual, so this must happen even if the residual's
   // window admits no *future* tuples anymore.
-  StoredQuery sq{std::move(residual), {}};
+  StoredQuery sq{std::move(residual)};
+  if (distinct) sq.projections = st.projection_pool.Allocate();
   ProbeStoredState(self, key, sq);
 
-  // One-time queries never wait for future tuples: probe-and-forget.
-  if (sq.residual.origin()->one_time()) return;
-
-  // Store for future tuples unless the window has already closed
-  // (Section 5's status reduction).
-  if (IsExpired(sq.residual)) return;
+  // Store for future tuples unless this is a one-time query (they never
+  // wait for future tuples: probe-and-forget) or the window has already
+  // closed (Section 5's status reduction).
+  if (sq.residual.origin()->one_time() || IsExpired(sq.residual)) {
+    if (distinct) st.projection_pool.Free(sq.projections);
+    return;
+  }
   if (distinct) {
     stats::AllocScope plane(stats::AllocPlane::kResidual);
     st.distinct_fingerprints.Insert(fp);
@@ -1082,7 +1064,7 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
     const KeyId key = candidates[i];
     const RicEntry* cached =
         config_.reuse_ric_info ? st.ct.Find(key) : nullptr;
-    if (cached != nullptr && now - cached->timestamp <= config_.ct_validity) {
+    if (IsFresh(cached, now, config_.ct_validity)) {
       // Fresh cache hit (Section 7): no messages at all.
       (*rates)[i] = cached->rate;
       (*nodes)[i] = cached->node;

@@ -494,9 +494,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// local state only — moved-vs-moved pairs were already evaluated at the
   /// old owner).
   void OnStateHandoff(dht::NodeIndex self, StateHandoff& msg);
-  /// OnEval's storage logic for a migrated stored query: keeps the moved
-  /// ProjectionSet, probes only pre-handoff tuples/ALTT entries.
-  void InstallQuery(dht::NodeIndex self, KeyId key, StoredQuery&& sq);
+  /// OnEval's storage logic for a migrated stored query: a DISTINCT query
+  /// keeps its moved ProjectionSet `seen` (in this node's projection
+  /// pool); probes only pre-handoff tuples/ALTT entries.
+  void InstallQuery(dht::NodeIndex self, KeyId key, Residual&& residual,
+                    ProjectionSet&& seen);
   /// Records one promotion install's recovery time: staged with the
   /// current EventKey on a worker (merged in order at the barrier),
   /// appended directly otherwise.

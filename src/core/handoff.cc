@@ -41,8 +41,10 @@ KeySlice RJoinEngine::SliceOf(dht::NodeIndex node, KeyId key, bool take,
       slice.queries.push_back(st.query_pool.at(cur).value.residual);
     }
     while (take && bucket->head != kNil) {
-      projections->push_back(
-          std::move(st.query_pool.at(bucket->head).value.seen_projections));
+      const StoredQuery& sq = st.query_pool.at(bucket->head).value;
+      projections->push_back(sq.projections == SlabPool<ProjectionSet>::kNil
+                                 ? ProjectionSet{}
+                                 : std::move(st.ProjectionsOf(sq)));
       DropStoredQuery(node, key, *bucket, kNil, bucket->head);
     }
   }
@@ -128,16 +130,19 @@ void RJoinEngine::PromoteReplicas(dht::NodeIndex owner,
 }
 
 void RJoinEngine::InstallQuery(dht::NodeIndex self, KeyId key,
-                               StoredQuery&& sq) {
+                               Residual&& residual, ProjectionSet&& seen) {
   NodeState& st = state(self);
   Metrics().AddQpl(self);
-  const bool distinct = sq.residual.origin()->spec().distinct;
+  const bool distinct = residual.origin()->spec().distinct;
   uint64_t fp = 0;
+  StoredQuery sq{std::move(residual)};
   if (distinct) {
     fp = StoredFingerprint(key, sq.residual);
     // An identical rewritten query was already indexed at the new owner
     // after the responsibility change: set semantics keep one copy.
     if (st.distinct_fingerprints.Contains(fp)) return;
+    sq.projections = st.projection_pool.Allocate();
+    st.ProjectionsOf(sq) = std::move(seen);
   }
 
   // Probe the destination's pre-handoff state, exactly as OnEval probes on
@@ -147,7 +152,10 @@ void RJoinEngine::InstallQuery(dht::NodeIndex self, KeyId key,
   // visible here — those pairs were already evaluated at the old owner.)
   ProbeStoredState(self, key, sq);
 
-  if (IsExpired(sq.residual)) return;  // Window closed while in flight.
+  if (IsExpired(sq.residual)) {  // Window closed while in flight.
+    if (distinct) st.projection_pool.Free(sq.projections);
+    return;
+  }
   if (distinct) st.distinct_fingerprints.Insert(fp);
   AppendStoredQuery(st, st.queries[key], std::move(sq));
   Metrics().AddStore(self);
@@ -242,11 +250,9 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
     for (size_t i = 0; i < queries.size(); ++i) {
       o.touched = true;
       ++installed_records;
-      InstallQuery(self, o.slice->key,
-                   StoredQuery{std::move(queries[i]),
-                               o.projections == nullptr
-                                   ? ProjectionSet{}
-                                   : std::move(o.projections[i])});
+      InstallQuery(self, o.slice->key, std::move(queries[i]),
+                   o.projections == nullptr ? ProjectionSet{}
+                                            : std::move(o.projections[i]));
     }
   }
   // Pass B: value-level tuples (trigger pre-existing queries, then store).

@@ -2,6 +2,7 @@
 #define RJOIN_CORE_KEY_MAP_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,9 +19,24 @@ namespace rjoin::core {
 /// tombstone-free and lookups one multiply + a short linear scan (vs. the
 /// string hash + chased bucket of the unordered_map<string, ...> it
 /// replaces).
+///
+/// A slot is normally the key beside its value (KeyIdSlot). A value type
+/// that carries its own `KeyId key` field, defaulting to kInvalidKeyId, can
+/// be its own slot instead (KeyIdMap<V, V>): the key is then stored once and
+/// the slot loses the padding after a separate key — the candidate table's
+/// RicEntry slots are 24 bytes, not 32.
 template <typename V>
+struct KeyIdSlot {
+  KeyId key = kInvalidKeyId;
+  V value{};
+};
+
+template <typename V, typename Slot = KeyIdSlot<V>>
 class KeyIdMap {
  public:
+  /// Bytes per table slot: what each entry (and each empty slot) costs.
+  static constexpr size_t kSlotBytes = sizeof(Slot);
+
   KeyIdMap() = default;
 
   /// Value stored under `key`, or nullptr.
@@ -28,7 +44,7 @@ class KeyIdMap {
     if (size_ == 0) return nullptr;
     size_t i = Probe(key);
     for (; slots_[i].key != kInvalidKeyId; i = Next(i)) {
-      if (slots_[i].key == key) return &slots_[i].value;
+      if (slots_[i].key == key) return &ValueOf(slots_[i]);
     }
     return nullptr;
   }
@@ -42,11 +58,11 @@ class KeyIdMap {
     if (slots_.empty() || (size_ + 1) * 10 >= slots_.size() * 7) Grow();
     size_t i = Probe(key);
     for (; slots_[i].key != kInvalidKeyId; i = Next(i)) {
-      if (slots_[i].key == key) return slots_[i].value;
+      if (slots_[i].key == key) return ValueOf(slots_[i]);
     }
     slots_[i].key = key;
     ++size_;
-    return slots_[i].value;
+    return ValueOf(slots_[i]);
   }
 
   size_t size() const { return size_; }
@@ -57,8 +73,8 @@ class KeyIdMap {
   void clear() {
     for (Slot& s : slots_) {
       if (s.key != kInvalidKeyId) {
+        ValueOf(s) = V{};
         s.key = kInvalidKeyId;
-        s.value = V{};
       }
     }
     size_ = 0;
@@ -69,21 +85,26 @@ class KeyIdMap {
   template <typename F>
   void ForEach(F&& f) {
     for (Slot& s : slots_) {
-      if (s.key != kInvalidKeyId) f(s.key, s.value);
+      if (s.key != kInvalidKeyId) f(s.key, ValueOf(s));
     }
   }
   template <typename F>
   void ForEach(F&& f) const {
     for (const Slot& s : slots_) {
-      if (s.key != kInvalidKeyId) f(s.key, s.value);
+      if (s.key != kInvalidKeyId) f(s.key, ValueOf(s));
     }
   }
 
  private:
-  struct Slot {
-    KeyId key = kInvalidKeyId;
-    V value{};
-  };
+  /// The value inside slot `s` (const follows the slot).
+  template <typename S>
+  static auto& ValueOf(S& s) {
+    if constexpr (std::is_same_v<Slot, V>) {
+      return s;
+    } else {
+      return s.value;
+    }
+  }
 
   size_t Probe(KeyId key) const {
     // Fibonacci scramble: interned ids are dense small integers.
@@ -100,7 +121,7 @@ class KeyIdMap {
     slots_ = std::vector<Slot>(old.empty() ? 16 : old.size() * 2);
     size_ = 0;
     for (Slot& s : old) {
-      if (s.key != kInvalidKeyId) (*this)[s.key] = std::move(s.value);
+      if (s.key != kInvalidKeyId) (*this)[s.key] = std::move(ValueOf(s));
     }
   }
 

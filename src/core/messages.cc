@@ -1,6 +1,7 @@
 #include "core/messages.h"
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 
 #include "core/handoff.h"
@@ -99,6 +100,11 @@ MessagePool::MessagePool(size_t slab_envelopes)
 }
 
 MessagePool::~MessagePool() {
+  std::allocator<Envelope> storage;
+  for (const Slab& slab : slabs_) {
+    std::destroy_n(slab.envelopes, slab.used);
+    storage.deallocate(slab.envelopes, slab.size);
+  }
   // Deregister and fold the counters into the retired totals under one
   // lock, so a concurrent Aggregate() sees the pool either live or
   // retired — never both (which would double-count it).
@@ -125,17 +131,17 @@ Envelope* MessagePool::NewEnvelope() {
   // high-water mark rises), not per-envelope traffic — charge it to the
   // capacity plane so the per-record message plane stays a clean ratchet.
   stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
-  if (slabs_.empty() || last_slab_used_ == last_slab_size_) {
+  if (slabs_.empty() || slabs_.back().used == slabs_.back().size) {
     // Doubling growth (capped): a still-rising in-flight high-water mark
     // costs O(log) slabs, not linear in envelopes.
-    last_slab_size_ = slabs_.empty()
-                          ? base_slab_size_
-                          : std::min(last_slab_size_ * 2, kMaxSlabEnvelopes);
-    slabs_.push_back(std::make_unique<Envelope[]>(last_slab_size_));
-    last_slab_used_ = 0;
+    const size_t size =
+        slabs_.empty() ? base_slab_size_
+                       : std::min(slabs_.back().size * 2, kMaxSlabEnvelopes);
+    slabs_.push_back(Slab{std::allocator<Envelope>().allocate(size), size, 0});
     slabs_allocated_.fetch_add(1, std::memory_order_relaxed);
   }
-  Envelope* env = &slabs_.back()[last_slab_used_++];
+  Slab& slab = slabs_.back();
+  Envelope* env = std::construct_at(slab.envelopes + slab.used++);
   env->origin = this;
   envelopes_allocated_.fetch_add(1, std::memory_order_relaxed);
   return env;

@@ -325,7 +325,7 @@ struct Envelope {
 // not widen it (docs/messaging.md records the sizes).
 static_assert(sizeof(ReplicaUpdate) <= sizeof(Rewrite),
               "replica deltas must fit the rewrite-sized payload slot");
-static_assert(sizeof(Envelope) == 496, "pooled Envelope size changed");
+static_assert(sizeof(Envelope) == 488, "pooled Envelope size changed");
 
 /// Move-only owner of a pooled Envelope; releasing returns the envelope
 /// (payload dropped) to its pool's freelist.
@@ -435,10 +435,18 @@ class MessagePool {
   /// instead of high_water / slab_size (same policy as core::SlabPool).
   static constexpr size_t kMaxSlabEnvelopes = 16384;
 
+  /// Raw storage for `size` envelopes, of which the first `used` have been
+  /// constructed: an envelope is built when first handed out, as
+  /// core::SlabPool builds its nodes, so the untouched tail of the newest
+  /// slab stays out of the resident set.
+  struct Slab {
+    Envelope* envelopes;
+    size_t size;
+    size_t used;
+  };
+
   const size_t base_slab_size_;
-  std::vector<std::unique_ptr<Envelope[]>> slabs_;
-  size_t last_slab_size_ = 0;
-  size_t last_slab_used_ = 0;
+  std::vector<Slab> slabs_;
   Envelope* free_ = nullptr;                    // owner-thread freelist
   std::atomic<Envelope*> remote_free_{nullptr};  // cross-thread returns
   std::thread::id owner_;

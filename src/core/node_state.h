@@ -121,9 +121,10 @@ class FlatU64Set {
 /// Section 4 (a tuple triggers a stored query only if its projection over
 /// the referenced attributes is new). Most stored queries see at most a
 /// handful of distinct projections, so the first few fingerprints live
-/// inline in the StoredQuery record; only busier queries spill to one heap
-/// table — versus the seed's unordered_set<std::string> that heap-allocated
-/// the set, every bucket, and every projection string.
+/// inline in the set's pooled record (NodeState::projection_pool); only
+/// busier queries spill to one heap table — versus the seed's
+/// unordered_set<std::string> that heap-allocated the set, every bucket,
+/// and every projection string.
 ///
 /// Fingerprints are 64-bit hashes of the projection text: two *different*
 /// projections can collide (probability ~n^2/2^64), in which case the later
@@ -150,6 +151,20 @@ class ProjectionSet {
       GrowTable();
     }
     return TableInsert(fp);
+  }
+
+  /// True if `fp` was inserted (or collides with a fingerprint that was).
+  bool Contains(uint64_t fp) const {
+    if (fp == 0) fp = kZeroAlias;
+    for (uint32_t i = 0; i < inline_count_; ++i) {
+      if (inline_[i] == fp) return true;
+    }
+    if (table_cap_ == 0) return false;
+    for (size_t i = fp & (table_cap_ - 1); table_[i] != 0;
+         i = (i + 1) & (table_cap_ - 1)) {
+      if (table_[i] == fp) return true;
+    }
+    return false;
   }
 
   /// Distinct fingerprints inserted so far.
@@ -197,11 +212,24 @@ class ProjectionSet {
 };
 
 /// A query (input or rewritten) stored at a node, bucketed under the
-/// interned index key it was stored with.
+/// interned index key it was stored with. A stored query of a DISTINCT
+/// query also owns one ProjectionSet in its node's projection_pool; no
+/// generated workload query is DISTINCT, so the set lives beside the
+/// record instead of inline, and a non-DISTINCT record carries only the
+/// unused handle.
 struct StoredQuery {
-  Residual residual;
-  ProjectionSet seen_projections;
+  /// May overlap: `projections` then sits in the residual's tail padding,
+  /// so a stored query is no larger than its residual.
+  [[no_unique_address]] Residual residual;
+  /// Index of the DISTINCT projection memory in the node's
+  /// projection_pool; kNil for non-DISTINCT queries.
+  uint32_t projections = SlabPool<ProjectionSet>::kNil;
 };
+static_assert(sizeof(StoredQuery) == sizeof(Residual),
+              "StoredQuery::projections no longer packs into the residual");
+// Every stored residual of every node is one of these (docs/perf.md).
+static_assert(sizeof(SlabPool<StoredQuery>::Node) == 80,
+              "stored-query slab node size changed");
 
 /// Entry of the attribute-level tuple table (ALTT, Section 4): a tuple kept
 /// for Delta time units so that an input query delayed in transit still
@@ -331,6 +359,13 @@ class NodeState {
   /// Input and rewritten queries stored locally, by index key.
   KeyIdMap<BucketList> queries;
   SlabPool<StoredQuery> query_pool;
+  /// DISTINCT projection memory of the stored DISTINCT queries (each holds
+  /// one node through StoredQuery::projections; other queries hold none).
+  SlabPool<ProjectionSet> projection_pool;
+  /// The DISTINCT projection memory of `sq`, which must hold a handle.
+  ProjectionSet& ProjectionsOf(const StoredQuery& sq) {
+    return projection_pool.at(sq.projections).value;
+  }
 
   /// Value-level tuple store (Procedure 2 stores every value-level tuple):
   /// chunked buckets over the node's pooled chunk arena.

@@ -146,6 +146,17 @@ int InputQuery::RelIndex(const std::string& relation) const {
   return -1;
 }
 
+uint64_t ProjectionFingerprint(const InputQuery& q, int rel,
+                               const TupleRef& t) {
+  uint64_t h = 1469598103934665603ull;
+  const ValueId* cols = t.rec().columns();
+  for (int attr : q.projection_attrs(rel)) {
+    h ^= static_cast<uint64_t>(cols[attr]) + 1;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 const sql::Value* Residual::BoundValue(int rel, int attr) const {
   const ValueId id = BoundValueId(rel, attr);
   if (id == kInvalidValueId) return nullptr;

@@ -126,6 +126,16 @@ class InputQuery {
 
 using InputQueryPtr = std::shared_ptr<const InputQuery>;
 
+/// DISTINCT projection fingerprint of Section 4: tuple `t` (of FROM
+/// relation `rel`) projected onto the attributes of `rel` that `q`
+/// references, hashed over interned value ids. Vid equality is value
+/// equality (injective interner) and vids are canonical across shard
+/// counts, so the fingerprint is deterministic and needs no string
+/// rendering. The single-tuple trigger and the batched probe kernel both
+/// hash with this one definition.
+uint64_t ProjectionFingerprint(const InputQuery& q, int rel,
+                               const TupleRef& t);
+
 /// A (possibly partially evaluated) query travelling through the network.
 /// Instead of materializing rewritten SQL text, a residual references its
 /// immutable input query plus the tuples bound so far — semantically
@@ -136,12 +146,19 @@ using InputQueryPtr = std::shared_ptr<const InputQuery>;
 /// TupleRef handles indexed by FROM position, so Bind() is allocation-free
 /// and copying a residual (every rewrite hop stores one) is a handful of
 /// refcount increments — no heap traffic on the steady-state path.
+///
+/// The origin is a plain pointer, not a shared_ptr: the engine's query
+/// table owns every submitted InputQuery for the engine's lifetime, so a
+/// copy costs no atomic refcount pair for the query. Whoever builds a
+/// residual keeps its origin alive at least as long as the residual; a
+/// residual that outlives its engine (an envelope still queued at
+/// teardown) may be destroyed but not read.
 class Residual {
  public:
   Residual() = default;
-  explicit Residual(InputQueryPtr origin) : origin_(std::move(origin)) {}
+  explicit Residual(const InputQuery* origin) : origin_(origin) {}
 
-  const InputQueryPtr& origin() const { return origin_; }
+  const InputQuery* origin() const { return origin_; }
   int num_bound() const { return num_bound_; }
   bool IsInputQuery() const { return num_bound_ == 0; }
   bool IsComplete() const {
@@ -226,13 +243,19 @@ class Residual {
   sql::Query ToRewrittenQuery() const;
 
  private:
-  InputQueryPtr origin_;
+  // The small fields come last, so the residual ends in 5 bytes of tail
+  // padding that an enclosing record may reuse (StoredQuery packs its
+  // projection handle there).
+  const InputQuery* origin_ = nullptr;
+  uint64_t window_min_ = UINT64_MAX;
+  uint64_t window_max_ = 0;
   std::array<TupleRef, kMaxQueryRels> bound_;  ///< dense by FROM index
   uint16_t bound_mask_ = 0;
   uint8_t num_bound_ = 0;
-  uint64_t window_min_ = UINT64_MAX;
-  uint64_t window_max_ = 0;
 };
+// Copied into every rewrite message and stored by every node that keeps a
+// residual (docs/messaging.md records the sizes).
+static_assert(sizeof(Residual) == 72, "Residual size changed");
 
 }  // namespace rjoin::core
 

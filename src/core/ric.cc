@@ -69,20 +69,13 @@ void RateTracker::MergeSlice(KeyId key, RateBucket incoming) {
 }
 
 void CandidateTable::Merge(const RicEntry& entry) {
+  // A slot created here reads timestamp 0, so a first entry always lands.
   RicEntry& slot = entries_[entry.key];
-  if (slot.key == kInvalidKeyId || entry.timestamp >= slot.timestamp) {
-    slot = entry;
-  }
+  if (entry.timestamp >= slot.timestamp) slot = entry;
 }
 
 const RicEntry* CandidateTable::Find(KeyId key) const {
   return entries_.Find(key);
-}
-
-bool CandidateTable::IsFresh(KeyId key, uint64_t now,
-                             uint64_t validity) const {
-  const RicEntry* e = Find(key);
-  return e != nullptr && now - e->timestamp <= validity;
 }
 
 }  // namespace rjoin::core

@@ -14,13 +14,21 @@ namespace rjoin::core {
 /// (Section 6): how many tuples reached the responsible node under that key
 /// during the last observation window, plus where that node is (its "IP").
 /// Keys are interned ids, so an entry is 24 bytes and piggy-backing a
-/// candidate table excerpt on a rewrite copies no strings.
+/// candidate table excerpt on a rewrite copies no strings. The candidate
+/// table stores each entry as its own hash slot, `key` included.
 struct RicEntry {
   KeyId key = kInvalidKeyId;
   dht::NodeIndex node = dht::kInvalidNode;  ///< responsible node's address
   uint64_t rate = 0;
   uint64_t timestamp = 0;  ///< when the rate was learned (T_r)
 };
+
+/// Section 7's freshness rule for a candidate-table lookup: true iff
+/// `found` (a CandidateTable::Find result, possibly null) was learned
+/// within `validity` of `now`.
+inline bool IsFresh(const RicEntry* found, uint64_t now, uint64_t validity) {
+  return found != nullptr && now - found->timestamp <= validity;
+}
 
 /// Fixed-capacity RIC piggyback (Section 7): the candidate-table excerpt a
 /// QueryIndex/Rewrite message carries. Inline — a rewrite message with
@@ -122,13 +130,13 @@ class CandidateTable {
   /// Entry for `key`, or nullptr.
   const RicEntry* Find(KeyId key) const;
 
-  /// True if an entry exists and was learned within `validity` of `now`.
-  bool IsFresh(KeyId key, uint64_t now, uint64_t validity) const;
-
-  size_t size() const { return entries_.size(); }
-
  private:
-  KeyIdMap<RicEntry> entries_;
+  /// Self-keyed: a slot is the entry (key, node, rate, timestamp).
+  using Entries = KeyIdMap<RicEntry, RicEntry>;
+  // Every node keeps one slot per key it has learned RIC info for
+  // (docs/keys.md, docs/perf.md).
+  static_assert(Entries::kSlotBytes == 24, "candidate-table slot size changed");
+  Entries entries_;
 };
 
 }  // namespace rjoin::core

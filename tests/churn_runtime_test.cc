@@ -18,8 +18,8 @@
 #include "dht/chord_network.h"
 #include "dht/transport.h"
 #include "runtime/sharded_runtime.h"
+#include "sim/event_pump.h"
 #include "sim/latency.h"
-#include "sim/simulator.h"
 #include "sql/evaluator.h"
 #include "stats/metrics.h"
 #include "workload/churn.h"
@@ -29,19 +29,22 @@
 namespace rjoin {
 namespace {
 
-// --------------------------------------------------- serial-path churn ----
+// --------------------------------------------------- hand-driven churn ----
 
-/// Minimal serial harness: explicit joins/leaves between publishes, oracle
-/// checks at the end. Exercises the immediate-apply path (no runtime).
-struct SerialHarness {
-  explicit SerialHarness(size_t nodes, uint64_t seed = 7)
+/// Minimal hand-wired harness: explicit joins/leaves between publishes,
+/// oracle checks at the end. With shards == 0 it exercises the serial
+/// immediate-apply path; with shards >= 1 the same script runs on the
+/// sharded runtime (churn staged and applied at barriers).
+struct ChurnHarness {
+  explicit ChurnHarness(size_t nodes, uint32_t shards = 0, uint64_t seed = 7,
+                        core::EngineConfig config = HistoryConfig())
       : network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1),
         metrics(network->num_total()),
-        simulator(&metrics, seed * 31),
-        transport(network.get(), &simulator, &latency),
-        engine(HistoryConfig(), &catalog, network.get(), &transport,
-               &simulator) {}
+        pump(runtime::MakeEventPump(shards, network->num_total(), latency,
+                                    &metrics, seed * 31)),
+        transport(network.get(), pump.get(), &latency),
+        engine(config, &catalog, network.get(), &transport, pump.get()) {}
 
   static core::EngineConfig HistoryConfig() {
     core::EngineConfig cfg;
@@ -60,18 +63,19 @@ struct SerialHarness {
   uint64_t Submit(dht::NodeIndex owner, const std::string& text) {
     auto id = engine.SubmitQuerySql(owner, text);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
-    simulator.Run();
+    pump->Run();
     return *id;
   }
 
-  void Publish(dht::NodeIndex node, const std::string& rel,
-               std::vector<int64_t> ints) {
+  core::TupleRef Publish(dht::NodeIndex node, const std::string& rel,
+                         std::vector<int64_t> ints) {
     std::vector<sql::Value> vals;
     vals.reserve(ints.size());
     for (int64_t v : ints) vals.push_back(sql::Value::Int(v));
     auto t = engine.PublishTuple(node, rel, std::move(vals));
     EXPECT_TRUE(t.ok()) << t.status().ToString();
-    simulator.Run();
+    pump->Run();
+    return t.ok() ? *t : core::TupleRef();
   }
 
   void OracleCheck(uint64_t qid) {
@@ -96,13 +100,13 @@ struct SerialHarness {
   std::unique_ptr<dht::ChordNetwork> network;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
-  sim::Simulator simulator;
+  std::unique_ptr<sim::EventPump> pump;
   dht::Transport transport;
   core::RJoinEngine engine;
 };
 
 TEST(SerialChurnTest, JoinMovesStateAndAnswersStayComplete) {
-  SerialHarness h(16);
+  ChurnHarness h(16);
   const uint64_t q = h.Submit(0, "SELECT R.B, S.C FROM R, S WHERE R.A=S.A");
   h.Publish(1, "R", {7, 10, 11});
 
@@ -110,12 +114,12 @@ TEST(SerialChurnTest, JoinMovesStateAndAnswersStayComplete) {
   // some seed; 8 joins guarantee several non-empty handoffs.
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(h.engine
-                    .ScheduleJoin(h.simulator.Now(),
+                    .ScheduleJoin(h.pump->Now(),
                                   dht::NodeId::FromKey("joiner:" +
                                                        std::to_string(i)),
                                   0)
                     .ok());
-    h.simulator.Run();
+    h.pump->Run();
   }
   EXPECT_EQ(h.engine.churn_stats().joins_applied, 8u);
   EXPECT_GT(h.engine.churn_stats().handoff_messages, 0u);
@@ -128,7 +132,7 @@ TEST(SerialChurnTest, JoinMovesStateAndAnswersStayComplete) {
 }
 
 TEST(SerialChurnTest, LeaveHandsOffAndAnswersStayComplete) {
-  SerialHarness h(16);
+  ChurnHarness h(16);
   const uint64_t q = h.Submit(0, "SELECT R.B, S.C FROM R, S WHERE R.A=S.A");
   h.Publish(1, "R", {7, 10, 11});
   h.Publish(1, "R", {8, 12, 13});
@@ -139,8 +143,8 @@ TEST(SerialChurnTest, LeaveHandsOffAndAnswersStayComplete) {
   for (dht::NodeIndex victim = 3; victim < 16 && h.network->num_alive() > 4;
        ++victim) {
     if (victim == 0 || victim == 1 || victim == 2) continue;
-    ASSERT_TRUE(h.engine.ScheduleLeave(h.simulator.Now(), victim).ok());
-    h.simulator.Run();
+    ASSERT_TRUE(h.engine.ScheduleLeave(h.pump->Now(), victim).ok());
+    h.pump->Run();
     ++leaves;
   }
   EXPECT_EQ(h.engine.churn_stats().leaves_applied, leaves);
@@ -153,15 +157,116 @@ TEST(SerialChurnTest, LeaveHandsOffAndAnswersStayComplete) {
 }
 
 TEST(SerialChurnTest, LeaveOfLastNodeIsRejected) {
-  SerialHarness h(2);
+  ChurnHarness h(2);
   ASSERT_TRUE(h.engine.ScheduleLeave(0, 0).ok());
-  h.simulator.Run();
+  h.pump->Run();
   EXPECT_EQ(h.engine.churn_stats().leaves_applied, 1u);
   // The survivor cannot leave: its range would be ownerless.
-  ASSERT_TRUE(h.engine.ScheduleLeave(h.simulator.Now(), 1).ok());
-  h.simulator.Run();
+  ASSERT_TRUE(h.engine.ScheduleLeave(h.pump->Now(), 1).ok());
+  h.pump->Run();
   EXPECT_EQ(h.engine.churn_stats().leaves_applied, 1u);
   EXPECT_EQ(h.engine.churn_stats().ops_rejected, 1u);
+}
+
+// ------------------------------------------- DISTINCT across a handoff ----
+
+constexpr uint32_t kNil = core::SlabPool<core::StoredQuery>::kNil;
+
+/// The stored query of `qid` under `key` at `node`, or nullptr.
+const core::StoredQuery* FindStoredQuery(const core::RJoinEngine& engine,
+                                         dht::NodeIndex node, core::KeyId key,
+                                         uint64_t qid) {
+  const core::NodeState& st = engine.state_of(node);
+  const core::BucketList* bucket = st.queries.Find(key);
+  for (uint32_t cur = bucket == nullptr ? kNil : bucket->head; cur != kNil;
+       cur = st.query_pool.at(cur).next) {
+    const core::StoredQuery& sq = st.query_pool.at(cur).value;
+    if (sq.residual.origin()->query_id() == qid) return &sq;
+  }
+  return nullptr;
+}
+
+/// Expects `node` to store query `qid` under `key` with DISTINCT projection
+/// memory holding exactly `expected`.
+void ExpectProjections(const core::RJoinEngine& engine, dht::NodeIndex node,
+                       core::KeyId key, uint64_t qid,
+                       const std::vector<uint64_t>& expected) {
+  const core::StoredQuery* sq = FindStoredQuery(engine, node, key, qid);
+  ASSERT_NE(sq, nullptr) << "query " << qid << " not stored at node " << node;
+  ASSERT_NE(sq->projections, kNil);
+  const core::ProjectionSet& seen =
+      engine.state_of(node).projection_pool.at(sq->projections).value;
+  EXPECT_EQ(seen.size(), expected.size()) << "at node " << node;
+  for (uint64_t fp : expected) {
+    EXPECT_TRUE(seen.Contains(fp)) << "projection " << fp << " lost";
+  }
+}
+
+/// Answer rows in delivery order, plus total traffic, of one run of the
+/// DISTINCT handoff script.
+struct DistinctLeaveRun {
+  std::vector<std::string> rows;
+  uint64_t messages = 0;
+};
+
+/// A DISTINCT 3-way query's R-bound rewrite waits under the value-level key
+/// S.A=7 and sees projection p of S; its node leaves gracefully; then S
+/// tuples with p and with a new projection p' arrive at the key's new
+/// owner. The moved query must suppress p (its projection memory moved
+/// with it) and record p'.
+DistinctLeaveRun RunDistinctLeave(uint32_t shards) {
+  core::EngineConfig config = ChurnHarness::HistoryConfig();
+  // First-in-clause placement pins the chain: the input query waits under
+  // R.A and its R-bound rewrite under the implied value key S.A=7.
+  config.policy = core::PlannerPolicy::kFirstInClause;
+  ChurnHarness h(16, shards, 7, config);
+  core::KeyInterner& interner = core::KeyInterner::Global();
+  const core::KeyId key = interner.InternValue("S", "A", sql::Value::Int(7));
+  const dht::NodeIndex holder = h.network->SuccessorOf(interner.ring_id(key));
+  const dht::NodeIndex client = holder == 0 ? 1 : 0;  // owner, publisher
+
+  const uint64_t q = h.Submit(client,
+                              "SELECT DISTINCT R.B, S.C, P.C FROM R, S, P "
+                              "WHERE R.A=S.A AND S.B=P.B");
+  const core::InputQueryPtr iq = h.engine.FindQuery(q);
+  const int s_rel = iq->RelIndex("S");
+  h.Publish(client, "R", {7, 10, 11});
+  const uint64_t p = core::ProjectionFingerprint(
+      *iq, s_rel, h.Publish(client, "S", {7, 20, 21}));
+  ExpectProjections(h.engine, holder, key, q, {p});
+
+  EXPECT_TRUE(h.engine.ScheduleLeave(h.pump->Now(), holder).ok());
+  h.pump->Run();
+  EXPECT_EQ(h.engine.churn_stats().leaves_applied, 1u);
+  const dht::NodeIndex heir = h.network->SuccessorOf(interner.ring_id(key));
+  EXPECT_NE(heir, holder);
+  EXPECT_EQ(FindStoredQuery(h.engine, holder, key, q), nullptr);
+  ExpectProjections(h.engine, heir, key, q, {p});
+
+  h.Publish(client, "S", {7, 20, 21});  // p again: suppressed
+  const uint64_t p2 = core::ProjectionFingerprint(
+      *iq, s_rel, h.Publish(client, "S", {7, 30, 31}));
+  EXPECT_NE(p2, p);
+  ExpectProjections(h.engine, heir, key, q, {p, p2});
+
+  h.Publish(client, "P", {1, 20, 40});
+  h.Publish(client, "P", {2, 30, 50});
+  h.OracleCheck(q);
+
+  DistinctLeaveRun run;
+  for (const core::Answer& a : h.engine.answers()) {
+    run.rows.push_back(sql::AnswerRowKey(a.row));
+  }
+  EXPECT_EQ(run.rows.size(), 2u);
+  run.messages = h.metrics.total_messages();
+  return run;
+}
+
+TEST(ChurnRuntimeTest, DistinctProjectionMemorySurvivesGracefulLeave) {
+  const DistinctLeaveRun serial = RunDistinctLeave(0);
+  const DistinctLeaveRun sharded = RunDistinctLeave(4);
+  EXPECT_EQ(serial.rows, sharded.rows);
+  EXPECT_EQ(serial.messages, sharded.messages);
 }
 
 // ------------------------------------------------- sharded equivalence ----

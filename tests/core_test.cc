@@ -92,14 +92,16 @@ TEST(CandidateTableTest, MergeKeepsNewest) {
   ct.Merge({.key = kKey, .node = 3, .rate = 7, .timestamp = 200});
   EXPECT_EQ(ct.Find(kKey)->rate, 7u);
   EXPECT_EQ(ct.Find(kKey)->node, 3u);
+  // The slot is the entry: its key is the one it was found under.
+  EXPECT_EQ(ct.Find(kKey)->key, kKey);
 }
 
 TEST(CandidateTableTest, Freshness) {
   CandidateTable ct;
   ct.Merge({.key = kKey, .node = 1, .rate = 5, .timestamp = 100});
-  EXPECT_TRUE(ct.IsFresh(kKey, 150, 60));
-  EXPECT_FALSE(ct.IsFresh(kKey, 200, 60));
-  EXPECT_FALSE(ct.IsFresh(kOtherKey, 100, 60));
+  EXPECT_TRUE(IsFresh(ct.Find(kKey), 150, 60));
+  EXPECT_FALSE(IsFresh(ct.Find(kKey), 200, 60));
+  EXPECT_FALSE(IsFresh(ct.Find(kOtherKey), 100, 60));
 }
 
 // ------------------------------------------------- InputQuery / Residual --
@@ -151,7 +153,7 @@ TEST_F(ResidualTest, CreateRejectsUncoveredRelation) {
 
 TEST_F(ResidualTest, BindChainCompletes) {
   auto q = Compile("select R.B, S.B from R,S,P where R.A=S.A and S.B=P.B");
-  Residual r0(q);
+  Residual r0(q.get());
   EXPECT_TRUE(r0.IsInputQuery());
   EXPECT_FALSE(r0.IsComplete());
 
@@ -187,7 +189,7 @@ TEST_F(ResidualTest, ToRewrittenQueryAgreesWithReferenceRewriter) {
 
   auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
                            1, 1);
-  Residual r1 = Residual(q).Bind(0, tr);
+  Residual r1 = Residual(q.get()).Bind(0, tr);
   auto ref1 = reference.Rewrite(q->spec(), *tr);
   ASSERT_TRUE(ref1.ok());
   // Same relations, same select constants, same implied selections.
@@ -209,7 +211,7 @@ TEST_F(ResidualTest, ToRewrittenQueryAgreesWithReferenceRewriter) {
 TEST_F(ResidualTest, WindowAdmitsSliding) {
   auto q = Compile(
       "select R.B from R,S where R.A=S.A WINDOW 10 TIME");
-  Residual r0(q);
+  Residual r0(q.get());
   auto t1 = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(2)},
                            /*pub=*/100, 1, 1);
   ASSERT_TRUE(r0.WindowAdmits(0, *t1));  // First binding always admitted.
@@ -226,7 +228,7 @@ TEST_F(ResidualTest, WindowAdmitsOutOfOrderArrival) {
   auto q = Compile("select R.B from R,S where R.A=S.A WINDOW 10 TIME");
   auto late = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(2)},
                              /*pub=*/100, 1, 1);
-  Residual r1 = Residual(q).Bind(0, late);
+  Residual r1 = Residual(q.get()).Bind(0, late);
   // An older stored tuple: window is measured between the extremes.
   auto older = sql::MakeTuple("S", {sql::Value::Int(1), sql::Value::Int(3)},
                               /*pub=*/95, 2, 2);
@@ -243,12 +245,12 @@ TEST_F(ResidualTest, ContentFingerprintIdentifiesEquivalentRewrites) {
                            1, 1);
   auto t2 = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(2)}, 5,
                            5, 2);
-  EXPECT_EQ(Residual(q).Bind(0, t1).ContentFingerprint(),
-            Residual(q).Bind(0, t2).ContentFingerprint());
+  EXPECT_EQ(Residual(q.get()).Bind(0, t1).ContentFingerprint(),
+            Residual(q.get()).Bind(0, t2).ContentFingerprint());
   auto t3 = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(9)}, 1,
                            1, 3);
-  EXPECT_NE(Residual(q).Bind(0, t1).ContentFingerprint(),
-            Residual(q).Bind(0, t3).ContentFingerprint());
+  EXPECT_NE(Residual(q.get()).Bind(0, t1).ContentFingerprint(),
+            Residual(q.get()).Bind(0, t3).ContentFingerprint());
 }
 
 // --------------------------------------------------------------- Planner --
@@ -262,7 +264,7 @@ class PlannerTest : public ResidualTest {
 
 TEST_F(PlannerTest, InputQueryCandidatesAreAttributeLevel) {
   auto q = Compile("select R.B from R,S,P where R.A=S.A and S.B=P.B");
-  auto cands = IndexingCandidates(Residual(q));
+  auto cands = IndexingCandidates(Residual(q.get()));
   ASSERT_EQ(cands.size(), 4u);  // R.A, S.A, S.B, P.B
   for (KeyId c : cands) EXPECT_EQ(in_.level(c), Level::kAttribute);
   EXPECT_EQ(in_.text(cands[0]), AttributeKey("R", "A").text);
@@ -273,7 +275,7 @@ TEST_F(PlannerTest, RewrittenCandidatesValuePreferredByDefault) {
   auto q = Compile("select R.B from R,S,P where R.A=S.A and S.B=P.B");
   auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
                            1, 1);
-  auto cands = IndexingCandidates(Residual(q).Bind(0, tr));
+  auto cands = IndexingCandidates(Residual(q.get()).Bind(0, tr));
   // Section 3 default: only the implied value triple S.A=3 — attribute
   // pairs stay out when a value-level option exists.
   ASSERT_EQ(cands.size(), 1u);
@@ -285,7 +287,7 @@ TEST_F(PlannerTest, RewrittenCandidatesSection6IncludesAttributePairs) {
   auto q = Compile("select R.B from R,S,P where R.A=S.A and S.B=P.B");
   auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
                            1, 1);
-  auto cands = IndexingCandidates(Residual(q).Bind(0, tr),
+  auto cands = IndexingCandidates(Residual(q.get()).Bind(0, tr),
                                   RewriteIndexLevels::kIncludeAttribute);
   // Implied triple S.A=3 first, then open-join attribute pairs S.B / P.B.
   ASSERT_EQ(cands.size(), 3u);
@@ -301,7 +303,7 @@ TEST_F(PlannerTest, AttributeFallbackWhenNoValueCandidate) {
   auto q = Compile("select R.B from R,S,P where R.A=S.A and S.B=P.B");
   auto tp = sql::MakeTuple("P", {sql::Value::Int(6), sql::Value::Int(9)}, 1,
                            1, 1);
-  auto cands = IndexingCandidates(Residual(q).Bind(2, tp));
+  auto cands = IndexingCandidates(Residual(q.get()).Bind(2, tp));
   // Implied triple S.B=6 (from S.B=P.B) plus... S has a value candidate,
   // so value-preferred stops there.
   ASSERT_EQ(cands.size(), 1u);
@@ -313,7 +315,7 @@ TEST_F(PlannerTest, AttributeFallbackWhenNoValueCandidate) {
   auto q2 = Compile("select R.B from R,S,P where R.A=S.A and P.B=7");
   auto tp2 = sql::MakeTuple("P", {sql::Value::Int(1), sql::Value::Int(7)}, 1,
                             1, 1);
-  Residual r2 = Residual(q2).Bind(2, tp2);
+  Residual r2 = Residual(q2.get()).Bind(2, tp2);
   auto cands2 = IndexingCandidates(r2);
   ASSERT_EQ(cands2.size(), 2u);  // Attribute pairs R.A and S.A.
   EXPECT_EQ(in_.level(cands2[0]), Level::kAttribute);
@@ -324,7 +326,7 @@ TEST_F(PlannerTest, ExplicitSelectionBecomesValueCandidate) {
   auto q = Compile("select R.B from R,S where R.A=S.A and S.B=42");
   auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
                            1, 1);
-  auto cands = IndexingCandidates(Residual(q).Bind(0, tr));
+  auto cands = IndexingCandidates(Residual(q.get()).Bind(0, tr));
   // Both the implied S.A=3 and the explicit S.B=42 triples.
   ASSERT_EQ(cands.size(), 2u);
   EXPECT_EQ(in_.text(cands[0]), ValueKey("S", "A", sql::Value::Int(3)).text);
@@ -333,7 +335,7 @@ TEST_F(PlannerTest, ExplicitSelectionBecomesValueCandidate) {
 
 TEST_F(PlannerTest, SingleRelationNoPredicatesFallsBack) {
   auto q = Compile("select R.A from R");
-  auto cands = IndexingCandidates(Residual(q));
+  auto cands = IndexingCandidates(Residual(q.get()));
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(in_.text(cands[0]), AttributeKey("R", "A").text);
 }

@@ -1,8 +1,9 @@
 // Pool-balance suite: every pooled record the engine acquires must be
 // released — TuplePool records (flat tuple plane), SlabPool nodes (stored
-// queries / ALTT entries), and MessagePool envelopes. The scenarios are the
-// three lifetimes that historically leaked in refcounted designs: windowed
-// GC sweeps, live topology churn with state handoff, and ALTT Delta-expiry.
+// queries, their DISTINCT projection sets, ALTT entries), and MessagePool
+// envelopes. The scenarios are the lifetimes that historically leaked in
+// refcounted designs: windowed GC sweeps, live topology churn with state
+// handoff, ALTT Delta-expiry, and an experiment torn down mid-stream.
 //
 // Also holds the batched-probe-kernel equivalence tests: the tight-loop
 // value-id kernel (RJoinEngine::ProbeTupleSpans) probes large stored spans
@@ -13,7 +14,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -33,17 +36,39 @@ namespace {
 
 // ------------------------------------------------------ pool balance ----
 
+constexpr uint32_t kNil = SlabPool<StoredQuery>::kNil;
+
 /// Per-node slab pools must balance while the engine is live:
-/// acquired - released == live for both the query pool and the ALTT pool.
+/// acquired - released == live for the query, projection and ALTT pools.
+/// The projection pool holds exactly one set per stored DISTINCT query; a
+/// non-DISTINCT stored query holds none.
 void ExpectSlabPoolsBalanced(const RJoinEngine& engine) {
   for (dht::NodeIndex n = 0; n < engine.num_nodes(); ++n) {
     const NodeState& st = engine.state_of(n);
     EXPECT_EQ(st.query_pool.acquired() - st.query_pool.released(),
               st.query_pool.live())
         << "query_pool imbalance at node " << n;
+    EXPECT_EQ(st.projection_pool.acquired() - st.projection_pool.released(),
+              st.projection_pool.live())
+        << "projection_pool imbalance at node " << n;
     EXPECT_EQ(st.altt_pool.acquired() - st.altt_pool.released(),
               st.altt_pool.live())
         << "altt_pool imbalance at node " << n;
+    uint32_t distinct_stored = 0;
+    st.queries.ForEach([&](KeyId, const BucketList& bucket) {
+      for (uint32_t cur = bucket.head; cur != kNil;
+           cur = st.query_pool.at(cur).next) {
+        const StoredQuery& sq = st.query_pool.at(cur).value;
+        if (sq.residual.origin()->spec().distinct) {
+          ++distinct_stored;
+        } else {
+          EXPECT_EQ(sq.projections, kNil)
+              << "non-DISTINCT query holds projections at node " << n;
+        }
+      }
+    });
+    EXPECT_EQ(st.projection_pool.live(), distinct_stored)
+        << "projection sets != stored DISTINCT queries at node " << n;
   }
 }
 
@@ -170,6 +195,64 @@ struct Harness {
   RJoinEngine engine;
 };
 
+TEST(PoolBalanceTest, DistinctWindowedChurnReturnsEveryProjectionSet) {
+  // Each stored residual of a DISTINCT query owns one pooled ProjectionSet:
+  // taken when the residual is stored, freed when window GC or a closing
+  // tuple drops it, moved out by a graceful handoff and re-pooled at the
+  // key's new owner.
+  workload::WorkloadParams wp;
+  wp.num_relations = 3;
+  wp.num_attributes = 3;
+  wp.num_values = 4;
+  wp.zipf_theta = 0.4;
+  auto catalog = workload::BuildCatalog(wp);
+  Harness h(24, EngineConfig{}, std::move(*catalog), 5);
+
+  sql::WindowSpec window;
+  window.use_windows = true;
+  window.unit = sql::WindowSpec::Unit::kTuples;
+  window.kind = sql::WindowSpec::Kind::kSliding;
+  window.size = 12;
+  workload::QueryGenerator qgen(wp, &h.catalog, 17);
+  for (int i = 0; i < 16; ++i) {
+    sql::Query spec = qgen.Next(3, window);
+    spec.distinct = true;
+    // Owners and publishers are nodes 0..7; the leavers are 16..23.
+    ASSERT_TRUE(
+        h.engine.SubmitQuery(static_cast<dht::NodeIndex>(i % 8), spec).ok());
+  }
+  h.simulator.Run();
+
+  workload::TupleGenerator tgen(wp, &h.catalog, 23);
+  workload::TupleGenerator::Draw d;
+  dht::NodeIndex leaver = 23;
+  for (int i = 0; i < 64; ++i) {
+    tgen.Next(&d);
+    ASSERT_TRUE(h.engine
+                    .PublishTuple(static_cast<dht::NodeIndex>(i % 8),
+                                  d.relation, d.values)
+                    .ok());
+    h.simulator.Run();
+    if (i % 8 == 7) {
+      h.engine.SweepWindows();
+      ASSERT_TRUE(h.engine.ScheduleLeave(h.simulator.Now(), leaver--).ok());
+      h.simulator.Run();
+    }
+  }
+
+  uint64_t acquired = 0;
+  uint64_t released = 0;
+  for (dht::NodeIndex n = 0; n < h.engine.num_nodes(); ++n) {
+    acquired += h.engine.state_of(n).projection_pool.acquired();
+    released += h.engine.state_of(n).projection_pool.released();
+  }
+  EXPECT_GT(acquired, released) << "no DISTINCT residual is stored";
+  EXPECT_GT(released, 0u) << "no DISTINCT residual was ever dropped";
+  EXPECT_EQ(h.engine.churn_stats().leaves_applied, 8u);
+  EXPECT_GT(h.engine.churn_stats().handoff_queries, 0u);
+  ExpectSlabPoolsBalanced(h.engine);
+}
+
 TEST(PoolBalanceTest, DeltaExpiryDrainsAlttPool) {
   const TuplePool::Stats tuples_before = TuplePool::Global().stats();
   {
@@ -216,6 +299,134 @@ TEST(PoolBalanceTest, DeltaExpiryDrainsAlttPool) {
   EXPECT_GT(tuples_after.released, tuples_before.released);
   EXPECT_EQ(tuples_after.outstanding(), tuples_before.outstanding());
 }
+
+// ------------------------------------------------ mid-stream teardown ----
+
+workload::ExperimentConfig TeardownConfig(uint32_t shards) {
+  workload::ExperimentConfig cfg;
+  cfg.num_nodes = 32;
+  cfg.workload.num_relations = 3;
+  cfg.workload.num_attributes = 3;
+  cfg.workload.num_values = 4;
+  cfg.shards = shards;
+  cfg.seed = 3;
+  return cfg;
+}
+
+/// (key, content fingerprint) of every query stored at `node`.
+std::set<std::pair<KeyId, uint64_t>> StoredAt(const RJoinEngine& engine,
+                                              dht::NodeIndex node) {
+  std::set<std::pair<KeyId, uint64_t>> out;
+  const NodeState& st = engine.state_of(node);
+  st.queries.ForEach([&](KeyId key, const BucketList& bucket) {
+    for (uint32_t cur = bucket.head; cur != kNil;
+         cur = st.query_pool.at(cur).next) {
+      out.emplace(key,
+                  st.query_pool.at(cur).value.residual.ContentFingerprint64());
+    }
+  });
+  return out;
+}
+
+/// How many of `records` are stored at any node.
+size_t CountStoredAnywhere(const RJoinEngine& engine,
+                           const std::set<std::pair<KeyId, uint64_t>>& records) {
+  size_t n = 0;
+  for (dht::NodeIndex node = 0; node < engine.num_nodes(); ++node) {
+    for (const auto& record : StoredAt(engine, node)) n += records.count(record);
+  }
+  return n;
+}
+
+/// The teardown script: 24 settled queries (half DISTINCT) and 16 settled
+/// tuples; then 8 tuples two ticks apart, a graceful leave of the node
+/// storing the most queries, and a stop at the leave's own tick, which
+/// applies the leave but not its handoff. Returns what the leaver stored
+/// just before its leave.
+std::set<std::pair<KeyId, uint64_t>> DriveToMidStreamCut(
+    workload::Experiment& e) {
+  RJoinEngine& engine = e.engine();
+  const workload::WorkloadParams& wp = e.config().workload;
+  workload::QueryGenerator qgen(wp, &e.catalog(), 11);
+  for (int i = 0; i < 24; ++i) {
+    sql::Query spec = qgen.Next(3);
+    spec.distinct = i % 2 == 1;
+    EXPECT_TRUE(
+        engine.SubmitQuery(static_cast<dht::NodeIndex>(i % 8), spec).ok());
+  }
+  e.RunToQuiescence();
+  workload::TupleGenerator tgen(wp, &e.catalog(), 13);
+  workload::TupleGenerator::Draw d;
+  auto publish = [&](int i) {
+    tgen.Next(&d);
+    EXPECT_TRUE(engine
+                    .PublishTuple(static_cast<dht::NodeIndex>(i % 8),
+                                  d.relation, d.values)
+                    .ok());
+  };
+  for (int i = 0; i < 16; ++i) {
+    publish(i);
+    e.RunToQuiescence();
+  }
+  dht::NodeIndex leaver = 8;  // never an owner or publisher
+  for (dht::NodeIndex n = 8; n < engine.num_nodes(); ++n) {
+    if (engine.state_of(n).query_pool.live() >
+        engine.state_of(leaver).query_pool.live()) {
+      leaver = n;
+    }
+  }
+  for (int i = 16; i < 24; ++i) {
+    publish(i);
+    e.RunUntilTime(e.NowTime() + 2);
+  }
+  std::set<std::pair<KeyId, uint64_t>> moved = StoredAt(engine, leaver);
+  EXPECT_TRUE(engine.ScheduleLeave(e.NowTime(), leaver).ok());
+  e.RunUntilTime(e.NowTime());
+  return moved;
+}
+
+class MidStreamTeardownTest : public ::testing::TestWithParam<uint32_t> {};
+
+// Experiment destroys its engine, and every InputQuery with it, before its
+// event pump. Residuals still queued in the pump (rewrites, handoff
+// slices) are then destroyed after their query: the sanitizer builds
+// catch any residual path that reads its query on the way out.
+TEST_P(MidStreamTeardownTest, QueuedWorkDiesAfterTheEngine) {
+  // The script's premise, on a twin run drained after the cut: answers
+  // were still on their way, and the leaver's stored queries were in the
+  // handoff, stored nowhere until it installed.
+  {
+    workload::Experiment twin(TeardownConfig(GetParam()));
+    const auto moved = DriveToMidStreamCut(twin);
+    ASSERT_FALSE(moved.empty());
+    EXPECT_EQ(CountStoredAnywhere(twin.engine(), moved), 0u);
+    const size_t answers_at_cut = twin.engine().answers().size();
+    twin.RunToQuiescence();
+    EXPECT_EQ(twin.engine().churn_stats().leaves_applied, 1u);
+    EXPECT_GT(twin.engine().answers().size(), answers_at_cut);
+    EXPECT_EQ(CountStoredAnywhere(twin.engine(), moved), moved.size());
+  }
+  const TuplePool::Stats tuples_before = TuplePool::Global().stats();
+  const MessagePool::GlobalStats msgs_before = MessagePool::Aggregate();
+  {
+    workload::Experiment e(TeardownConfig(GetParam()));
+    DriveToMidStreamCut(e);
+    EXPECT_GT(MessagePool::Aggregate().outstanding(),
+              msgs_before.outstanding());
+  }
+  EXPECT_EQ(TuplePool::Global().stats().outstanding(),
+            tuples_before.outstanding());
+  EXPECT_EQ(MessagePool::Aggregate().outstanding(), msgs_before.outstanding());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pumps, MidStreamTeardownTest,
+    ::testing::Values(workload::ExperimentConfig::kForceSerial, 4u),
+    [](const ::testing::TestParamInfo<uint32_t>& info) {
+      return info.param == workload::ExperimentConfig::kForceSerial
+                 ? std::string("Serial")
+                 : "S" + std::to_string(info.param);
+    });
 
 // --------------------------------- batched probe kernel equivalence ----
 
