@@ -843,7 +843,7 @@ void RJoinEngine::ProbeTupleSpans(dht::NodeIndex self, KeyId key,
 
   // Phase 2: DISTINCT rule + bind + forward for the matches. Sends are
   // async (never re-entering this node's state), so the spans stay stable.
-  ProjectionSet* seen =
+  FlatU64Set* seen =
       q.spec().distinct && interner_->level(key) == Level::kValue
           ? &state(self).ProjectionsOf(sq)
           : nullptr;
@@ -873,7 +873,7 @@ void RJoinEngine::TryTrigger(dht::NodeIndex self, StoredQuery& sq,
 
   // DISTINCT rule of Section 4: a new tuple triggers this stored query only
   // if its projection over the referenced attributes is new. Projections
-  // are 64-bit fingerprints over interned value ids (see ProjectionSet) —
+  // are 64-bit fingerprints over interned value ids (see FlatU64Set) —
   // no rendering, no allocation per trigger.
   if (r.origin()->spec().distinct &&
       interner_->level(key) == Level::kValue) {

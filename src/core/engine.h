@@ -475,7 +475,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// storage-metric and DISTINCT-fingerprint bookkeeping, and appends each
   /// residual's projection memory to `projections`.
   KeySlice SliceOf(dht::NodeIndex node, KeyId key, bool take,
-                   std::vector<ProjectionSet>* projections = nullptr);
+                   std::vector<FlatU64Set>* projections = nullptr);
   /// Takes the slices of every key in `range` from `from` (ring order) and
   /// ships them to `to` as one StateHandoff. Serial-phase / serial-path
   /// only.
@@ -495,10 +495,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// old owner).
   void OnStateHandoff(dht::NodeIndex self, StateHandoff& msg);
   /// OnEval's storage logic for a migrated stored query: a DISTINCT query
-  /// keeps its moved ProjectionSet `seen` (in this node's projection
-  /// pool); probes only pre-handoff tuples/ALTT entries.
+  /// keeps its moved FlatU64Set `seen` (in this node's projection pool);
+  /// probes only pre-handoff tuples/ALTT entries.
   void InstallQuery(dht::NodeIndex self, KeyId key, Residual&& residual,
-                    ProjectionSet&& seen);
+                    FlatU64Set&& seen);
   /// Records one promotion install's recovery time: staged with the
   /// current EventKey on a worker (merged in order at the barrier),
   /// appended directly otherwise.
@@ -545,7 +545,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// interned key id folded into the residual's 64-bit content fingerprint
   /// (bound value ids, which are a per-process bijection with values).
   /// Two different residuals can collide in 64 bits (probability
-  /// ~n^2/2^64) — the ProjectionSet trade, applied here too.
+  /// ~n^2/2^64) — the FlatU64Set trade, applied here too.
   static uint64_t StoredFingerprint(KeyId key, const Residual& r);
 
   /// Unlinks the pool node `idx` (whose predecessor in the bucket list is

@@ -31,7 +31,7 @@ uint32_t QueriesStoredUnder(const NodeState& st, KeyId key) {
 }  // namespace
 
 KeySlice RJoinEngine::SliceOf(dht::NodeIndex node, KeyId key, bool take,
-                              std::vector<ProjectionSet>* projections) {
+                              std::vector<FlatU64Set>* projections) {
   RJOIN_DCHECK(!take || projections != nullptr);
   NodeState& st = state(node);
   KeySlice slice(key);
@@ -42,8 +42,8 @@ KeySlice RJoinEngine::SliceOf(dht::NodeIndex node, KeyId key, bool take,
     }
     while (take && bucket->head != kNil) {
       const StoredQuery& sq = st.query_pool.at(bucket->head).value;
-      projections->push_back(sq.projections == SlabPool<ProjectionSet>::kNil
-                                 ? ProjectionSet{}
+      projections->push_back(sq.projections == SlabPool<FlatU64Set>::kNil
+                                 ? FlatU64Set{}
                                  : std::move(st.ProjectionsOf(sq)));
       DropStoredQuery(node, key, *bucket, kNil, bucket->head);
     }
@@ -130,7 +130,7 @@ void RJoinEngine::PromoteReplicas(dht::NodeIndex owner,
 }
 
 void RJoinEngine::InstallQuery(dht::NodeIndex self, KeyId key,
-                               Residual&& residual, ProjectionSet&& seen) {
+                               Residual&& residual, FlatU64Set&& seen) {
   NodeState& st = state(self);
   Metrics().AddQpl(self);
   const bool distinct = residual.origin()->spec().distinct;
@@ -171,11 +171,11 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
   // stored under the key before this batch: the moved-tuple trigger walk
   // below visits only those (moved queries append behind them, and every
   // moved-vs-moved pair was already evaluated at the old owner).
-  // `projections` points at the slice's first residual's ProjectionSet
+  // `projections` points at the slice's first residual's FlatU64Set
   // (null for promotions, which carry none).
   struct Owned {
     KeySlice* slice;
-    ProjectionSet* projections;
+    FlatU64Set* projections;
     uint32_t preexisting;
     bool touched;  ///< installed a record or merged a rate
   };
@@ -186,10 +186,10 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
   // on toward the current owner (std::map: deterministic emission order),
   // sent after the installs.
   std::map<dht::NodeIndex, std::unique_ptr<HandoffBatch>> reforward;
-  ProjectionSet* next_projection =
+  FlatU64Set* next_projection =
       b.projections.empty() ? nullptr : b.projections.data();
   for (KeySlice& s : b.slices) {
-    ProjectionSet* projections = next_projection;
+    FlatU64Set* projections = next_projection;
     if (next_projection != nullptr) next_projection += s.queries.size();
     const dht::NodeIndex owner =
         network_->SuccessorOf(interner_->ring_id(s.key));
@@ -251,7 +251,7 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
       o.touched = true;
       ++installed_records;
       InstallQuery(self, o.slice->key, std::move(queries[i]),
-                   o.projections == nullptr ? ProjectionSet{}
+                   o.projections == nullptr ? FlatU64Set{}
                                             : std::move(o.projections[i]));
     }
   }

@@ -84,11 +84,11 @@ struct HandoffBatch {
   bool promoted = false;
   std::vector<KeySlice> slices;
   /// Graceful handoffs only: each moved residual's DISTINCT projection
-  /// memory (ProjectionSet), in slice then residual order. Empty for
+  /// memory (FlatU64Set), in slice then residual order. Empty for
   /// promotions — replicas do not mirror it; DISTINCT suppression after a
   /// promotion rests on the owner-side answer-row fingerprints and the
   /// target-side stored-residual fingerprints.
-  std::vector<ProjectionSet> projections;
+  std::vector<FlatU64Set> projections;
 
   uint64_t records() const {
     uint64_t n = 0;

@@ -1,7 +1,8 @@
 #include "core/interner.h"
 
+#include <tuple>
+
 #include "util/hash.h"
-#include "util/logging.h"
 
 namespace rjoin::core {
 
@@ -16,6 +17,13 @@ uint64_t HashKey(std::string_view text, Level level) {
   return h;
 }
 
+/// Equality of a stored entry with the (text, level) identity.
+auto SameKey(std::string_view text, Level level) {
+  return [text, level](const auto& e) {
+    return e.level == level && e.text == text;
+  };
+}
+
 /// Reusable per-thread buffer for building candidate key text before the
 /// intern lookup; the hit path allocates nothing beyond the buffer's
 /// high-water mark.
@@ -27,73 +35,19 @@ std::string& KeyBuffer() {
 
 }  // namespace
 
-KeyInterner::Table::Table(size_t capacity)
-    : mask(capacity - 1),
-      slots(std::make_unique<std::atomic<uint64_t>[]>(capacity)) {
-  RJOIN_CHECK((capacity & mask) == 0) << "table capacity must be 2^k";
-  for (size_t i = 0; i < capacity; ++i) {
-    slots[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-KeyInterner::KeyInterner()
-    : slabs_(std::make_unique<std::atomic<Entry*>[]>(kMaxSlabs)) {
-  for (uint32_t i = 0; i < kMaxSlabs; ++i) {
-    slabs_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  auto table = std::make_unique<Table>(1024);
-  table_.store(table.get(), std::memory_order_release);
-  retired_.push_back(std::move(table));
-}
-
-KeyInterner::~KeyInterner() {
-  const uint32_t n = size_.load(std::memory_order_acquire);
-  const uint32_t slabs = (n + kSlabSize - 1) >> kSlabBits;
-  for (uint32_t i = 0; i < slabs; ++i) {
-    delete[] slabs_[i].load(std::memory_order_relaxed);
-  }
-}
+static_assert(kInvalidKeyId == kNotInterned);
 
 KeyInterner& KeyInterner::Global() {
   static KeyInterner* interner = new KeyInterner();  // immortal
   return *interner;
 }
 
-const KeyInterner::Entry& KeyInterner::entry(KeyId id) const {
-  RJOIN_DCHECK(id < size_.load(std::memory_order_acquire));
-  return slabs_[id >> kSlabBits].load(std::memory_order_acquire)
-      [id & (kSlabSize - 1)];
-}
-
-KeyId KeyInterner::FindIn(const Table& table, std::string_view text,
-                          Level level, uint64_t hash) const {
-  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
-  size_t i = hash & table.mask;
-  for (;;) {
-    const uint64_t slot = table.slots[i].load(std::memory_order_acquire);
-    if (slot == 0) return kInvalidKeyId;
-    if (static_cast<uint32_t>(slot >> 32) == tag) {
-      const KeyId id = static_cast<KeyId>(slot & 0xffffffffu) - 1;
-      const Entry& e = entry(id);
-      if (e.level == level && e.text == text) return id;
-    }
-    i = (i + 1) & table.mask;
-  }
-}
-
-void KeyInterner::PublishInto(Table& table, uint64_t hash, KeyId id) {
-  const uint64_t packed =
-      (hash & 0xffffffff00000000ull) | (static_cast<uint64_t>(id) + 1);
-  size_t i = hash & table.mask;
-  while (table.slots[i].load(std::memory_order_relaxed) != 0) {
-    i = (i + 1) & table.mask;
-  }
-  table.slots[i].store(packed, std::memory_order_release);
+uint64_t KeyInterner::EntryHash::operator()(const Entry& e) const {
+  return HashKey(e.text, e.level);
 }
 
 KeyId KeyInterner::Find(std::string_view text, Level level) const {
-  return FindIn(*table_.load(std::memory_order_acquire), text, level,
-                HashKey(text, level));
+  return keys_.Find(HashKey(text, level), SameKey(text, level));
 }
 
 KeyId KeyInterner::Find(std::string_view text) const {
@@ -103,58 +57,18 @@ KeyId KeyInterner::Find(std::string_view text) const {
 
 KeyId KeyInterner::Intern(std::string_view text, Level level) {
   const uint64_t hash = HashKey(text, level);
-  KeyId id =
-      FindIn(*table_.load(std::memory_order_acquire), text, level, hash);
-  if (id != kInvalidKeyId) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return id;
+  const auto same = SameKey(text, level);
+  KeyId id = keys_.Find(hash, same);
+  bool inserted = false;
+  if (id == kInvalidKeyId) {
+    std::tie(id, inserted) = keys_.Insert(hash, same, [&](Entry& e) {
+      e.text.assign(text);
+      e.level = level;
+      e.ring_id = dht::NodeId::FromKey(text);
+    });
   }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  Table* table = table_.load(std::memory_order_relaxed);
-  id = FindIn(*table, text, level, hash);
-  if (id != kInvalidKeyId) {
-    // Lost a race with another first-sight intern of the same text.
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return id;
-  }
-
-  const uint32_t n = size_.load(std::memory_order_relaxed);
-  // Entries are immortal, so unbounded value domains grow the dictionary
-  // without bound — aging/compaction is a tracked follow-up (ROADMAP,
-  // docs/keys.md); this backstop is ~50x the paper's full-scale key count.
-  RJOIN_CHECK(n < kMaxSlabs * kSlabSize)
-      << "key interner full (" << n
-      << " keys): workload value domain too large for the immortal "
-         "dictionary; see ROADMAP key-id plane follow-ups";
-  const uint32_t slab = n >> kSlabBits;
-  if ((n & (kSlabSize - 1)) == 0) {
-    slabs_[slab].store(new Entry[kSlabSize], std::memory_order_release);
-  }
-  Entry& e = slabs_[slab].load(std::memory_order_relaxed)[n & (kSlabSize - 1)];
-  e.text.assign(text);
-  e.level = level;
-  e.ring_id = dht::NodeId::FromKey(text);
-  size_.store(n + 1, std::memory_order_release);
-
-  // Grow the index at 70% load. Readers holding the old table miss the
-  // freshly moved entries and retry through this locked path, so old
-  // tables only need to stay allocated (retired_), not current.
-  if ((static_cast<uint64_t>(n) + 1) * 10 >= (table->mask + 1) * 7) {
-    auto bigger = std::make_unique<Table>((table->mask + 1) * 2);
-    for (KeyId prev = 0; prev < n; ++prev) {
-      const Entry& old = entry(prev);
-      PublishInto(*bigger, HashKey(old.text, old.level), prev);
-    }
-    table = bigger.get();
-    table_.store(table, std::memory_order_release);
-    retired_.push_back(std::move(bigger));
-  }
-  PublishInto(*table, hash, n);
-
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  text_bytes_.fetch_add(text.size(), std::memory_order_relaxed);
-  return n;
+  (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
+  return id;
 }
 
 KeyId KeyInterner::InternAttribute(std::string_view relation,
@@ -180,7 +94,7 @@ KeyId KeyInterner::InternValue(std::string_view relation,
 
 KeyId KeyInterner::WithShard(KeyId attr_key, uint32_t shard) {
   if (shard == 0) return attr_key;
-  const Entry& base = entry(attr_key);
+  const Entry& base = keys_.at(attr_key);
   std::string& buf = KeyBuffer();
   buf.append(base.text);
   buf += kKeySep;
@@ -191,10 +105,9 @@ KeyId KeyInterner::WithShard(KeyId attr_key, uint32_t shard) {
 
 KeyInterner::Stats KeyInterner::stats() const {
   Stats s;
-  s.entries = size_.load(std::memory_order_acquire);
+  s.entries = keys_.size();
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
-  s.text_bytes = text_bytes_.load(std::memory_order_relaxed);
   return s;
 }
 

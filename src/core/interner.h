@@ -3,12 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "core/dictionary.h"
 #include "core/key.h"
 #include "dht/id.h"
 #include "sql/value.h"
@@ -22,13 +20,13 @@ namespace rjoin::core {
 /// buckets, rate tracking, candidate tables — works on a u32 and never
 /// re-hashes key text.
 ///
-/// Concurrency contract (the shape the sharded runtime needs):
+/// Concurrency contract (core::Dictionary's; the shape the sharded runtime
+/// needs):
 ///  * Reads — Find(), text(), level(), ring_id() — are lock-free and safe
 ///    from any thread, concurrently with inserts.
 ///  * Inserts take a mutex, but only for keys seen for the first time; a
 ///    repeated Intern() is a lock-free hit. Steady state interns nothing.
-///  * Entries are immortal: slabs and retired index tables are never freed
-///    while the interner lives, so ids and `const std::string&` references
+///  * Entries are immortal, so ids and `const std::string&` references
 ///    stay valid forever.
 ///
 /// Determinism: ids are assigned in first-intern order. Driver-phase
@@ -41,11 +39,6 @@ namespace rjoin::core {
 /// run of the same workload resolve identical keys to identical ids.
 class KeyInterner {
  public:
-  KeyInterner();
-  ~KeyInterner();
-  KeyInterner(const KeyInterner&) = delete;
-  KeyInterner& operator=(const KeyInterner&) = delete;
-
   /// Process-wide interner the engine/transport stack uses by default.
   static KeyInterner& Global();
 
@@ -81,25 +74,24 @@ class KeyInterner {
 
   /// Canonical text of an interned key. The reference is stable for the
   /// interner's lifetime.
-  const std::string& text(KeyId id) const { return entry(id).text; }
+  const std::string& text(KeyId id) const { return keys_.at(id).text; }
 
   /// Indexing level the key was interned with.
-  Level level(KeyId id) const { return entry(id).level; }
+  Level level(KeyId id) const { return keys_.at(id).level; }
 
   /// Cached ring identifier (SHA-1 of the text, computed once at intern).
-  const dht::NodeId& ring_id(KeyId id) const { return entry(id).ring_id; }
+  const dht::NodeId& ring_id(KeyId id) const { return keys_.at(id).ring_id; }
 
   /// Number of interned keys.
-  uint32_t size() const { return size_.load(std::memory_order_acquire); }
+  uint32_t size() const { return keys_.size(); }
 
   /// Intern-traffic counters. hits = Intern() calls resolved without
-  /// inserting (the steady state); misses = first-sight inserts (== the
-  /// entry count, barring racing duplicates that lost the lock).
+  /// inserting (the steady state, and racing first-sight calls that lost
+  /// the lock); misses = inserts, so misses == entries.
   struct Stats {
     uint64_t entries = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t text_bytes = 0;  ///< total canonical text interned
   };
   Stats stats() const;
 
@@ -109,38 +101,14 @@ class KeyInterner {
     dht::NodeId ring_id;
     Level level = Level::kAttribute;
   };
-
-  /// Open-addressing index over interned ids: slot = (hash32 << 32) |
-  /// (id + 1), 0 = empty. Published entries only; readers that hold a
-  /// pre-resize table see a subset and fall back to the locked path.
-  struct Table {
-    explicit Table(size_t capacity);
-    const size_t mask;
-    std::unique_ptr<std::atomic<uint64_t>[]> slots;
+  struct EntryHash {
+    uint64_t operator()(const Entry& e) const;
   };
 
-  static constexpr uint32_t kSlabBits = 10;  // 1024 entries per slab
-  static constexpr uint32_t kSlabSize = 1u << kSlabBits;
-  static constexpr uint32_t kMaxSlabs = 1u << 12;  // 4M keys hard cap
-
-  const Entry& entry(KeyId id) const;
-  KeyId FindIn(const Table& table, std::string_view text, Level level,
-               uint64_t hash) const;
-  void PublishInto(Table& table, uint64_t hash, KeyId id);
-
-  /// Slab spine: fixed-size array of atomics so readers never race a
-  /// growing vector. Slabs are allocated under the mutex and published
-  /// with release stores.
-  std::unique_ptr<std::atomic<Entry*>[]> slabs_;
-  std::atomic<uint32_t> size_{0};
-
-  std::atomic<Table*> table_;
-  std::vector<std::unique_ptr<Table>> retired_;  // old tables, kept alive
-  std::mutex mutex_;
-
+  // 1,024-entry slabs, 4M keys hard cap.
+  Dictionary<Entry, EntryHash, 10, 1u << 12> keys_{"key"};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> text_bytes_{0};
 };
 
 }  // namespace rjoin::core

@@ -39,7 +39,7 @@ enum class MessageKind : uint8_t {
   kQueryIndex,     ///< Procedure 2: an *input* query being indexed
   kRewrite,        ///< Procedure 3: a rewritten residual being (re)indexed
   kAnswerDeliver,  ///< a completed join row returning to Owner(q)
-  kControl,        ///< runtime plumbing: timers, deferred driver work, tests
+  kControl,        ///< a closure on the event plane (tests schedule these)
   kNodeJoin,       ///< churn: a node joining the ring at a given position
   kNodeLeave,      ///< churn: a voluntary, graceful departure
   kStateHandoff,   ///< churn: NodeState slices moving to a new owner
@@ -97,9 +97,10 @@ struct AnswerDeliver {
   ValueId row[kMaxSelectItems] = {};
 };
 
-/// Non-protocol work riding the event plane: simulator timers, deferred
-/// driver-phase dispatches in tests, GC sweeps. Not a network message; the
-/// closure may allocate, which is fine off the steady-state delivery path.
+/// A closure riding the event plane. Only tests create them (through
+/// ShardedRuntime::ScheduleEvent, or on the simulator's queue directly).
+/// Not a network message; the closure may allocate, which is fine off the
+/// steady-state delivery path.
 struct Control {
   std::function<void()> run;
 };

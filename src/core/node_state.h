@@ -17,19 +17,27 @@
 
 namespace rjoin::core {
 
-/// Flat open-addressing set of 64-bit values with erase support
-/// (backward-shift deletion, so probing stays tombstone-free). The
-/// DISTINCT bookkeeping — stored-residual fingerprints per node, and the
-/// answer log's (query, row id) pairs — keys by u64 on the flat plane
-/// instead of the seed's unordered_set<std::string>, and churn handoff
-/// needs to *remove* a stored residual's fingerprint, which ProjectionSet
-/// (insert-only) cannot. The home slot is the value's low bits, so values
-/// should be well mixed; 0 is stored as an alias and cannot be told apart
-/// from it.
+/// Set of 64-bit values: the DISTINCT bookkeeping of the flat plane.
+///  * The DISTINCT rule of Section 4 (a tuple triggers a stored query only
+///    if its projection over the referenced attributes is new): one set of
+///    projection fingerprints per stored DISTINCT query, pooled in its
+///    node's projection_pool.
+///  * Per-node fingerprints of stored DISTINCT residuals (key + content),
+///    so identical rewritten queries are stored once; churn handoff erases
+///    a migrated residual's print.
+///  * The answer log's (query, row id) pairs.
 ///
-/// Fingerprint users accept ProjectionSet's trade: two different payloads
-/// can collide in 64 bits (probability ~n^2/2^64) and the later one is
-/// suppressed.
+/// Most stored queries see a handful of distinct projections, so the first
+/// kInline values live inline; the fourth spills them into an
+/// open-addressing table (home slot = the value's low bits, so values
+/// should be well mixed) that doubles at 70% load. Erase swaps the last
+/// inline value into the hole before the spill, and shifts the probe chain
+/// back after it, so probing stays tombstone-free.
+///
+/// 0 marks empty table slots and is stored as an alias that cannot be told
+/// apart from it. Fingerprint users accept a further trade: two different
+/// payloads can collide in 64 bits (probability ~n^2/2^64), and the later
+/// one is suppressed — tests/interner_test.cc documents both.
 class FlatU64Set {
  public:
   FlatU64Set() = default;
@@ -39,7 +47,15 @@ class FlatU64Set {
   /// Inserts `v`; returns false if it was already present.
   bool Insert(uint64_t v) {
     v = Alias(v);
-    if (cap_ == 0 || (size_ + 1) * 10 >= cap_ * 7) Grow();
+    if (!table_) {
+      if (InlineIndex(v) < size_) return false;
+      if (size_ < kInline) {
+        inline_[size_++] = v;
+        return true;
+      }
+      Grow();  // the spill
+    }
+    if ((size_ + 1) * 10 >= cap_ * 7) Grow();
     size_t i = Home(v);
     for (; table_[i] != 0; i = Next(i)) {
       if (table_[i] == v) return false;
@@ -49,20 +65,25 @@ class FlatU64Set {
     return true;
   }
 
+  /// True if `v` was inserted (or collides with a value that was).
   bool Contains(uint64_t v) const {
-    if (size_ == 0) return false;
     v = Alias(v);
+    if (!table_) return InlineIndex(v) < size_;
     for (size_t i = Home(v); table_[i] != 0; i = Next(i)) {
       if (table_[i] == v) return true;
     }
     return false;
   }
 
-  /// Removes `v`; returns false if it was absent. Backward-shift: the
-  /// probe chain is compacted in place, no tombstones.
+  /// Removes `v`; returns false if it was absent.
   bool Erase(uint64_t v) {
-    if (size_ == 0) return false;
     v = Alias(v);
+    if (!table_) {
+      const uint64_t k = InlineIndex(v);
+      if (k == size_) return false;
+      inline_[k] = inline_[--size_];
+      return true;
+    }
     size_t i = Home(v);
     for (; table_[i] != v; i = Next(i)) {
       if (table_[i] == 0) return false;
@@ -86,134 +107,59 @@ class FlatU64Set {
     return true;
   }
 
+  /// Distinct values held.
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
  private:
+  static constexpr uint64_t kInline = 3;
   static constexpr uint64_t kZeroAlias = 0x9e3779b97f4a7c15ull;
 
   static uint64_t Alias(uint64_t v) { return v == 0 ? kZeroAlias : v; }
   size_t Home(uint64_t v) const { return v & (cap_ - 1); }
   size_t Next(size_t i) const { return (i + 1) & (cap_ - 1); }
 
+  /// Inline slot holding `v`, else size_ (before the spill only).
+  uint64_t InlineIndex(uint64_t v) const {
+    uint64_t k = 0;
+    while (k < size_ && inline_[k] != v) ++k;
+    return k;
+  }
+
+  /// Spills the inline values into a 16-slot table, or doubles the table.
   void Grow() {
     stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
-    const size_t cap = cap_ == 0 ? 16 : cap_ * 2;
-    auto bigger = std::make_unique<uint64_t[]>(cap);
-    for (size_t i = 0; i < cap; ++i) bigger[i] = 0;
-    for (size_t i = 0; i < cap_; ++i) {
-      const uint64_t v = table_[i];
-      if (v == 0) continue;
+    const uint64_t cap = table_ ? cap_ * 2 : 16;
+    auto bigger = std::make_unique<uint64_t[]>(cap);  // zeroed: all empty
+    auto place = [&](uint64_t v) {
       size_t j = v & (cap - 1);
       while (bigger[j] != 0) j = (j + 1) & (cap - 1);
       bigger[j] = v;
+    };
+    if (table_) {
+      for (size_t i = 0; i < cap_; ++i) {
+        if (table_[i] != 0) place(table_[i]);
+      }
+    } else {
+      for (uint64_t k = 0; k < size_; ++k) place(inline_[k]);
     }
     table_ = std::move(bigger);
     cap_ = cap;
   }
 
+  uint64_t inline_[kInline] = {};  // the values while table_ is null
   std::unique_ptr<uint64_t[]> table_;
-  size_t cap_ = 0;
-  size_t size_ = 0;
+  uint64_t cap_ = 0;   // table slots
+  uint64_t size_ = 0;  // distinct values, inline or in the table
 };
-
-/// Set of 64-bit projection fingerprints implementing the DISTINCT rule of
-/// Section 4 (a tuple triggers a stored query only if its projection over
-/// the referenced attributes is new). Most stored queries see at most a
-/// handful of distinct projections, so the first few fingerprints live
-/// inline in the set's pooled record (NodeState::projection_pool); only
-/// busier queries spill to one heap table — versus the seed's
-/// unordered_set<std::string> that heap-allocated the set, every bucket,
-/// and every projection string.
-///
-/// Fingerprints are 64-bit hashes of the projection text: two *different*
-/// projections can collide (probability ~n^2/2^64), in which case the later
-/// one is treated as already-seen and suppressed — a deliberate trade the
-/// collision test in tests/interner_test.cc documents.
-class ProjectionSet {
- public:
-  ProjectionSet() = default;
-  ProjectionSet(ProjectionSet&&) noexcept = default;
-  ProjectionSet& operator=(ProjectionSet&&) noexcept = default;
-
-  /// Inserts `fp`; returns false if it was already present.
-  bool Insert(uint64_t fp) {
-    if (fp == 0) fp = kZeroAlias;  // 0 marks empty table slots
-    for (uint32_t i = 0; i < inline_count_; ++i) {
-      if (inline_[i] == fp) return false;
-    }
-    if (table_cap_ == 0) {
-      if (inline_count_ < kInline) {
-        inline_[inline_count_++] = fp;
-        ++size_;
-        return true;
-      }
-      GrowTable();
-    }
-    return TableInsert(fp);
-  }
-
-  /// True if `fp` was inserted (or collides with a fingerprint that was).
-  bool Contains(uint64_t fp) const {
-    if (fp == 0) fp = kZeroAlias;
-    for (uint32_t i = 0; i < inline_count_; ++i) {
-      if (inline_[i] == fp) return true;
-    }
-    if (table_cap_ == 0) return false;
-    for (size_t i = fp & (table_cap_ - 1); table_[i] != 0;
-         i = (i + 1) & (table_cap_ - 1)) {
-      if (table_[i] == fp) return true;
-    }
-    return false;
-  }
-
-  /// Distinct fingerprints inserted so far.
-  uint32_t size() const { return size_; }
-
- private:
-  static constexpr uint32_t kInline = 3;
-  static constexpr uint64_t kZeroAlias = 0x9e3779b97f4a7c15ull;
-
-  bool TableInsert(uint64_t fp) {
-    if ((size_ + 1) * 10 >= table_cap_ * 7) GrowTable();
-    size_t i = fp & (table_cap_ - 1);
-    for (; table_[i] != 0; i = (i + 1) & (table_cap_ - 1)) {
-      if (table_[i] == fp) return false;
-    }
-    table_[i] = fp;
-    ++size_;
-    return true;
-  }
-
-  void GrowTable() {
-    stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
-    const uint32_t cap = table_cap_ == 0 ? 16 : table_cap_ * 2;
-    auto bigger = std::make_unique<uint64_t[]>(cap);
-    for (uint32_t i = 0; i < cap; ++i) bigger[i] = 0;
-    auto rehash = [&](uint64_t fp) {
-      size_t i = fp & (cap - 1);
-      while (bigger[i] != 0) i = (i + 1) & (cap - 1);
-      bigger[i] = fp;
-    };
-    for (uint32_t i = 0; i < table_cap_; ++i) {
-      if (table_[i] != 0) rehash(table_[i]);
-    }
-    for (uint32_t i = 0; i < inline_count_; ++i) rehash(inline_[i]);
-    inline_count_ = 0;
-    table_ = std::move(bigger);
-    table_cap_ = cap;
-  }
-
-  uint64_t inline_[kInline] = {};
-  uint32_t inline_count_ = 0;
-  uint32_t size_ = 0;  // total distinct fingerprints (inline + table)
-  uint32_t table_cap_ = 0;
-  std::unique_ptr<uint64_t[]> table_;
-};
+// One per stored DISTINCT query (NodeState::projection_pool).
+static_assert(sizeof(FlatU64Set) == 48, "FlatU64Set grew");
+static_assert(sizeof(SlabPool<FlatU64Set>::Node) == 56,
+              "projection-pool slab node size changed");
 
 /// A query (input or rewritten) stored at a node, bucketed under the
 /// interned index key it was stored with. A stored query of a DISTINCT
-/// query also owns one ProjectionSet in its node's projection_pool; no
+/// query also owns one FlatU64Set in its node's projection_pool; no
 /// generated workload query is DISTINCT, so the set lives beside the
 /// record instead of inline, and a non-DISTINCT record carries only the
 /// unused handle.
@@ -223,7 +169,7 @@ struct StoredQuery {
   [[no_unique_address]] Residual residual;
   /// Index of the DISTINCT projection memory in the node's
   /// projection_pool; kNil for non-DISTINCT queries.
-  uint32_t projections = SlabPool<ProjectionSet>::kNil;
+  uint32_t projections = SlabPool<FlatU64Set>::kNil;
 };
 static_assert(sizeof(StoredQuery) == sizeof(Residual),
               "StoredQuery::projections no longer packs into the residual");
@@ -361,9 +307,9 @@ class NodeState {
   SlabPool<StoredQuery> query_pool;
   /// DISTINCT projection memory of the stored DISTINCT queries (each holds
   /// one node through StoredQuery::projections; other queries hold none).
-  SlabPool<ProjectionSet> projection_pool;
+  SlabPool<FlatU64Set> projection_pool;
   /// The DISTINCT projection memory of `sq`, which must hold a handle.
-  ProjectionSet& ProjectionsOf(const StoredQuery& sq) {
+  FlatU64Set& ProjectionsOf(const StoredQuery& sq) {
     return projection_pool.at(sq.projections).value;
   }
 
@@ -378,8 +324,8 @@ class NodeState {
   SlabPool<AlttEntry> altt_pool;
 
   /// Fingerprints of stored residuals of DISTINCT queries (key + content),
-  /// so identical rewritten queries are stored once (set semantics).
-  /// Erase-capable: churn handoff removes a migrated residual's print.
+  /// so identical rewritten queries are stored once (set semantics); churn
+  /// handoff erases a migrated residual's print.
   FlatU64Set distinct_fingerprints;
 
   /// Tuple-arrival rates per key (the RIC source, Section 6).

@@ -4,6 +4,7 @@
 
 #include "stats/alloc_tracker.h"
 #include "util/hash.h"
+#include "util/logging.h"
 
 namespace rjoin::core {
 namespace {
@@ -31,149 +32,52 @@ uint64_t HashValue(const sql::Value& v) {
 // ---------------------------------------------------------------------------
 // ValueInterner
 
-ValueInterner::Table::Table(size_t capacity)
-    : mask(capacity - 1),
-      slots(std::make_unique<std::atomic<uint64_t>[]>(capacity)) {
-  for (size_t i = 0; i < capacity; ++i) {
-    slots[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-ValueInterner::ValueInterner()
-    : slabs_(std::make_unique<std::atomic<sql::Value*>[]>(kMaxSlabs)) {
-  for (uint32_t i = 0; i < kMaxSlabs; ++i) {
-    slabs_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  auto table = std::make_unique<Table>(1024);
-  table_.store(table.get(), std::memory_order_release);
-  retired_.push_back(std::move(table));
-}
-
-ValueInterner::~ValueInterner() {
-  for (uint32_t s = 0; s < kMaxSlabs; ++s) {
-    sql::Value* slab = slabs_[s].load(std::memory_order_relaxed);
-    if (slab == nullptr) break;
-    delete[] slab;
-  }
-}
+static_assert(kInvalidValueId == kNotInterned);
 
 ValueInterner& ValueInterner::Global() {
   static ValueInterner* g = new ValueInterner();
   return *g;
 }
 
-ValueId ValueInterner::FindIn(const Table& table, const sql::Value& v,
-                              uint64_t hash) const {
-  const uint64_t tag = hash >> 32;
-  size_t i = hash & table.mask;
-  for (;;) {
-    const uint64_t slot = table.slots[i].load(std::memory_order_acquire);
-    if (slot == 0) return kInvalidValueId;
-    if ((slot >> 32) == tag) {
-      const ValueId id = static_cast<ValueId>(slot & 0xffffffffu) - 1;
-      if (value(id) == v) return id;
-    }
-    i = (i + 1) & table.mask;
-  }
-}
-
-void ValueInterner::PublishInto(Table& table, uint64_t hash, ValueId id) {
-  size_t i = hash & table.mask;
-  while (table.slots[i].load(std::memory_order_relaxed) != 0) {
-    i = (i + 1) & table.mask;
-  }
-  table.slots[i].store((hash >> 32 << 32) | (id + 1),
-                       std::memory_order_release);
+uint64_t ValueInterner::ValueHash::operator()(const sql::Value& v) const {
+  return HashValue(v);
 }
 
 ValueId ValueInterner::Find(const sql::Value& v) const {
-  const uint64_t hash = HashValue(v);
-  const Table* table = table_.load(std::memory_order_acquire);
-  return FindIn(*table, v, hash);
+  return values_.Find(HashValue(v),
+                      [&v](const sql::Value& e) { return e == v; });
 }
 
 ValueId ValueInterner::Intern(const sql::Value& v) {
   const uint64_t hash = HashValue(v);
-  {
-    const Table* table = table_.load(std::memory_order_acquire);
-    const ValueId id = FindIn(*table, v, hash);
-    if (id != kInvalidValueId) return id;
-  }
+  const auto same = [&v](const sql::Value& e) { return e == v; };
+  const ValueId id = values_.Find(hash, same);
+  if (id != kInvalidValueId) return id;
   rjoin::stats::AllocScope scope(rjoin::stats::AllocPlane::kTuple);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Table* table = table_.load(std::memory_order_relaxed);
-  const ValueId found = FindIn(*table, v, hash);
-  if (found != kInvalidValueId) return found;
-
-  const uint32_t id = size_.load(std::memory_order_relaxed);
-  RJOIN_CHECK(id < kMaxSlabs * kSlabSize);
-  const uint32_t slab = id >> kSlabBits;
-  sql::Value* base = slabs_[slab].load(std::memory_order_relaxed);
-  if (base == nullptr) {
-    base = new sql::Value[kSlabSize];
-    slabs_[slab].store(base, std::memory_order_release);
-  }
-  base[id & (kSlabSize - 1)] = v;
-
-  // Grow at 70% load; readers holding the old table fall back here.
-  if ((id + 1) * 10 >= (table->mask + 1) * 7) {
-    auto bigger = std::make_unique<Table>((table->mask + 1) * 2);
-    for (uint32_t existing = 0; existing < id; ++existing) {
-      PublishInto(*bigger, HashValue(value(existing)), existing);
-    }
-    table_.store(bigger.get(), std::memory_order_release);
-    retired_.push_back(std::move(bigger));
-    table = table_.load(std::memory_order_relaxed);
-  }
-  size_.store(id + 1, std::memory_order_release);
-  PublishInto(*table, hash, id);
-  return id;
+  return values_.Insert(hash, same, [&v](sql::Value& e) { e = v; }).first;
 }
 
 // ---------------------------------------------------------------------------
 // TuplePool
-
-TuplePool::TuplePool()
-    : slabs_(std::make_unique<std::atomic<Rec*>[]>(kMaxSlabs)),
-      rel_names_(
-          std::make_unique<std::atomic<const std::string*>[]>(kMaxRelations)) {
-  for (uint32_t i = 0; i < kMaxSlabs; ++i) {
-    slabs_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  for (uint32_t i = 0; i < kMaxRelations; ++i) {
-    rel_names_[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
-
-TuplePool::~TuplePool() {
-  for (uint32_t s = 0; s < kMaxSlabs; ++s) {
-    Rec* slab = slabs_[s].load(std::memory_order_relaxed);
-    if (slab == nullptr) break;
-    delete[] slab;
-  }
-}
 
 TuplePool& TuplePool::Global() {
   static TuplePool* g = new TuplePool();
   return *g;
 }
 
+uint64_t TuplePool::NameHash::operator()(const std::string& name) const {
+  return rjoin::Fnv1a64(name);
+}
+
 uint32_t TuplePool::InternRelation(std::string_view name) {
-  const uint32_t n = rel_count_.load(std::memory_order_acquire);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (*rel_names_[i].load(std::memory_order_acquire) == name) return i;
-  }
+  const uint64_t hash = rjoin::Fnv1a64(name);
+  const auto same = [name](const std::string& e) { return e == name; };
+  const uint32_t id = relations_.Find(hash, same);
+  if (id != kNotInterned) return id;
   rjoin::stats::AllocScope scope(rjoin::stats::AllocPlane::kTuple);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const uint32_t m = rel_count_.load(std::memory_order_relaxed);
-  for (uint32_t i = n; i < m; ++i) {
-    if (*rel_names_[i].load(std::memory_order_relaxed) == name) return i;
-  }
-  RJOIN_CHECK(m < kMaxRelations);
-  rel_storage_.push_back(std::make_unique<std::string>(name));
-  rel_names_[m].store(rel_storage_.back().get(), std::memory_order_release);
-  rel_count_.store(m + 1, std::memory_order_release);
-  return m;
+  return relations_.Insert(hash, same, [name](std::string& e) {
+    e.assign(name);
+  }).first;
 }
 
 uint32_t TuplePool::Allocate() {
@@ -198,12 +102,11 @@ uint32_t TuplePool::Allocate() {
     return idx;
   }
   const uint32_t idx = allocated_++;
-  RJOIN_CHECK(idx < kMaxSlabs * kSlabSize);
-  if ((idx & (kSlabSize - 1)) == 0) {
+  RJOIN_CHECK(idx < RecordSpine::kCapacity);
+  if (RecordSpine::OpensSlab(idx)) {
     // Slab growth is capacity acquisition, not per-record traffic.
     rjoin::stats::AllocScope scope(rjoin::stats::AllocPlane::kPoolCapacity);
-    slabs_[idx >> kSlabBits].store(new Rec[kSlabSize],
-                                   std::memory_order_release);
+    records_.AddSlab(idx);
     slabs_allocated_.fetch_add(1, std::memory_order_relaxed);
   }
   Rec& r = at(idx);
@@ -252,7 +155,7 @@ TupleRef TuplePool::Make(std::string_view relation,
 TuplePool::Stats TuplePool::stats() const {
   Stats s;
   s.slabs_allocated = slabs_allocated_.load(std::memory_order_relaxed);
-  s.records_allocated = s.slabs_allocated * kSlabSize;
+  s.records_allocated = s.slabs_allocated * RecordSpine::kSlabSize;
   s.acquired = acquired_.load(std::memory_order_relaxed);
   s.recycled = recycled_.load(std::memory_order_relaxed);
   s.released = released_.load(std::memory_order_relaxed);

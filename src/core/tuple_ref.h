@@ -9,9 +9,9 @@
 #include <string_view>
 #include <vector>
 
+#include "core/dictionary.h"
 #include "sql/tuple.h"
 #include "sql/value.h"
-#include "util/logging.h"
 
 namespace rjoin::core {
 
@@ -28,20 +28,15 @@ inline constexpr ValueId kInvalidValueId = static_cast<ValueId>(-1);
 /// *is* value equality — the whole point: the rewrite hot path compares
 /// u32s instead of std::variant<int64_t, std::string>.
 ///
-/// Concurrency contract (same shape as KeyInterner):
+/// Concurrency contract (core::Dictionary's, as for KeyInterner):
 ///  * value(), size(), Find() are lock-free, safe concurrently with
-///    inserts; returned references are stable forever (slabs immortal).
+///    inserts; returned references are stable forever (entries immortal).
 ///  * Intern() takes a mutex only on first sight. All inserts happen in
 ///    the driver phase (tuple publication, query Create), which is
 ///    sequential — so ids are canonical across shard counts and vid-based
 ///    fingerprints are bit-identical at S=1/4/7 (docs/keys.md argument).
 class ValueInterner {
  public:
-  ValueInterner();
-  ~ValueInterner();
-  ValueInterner(const ValueInterner&) = delete;
-  ValueInterner& operator=(const ValueInterner&) = delete;
-
   /// Process-wide interner the engine uses by default.
   static ValueInterner& Global();
 
@@ -52,34 +47,17 @@ class ValueInterner {
   ValueId Find(const sql::Value& v) const;
 
   /// The interned value. Reference stable for the interner's lifetime.
-  const sql::Value& value(ValueId id) const {
-    RJOIN_DCHECK(id < size());
-    return slabs_[id >> kSlabBits].load(std::memory_order_acquire)
-        [id & (kSlabSize - 1)];
-  }
+  const sql::Value& value(ValueId id) const { return values_.at(id); }
 
-  uint32_t size() const { return size_.load(std::memory_order_acquire); }
+  uint32_t size() const { return values_.size(); }
 
  private:
-  struct Table {
-    explicit Table(size_t capacity);
-    const size_t mask;
-    std::unique_ptr<std::atomic<uint64_t>[]> slots;
+  struct ValueHash {
+    uint64_t operator()(const sql::Value& v) const;
   };
 
-  static constexpr uint32_t kSlabBits = 10;  // 1024 values per slab
-  static constexpr uint32_t kSlabSize = 1u << kSlabBits;
-  static constexpr uint32_t kMaxSlabs = 1u << 12;  // 4M values hard cap
-
-  ValueId FindIn(const Table& table, const sql::Value& v,
-                 uint64_t hash) const;
-  void PublishInto(Table& table, uint64_t hash, ValueId id);
-
-  std::unique_ptr<std::atomic<sql::Value*>[]> slabs_;
-  std::atomic<uint32_t> size_{0};
-  std::atomic<Table*> table_;
-  std::vector<std::unique_ptr<Table>> retired_;
-  std::mutex mutex_;
+  // 1,024-value slabs, 4M values hard cap.
+  Dictionary<sql::Value, ValueHash, 10, 1u << 12> values_{"value"};
 };
 
 class TupleRef;
@@ -130,11 +108,6 @@ class TuplePool {
     }
   };
 
-  TuplePool();
-  ~TuplePool();
-  TuplePool(const TuplePool&) = delete;
-  TuplePool& operator=(const TuplePool&) = delete;
-
   /// Process-wide pool the engine uses by default.
   static TuplePool& Global();
 
@@ -148,18 +121,12 @@ class TuplePool {
 
   /// Name of an interned relation id. Lock-free; reference stable.
   const std::string& relation_name(uint32_t rel_id) const {
-    RJOIN_DCHECK(rel_id < rel_count_.load(std::memory_order_acquire));
-    return *rel_names_[rel_id].load(std::memory_order_acquire);
+    return relations_.at(rel_id);
   }
 
-  const Rec& at(uint32_t idx) const {
-    return slabs_[idx >> kSlabBits].load(std::memory_order_acquire)
-        [idx & (kSlabSize - 1)];
-  }
-  Rec& at(uint32_t idx) {
-    return slabs_[idx >> kSlabBits].load(std::memory_order_acquire)
-        [idx & (kSlabSize - 1)];
-  }
+  /// Record `idx`. Lock-free.
+  const Rec& at(uint32_t idx) const { return records_.at(idx); }
+  Rec& at(uint32_t idx) { return records_.at(idx); }
 
   /// Pool-balance accounting (mirrors MessagePool::Stats).
   struct Stats {
@@ -174,10 +141,6 @@ class TuplePool {
 
  private:
   friend class TupleRef;
-
-  static constexpr uint32_t kSlabBits = 12;  // 4096 records per slab
-  static constexpr uint32_t kSlabSize = 1u << kSlabBits;
-  static constexpr uint32_t kMaxSlabs = 1u << 12;  // 16M records hard cap
 
   /// Pops a clean record (refs == 1) off the freelist or grows a slab.
   uint32_t Allocate();
@@ -194,19 +157,21 @@ class TuplePool {
   /// refs hit zero: push onto the any-thread remote stack.
   void ReleaseRecord(uint32_t idx);
 
-  std::unique_ptr<std::atomic<Rec*>[]> slabs_;
-  std::mutex mutex_;                  // guards allocation + dictionaries
+  struct NameHash {
+    uint64_t operator()(const std::string& name) const;
+  };
+
+  // 4,096-record slabs, 16M records hard cap.
+  using RecordSpine = SlabSpine<Rec, 12, 1u << 12>;
+  RecordSpine records_;
+  std::mutex mutex_;                  // guards allocation
   uint32_t allocated_ = 0;            // slab high-water mark
   uint32_t free_ = kNil;              // owner freelist (under mutex_)
   std::atomic<uint32_t> remote_free_{kNil};
 
-  // Relation dictionary: names are appended driver-phase under mutex_ and
-  // published through an atomic spine so workers can materialize answers
-  // lock-free.
-  static constexpr uint32_t kMaxRelations = 4096;
-  std::unique_ptr<std::atomic<const std::string*>[]> rel_names_;
-  std::vector<std::unique_ptr<std::string>> rel_storage_;
-  std::atomic<uint32_t> rel_count_{0};
+  // Relation names, interned driver-phase and read lock-free by workers
+  // materializing answers: 1,024-name slabs, 4,096 names hard cap.
+  Dictionary<std::string, NameHash, 10, 4> relations_{"relation"};
 
   std::atomic<uint64_t> slabs_allocated_{0};
   std::atomic<uint64_t> acquired_{0};

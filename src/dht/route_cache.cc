@@ -16,27 +16,21 @@ std::atomic<uint64_t> g_misses{0};
 
 }  // namespace
 
+void RouteCache::Revalidate(uint64_t generation) {
+  if (generation == generation_) return;
+  // Topology changed since the last touch: every memoized path is suspect.
+  // Drop the whole table — one churn event costs one re-walk per key,
+  // which is exactly what an uncached transport pays on every send.
+  if (!entries_.empty()) entries_.clear();
+  generation_ = generation;
+}
+
 const RouteCache::Entry* RouteCache::Lookup(core::KeyId key,
                                             uint64_t generation) {
-  if (generation != generation_) {
-    // Topology changed since the last touch: every memoized path is suspect.
-    // Drop the whole table — one churn event costs one re-walk per key,
-    // which is exactly what an uncached transport pays on every send.
-    if (size_ != 0) {
-      for (Entry& e : slots_) e.key = core::kInvalidKeyId;
-      size_ = 0;
-    }
-    generation_ = generation;
-  }
-  if (size_ != 0) {
-    const uint32_t mask = static_cast<uint32_t>(slots_.size() - 1);
-    for (uint32_t i = Slot(key, mask); slots_[i].key != core::kInvalidKeyId;
-         i = (i + 1) & mask) {
-      if (slots_[i].key == key) {
-        g_hits.fetch_add(1, std::memory_order_relaxed);
-        return &slots_[i];
-      }
-    }
+  Revalidate(generation);
+  if (const Entry* e = entries_.Find(key)) {
+    g_hits.fetch_add(1, std::memory_order_relaxed);
+    return e;
   }
   g_misses.fetch_add(1, std::memory_order_relaxed);
   return nullptr;
@@ -45,43 +39,14 @@ const RouteCache::Entry* RouteCache::Lookup(core::KeyId key,
 void RouteCache::Insert(core::KeyId key, uint64_t generation,
                         const std::vector<NodeIndex>& path) {
   RJOIN_DCHECK(key != core::kInvalidKeyId);
-  if (generation != generation_) {
-    // Same staleness rule as Lookup: a table stamped with another topology
-    // is dead weight — start empty under the new generation.
-    if (size_ != 0) {
-      for (Entry& e : slots_) e.key = core::kInvalidKeyId;
-      size_ = 0;
-    }
-    generation_ = generation;
-  }
+  Revalidate(generation);
   const size_t hops = path.size() - 1;
   if (hops == 0 || hops > kMaxCachedHops) return;
-  if (size_ >= kMaxEntries) return;
-  if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) Grow();
-  const uint32_t mask = static_cast<uint32_t>(slots_.size() - 1);
-  uint32_t i = Slot(key, mask);
-  while (slots_[i].key != core::kInvalidKeyId) {
-    if (slots_[i].key == key) return;  // Already memoized this generation.
-    i = (i + 1) & mask;
-  }
-  Entry& e = slots_[i];
-  e.key = key;
+  if (entries_.size() >= kMaxEntries) return;
+  Entry& e = entries_[key];
+  if (e.hops != 0) return;  // Already memoized this generation.
   e.hops = static_cast<uint32_t>(hops);
   for (size_t h = 0; h < hops; ++h) e.hop[h] = path[h + 1];
-  ++size_;
-}
-
-void RouteCache::Grow() {
-  const size_t next_cap = slots_.empty() ? 64 : slots_.size() * 2;
-  std::vector<Entry> old = std::move(slots_);
-  slots_.assign(next_cap, Entry{});
-  const uint32_t mask = static_cast<uint32_t>(next_cap - 1);
-  for (const Entry& e : old) {
-    if (e.key == core::kInvalidKeyId) continue;
-    uint32_t i = Slot(e.key, mask);
-    while (slots_[i].key != core::kInvalidKeyId) i = (i + 1) & mask;
-    slots_[i] = e;
-  }
 }
 
 NodeIndex SuccessorCache::Lookup(core::KeyId key, uint64_t generation) {

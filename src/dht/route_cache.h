@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/key.h"
+#include "core/key_map.h"
 #include "dht/chord_node.h"
 
 namespace rjoin::dht {
@@ -36,10 +37,10 @@ class RouteCache {
   /// pathological stale-finger walks — stay uncached and simply recompute.
   static constexpr uint32_t kMaxCachedHops = 16;
 
-  /// Hard cap on live entries, bounding worst-case memory to ~5 MB per node
-  /// even if a node sends to every key in an open-ended domain. At the cap
-  /// new routes stop memoizing (counted as misses); correctness is
-  /// unaffected.
+  /// Hard cap on live entries, bounding worst-case memory to ~9 MiB per
+  /// node (a 2^17-slot table of 72-byte entries) even if a node sends to
+  /// every key in an open-ended domain. At the cap new routes stop
+  /// memoizing (counted as misses); correctness is unaffected.
   static constexpr size_t kMaxEntries = size_t{1} << 16;
 
   struct Entry {
@@ -58,7 +59,7 @@ class RouteCache {
   void Insert(core::KeyId key, uint64_t generation,
               const std::vector<NodeIndex>& path);
 
-  size_t size() const { return size_; }
+  size_t size() const { return entries_.size(); }
 
   /// Global cache effectiveness counters (all nodes, all time).
   struct Stats {
@@ -72,17 +73,11 @@ class RouteCache {
   static Stats Aggregate();
 
  private:
-  static uint32_t Slot(core::KeyId key, uint32_t mask) {
-    // Fibonacci hash of the dense key id; table sizes are powers of two.
-    uint32_t h = key * 2654435769u;
-    h ^= h >> 16;
-    return h & mask;
-  }
+  /// Drops every entry when `generation` is not the table's stamp.
+  void Revalidate(uint64_t generation);
 
-  void Grow();
-
-  std::vector<Entry> slots_;
-  size_t size_ = 0;
+  /// Self-keyed: an Entry is its own slot (Entry::key).
+  core::KeyIdMap<Entry, Entry> entries_;
   uint64_t generation_ = 0;
 };
 

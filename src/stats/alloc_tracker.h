@@ -17,7 +17,9 @@ enum class AllocPlane : uint8_t {
   kMessage = 3,  ///< per-envelope message-plane traffic
   /// Capacity acquisition of amortized structures: pool slab growth
   /// (SlabPool, TuplePool, MessagePool), hash-table doubling (KeyIdMap,
-  /// FlatU64Set, ProjectionSet). These are O(log n) per structure by
+  /// the route caches' among them, and FlatU64Set). Dictionary inserts
+  /// are not here: key inserts charge the caller's plane, value and
+  /// relation-name inserts kTuple. These are O(log n) per structure by
   /// construction — the thing arenas amortize — and are tracked apart from
   /// the per-record planes, whose steady-state target is <= 1 alloc per
   /// tuple: a record-plane regression means a record started costing heap

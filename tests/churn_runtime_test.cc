@@ -194,7 +194,7 @@ void ExpectProjections(const core::RJoinEngine& engine, dht::NodeIndex node,
   const core::StoredQuery* sq = FindStoredQuery(engine, node, key, qid);
   ASSERT_NE(sq, nullptr) << "query " << qid << " not stored at node " << node;
   ASSERT_NE(sq->projections, kNil);
-  const core::ProjectionSet& seen =
+  const core::FlatU64Set& seen =
       engine.state_of(node).projection_pool.at(sq->projections).value;
   EXPECT_EQ(seen.size(), expected.size()) << "at node " << node;
   for (uint64_t fp : expected) {

@@ -1,15 +1,18 @@
 // Tests of the interned key-id plane: KeyInterner identity/lookup
-// semantics, concurrent intern/lookup (run under TSan in CI), the
-// KeyIdMap flat container, ProjectionSet fingerprint semantics (including
-// the deliberate collision behavior), node-state slab pooling, and
-// id-stability plus bit-identical answers across shard counts.
+// semantics, concurrent intern/lookup (run under TSan in CI) of the key,
+// value and relation-name dictionaries, the KeyIdMap flat container, the
+// FlatU64Set (DISTINCT fingerprint semantics, including the deliberate
+// collision behavior, and erase against a reference set), node-state slab
+// pooling, and id-stability plus bit-identical answers across shard counts.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/engine.h"
@@ -197,6 +200,126 @@ TEST(KeyInternerTest, ChurnInterleavedInternAndLookupStress) {
             static_cast<uint32_t>(kSteadyKeys + kChurnWaves * kKeysPerWave));
 }
 
+// ------------------------------------------ value and relation dictionaries --
+
+// Several threads intern the same n entries in one shared order, pairs of
+// them from the same offset (so first sights race), while reader threads
+// look up and read back every entry an interner has published. `intern(i)`
+// returns entry i's id, `find(i)` its id without inserting (entry i must be
+// interned), and `matches(id, i)` reads entry `id` back against entry i.
+// Asserts one id per entry, dense in [0, n). Run under TSan in CI.
+template <typename Intern, typename Find, typename Matches>
+void InternConcurrently(int n, const Intern& intern, const Find& find,
+                        const Matches& matches) {
+  constexpr int kInterners = 4;
+  constexpr int kReaders = 2;
+  std::vector<std::vector<uint32_t>> ids(kInterners,
+                                         std::vector<uint32_t>(n));
+  std::unique_ptr<std::atomic<uint32_t>[]> published(
+      new std::atomic<uint32_t>[n]);
+  for (int i = 0; i < n; ++i) published[i].store(kNotInterned);
+  std::atomic<int> interning{kInterners};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kInterners; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < n; ++k) {
+        const int i = (k + t / 2 * n / 2) % n;
+        const uint32_t id = intern(i);
+        ids[t][i] = id;
+        EXPECT_EQ(find(i), id);
+        EXPECT_TRUE(matches(id, i)) << i;
+        published[i].store(id, std::memory_order_release);
+      }
+      interning.fetch_sub(1);
+    });
+  }
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&] {
+      // At least one full pass, however the threads are scheduled.
+      do {
+        for (int i = 0; i < n; ++i) {
+          const uint32_t id = published[i].load(std::memory_order_acquire);
+          if (id == kNotInterned) continue;
+          EXPECT_EQ(find(i), id);
+          EXPECT_TRUE(matches(id, i)) << i;
+        }
+      } while (interning.load() > 0);
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::vector<bool> taken(n, false);
+  for (int i = 0; i < n; ++i) {
+    for (int t = 1; t < kInterners; ++t) EXPECT_EQ(ids[t][i], ids[0][i]);
+    ASSERT_LT(ids[0][i], static_cast<uint32_t>(n));
+    EXPECT_FALSE(taken[ids[0][i]]) << "two entries share id " << ids[0][i];
+    taken[ids[0][i]] = true;
+  }
+}
+
+/// Entry i of the value tests: ints (negative ones too) and strings, with
+/// the int 12 and the string "12" both present.
+sql::Value TestValue(int i) {
+  return i % 2 == 0 ? sql::Value::Int(i / 2 - 700)
+                    : sql::Value::Str(std::to_string(i / 2));
+}
+
+TEST(DictionaryTest, ValuesInternConcurrentlyToOneDenseIdEach) {
+  ValueInterner values;
+  constexpr int kValues = 3000;  // spans several index doublings
+  InternConcurrently(
+      kValues, [&](int i) { return values.Intern(TestValue(i)); },
+      [&](int i) { return values.Find(TestValue(i)); },
+      [&](ValueId id, int i) { return values.value(id) == TestValue(i); });
+  EXPECT_EQ(values.size(), static_cast<uint32_t>(kValues));
+  EXPECT_NE(values.Find(sql::Value::Int(12)),
+            values.Find(sql::Value::Str("12")));
+  EXPECT_EQ(values.Find(sql::Value::Int(100000)), kInvalidValueId);
+}
+
+TEST(DictionaryTest, RelationNamesInternConcurrentlyToOneDenseIdEach) {
+  TuplePool pool;
+  constexpr int kNames = 1000;  // spans one index doubling
+  auto name = [](int i) { return "Rel" + std::to_string(i); };
+  // A repeated InternRelation is the lock-free lookup.
+  auto intern = [&](int i) { return pool.InternRelation(name(i)); };
+  InternConcurrently(kNames, intern, intern, [&](uint32_t id, int i) {
+    return pool.relation_name(id) == name(i);
+  });
+}
+
+// Entries are never evicted, so a full dictionary is a fatal error that
+// names the dictionary; the relation names' cap (4,096) is the one a test
+// can reach.
+TEST(DictionaryDeathTest, AFullDictionaryNamesItself) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  TuplePool pool;
+  for (int i = 0; i < 4096; ++i) pool.InternRelation("R" + std::to_string(i));
+  EXPECT_EQ(pool.relation_name(4095), "R4095");
+  EXPECT_DEATH(pool.InternRelation("one more"), "relation dictionary full");
+}
+
+TEST(DictionaryTest, OneThreadAssignsIdsInFirstInternOrder) {
+  ValueInterner values;
+  EXPECT_EQ(values.Intern(sql::Value::Int(10)), 0u);
+  EXPECT_EQ(values.Intern(sql::Value::Str("a")), 1u);
+  EXPECT_EQ(values.Intern(sql::Value::Int(10)), 0u);
+  EXPECT_EQ(values.Intern(sql::Value::Int(-3)), 2u);
+  EXPECT_EQ(values.size(), 3u);
+
+  TuplePool pool;
+  EXPECT_EQ(pool.InternRelation("S"), 0u);
+  EXPECT_EQ(pool.InternRelation("R"), 1u);
+  EXPECT_EQ(pool.InternRelation("S"), 0u);
+  EXPECT_EQ(pool.InternRelation("T"), 2u);
+  EXPECT_EQ(pool.relation_name(1), "R");
+
+  KeyInterner keys;
+  EXPECT_EQ(keys.Intern("k", Level::kValue), 0u);
+  EXPECT_EQ(keys.Intern("k", Level::kAttribute), 1u);
+  EXPECT_EQ(keys.InternAttribute("R", "A"), 2u);
+  EXPECT_EQ(keys.Intern("k", Level::kValue), 0u);
+}
+
 // ------------------------------------------------- handoff emission order --
 
 TEST(HandoffOrderTest, KeysInRangeSortedIgnoresMapInsertionOrder) {
@@ -292,10 +415,10 @@ TEST(KeyIdMapTest, InsertFindGrow) {
   EXPECT_EQ(*m.Find(3), 9u);
 }
 
-// ---------------------------------------------------------- ProjectionSet --
+// ------------------------------------------ FlatU64Set as projection memory --
 
 TEST(ProjectionSetTest, DeduplicatesAndGrowsPastInline) {
-  ProjectionSet set;
+  FlatU64Set set;
   for (uint64_t i = 1; i <= 100; ++i) {
     EXPECT_TRUE(set.Insert(i * 0x9e3779b9u)) << i;
   }
@@ -307,7 +430,7 @@ TEST(ProjectionSetTest, DeduplicatesAndGrowsPastInline) {
 }
 
 TEST(ProjectionSetTest, ZeroFingerprintIsValid) {
-  ProjectionSet set;
+  FlatU64Set set;
   EXPECT_TRUE(set.Insert(0));
   EXPECT_FALSE(set.Insert(0));
   EXPECT_EQ(set.size(), 1u);
@@ -319,7 +442,7 @@ TEST(ProjectionSetTest, ZeroFingerprintIsValid) {
 // engine's DISTINCT rule accepts this ~n^2/2^64 false-suppression rate in
 // exchange for never storing projection strings.)
 TEST(ProjectionSetTest, CollidingFingerprintsAreSuppressed) {
-  ProjectionSet set;
+  FlatU64Set set;
   const uint64_t fp = 0xdeadbeefcafef00dull;
   EXPECT_TRUE(set.Insert(fp));   // projection A
   EXPECT_FALSE(set.Insert(fp));  // different projection B, same fingerprint
@@ -329,6 +452,67 @@ TEST(ProjectionSetTest, CollidingFingerprintsAreSuppressed) {
   // and one hashing to the alias constant collide.
   EXPECT_TRUE(set.Insert(0));
   EXPECT_FALSE(set.Insert(0x9e3779b97f4a7c15ull));
+}
+
+// -------------------------------------------------------------- FlatU64Set --
+
+// Differential test of insert, erase and lookup against std::unordered_set,
+// with the zero alias applied to the reference too. Each round starts from
+// an empty set over a universe of random values plus
+//  * values homed in the last slots of every table up to 4096 slots (their
+//    probe chains wrap past the last slot, so erase shifts across the wrap)
+//    and values homed in the first slots (where the wrapped chains land);
+//  * 0 next to its alias.
+// Small universes stay inline and erase there; large ones spill and double
+// the table several times.
+TEST(FlatU64SetTest, MatchesAReferenceSetUnderInsertEraseAndLookup) {
+  constexpr uint64_t kZeroAlias = 0x9e3779b97f4a7c15ull;
+  auto canon = [&](uint64_t v) { return v == 0 ? kZeroAlias : v; };
+  std::mt19937_64 rng(20240611);
+  for (size_t universe_size : {2, 3, 4, 5, 24, 200, 1500}) {
+    std::vector<uint64_t> universe{0, kZeroAlias};
+    while (universe.size() < universe_size) {
+      const uint64_t high = rng() << 12;
+      switch (universe.size() % 3) {
+        case 0: universe.push_back(high | (0xfff - rng() % 3)); break;
+        case 1: universe.push_back(high | (rng() % 3)); break;
+        default: universe.push_back(rng()); break;
+      }
+    }
+    universe.resize(universe_size);
+    FlatU64Set set;
+    std::unordered_set<uint64_t> reference;
+    for (int op = 0; op < 40000; ++op) {
+      const uint64_t v = universe[rng() % universe.size()];
+      const uint64_t c = canon(v);
+      // Insert-heavy first, so the set fills up, then erase-heavy.
+      const uint64_t roll = rng() % 10;
+      if (roll < (op < 20000 ? 5u : 2u)) {
+        ASSERT_EQ(set.Insert(v), reference.insert(c).second) << op;
+      } else if (roll < 7) {
+        ASSERT_EQ(set.Erase(v), reference.erase(c) == 1) << op;
+      } else {
+        ASSERT_EQ(set.Contains(v), reference.count(c) == 1) << op;
+      }
+      ASSERT_EQ(set.size(), reference.size()) << op;
+    }
+    for (uint64_t v : universe) {
+      EXPECT_EQ(set.Contains(v), reference.count(canon(v)) == 1);
+    }
+  }
+}
+
+TEST(FlatU64SetTest, ZeroAndItsAliasAreOneValueInlineAndInTheTable) {
+  for (int spilled = 0; spilled < 2; ++spilled) {
+    FlatU64Set set;
+    for (uint64_t v = 1; v <= (spilled ? 40u : 1u); ++v) set.Insert(v << 20);
+    EXPECT_TRUE(set.Insert(0));
+    EXPECT_TRUE(set.Contains(0x9e3779b97f4a7c15ull));
+    EXPECT_FALSE(set.Insert(0x9e3779b97f4a7c15ull));
+    EXPECT_TRUE(set.Erase(0x9e3779b97f4a7c15ull));
+    EXPECT_FALSE(set.Contains(0));
+    EXPECT_FALSE(set.Erase(0));
+  }
 }
 
 // ---------------------------------------------------------------- SlabPool --
