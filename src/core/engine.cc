@@ -213,22 +213,7 @@ uint64_t RJoinEngine::ReadRate(dht::NodeIndex cand, KeyId key,
 
 StatusOr<uint64_t> RJoinEngine::SubmitQuery(dht::NodeIndex owner,
                                             sql::Query spec) {
-  auto compiled = InputQuery::Create(next_query_id_, owner, Now(),
-                                     std::move(spec), catalog_);
-  if (!compiled.ok()) return compiled.status();
-  const uint64_t id = next_query_id_++;
-  queries_.emplace(id, *compiled);
-
-  const sql::WindowSpec& w = (*compiled)->spec().window;
-  if (w.use_windows) {
-    ++num_windowed_queries_;
-    max_window_span_ = std::max(max_window_span_, w.size);
-  } else {
-    ++num_unwindowed_queries_;
-  }
-
-  IndexResidual(owner, Residual(compiled->get()));
-  return id;
+  return Submit(owner, spec, /*one_time=*/false);
 }
 
 StatusOr<uint64_t> RJoinEngine::SubmitOneTimeQuery(dht::NodeIndex owner,
@@ -237,13 +222,35 @@ StatusOr<uint64_t> RJoinEngine::SubmitOneTimeQuery(dht::NodeIndex owner,
     return Status::InvalidArgument(
         "one-time queries take a snapshot; window clauses do not apply");
   }
-  auto compiled = InputQuery::Create(next_query_id_, owner, Now(),
-                                     std::move(spec), catalog_,
-                                     /*one_time=*/true);
+  return Submit(owner, spec, /*one_time=*/true);
+}
+
+StatusOr<uint64_t> RJoinEngine::Submit(dht::NodeIndex owner,
+                                       const sql::Query& spec,
+                                       bool one_time) {
+  auto compiled = InputQuery::Create(next_query_id_, owner, Now(), spec,
+                                     catalog_, one_time);
   if (!compiled.ok()) return compiled.status();
+  RJOIN_CHECK(next_query_id_ <= QueryTable::kCapacity) << "query table full";
   const uint64_t id = next_query_id_++;
-  queries_.emplace(id, *compiled);
-  IndexResidual(owner, Residual(compiled->get()));
+  const uint32_t slot = static_cast<uint32_t>(id - 1);
+  if (QueryTable::OpensSlab(slot)) {
+    stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
+    queries_.AddSlab(slot);
+  }
+  InputQuery& q = queries_.at(slot);
+  q = *compiled;
+
+  if (!one_time) {
+    const sql::WindowSpec& w = q.window();
+    if (w.use_windows) {
+      ++num_windowed_queries_;
+      max_window_span_ = std::max(max_window_span_, w.size);
+    } else {
+      ++num_unwindowed_queries_;
+    }
+  }
+  IndexResidual(owner, Residual(&q));
   return id;
 }
 
@@ -286,19 +293,22 @@ StatusOr<TupleRef> RJoinEngine::PublishTuple(
       config_.attr_replication > 1
           ? static_cast<uint32_t>(t->seq_no % config_.attr_replication)
           : 0;
+  // Keys resolve from the record's relation id and column value ids.
+  const uint32_t rel = t->relation;
+  const ValueId* cols = t.rec().columns();
   for (size_t i = 0; i < schema->arity(); ++i) {
+    const int attr = static_cast<int>(i);
     TuplePublish attr_msg;
     attr_msg.tuple = t;
     attr_msg.key = interner_->WithShard(
-        interner_->InternAttribute(relation, schema->attributes()[i]), shard);
+        interner_->ResolveAttribute(*catalog_, rel, attr), shard);
     attr_msg.publisher = publisher;
     const KeyId attr_key = attr_msg.key;
     batch.emplace_back(attr_key, MessageTask(std::move(attr_msg)));
 
     TuplePublish value_msg;
     value_msg.tuple = t;
-    value_msg.key = interner_->InternValue(relation, schema->attributes()[i],
-                                           values[i]);
+    value_msg.key = interner_->ResolveValue(*catalog_, rel, attr, cols[i]);
     value_msg.publisher = publisher;
     const KeyId value_key = value_msg.key;
     batch.emplace_back(value_key, MessageTask(std::move(value_msg)));
@@ -684,7 +694,7 @@ void RJoinEngine::RecordPromotionTicks(uint64_t ticks) {
 
 bool RJoinEngine::IsExpired(const Residual& r) const {
   if (r.IsInputQuery()) return false;  // Continuous queries never expire.
-  const sql::WindowSpec& w = r.origin()->spec().window;
+  const sql::WindowSpec& w = r.origin()->window();
   if (!w.use_windows || w.size == 0) return false;
   const uint64_t next_pos = w.unit == sql::WindowSpec::Unit::kTime
                                 ? Now()
@@ -720,7 +730,7 @@ void RJoinEngine::DropStoredQuery(dht::NodeIndex self, KeyId key,
                                   uint32_t idx) {
   NodeState& st = state(self);
   StoredQuery& sq = st.query_pool.at(idx).value;
-  if (sq.residual.origin()->spec().distinct) {
+  if (sq.residual.origin()->distinct()) {
     st.distinct_fingerprints.Erase(StoredFingerprint(key, sq.residual));
     st.projection_pool.Free(sq.projections);
   }
@@ -799,10 +809,12 @@ void RJoinEngine::ProbeTupleSpans(dht::NodeIndex self, KeyId key,
   };
   static thread_local std::vector<Pred> preds;
   preds.clear();
-  for (const auto& sel : q.selections()) {
+  for (int i = 0; i < q.num_selections(); ++i) {
+    const InputQuery::Selection sel = q.selection(i);
     if (sel.rel == rel) preds.push_back(Pred{sel.attr, sel.value_id});
   }
-  for (const auto& j : q.joins()) {
+  for (int i = 0; i < q.num_joins(); ++i) {
+    const InputQuery::Join j = q.join(i);
     if (j.left_rel == rel && r.IsBound(j.right_rel)) {
       preds.push_back(Pred{j.left_attr,
                            r.BoundValueId(j.right_rel, j.right_attr)});
@@ -844,7 +856,7 @@ void RJoinEngine::ProbeTupleSpans(dht::NodeIndex self, KeyId key,
   // Phase 2: DISTINCT rule + bind + forward for the matches. Sends are
   // async (never re-entering this node's state), so the spans stay stable.
   FlatU64Set* seen =
-      q.spec().distinct && interner_->level(key) == Level::kValue
+      q.distinct() && interner_->level(key) == Level::kValue
           ? &state(self).ProjectionsOf(sq)
           : nullptr;
   for (const TupleRef* match : matches) {
@@ -875,8 +887,7 @@ void RJoinEngine::TryTrigger(dht::NodeIndex self, StoredQuery& sq,
   // if its projection over the referenced attributes is new. Projections
   // are 64-bit fingerprints over interned value ids (see FlatU64Set) —
   // no rendering, no allocation per trigger.
-  if (r.origin()->spec().distinct &&
-      interner_->level(key) == Level::kValue) {
+  if (r.origin()->distinct() && interner_->level(key) == Level::kValue) {
     if (!state(self).ProjectionsOf(sq).Insert(
             ProjectionFingerprint(*r.origin(), rel, t))) {
       return;
@@ -976,7 +987,7 @@ void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
   for (const RicEntry& e : piggyback) st.ct.Merge(e);
 
   // DISTINCT set semantics: identical rewritten queries are handled once.
-  const bool distinct = residual.origin()->spec().distinct;
+  const bool distinct = residual.origin()->distinct();
   uint64_t fp = 0;
   if (distinct) {
     fp = StoredFingerprint(key, residual);
@@ -1042,8 +1053,8 @@ void RJoinEngine::AppendAnswer(const AnswerDeliver& msg,
                                uint64_t delivered_at) {
   // Owner-side duplicate suppression for DISTINCT queries is a local
   // computation at the querying node, no network cost.
-  auto it = queries_.find(msg.query_id);
-  const bool distinct = it != queries_.end() && it->second->spec().distinct;
+  const InputQuery* q = FindQuery(msg.query_id);
+  const bool distinct = q != nullptr && q->distinct();
   if (answers_.Append(msg.query_id, msg.row, msg.row_len, delivered_at,
                       distinct)) {
     Metrics().AddAnswer();
@@ -1331,9 +1342,9 @@ std::vector<dht::KeyLoad> RJoinEngine::KeyLoadProfile() const {
   return out;
 }
 
-InputQueryPtr RJoinEngine::FindQuery(uint64_t query_id) const {
-  auto it = queries_.find(query_id);
-  return it == queries_.end() ? nullptr : it->second;
+const InputQuery* RJoinEngine::FindQuery(uint64_t query_id) const {
+  if (query_id == 0 || query_id >= next_query_id_) return nullptr;
+  return &queries_.at(static_cast<uint32_t>(query_id - 1));
 }
 
 void RJoinEngine::RecordKeyLoad(KeyId key) {

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/answer_log.h"
@@ -329,8 +328,9 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// weights — the input of the id-movement balancer (Fig. 9).
   std::vector<dht::KeyLoad> KeyLoadProfile() const;
 
-  /// The input query object (for tests).
-  InputQueryPtr FindQuery(uint64_t query_id) const;
+  /// The compiled query with id `query_id`, or nullptr for an unknown id.
+  /// The record stays in place for the engine's lifetime.
+  const InputQuery* FindQuery(uint64_t query_id) const;
 
   /// Read-only node-state access (pool-balance assertions, handoff
   /// inspection in tests); node-local mutation stays engine-internal.
@@ -360,6 +360,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// the frozen per-epoch snapshot (S-invariant and race-free); the driver
   /// and the serial path read the live tracker.
   uint64_t ReadRate(dht::NodeIndex cand, KeyId key, uint64_t now);
+
+  /// Shared body of SubmitQuery and SubmitOneTimeQuery: compiles `spec`,
+  /// stores the record under the next query id and indexes it.
+  StatusOr<uint64_t> Submit(dht::NodeIndex owner, const sql::Query& spec,
+                            bool one_time);
 
   /// Decides where to index `residual` (planner policies of Section 6,
   /// RIC gathering and candidate-table reuse of Section 7) and ships it.
@@ -605,7 +610,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   std::vector<uint64_t> planner_seq_;
 
   std::vector<std::unique_ptr<NodeState>> states_;
-  std::unordered_map<uint64_t, InputQueryPtr> queries_;
+  /// Compiled queries, query id q at index q - 1 (ids are dense from 1).
+  /// Slabs never move, so residuals hold plain pointers to their origin.
+  using QueryTable = SlabSpine<InputQuery, 9, 1u << 13>;
+  QueryTable queries_;
   AnswerLog answers_;
 
   std::vector<sql::TuplePtr> history_;

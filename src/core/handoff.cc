@@ -133,7 +133,7 @@ void RJoinEngine::InstallQuery(dht::NodeIndex self, KeyId key,
                                Residual&& residual, FlatU64Set&& seen) {
   NodeState& st = state(self);
   Metrics().AddQpl(self);
-  const bool distinct = residual.origin()->spec().distinct;
+  const bool distinct = residual.origin()->distinct();
   uint64_t fp = 0;
   StoredQuery sq{std::move(residual)};
   if (distinct) {

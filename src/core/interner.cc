@@ -1,8 +1,12 @@
 #include "core/interner.h"
 
 #include <tuple>
+#include <utility>
 
+#include "sql/schema.h"
+#include "stats/alloc_tracker.h"
 #include "util/hash.h"
+#include "util/logging.h"
 
 namespace rjoin::core {
 
@@ -31,6 +35,37 @@ std::string& KeyBuffer() {
   static thread_local std::string buf;
   buf.clear();
   return buf;
+}
+
+/// The id-form identity of a key, packed into a u64: a 2-bit kind, a
+/// 30-bit high part and a 32-bit low part. Attribute- and value-level keys
+/// put (relation id, attribute index) high and the value id (0 for the
+/// attribute level) low; a sharded copy puts its shard high and the base
+/// key's id low.
+enum class CodeKind : uint64_t { kAttribute = 0, kValue = 1, kShard = 2 };
+
+uint64_t KeyCode(CodeKind kind, uint64_t high, uint32_t low) {
+  RJOIN_DCHECK(high < uint64_t{1} << 30);
+  return static_cast<uint64_t>(kind) << 62 | high << 32 | low;
+}
+
+uint64_t ColumnCode(CodeKind kind, uint32_t rel, int attr, ValueId value) {
+  RJOIN_DCHECK(attr >= 0 && attr < (1 << 16));
+  return KeyCode(kind, uint64_t{rel} << 16 | static_cast<uint64_t>(attr),
+                 value);
+}
+static_assert(TuplePool::kMaxRelations <= 1u << 14);
+
+/// Relation and attribute names of attribute index `attr` of the relation
+/// with TuplePool id `rel` (immortal, or owned by the catalog).
+std::pair<std::string_view, std::string_view> ColumnNames(
+    const sql::Catalog& catalog, uint32_t rel, int attr) {
+  const std::string& relation = TuplePool::Global().relation_name(rel);
+  const sql::Schema* schema = catalog.Find(relation);
+  RJOIN_CHECK(schema != nullptr && attr >= 0 &&
+              static_cast<size_t>(attr) < schema->arity())
+      << "no attribute " << attr << " in relation " << relation;
+  return {relation, schema->attributes()[static_cast<size_t>(attr)]};
 }
 
 }  // namespace
@@ -71,8 +106,50 @@ KeyId KeyInterner::Intern(std::string_view text, Level level) {
   return id;
 }
 
+uint64_t KeyInterner::CodeHash::operator()(const CodeEntry& e) const {
+  return rjoin::SplitMix64(e.code);
+}
+
+template <typename Miss>
+KeyId KeyInterner::Resolve(uint64_t code, const Miss& miss) {
+  const uint64_t hash = rjoin::SplitMix64(code);
+  const auto same = [code](const CodeEntry& e) { return e.code == code; };
+  const uint32_t found = codes_.Find(hash, same);
+  if (found != kNotInterned) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return codes_.at(found).key;
+  }
+  // First sight of the code: the text form builds and interns the key (a
+  // hit when the text form or an aliasing code got there first), so both
+  // forms name one text by construction.
+  const KeyId key = miss();
+  rjoin::stats::AllocScope scope(rjoin::stats::AllocPlane::kPoolCapacity);
+  codes_.Insert(hash, same, [code, key](CodeEntry& e) {
+    e.code = code;
+    e.key = key;
+  });
+  return key;
+}
+
+KeyId KeyInterner::ResolveAttribute(const sql::Catalog& catalog, uint32_t rel,
+                                    int attr) {
+  return Resolve(ColumnCode(CodeKind::kAttribute, rel, attr, 0), [&] {
+    const auto [relation, name] = ColumnNames(catalog, rel, attr);
+    return InternAttribute(relation, name);
+  });
+}
+
+KeyId KeyInterner::ResolveValue(const sql::Catalog& catalog, uint32_t rel,
+                                int attr, ValueId value) {
+  return Resolve(ColumnCode(CodeKind::kValue, rel, attr, value), [&] {
+    const auto [relation, name] = ColumnNames(catalog, rel, attr);
+    return InternValue(relation, name, ValueInterner::Global().value(value));
+  });
+}
+
 KeyId KeyInterner::InternAttribute(std::string_view relation,
                                    std::string_view attr) {
+  text_builds_.fetch_add(1, std::memory_order_relaxed);
   std::string& buf = KeyBuffer();
   buf.append(relation);
   buf += kKeySep;
@@ -83,6 +160,7 @@ KeyId KeyInterner::InternAttribute(std::string_view relation,
 KeyId KeyInterner::InternValue(std::string_view relation,
                                std::string_view attr,
                                const sql::Value& value) {
+  text_builds_.fetch_add(1, std::memory_order_relaxed);
   std::string& buf = KeyBuffer();
   buf.append(relation);
   buf += kKeySep;
@@ -94,13 +172,16 @@ KeyId KeyInterner::InternValue(std::string_view relation,
 
 KeyId KeyInterner::WithShard(KeyId attr_key, uint32_t shard) {
   if (shard == 0) return attr_key;
-  const Entry& base = keys_.at(attr_key);
-  std::string& buf = KeyBuffer();
-  buf.append(base.text);
-  buf += kKeySep;
-  buf += '#';
-  buf += std::to_string(shard);
-  return Intern(buf, base.level);
+  return Resolve(KeyCode(CodeKind::kShard, shard, attr_key), [&] {
+    text_builds_.fetch_add(1, std::memory_order_relaxed);
+    const Entry& base = keys_.at(attr_key);
+    std::string& buf = KeyBuffer();
+    buf.append(base.text);
+    buf += kKeySep;
+    buf += '#';
+    buf += std::to_string(shard);
+    return Intern(buf, base.level);
+  });
 }
 
 KeyInterner::Stats KeyInterner::stats() const {
@@ -108,6 +189,7 @@ KeyInterner::Stats KeyInterner::stats() const {
   s.entries = keys_.size();
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
+  s.text_builds = text_builds_.load(std::memory_order_relaxed);
   return s;
 }
 

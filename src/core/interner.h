@@ -8,8 +8,13 @@
 
 #include "core/dictionary.h"
 #include "core/key.h"
+#include "core/tuple_ref.h"
 #include "dht/id.h"
 #include "sql/value.h"
+
+namespace rjoin::sql {
+class Catalog;
+}  // namespace rjoin::sql
 
 namespace rjoin::core {
 
@@ -37,6 +42,12 @@ namespace rjoin::core {
 /// docs/keys.md for the full argument). Within one process, text -> id is
 /// a fixed bijection (keyed by (text, level)), so an S=1 run and an S=4
 /// run of the same workload resolve identical keys to identical ids.
+///
+/// The hot path names keys by ids instead of text: (relation id, attribute
+/// index, level, value id) packs into a u64 code, and a second Dictionary
+/// maps codes to KeyIds. A code's first sight builds the text and interns
+/// it as above, so KeyIds, their first-sight order and ring positions are
+/// those of the text form (docs/keys.md).
 class KeyInterner {
  public:
   /// Process-wide interner the engine/transport stack uses by default.
@@ -53,15 +64,29 @@ class KeyInterner {
   KeyId Intern(const IndexKey& key) { return Intern(key.text, key.level); }
 
   /// Attribute-level key Hash(R + A), built into a reusable thread-local
-  /// buffer (no allocation on the hit path).
+  /// buffer (no allocation on the hit path). The text form, for callers
+  /// that hold names and raw values (stream-history setup, tests).
   KeyId InternAttribute(std::string_view relation, std::string_view attr);
 
-  /// Value-level key Hash(R + A + v).
+  /// Value-level key Hash(R + A + v), text form.
   KeyId InternValue(std::string_view relation, std::string_view attr,
                     const sql::Value& value);
 
+  /// The id form of InternAttribute: the attribute-level key of attribute
+  /// index `attr` of the relation with TuplePool id `rel`. The ids map to
+  /// the key through a code dictionary; only a code's first sight looks up
+  /// the relation's name and `catalog`'s attribute name and calls the text
+  /// form with them. So both forms return the same KeyId.
+  KeyId ResolveAttribute(const sql::Catalog& catalog, uint32_t rel, int attr);
+
+  /// The id form of InternValue, for interned value `value`. Int 42 and
+  /// string "42" have distinct ValueIds but one key text, so both codes
+  /// resolve to one KeyId, as in the text form.
+  KeyId ResolveValue(const sql::Catalog& catalog, uint32_t rel, int attr,
+                     ValueId value);
+
   /// Re-shards an attribute-level key ([18]'s replication scheme); shard 0
-  /// is the plain key.
+  /// is the plain key. Resolved from (attr_key, shard) like the id forms.
   KeyId WithShard(KeyId attr_key, uint32_t shard);
 
   /// Id of (text, level) if already interned, else kInvalidKeyId.
@@ -85,13 +110,16 @@ class KeyInterner {
   /// Number of interned keys.
   uint32_t size() const { return keys_.size(); }
 
-  /// Intern-traffic counters. hits = Intern() calls resolved without
-  /// inserting (the steady state, and racing first-sight calls that lost
-  /// the lock); misses = inserts, so misses == entries.
+  /// Intern-traffic counters, one hit or miss per key resolution (text or
+  /// id form). hits = resolutions that inserted no key (the steady state,
+  /// and racing first-sight calls that lost the lock); misses = key
+  /// inserts, so misses == entries. text_builds counts key texts built:
+  /// every text-form call, and each code's first sight in the id forms.
   struct Stats {
     uint64_t entries = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
+    uint64_t text_builds = 0;
   };
   Stats stats() const;
 
@@ -104,11 +132,27 @@ class KeyInterner {
   struct EntryHash {
     uint64_t operator()(const Entry& e) const;
   };
+  /// One id-form identity (see KeyCode in interner.cc) and its key.
+  struct CodeEntry {
+    uint64_t code = 0;
+    KeyId key = kInvalidKeyId;
+  };
+  struct CodeHash {
+    uint64_t operator()(const CodeEntry& e) const;
+  };
+
+  /// Id-form lookup: the key of `code`, or on its first sight the key
+  /// `miss()` interns through a text form, remembered for the code.
+  template <typename Miss>
+  KeyId Resolve(uint64_t code, const Miss& miss);
 
   // 1,024-entry slabs, 4M keys hard cap.
   Dictionary<Entry, EntryHash, 10, 1u << 12> keys_{"key"};
+  // Codes outnumber keys only by int/string aliases of one value text.
+  Dictionary<CodeEntry, CodeHash, 10, 1u << 13> codes_{"key code"};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> text_builds_{0};
 };
 
 }  // namespace rjoin::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace rjoin::core {
 
 const char* PlannerPolicyName(PlannerPolicy policy) {
@@ -39,56 +37,54 @@ std::vector<KeyId> IndexingCandidates(const Residual& residual,
 void IndexingCandidates(const Residual& residual, RewriteIndexLevels levels,
                         KeyInterner& interner, std::vector<KeyId>* out_ptr) {
   const InputQuery& q = *residual.origin();
-  const sql::Query& spec = q.spec();
+  // Keys resolve from ids; the interner reads names only on a key's first
+  // sight.
+  auto attribute_key = [&](int rel, int attr) {
+    return interner.ResolveAttribute(q.catalog(), q.rel_id(rel), attr);
+  };
+  auto value_key = [&](int rel, int attr, ValueId value) {
+    return interner.ResolveValue(q.catalog(), q.rel_id(rel), attr, value);
+  };
   std::vector<KeyId>& out = *out_ptr;
   out.clear();
 
   if (residual.IsInputQuery()) {
     // Input queries: attribute-level keys from WHERE-clause expressions, in
     // clause order (join sides first, then selections).
-    for (const auto& j : spec.joins) {
-      PushUnique(out,
-                 interner.InternAttribute(j.left.relation, j.left.attribute));
-      PushUnique(
-          out, interner.InternAttribute(j.right.relation, j.right.attribute));
+    for (int i = 0; i < q.num_joins(); ++i) {
+      const InputQuery::Join j = q.join(i);
+      PushUnique(out, attribute_key(j.left_rel, j.left_attr));
+      PushUnique(out, attribute_key(j.right_rel, j.right_attr));
     }
-    for (const auto& s : spec.selections) {
-      PushUnique(out,
-                 interner.InternAttribute(s.attr.relation, s.attr.attribute));
+    for (int i = 0; i < q.num_selections(); ++i) {
+      const InputQuery::Selection s = q.selection(i);
+      PushUnique(out, attribute_key(s.rel, s.attr));
     }
     if (out.empty() && q.num_relations() == 1) {
       // Single-relation query with no predicates: fall back to the first
       // attribute of the relation so every tuple of it reaches the query.
-      const sql::Schema& schema = q.schema(0);
-      RJOIN_CHECK(schema.arity() > 0);
-      out.push_back(interner.InternAttribute(q.relation_name(0),
-                                             schema.attributes()[0]));
+      out.push_back(attribute_key(0, 0));
     }
     return;
   }
 
   // Rewritten queries — value-level candidates first.
   // (c) implied triples: join predicates with exactly one side bound.
-  for (size_t i = 0; i < q.joins().size(); ++i) {
-    const auto& rj = q.joins()[i];
-    const sql::JoinPredicate& orig = spec.joins[i];
-    const sql::Value* l = residual.BoundValue(rj.left_rel, rj.left_attr);
-    const sql::Value* r = residual.BoundValue(rj.right_rel, rj.right_attr);
-    if (l != nullptr && r == nullptr) {
-      PushUnique(out, interner.InternValue(orig.right.relation,
-                                           orig.right.attribute, *l));
-    } else if (l == nullptr && r != nullptr) {
-      PushUnique(out, interner.InternValue(orig.left.relation,
-                                           orig.left.attribute, *r));
+  for (int i = 0; i < q.num_joins(); ++i) {
+    const InputQuery::Join j = q.join(i);
+    const ValueId l = residual.BoundValueId(j.left_rel, j.left_attr);
+    const ValueId r = residual.BoundValueId(j.right_rel, j.right_attr);
+    if (l != kInvalidValueId && r == kInvalidValueId) {
+      PushUnique(out, value_key(j.right_rel, j.right_attr, l));
+    } else if (l == kInvalidValueId && r != kInvalidValueId) {
+      PushUnique(out, value_key(j.left_rel, j.left_attr, r));
     }
   }
   // (b) explicit selection triples on unbound relations.
-  for (size_t i = 0; i < q.selections().size(); ++i) {
-    const auto& rs = q.selections()[i];
-    if (residual.IsBound(rs.rel)) continue;
-    const sql::SelectionPredicate& orig = spec.selections[i];
-    PushUnique(out, interner.InternValue(orig.attr.relation,
-                                         orig.attr.attribute, orig.value));
+  for (int i = 0; i < q.num_selections(); ++i) {
+    const InputQuery::Selection s = q.selection(i);
+    if (residual.IsBound(s.rel)) continue;
+    PushUnique(out, value_key(s.rel, s.attr, s.value_id));
   }
   // (a) attribute-level pairs from join conditions still fully open. Under
   // kValuePreferred these are a fallback for residuals with no value-level
@@ -96,17 +92,13 @@ void IndexingCandidates(const Residual& residual, RewriteIndexLevels levels,
   if (levels == RewriteIndexLevels::kValuePreferred && !out.empty()) {
     return;
   }
-  for (size_t i = 0; i < q.joins().size(); ++i) {
-    const auto& rj = q.joins()[i];
-    if (residual.IsBound(rj.left_rel) || residual.IsBound(rj.right_rel)) {
+  for (int i = 0; i < q.num_joins(); ++i) {
+    const InputQuery::Join j = q.join(i);
+    if (residual.IsBound(j.left_rel) || residual.IsBound(j.right_rel)) {
       continue;
     }
-    const sql::JoinPredicate& orig = spec.joins[i];
-    PushUnique(out,
-               interner.InternAttribute(orig.left.relation,
-                                        orig.left.attribute));
-    PushUnique(out, interner.InternAttribute(orig.right.relation,
-                                             orig.right.attribute));
+    PushUnique(out, attribute_key(j.left_rel, j.left_attr));
+    PushUnique(out, attribute_key(j.right_rel, j.right_attr));
   }
 }
 

@@ -1,7 +1,6 @@
 #ifndef RJOIN_CORE_PLANNER_H_
 #define RJOIN_CORE_PLANNER_H_
 
-#include <string>
 #include <vector>
 
 #include "core/interner.h"
@@ -59,8 +58,9 @@ enum class RewriteIndexLevels {
 /// first (they give better load distribution and are the paper's default),
 /// in WHERE-clause order, followed by attribute-level pairs per `levels`.
 ///
-/// Candidates come back as interned KeyIds: key text is built once into a
-/// reusable buffer and interned (a lock-free hit in steady state), and the
+/// Candidates come back as interned KeyIds, resolved from the compiled
+/// query's ids (KeyInterner::ResolveAttribute / ResolveValue): a lock-free
+/// code lookup in steady state, key text only on a key's first sight. The
 /// planner/engine compare, route, and store by u32 id from here on.
 ///
 /// The out-parameter form clears and fills a caller-owned buffer — the

@@ -3,16 +3,15 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "core/key.h"
 #include "core/tuple_ref.h"
 #include "dht/chord_node.h"
 #include "sql/query.h"
 #include "sql/schema.h"
-#include "sql/tuple.h"
 #include "util/status.h"
 
 namespace rjoin::core {
@@ -27,104 +26,173 @@ inline constexpr int kMaxQueryRels = 10;
 /// payload (the workload generator emits exactly 2 items).
 inline constexpr int kMaxSelectItems = 12;
 
-/// A submitted continuous query, compiled once: attribute names are resolved
-/// to (relation index, attribute index) pairs — and, for the flat tuple
-/// plane, relation names to dense TuplePool ids and predicate constants to
-/// interned ValueIds — so that triggering and rewriting are integer
-/// operations. Immutable and shared by every residual derived from it.
+/// Capacities of the compiled record's inline arrays, checked by Create()
+/// (Unimplemented beyond them). A term is one join predicate, selection
+/// predicate or select item; a 10-way chain with 12 select items uses 21.
+/// Referenced attribute indices stay below kMaxQueryAttrs (the paper's
+/// relations have 10 attributes), so a column packs into 10 bits.
+inline constexpr int kMaxQueryTerms = 32;
+inline constexpr int kMaxProjectionAttrs = 32;
+inline constexpr int kMaxQueryAttrs = 64;
+
+/// A submitted continuous query, compiled once to integers only: relation
+/// names become dense TuplePool ids, attribute names (FROM index,
+/// attribute index) columns, and constants interned ValueIds, so that
+/// triggering, rewriting and key resolution are integer operations. The
+/// SQL text is not kept; spec() rebuilds it for cold callers from the
+/// catalog and the dictionaries. The record is trivially copyable and
+/// owns no heap: the engine stores records by query id in immortal slabs,
+/// and every residual derived from one points at it.
 class InputQuery {
  public:
-  struct ResolvedJoin {
+  struct Join {
     int left_rel;
     int left_attr;
     int right_rel;
     int right_attr;
   };
-  struct ResolvedSelection {
+  struct Selection {
     int rel;
     int attr;
-    sql::Value value;
-    ValueId value_id = kInvalidValueId;  ///< interned `value`
+    ValueId value_id;
   };
-  struct ResolvedSelectItem {
-    bool is_const = false;
-    int rel = -1;
-    int attr = -1;
-    sql::Value constant;
-    ValueId constant_id = kInvalidValueId;  ///< interned `constant`
+  struct SelectItem {
+    bool is_const;
+    int rel;              ///< attribute items only
+    int attr;             ///< attribute items only
+    ValueId constant_id;  ///< constant items only
   };
+
+  /// An empty record (the engine's slabs hold records in place).
+  InputQuery() = default;
 
   /// Validates and compiles `spec`. Fails on unknown relations/attributes,
   /// duplicate relations in FROM (self-joins are future work, as in the
-  /// paper), and multi-relation queries where some relation appears in no
-  /// predicate (pure cartesian products are not indexable by RJoin).
+  /// paper), multi-relation queries where some relation appears in no
+  /// predicate (pure cartesian products are not indexable by RJoin), and
+  /// queries beyond the record's capacities. `catalog` must outlive the
+  /// record (spec() and key resolution read names through it).
   ///
   /// `one_time` marks a snapshot query: it is evaluated over the tuples
   /// already published at submission time (pubT <= insT) and is never
   /// stored for future triggers — Section 4's "Delta can be infinity"
   /// framework for one-time queries.
-  static StatusOr<std::shared_ptr<const InputQuery>> Create(
-      uint64_t query_id, dht::NodeIndex owner, uint64_t ins_time,
-      sql::Query spec, const sql::Catalog* catalog, bool one_time = false);
+  static StatusOr<InputQuery> Create(uint64_t query_id, dht::NodeIndex owner,
+                                     uint64_t ins_time, const sql::Query& spec,
+                                     const sql::Catalog* catalog,
+                                     bool one_time = false);
 
   uint64_t query_id() const { return query_id_; }
   dht::NodeIndex owner() const { return owner_; }
   uint64_t ins_time() const { return ins_time_; }
   bool one_time() const { return one_time_; }
-  const sql::Query& spec() const { return spec_; }
+  bool distinct() const { return distinct_; }
+  const sql::WindowSpec& window() const { return window_; }
+  const sql::Catalog& catalog() const { return *catalog_; }
 
-  size_t num_relations() const { return spec_.relations.size(); }
-  const std::string& relation_name(int rel) const {
-    return spec_.relations[static_cast<size_t>(rel)];
-  }
-  /// Index of `relation` in the FROM list, or -1.
+  /// The submitted query, rebuilt from the record. Allocates; for oracle
+  /// passes, tests and ToRewrittenQuery, never the steady-state path.
+  sql::Query spec() const;
+
+  size_t num_relations() const { return num_rels_; }
+  /// Dense TuplePool id of FROM relation `rel`.
+  uint32_t rel_id(int rel) const { return rel_ids_[static_cast<size_t>(rel)]; }
+  /// Index of the FROM relation named `relation`, or -1 (cold: compares
+  /// names).
   int RelIndex(const std::string& relation) const;
 
   /// Index of the FROM relation with dense pool id `rel_id`, or -1. The
   /// trigger hot path resolves an arriving tuple's relation with this
   /// integer scan instead of string comparison.
   int RelIndexOf(uint32_t rel_id) const {
-    for (size_t i = 0; i < spec_.relations.size(); ++i) {
-      if (rel_ids_[i] == rel_id) return static_cast<int>(i);
+    for (int i = 0; i < num_rels_; ++i) {
+      if (rel_ids_[static_cast<size_t>(i)] == rel_id) return i;
     }
     return -1;
   }
 
-  const std::vector<ResolvedJoin>& joins() const { return joins_; }
-  const std::vector<ResolvedSelection>& selections() const {
-    return selections_;
+  /// The WHERE clause and select list, in clause order, decoded from the
+  /// packed terms.
+  int num_joins() const { return num_joins_; }
+  Join join(int i) const {
+    const uint32_t t = terms_[static_cast<size_t>(i)];
+    return {ColRel(t >> kColBits), ColAttr(t >> kColBits), ColRel(t),
+            ColAttr(t)};
   }
-  const std::vector<ResolvedSelectItem>& select_items() const {
-    return select_items_;
+  int num_selections() const { return num_selections_; }
+  Selection selection(int i) const {
+    const uint32_t t = terms_[static_cast<size_t>(num_joins_ + i)];
+    return {ColRel(t >> kValueBits), ColAttr(t >> kValueBits),
+            t & kValueMask};
+  }
+  int num_select_items() const { return num_items_; }
+  SelectItem select_item(int i) const {
+    const uint32_t t =
+        terms_[static_cast<size_t>(num_joins_ + num_selections_ + i)];
+    const int rel = ColRel(t >> kValueBits);
+    if (rel == kConstRel) return {true, -1, -1, t & kValueMask};
+    return {false, rel, ColAttr(t >> kValueBits), kInvalidValueId};
   }
 
   /// Attribute indices of relation `rel` referenced anywhere in the select
-  /// list or WHERE clause, sorted; used for the DISTINCT projection rule of
-  /// Section 4.
-  const std::vector<int>& projection_attrs(int rel) const {
-    return proj_attrs_[static_cast<size_t>(rel)];
+  /// list or WHERE clause, ascending; used for the DISTINCT projection rule
+  /// of Section 4.
+  std::span<const uint8_t> projection_attrs(int rel) const {
+    const size_t r = static_cast<size_t>(rel);
+    return {proj_.data() + proj_begin_[r],
+            static_cast<size_t>(proj_begin_[r + 1] - proj_begin_[r])};
   }
 
-  /// The attribute names of relation `rel`, via the catalog schema.
-  const sql::Schema& schema(int rel) const { return *schemas_[static_cast<size_t>(rel)]; }
-
  private:
-  InputQuery() = default;
+  // Term encoding. A column (FROM index, attribute index) packs into
+  // kColBits. A join is its left column above its right one; a selection or
+  // select item is a column above a 22-bit value id. A constant select item
+  // has FROM index kConstRel, which no FROM relation uses.
+  static constexpr int kRelBits = 4;
+  static constexpr int kAttrBits = 6;
+  static constexpr int kColBits = kRelBits + kAttrBits;
+  static constexpr int kValueBits = 22;
+  static constexpr uint32_t kValueMask = (1u << kValueBits) - 1;
+  static constexpr int kConstRel = (1 << kRelBits) - 1;
+  static_assert(kMaxQueryRels <= kConstRel);
+  static_assert(kMaxQueryAttrs == 1 << kAttrBits);
+  static_assert(ValueInterner::kCapacity == 1u << kValueBits);
+  static_assert(kColBits + kValueBits == 32);
+
+  static uint32_t Col(int rel, int attr) {
+    return static_cast<uint32_t>(rel) << kAttrBits |
+           static_cast<uint32_t>(attr);
+  }
+  static int ColRel(uint32_t bits) {
+    return static_cast<int>(bits >> kAttrBits & ((1u << kRelBits) - 1));
+  }
+  static int ColAttr(uint32_t bits) {
+    return static_cast<int>(bits & ((1u << kAttrBits) - 1));
+  }
 
   uint64_t query_id_ = 0;
-  dht::NodeIndex owner_ = dht::kInvalidNode;
   uint64_t ins_time_ = 0;
+  const sql::Catalog* catalog_ = nullptr;
+  sql::WindowSpec window_;
+  dht::NodeIndex owner_ = dht::kInvalidNode;
   bool one_time_ = false;
-  sql::Query spec_;
-  std::array<uint32_t, kMaxQueryRels> rel_ids_ = {};
-  std::vector<ResolvedJoin> joins_;
-  std::vector<ResolvedSelection> selections_;
-  std::vector<ResolvedSelectItem> select_items_;
-  std::vector<std::vector<int>> proj_attrs_;
-  std::vector<const sql::Schema*> schemas_;
+  bool distinct_ = false;
+  uint8_t num_rels_ = 0;
+  uint8_t num_joins_ = 0;
+  uint8_t num_selections_ = 0;
+  uint8_t num_items_ = 0;
+  std::array<uint16_t, kMaxQueryRels> rel_ids_ = {};
+  /// Relation r's projection attributes are proj_[proj_begin_[r],
+  /// proj_begin_[r + 1]).
+  std::array<uint8_t, kMaxQueryRels + 1> proj_begin_ = {};
+  std::array<uint8_t, kMaxProjectionAttrs> proj_ = {};
+  /// Joins, then selections, then select items.
+  std::array<uint32_t, kMaxQueryTerms> terms_ = {};
 };
-
-using InputQueryPtr = std::shared_ptr<const InputQuery>;
+// One per submitted query, the whole of its compiled state (docs/perf.md
+// records the census).
+static_assert(sizeof(InputQuery) == 256, "InputQuery size changed");
+static_assert(std::is_trivially_copyable_v<InputQuery>);
 
 /// DISTINCT projection fingerprint of Section 4: tuple `t` (of FROM
 /// relation `rel`) projected onto the attributes of `rel` that `q`
@@ -147,12 +215,12 @@ uint64_t ProjectionFingerprint(const InputQuery& q, int rel,
 /// and copying a residual (every rewrite hop stores one) is a handful of
 /// refcount increments — no heap traffic on the steady-state path.
 ///
-/// The origin is a plain pointer, not a shared_ptr: the engine's query
-/// table owns every submitted InputQuery for the engine's lifetime, so a
-/// copy costs no atomic refcount pair for the query. Whoever builds a
-/// residual keeps its origin alive at least as long as the residual; a
-/// residual that outlives its engine (an envelope still queued at
-/// teardown) may be destroyed but not read.
+/// The origin is a plain pointer: the engine's query table keeps every
+/// submitted InputQuery in place for the engine's lifetime, so a copy
+/// costs no refcount for the query. Whoever builds a residual keeps its
+/// origin alive at least as long as the residual; a residual that outlives
+/// its engine (an envelope still queued at teardown) may be destroyed but
+/// not read.
 class Residual {
  public:
   Residual() = default;
@@ -183,18 +251,14 @@ class Residual {
   /// constraint the residual currently places on that relation: original
   /// selections on the relation, and join predicates whose other side is
   /// already bound. Join predicates between two unbound relations impose
-  /// nothing yet. Temporal checks are separate (see WindowAdmits).
-  ///
-  /// The TupleRef form is the hot path: every predicate is one u32
-  /// ValueId comparison (interning is injective, so vid equality is value
-  /// equality). The sql::Tuple form is the cold/test boundary.
+  /// nothing yet. Temporal checks are separate (see WindowAdmits). Every
+  /// predicate is one u32 ValueId comparison (interning is injective, so
+  /// vid equality is value equality).
   bool Matches(int rel, const TupleRef& t) const;
-  bool Matches(int rel, const sql::Tuple& t) const;
 
   /// Window validity test of Section 5 for binding `t`: the resulting
   /// combination must fit in one window. Always true without windows.
   bool WindowAdmits(int rel, const TupleRef& t) const;
-  bool WindowAdmits(int rel, const sql::Tuple& t) const;
 
   /// Section 5's per-trigger validity rule: an arriving tuple `t` newer
   /// than the window allows proves the window has closed, so the stored
@@ -206,12 +270,6 @@ class Residual {
   /// allocation-free: a fixed-size copy plus refcount increments.
   Residual Bind(int rel, TupleRef t) const;
 
-  /// Cold-boundary form (tests): pools a flat record for `t` first.
-  Residual Bind(int rel, const sql::TuplePtr& t) const;
-
-  /// Answer row of a complete residual (materialized; owner-side only).
-  std::vector<sql::Value> ExtractAnswer() const;
-
   /// Flat answer row of a complete residual: writes the interned ValueIds
   /// of the select list into `out` (capacity >= kMaxSelectItems) and
   /// returns the item count. Allocation-free.
@@ -219,18 +277,11 @@ class Residual {
 
   /// Fingerprint of the residual's *rewritten content*: origin query plus,
   /// for every bound relation, the projection of its tuple over the
-  /// attributes the query references. Two residuals with equal fingerprints
-  /// are the same rewritten query (used for DISTINCT set semantics).
-  std::string ContentFingerprint() const;
-
-  /// 64-bit fingerprint over interned ValueIds — the hot-path form, no
-  /// string rendering. Vids are canonical across shard counts (driver-phase
-  /// interning), so this is bit-identical at S=1/4/7.
+  /// attributes the query references, hashed over interned ValueIds. Two
+  /// residuals with equal fingerprints are the same rewritten query (used
+  /// for DISTINCT set semantics). Vids are canonical across shard counts
+  /// (driver-phase interning), so this is bit-identical at S=1/4/7.
   uint64_t ContentFingerprint64() const;
-
-  /// Value of attribute (rel, attr) if that relation is bound. The
-  /// reference is stable (ValueInterner entries are immortal).
-  const sql::Value* BoundValue(int rel, int attr) const;
 
   /// Interned id of attribute (rel, attr), or kInvalidValueId if unbound.
   ValueId BoundValueId(int rel, int attr) const {

@@ -9,20 +9,13 @@
 namespace rjoin::core {
 namespace {
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Domain-tagged value hash: int and string values can never collide into
 /// the same id because equality is checked against the stored sql::Value,
 /// but tagging keeps probe chains short when both domains are in play.
 uint64_t HashValue(const sql::Value& v) {
   if (v.is_int()) {
-    return SplitMix64(static_cast<uint64_t>(v.AsInt()) ^
-                      0x7475706c65696e74ull);
+    return rjoin::SplitMix64(static_cast<uint64_t>(v.AsInt()) ^
+                             0x7475706c65696e74ull);
   }
   return rjoin::Fnv1a64(v.AsString()) ^ 0x7475706c65737472ull;
 }

@@ -51,13 +51,17 @@ class ValueInterner {
 
   uint32_t size() const { return values_.size(); }
 
+  /// Hard cap on distinct values: ids fit in 22 bits, which compiled
+  /// queries and key codes rely on.
+  static constexpr uint32_t kCapacity = 1u << 22;
+
  private:
   struct ValueHash {
     uint64_t operator()(const sql::Value& v) const;
   };
 
-  // 1,024-value slabs, 4M values hard cap.
-  Dictionary<sql::Value, ValueHash, 10, 1u << 12> values_{"value"};
+  // 1,024-value slabs.
+  Dictionary<sql::Value, ValueHash, 10, (kCapacity >> 10)> values_{"value"};
 };
 
 class TupleRef;
@@ -119,6 +123,9 @@ class TuplePool {
   /// Dense id of a relation name, interning on first sight (driver phase).
   uint32_t InternRelation(std::string_view name);
 
+  /// Hard cap on relation names: ids fit in 12 bits.
+  static constexpr uint32_t kMaxRelations = 1u << 12;
+
   /// Name of an interned relation id. Lock-free; reference stable.
   const std::string& relation_name(uint32_t rel_id) const {
     return relations_.at(rel_id);
@@ -170,8 +177,9 @@ class TuplePool {
   std::atomic<uint32_t> remote_free_{kNil};
 
   // Relation names, interned driver-phase and read lock-free by workers
-  // materializing answers: 1,024-name slabs, 4,096 names hard cap.
-  Dictionary<std::string, NameHash, 10, 4> relations_{"relation"};
+  // materializing answers and building key text: 1,024-name slabs.
+  Dictionary<std::string, NameHash, 10, (kMaxRelations >> 10)> relations_{
+      "relation"};
 
   std::atomic<uint64_t> slabs_allocated_{0};
   std::atomic<uint64_t> acquired_{0};
@@ -231,11 +239,6 @@ class TupleRef {
 
   /// Interned value id of column `i`.
   ValueId value_id(int i) const { return rec().columns()[i]; }
-
-  /// Materialized value of column `i` (lock-free dictionary read).
-  const sql::Value& value(int i) const {
-    return ValueInterner::Global().value(value_id(i));
-  }
 
   std::string_view relation_name() const {
     return TuplePool::Global().relation_name(rec().relation);

@@ -19,6 +19,15 @@ inline uint64_t Fnv1a64(std::string_view s) {
   return h;
 }
 
+/// splitmix64 finalizer: a bijective 64-bit mix for integer keys (value
+/// and key-code dictionaries). Process-internal, like Fnv1a64.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 }  // namespace rjoin
 
 #endif  // RJOIN_UTIL_HASH_H_

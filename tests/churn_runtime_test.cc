@@ -228,7 +228,7 @@ DistinctLeaveRun RunDistinctLeave(uint32_t shards) {
   const uint64_t q = h.Submit(client,
                               "SELECT DISTINCT R.B, S.C, P.C FROM R, S, P "
                               "WHERE R.A=S.A AND S.B=P.B");
-  const core::InputQueryPtr iq = h.engine.FindQuery(q);
+  const core::InputQuery* iq = h.engine.FindQuery(q);
   const int s_rel = iq->RelIndex("S");
   h.Publish(client, "R", {7, 10, 11});
   const uint64_t p = core::ProjectionFingerprint(

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/interner.h"
 #include "core/key.h"
 #include "core/planner.h"
@@ -114,12 +118,32 @@ class ResidualTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.AddRelation(sql::Schema("P", {"B", "C"})).ok());
   }
 
-  InputQueryPtr Compile(const std::string& text, uint64_t ins_time = 0) {
+  std::unique_ptr<InputQuery> Compile(const std::string& text,
+                                      uint64_t ins_time = 0) {
     auto spec = sql::Parser::Parse(text);
     EXPECT_TRUE(spec.ok()) << spec.status().ToString();
     auto q = InputQuery::Create(1, 0, ins_time, *spec, &catalog_);
     EXPECT_TRUE(q.ok()) << q.status().ToString();
-    return *q;
+    return q.ok() ? std::make_unique<InputQuery>(*q) : nullptr;
+  }
+
+  /// A pooled tuple record, the form the engine binds.
+  static TupleRef Tuple(const std::string& relation, int64_t a, int64_t b,
+                        uint64_t pub_time, uint64_t seq_no,
+                        uint64_t tuple_id) {
+    return TuplePool::Global().Make(
+        relation, {sql::Value::Int(a), sql::Value::Int(b)}, pub_time, seq_no,
+        tuple_id);
+  }
+
+  /// The answer row of a complete residual, materialized from its ids.
+  static std::vector<sql::Value> AnswerRow(const Residual& r) {
+    ValueId ids[kMaxSelectItems];
+    std::vector<sql::Value> row;
+    for (int i = 0, n = r.ExtractAnswerIds(ids); i < n; ++i) {
+      row.push_back(ValueInterner::Global().value(ids[i]));
+    }
+    return row;
   }
 
   sql::Catalog catalog_;
@@ -157,27 +181,23 @@ TEST_F(ResidualTest, BindChainCompletes) {
   EXPECT_TRUE(r0.IsInputQuery());
   EXPECT_FALSE(r0.IsComplete());
 
-  auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
-                           1, 1);
-  ASSERT_TRUE(r0.Matches(0, *tr));
+  const TupleRef tr = Tuple("R", 3, 5, 1, 1, 1);
+  ASSERT_TRUE(r0.Matches(0, tr));
   Residual r1 = r0.Bind(0, tr);
   EXPECT_EQ(r1.num_bound(), 1);
 
   // S tuple must now satisfy S.A = 3 (implied selection from R).
-  auto bad_s = sql::MakeTuple("S", {sql::Value::Int(4), sql::Value::Int(7)},
-                              2, 2, 2);
-  EXPECT_FALSE(r1.Matches(1, *bad_s));
-  auto ts = sql::MakeTuple("S", {sql::Value::Int(3), sql::Value::Int(7)}, 2,
-                           2, 2);
-  ASSERT_TRUE(r1.Matches(1, *ts));
+  const TupleRef bad_s = Tuple("S", 4, 7, 2, 2, 2);
+  EXPECT_FALSE(r1.Matches(1, bad_s));
+  const TupleRef ts = Tuple("S", 3, 7, 2, 2, 2);
+  ASSERT_TRUE(r1.Matches(1, ts));
   Residual r2 = r1.Bind(1, ts);
 
-  auto tp = sql::MakeTuple("P", {sql::Value::Int(7), sql::Value::Int(9)}, 3,
-                           3, 3);
-  ASSERT_TRUE(r2.Matches(2, *tp));
+  const TupleRef tp = Tuple("P", 7, 9, 3, 3, 3);
+  ASSERT_TRUE(r2.Matches(2, tp));
   Residual r3 = r2.Bind(2, tp);
   ASSERT_TRUE(r3.IsComplete());
-  auto row = r3.ExtractAnswer();
+  auto row = AnswerRow(r3);
   ASSERT_EQ(row.size(), 2u);
   EXPECT_EQ(row[0], sql::Value::Int(5));
   EXPECT_EQ(row[1], sql::Value::Int(7));
@@ -187,10 +207,10 @@ TEST_F(ResidualTest, ToRewrittenQueryAgreesWithReferenceRewriter) {
   auto q = Compile("select R.B, S.B from R,S,P where R.A=S.A and S.B=P.B");
   sql::Rewriter reference(&catalog_);
 
-  auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
-                           1, 1);
+  // The reference rewriter takes the materialized sql::Tuple.
+  const TupleRef tr = Tuple("R", 3, 5, 1, 1, 1);
   Residual r1 = Residual(q.get()).Bind(0, tr);
-  auto ref1 = reference.Rewrite(q->spec(), *tr);
+  auto ref1 = reference.Rewrite(q->spec(), *tr.Materialize());
   ASSERT_TRUE(ref1.ok());
   // Same relations, same select constants, same implied selections.
   EXPECT_EQ(r1.ToRewrittenQuery().relations, ref1->relations);
@@ -198,10 +218,9 @@ TEST_F(ResidualTest, ToRewrittenQueryAgreesWithReferenceRewriter) {
   EXPECT_EQ(r1.ToRewrittenQuery().selections.size(),
             ref1->selections.size());
 
-  auto ts = sql::MakeTuple("S", {sql::Value::Int(3), sql::Value::Int(7)}, 2,
-                           2, 2);
+  const TupleRef ts = Tuple("S", 3, 7, 2, 2, 2);
   Residual r2 = r1.Bind(1, ts);
-  auto ref2 = reference.Rewrite(*ref1, *ts);
+  auto ref2 = reference.Rewrite(*ref1, *ts.Materialize());
   ASSERT_TRUE(ref2.ok());
   EXPECT_EQ(r2.ToRewrittenQuery().relations, ref2->relations);
   EXPECT_EQ(r2.ToRewrittenQuery().selections.size(),
@@ -212,45 +231,36 @@ TEST_F(ResidualTest, WindowAdmitsSliding) {
   auto q = Compile(
       "select R.B from R,S where R.A=S.A WINDOW 10 TIME");
   Residual r0(q.get());
-  auto t1 = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(2)},
-                           /*pub=*/100, 1, 1);
-  ASSERT_TRUE(r0.WindowAdmits(0, *t1));  // First binding always admitted.
+  const TupleRef t1 = Tuple("R", 1, 2, /*pub=*/100, 1, 1);
+  ASSERT_TRUE(r0.WindowAdmits(0, t1));  // First binding always admitted.
   Residual r1 = r0.Bind(0, t1);
-  auto in_window = sql::MakeTuple(
-      "S", {sql::Value::Int(1), sql::Value::Int(3)}, /*pub=*/109, 2, 2);
-  auto out_of_window = sql::MakeTuple(
-      "S", {sql::Value::Int(1), sql::Value::Int(3)}, /*pub=*/110, 3, 3);
-  EXPECT_TRUE(r1.WindowAdmits(1, *in_window));    // 109-100+1 = 10 <= 10
-  EXPECT_FALSE(r1.WindowAdmits(1, *out_of_window));  // 110-100+1 = 11 > 10
+  const TupleRef in_window = Tuple("S", 1, 3, /*pub=*/109, 2, 2);
+  const TupleRef out_of_window = Tuple("S", 1, 3, /*pub=*/110, 3, 3);
+  EXPECT_TRUE(r1.WindowAdmits(1, in_window));    // 109-100+1 = 10 <= 10
+  EXPECT_FALSE(r1.WindowAdmits(1, out_of_window));  // 110-100+1 = 11 > 10
 }
 
 TEST_F(ResidualTest, WindowAdmitsOutOfOrderArrival) {
   auto q = Compile("select R.B from R,S where R.A=S.A WINDOW 10 TIME");
-  auto late = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(2)},
-                             /*pub=*/100, 1, 1);
+  const TupleRef late = Tuple("R", 1, 2, /*pub=*/100, 1, 1);
   Residual r1 = Residual(q.get()).Bind(0, late);
   // An older stored tuple: window is measured between the extremes.
-  auto older = sql::MakeTuple("S", {sql::Value::Int(1), sql::Value::Int(3)},
-                              /*pub=*/95, 2, 2);
-  EXPECT_TRUE(r1.WindowAdmits(1, *older));
-  auto too_old = sql::MakeTuple("S", {sql::Value::Int(1), sql::Value::Int(3)},
-                                /*pub=*/89, 3, 3);
-  EXPECT_FALSE(r1.WindowAdmits(1, *too_old));
+  const TupleRef older = Tuple("S", 1, 3, /*pub=*/95, 2, 2);
+  EXPECT_TRUE(r1.WindowAdmits(1, older));
+  const TupleRef too_old = Tuple("S", 1, 3, /*pub=*/89, 3, 3);
+  EXPECT_FALSE(r1.WindowAdmits(1, too_old));
 }
 
 TEST_F(ResidualTest, ContentFingerprintIdentifiesEquivalentRewrites) {
   auto q = Compile("select R.B from R,S where R.A=S.A");
   // Two R tuples that agree on every referenced attribute (A and B).
-  auto t1 = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(2)}, 1,
-                           1, 1);
-  auto t2 = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(2)}, 5,
-                           5, 2);
-  EXPECT_EQ(Residual(q.get()).Bind(0, t1).ContentFingerprint(),
-            Residual(q.get()).Bind(0, t2).ContentFingerprint());
-  auto t3 = sql::MakeTuple("R", {sql::Value::Int(1), sql::Value::Int(9)}, 1,
-                           1, 3);
-  EXPECT_NE(Residual(q.get()).Bind(0, t1).ContentFingerprint(),
-            Residual(q.get()).Bind(0, t3).ContentFingerprint());
+  const TupleRef t1 = Tuple("R", 1, 2, 1, 1, 1);
+  const TupleRef t2 = Tuple("R", 1, 2, 5, 5, 2);
+  EXPECT_EQ(Residual(q.get()).Bind(0, t1).ContentFingerprint64(),
+            Residual(q.get()).Bind(0, t2).ContentFingerprint64());
+  const TupleRef t3 = Tuple("R", 1, 9, 1, 1, 3);
+  EXPECT_NE(Residual(q.get()).Bind(0, t1).ContentFingerprint64(),
+            Residual(q.get()).Bind(0, t3).ContentFingerprint64());
 }
 
 // --------------------------------------------------------------- Planner --
@@ -273,8 +283,7 @@ TEST_F(PlannerTest, InputQueryCandidatesAreAttributeLevel) {
 
 TEST_F(PlannerTest, RewrittenCandidatesValuePreferredByDefault) {
   auto q = Compile("select R.B from R,S,P where R.A=S.A and S.B=P.B");
-  auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
-                           1, 1);
+  const TupleRef tr = Tuple("R", 3, 5, 1, 1, 1);
   auto cands = IndexingCandidates(Residual(q.get()).Bind(0, tr));
   // Section 3 default: only the implied value triple S.A=3 — attribute
   // pairs stay out when a value-level option exists.
@@ -285,8 +294,7 @@ TEST_F(PlannerTest, RewrittenCandidatesValuePreferredByDefault) {
 
 TEST_F(PlannerTest, RewrittenCandidatesSection6IncludesAttributePairs) {
   auto q = Compile("select R.B from R,S,P where R.A=S.A and S.B=P.B");
-  auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
-                           1, 1);
+  const TupleRef tr = Tuple("R", 3, 5, 1, 1, 1);
   auto cands = IndexingCandidates(Residual(q.get()).Bind(0, tr),
                                   RewriteIndexLevels::kIncludeAttribute);
   // Implied triple S.A=3 first, then open-join attribute pairs S.B / P.B.
@@ -301,8 +309,7 @@ TEST_F(PlannerTest, AttributeFallbackWhenNoValueCandidate) {
   // Binding P leaves join R.A=S.A fully open: no value triples exist, so
   // attribute pairs must be offered even under kValuePreferred.
   auto q = Compile("select R.B from R,S,P where R.A=S.A and S.B=P.B");
-  auto tp = sql::MakeTuple("P", {sql::Value::Int(6), sql::Value::Int(9)}, 1,
-                           1, 1);
+  const TupleRef tp = Tuple("P", 6, 9, 1, 1, 1);
   auto cands = IndexingCandidates(Residual(q.get()).Bind(2, tp));
   // Implied triple S.B=6 (from S.B=P.B) plus... S has a value candidate,
   // so value-preferred stops there.
@@ -313,8 +320,7 @@ TEST_F(PlannerTest, AttributeFallbackWhenNoValueCandidate) {
   // R,S unbound with R.A=S.A and no implied selections. Construct via a
   // query whose third relation connects by selection only.
   auto q2 = Compile("select R.B from R,S,P where R.A=S.A and P.B=7");
-  auto tp2 = sql::MakeTuple("P", {sql::Value::Int(1), sql::Value::Int(7)}, 1,
-                            1, 1);
+  const TupleRef tp2 = Tuple("P", 1, 7, 1, 1, 1);
   Residual r2 = Residual(q2.get()).Bind(2, tp2);
   auto cands2 = IndexingCandidates(r2);
   ASSERT_EQ(cands2.size(), 2u);  // Attribute pairs R.A and S.A.
@@ -324,8 +330,7 @@ TEST_F(PlannerTest, AttributeFallbackWhenNoValueCandidate) {
 
 TEST_F(PlannerTest, ExplicitSelectionBecomesValueCandidate) {
   auto q = Compile("select R.B from R,S where R.A=S.A and S.B=42");
-  auto tr = sql::MakeTuple("R", {sql::Value::Int(3), sql::Value::Int(5)}, 1,
-                           1, 1);
+  const TupleRef tr = Tuple("R", 3, 5, 1, 1, 1);
   auto cands = IndexingCandidates(Residual(q.get()).Bind(0, tr));
   // Both the implied S.A=3 and the explicit S.B=42 triples.
   ASSERT_EQ(cands.size(), 2u);

@@ -59,7 +59,7 @@ void ExpectSlabPoolsBalanced(const RJoinEngine& engine) {
       for (uint32_t cur = bucket.head; cur != kNil;
            cur = st.query_pool.at(cur).next) {
         const StoredQuery& sq = st.query_pool.at(cur).value;
-        if (sq.residual.origin()->spec().distinct) {
+        if (sq.residual.origin()->distinct()) {
           ++distinct_stored;
         } else {
           EXPECT_EQ(sq.projections, kNil)
