@@ -8,8 +8,9 @@
 //       asserted by tests; the bench tracks throughput cost),
 //   (b) handoff volume: StateHandoff messages, moved records, approximate
 //       bytes,
-//   (c) recovery: mean virtual ticks (and runtime rounds) from handoff
-//       emission to installation, plus post-churn forwarded payloads.
+//   (c) recovery: mean rounds (virtual ticks; every hop takes one) from
+//       handoff emission to installation, plus post-churn forwarded
+//       payloads.
 
 #include <chrono>
 #include <iostream>
@@ -57,15 +58,11 @@ int main() {
 
       const auto& cs = experiment.engine().churn_stats();
       const uint64_t ops = cs.joins_applied + cs.leaves_applied;
-      const double lookahead =
-          experiment.runtime() != nullptr
-              ? static_cast<double>(experiment.runtime()->lookahead())
-              : 1.0;
       const double recovery_rounds =
           cs.handoffs_installed == 0
               ? 0.0
               : static_cast<double>(cs.handoff_recovery_ticks) /
-                    static_cast<double>(cs.handoffs_installed) / lookahead;
+                    static_cast<double>(cs.handoffs_installed);
 
       xs.push_back(rate);
       answers_series.push_back(static_cast<double>(result.answers_delivered));

@@ -19,7 +19,6 @@
 #include "core/planner.h"
 #include "dht/route_cache.h"
 #include "dht/transport.h"
-#include "runtime/sharded_runtime.h"
 #include "util/logging.h"
 
 namespace rjoin::bench {
@@ -55,18 +54,12 @@ std::vector<size_t> ScaledCounts(std::vector<size_t> paper_counts) {
 
 void PrintHeader(const std::string& figure,
                  const workload::ExperimentConfig& cfg) {
-  const uint32_t shards = workload::ResolveShardCount(cfg.shards);
   std::cout << "#### " << figure << " ####\n"
             << "# nodes=" << cfg.num_nodes << " queries=" << cfg.num_queries
             << " tuples=" << cfg.num_tuples << " way=" << cfg.way
             << " theta=" << cfg.workload.zipf_theta
-            << " scale=" << AppliedScale() << " shards=";
-  if (shards == 0) {
-    std::cout << "serial";
-  } else {
-    std::cout << shards;
-  }
-  std::cout << " (RJOIN_SCALE=paper for full size)\n";
+            << " scale=" << AppliedScale()
+            << " (RJOIN_SCALE=paper for full size)\n";
 }
 
 uint64_t SumLoads(const std::vector<uint64_t>& loads) {
@@ -252,10 +245,6 @@ JsonReporter::JsonReporter(std::string figure, std::string title,
       core::KeyInterner::Global().stats();
   base_interner_hits_ = interner.hits;
   base_interner_misses_ = interner.misses;
-  const runtime::ShardedRuntime::MailboxStats mailbox =
-      runtime::ShardedRuntime::AggregateMailbox();
-  base_mailbox_batches_ = mailbox.batches;
-  base_mailbox_envelopes_ = mailbox.envelopes;
   const dht::RouteCache::Stats cache = dht::RouteCache::Aggregate();
   base_route_cache_hits_ = cache.hits;
   base_route_cache_misses_ = cache.misses;
@@ -263,12 +252,6 @@ JsonReporter::JsonReporter(std::string figure, std::string title,
       dht::Transport::AggregateCoalesce();
   base_coalesce_groups_ = coalesce.groups;
   base_coalesce_payloads_ = coalesce.payloads;
-  const runtime::ShardedRuntime::SchedulerStats sched =
-      runtime::ShardedRuntime::AggregateScheduler();
-  base_sched_epochs_ = sched.epochs;
-  base_watermark_stalls_ = sched.watermark_stalls;
-  base_rendezvous_caps_ = sched.rendezvous_caps;
-  base_equivalent_rounds_ = sched.equivalent_rounds;
   base_hist_ = stats::Tracer::Global().AggregateHistograms();
   base_allocs_ = stats::ReadAllocCounts();
 }
@@ -286,10 +269,6 @@ stats::MessagePlaneSummary JsonReporter::PlaneDelta() const {
   s.interned_keys = interner.entries;  // absolute: the dictionary is global
   s.interner_hits = interner.hits - base_interner_hits_;
   s.interner_misses = interner.misses - base_interner_misses_;
-  const runtime::ShardedRuntime::MailboxStats mailbox =
-      runtime::ShardedRuntime::AggregateMailbox();
-  s.mailbox_batches = mailbox.batches - base_mailbox_batches_;
-  s.mailbox_envelopes = mailbox.envelopes - base_mailbox_envelopes_;
   const dht::RouteCache::Stats cache = dht::RouteCache::Aggregate();
   s.route_cache_hits = cache.hits - base_route_cache_hits_;
   s.route_cache_misses = cache.misses - base_route_cache_misses_;
@@ -297,12 +276,6 @@ stats::MessagePlaneSummary JsonReporter::PlaneDelta() const {
       dht::Transport::AggregateCoalesce();
   s.coalesce_groups = coalesce.groups - base_coalesce_groups_;
   s.coalesce_payloads = coalesce.payloads - base_coalesce_payloads_;
-  const runtime::ShardedRuntime::SchedulerStats sched =
-      runtime::ShardedRuntime::AggregateScheduler();
-  s.sched_epochs = sched.epochs - base_sched_epochs_;
-  s.watermark_stalls = sched.watermark_stalls - base_watermark_stalls_;
-  s.rendezvous_caps = sched.rendezvous_caps - base_rendezvous_caps_;
-  s.equivalent_rounds = sched.equivalent_rounds - base_equivalent_rounds_;
   const stats::Tracer::HistogramSet hist =
       stats::Tracer::Global().AggregateHistograms();
   const stats::LogHistogram latency =
@@ -311,10 +284,6 @@ stats::MessagePlaneSummary JsonReporter::PlaneDelta() const {
   s.answer_latency_p50 = latency.Percentile(50);
   s.answer_latency_p95 = latency.Percentile(95);
   s.answer_latency_p99 = latency.Percentile(99);
-  const stats::LogHistogram stall =
-      hist.stall_ns.DiffFrom(base_hist_.stall_ns);
-  s.stall_wall_seconds = static_cast<double>(stall.sum()) / 1e9;
-  s.stall_p99_us = stall.Percentile(99) / 1000;
   const stats::LogHistogram depth =
       hist.queue_depth.DiffFrom(base_hist_.queue_depth);
   s.queue_depth_p99 = depth.Percentile(99);
@@ -406,15 +375,6 @@ void JsonReporter::SetSteadyStateRouteCache(const dht::RouteCache::Stats& begin,
   steady_route_cache_delta_.misses = end.misses - begin.misses;
 }
 
-void JsonReporter::AddSpeedup(const std::string& name,
-                              double baseline_per_sec,
-                              double contender_per_sec) {
-  const double speedup =
-      baseline_per_sec > 0.0 ? contender_per_sec / baseline_per_sec : 0.0;
-  AddScalar("speedup", speedup);
-  AddScalar(name, speedup);
-}
-
 std::string JsonReporter::Write() const {
   const std::string path = BenchOutDir() + "/BENCH_" + figure_ + ".json";
 
@@ -442,7 +402,6 @@ std::string JsonReporter::Write() const {
   os << ", \"charge_ric\": " << (config_.charge_ric ? "true" : "false")
      << ", \"reuse_ric_info\": " << (config_.reuse_ric_info ? "true" : "false")
      << ", \"attr_replication\": " << config_.attr_replication
-     << ", \"shards\": " << workload::ResolveShardCount(config_.shards)
      << ", \"seed\": " << config_.seed << "}";
 
   // Provenance: which commit/build/knobs produced the file, so a BENCH_*.json
@@ -455,7 +414,6 @@ std::string JsonReporter::Write() const {
   os << ", \"build_type\": ";
   AppendJsonString(os, BuildType());
   os << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
-     << ", \"rjoin_shards\": " << workload::ResolveShardCount(config_.shards)
      << ", \"rjoin_churn\": ";
   AppendJsonNumber(os, churn ? churn->rate : 0.0);
   os << ", \"rjoin_trace\": "
@@ -502,8 +460,7 @@ std::string JsonReporter::Write() const {
   // envelope-only metric survives as envelope_allocs_per_tuple. The
   // interner scalars track the key-id plane: hit rate near one means
   // steady-state key construction neither allocates nor hashes beyond the
-  // dictionary probe; the mailbox scalars track cross-shard batching
-  // (sharded runs).
+  // dictionary probe.
   const stats::MessagePlaneSummary plane = PlaneDelta();
   const double messages = static_cast<double>(plane.messages);
   const double envelope_allocs = static_cast<double>(plane.envelope_allocs);
@@ -593,34 +550,11 @@ std::string JsonReporter::Write() const {
   AppendJsonNumber(os, static_cast<double>(plane.coalesce_groups));
   os << ", \"event_queue_depth_p99\": ";
   AppendJsonNumber(os, static_cast<double>(plane.queue_depth_p99));
-  os << ", \"mailbox_batches\": ";
-  AppendJsonNumber(os, static_cast<double>(plane.mailbox_batches));
-  os << ", \"mailbox_batch_width\": ";
-  AppendJsonNumber(os, plane.mailbox_batches > 0
-                           ? static_cast<double>(plane.mailbox_envelopes) /
-                                 static_cast<double>(plane.mailbox_batches)
-                           : 0.0);
-  // Watermark-scheduler health: how many global barriers the overlap model
-  // eliminated (epochs vs equivalent lockstep rounds), plus the stall and
-  // churn-cap counts. Stalls are wall-clock-dependent — a perf signal, not
-  // part of the deterministic result surface.
-  os << ", \"sched_epochs\": ";
-  AppendJsonNumber(os, static_cast<double>(plane.sched_epochs));
-  os << ", \"watermark_stalls\": ";
-  AppendJsonNumber(os, static_cast<double>(plane.watermark_stalls));
-  os << ", \"rendezvous_caps\": ";
-  AppendJsonNumber(os, static_cast<double>(plane.rendezvous_caps));
-  os << ", \"overlap_ratio\": ";
-  AppendJsonNumber(os, plane.equivalent_rounds > 0
-                           ? 1.0 - static_cast<double>(plane.sched_epochs) /
-                                 static_cast<double>(plane.equivalent_rounds)
-                           : 0.0);
   os << ", \"hardware_threads\": ";
   AppendJsonNumber(os,
                    static_cast<double>(std::thread::hardware_concurrency()));
   // Observability scalars (docs/observability.md): end-to-end answer latency
-  // and routing/rewrite percentiles in virtual ticks/hops — deterministic
-  // across shard counts — plus the wall-clock stall breakdown (perf signal).
+  // and routing/rewrite percentiles in virtual ticks/hops (deterministic).
   const stats::Tracer::HistogramSet hist =
       stats::Tracer::Global().AggregateHistograms();
   const stats::LogHistogram route =
@@ -641,10 +575,6 @@ std::string JsonReporter::Write() const {
   AppendJsonNumber(os, static_cast<double>(route.Percentile(99)));
   os << ", \"rewrite_depth_p99\": ";
   AppendJsonNumber(os, static_cast<double>(rewrite.Percentile(99)));
-  os << ", \"stall_wall_seconds\": ";
-  AppendJsonNumber(os, plane.stall_wall_seconds);
-  os << ", \"stall_p99_us\": ";
-  AppendJsonNumber(os, static_cast<double>(plane.stall_p99_us));
   os << ", \"trace_events\": ";
   AppendJsonNumber(os,
                    stats::Tracer::Global().enabled()

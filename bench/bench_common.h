@@ -114,12 +114,6 @@ class JsonReporter {
   /// trajectory parsers drop the whole scalar set).
   void AddScalar(const std::string& name, double value);
 
-  /// Records the canonical "speedup" scalar (plus an explicitly named
-  /// alias) from a baseline and a contender throughput — the number the
-  /// cross-PR perf trajectory tracks for bench_runtime_scaling.
-  void AddSpeedup(const std::string& name, double baseline_per_sec,
-                  double contender_per_sec);
-
   /// Prints stats::PrintMessagePlaneSummary from the same baselines the
   /// JSON scalars use (pool counters and wall clock captured at
   /// construction), so console and BENCH_*.json never diverge.
@@ -164,7 +158,7 @@ class JsonReporter {
   /// "envelope_allocs_per_tuple"; near zero once the pools reach their
   /// steady-state high-water mark), "hardware_threads", and the
   /// observability scalars (answer_latency_p50/p95/p99 in virtual ticks,
-  /// routing/rewrite percentiles, the wall-clock stall breakdown) so the
+  /// routing/rewrite percentiles) so the
   /// bench trajectory records measured time and allocation behavior, not
   /// just virtual-cost curves. A "provenance" object (git SHA, build type,
   /// effective RJOIN_* knobs) makes every file self-describing — the full
@@ -174,8 +168,8 @@ class JsonReporter {
   std::string Write() const;
 
  private:
-  /// Message-plane counters (envelope pools, key interner, cross-shard
-  /// mailboxes) measured since construction.
+  /// Message-plane counters (envelope pools, key interner, routing)
+  /// measured since construction.
   stats::MessagePlaneSummary PlaneDelta() const;
 
   /// Appends `chart`, replacing an existing chart with the same title —
@@ -192,16 +186,10 @@ class JsonReporter {
   uint64_t base_messages_ = 0;
   uint64_t base_interner_hits_ = 0;
   uint64_t base_interner_misses_ = 0;
-  uint64_t base_mailbox_batches_ = 0;
-  uint64_t base_mailbox_envelopes_ = 0;
   uint64_t base_route_cache_hits_ = 0;
   uint64_t base_route_cache_misses_ = 0;
   uint64_t base_coalesce_groups_ = 0;
   uint64_t base_coalesce_payloads_ = 0;
-  uint64_t base_sched_epochs_ = 0;
-  uint64_t base_watermark_stalls_ = 0;
-  uint64_t base_rendezvous_caps_ = 0;
-  uint64_t base_equivalent_rounds_ = 0;
   /// Observability histograms at construction; Write() reports bucket-count
   /// deltas, so percentiles cover only this figure's samples.
   stats::Tracer::HistogramSet base_hist_;

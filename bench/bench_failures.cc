@@ -10,8 +10,9 @@
 //   (b) answer loss vs r on the reference fault trace — delivered rows
 //       against the uncrashed centralized oracle (with r>=2 a single kill
 //       must lose nothing; the CI gate pins answer_loss_rate to 0),
-//   (c) recovery latency — rendezvous rounds from the crash-detection
-//       generation bump to replica-promotion install (p50/p99).
+//   (c) recovery latency — rounds (virtual ticks; every hop takes one)
+//       from the crash-detection generation bump to replica-promotion
+//       install (p50/p99).
 
 #include <algorithm>
 #include <chrono>
@@ -129,14 +130,10 @@ int main() {
               : 1.0 - static_cast<double>(got_rows) /
                           static_cast<double>(oracle_rows);
 
-      const double lookahead =
-          loss_run.runtime() != nullptr
-              ? static_cast<double>(loss_run.runtime()->lookahead())
-              : 1.0;
       const std::vector<uint64_t> ticks =
           loss_run.engine().promotion_recovery_ticks();
-      const double p50 = Percentile(ticks, 0.50) / lookahead;
-      const double p99 = Percentile(ticks, 0.99) / lookahead;
+      const double p50 = Percentile(ticks, 0.50);
+      const double p99 = Percentile(ticks, 0.99);
 
       xs.push_back(static_cast<double>(r));
       mirror_msgs_series.push_back(

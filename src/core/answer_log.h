@@ -38,7 +38,7 @@ struct Answer {
 /// the sequence of Append calls. Growth (chunks, index doubling, the
 /// DISTINCT set) is charged to stats::AllocPlane::kPoolCapacity; an append
 /// allocates nothing else. Single-threaded: the engine appends on the
-/// serial pump's thread, or on the driver at a runtime barrier.
+/// simulator's thread.
 class AnswerLog {
  public:
   AnswerLog() = default;

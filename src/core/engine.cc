@@ -76,14 +76,13 @@ std::vector<size_t>& RicMissBuffer() {
 
 RJoinEngine::RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
                          dht::ChordNetwork* network, dht::Transport* transport,
-                         sim::EventPump* pump)
+                         sim::Simulator* sim)
     : config_(config),
       catalog_(catalog),
       network_(network),
       transport_(transport),
-      pump_(pump),
-      rng_(config.seed),
-      runtime_(dynamic_cast<runtime::ShardedRuntime*>(pump)) {
+      sim_(sim),
+      rng_(config.seed) {
   Metrics().Resize(network_->num_total());
   states_.reserve(network_->num_total());
   for (size_t i = 0; i < network_->num_total(); ++i) {
@@ -104,111 +103,6 @@ RJoinEngine::RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
     // repo use single-digit tick hops, so bound a hop by 16 ticks.
     altt_delta_ = static_cast<uint64_t>(4.0 * hops * 16.0);
   }
-
-  if (runtime_ != nullptr) {
-    RJOIN_CHECK(runtime_->num_nodes() == states_.size())
-        << "runtime sized for a different network";
-    sinks_ = std::vector<ShardSink>(runtime_->shards());
-    frozen_rates_.assign(states_.size(), {});
-    planner_seq_.assign(states_.size(), 0);
-    runtime_->AddBarrierHook(this);
-  }
-}
-
-void RJoinEngine::OnBarrier(sim::SimTime round_start) {
-  // Append the answers staged by the previous epoch. Each shard staged its
-  // own in EventKey order; sorting the union restores the global delivery
-  // order, so row ids and DISTINCT's first answer match any shard count.
-  {
-    stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
-    answer_merge_.clear();
-    for (const ShardSink& sink : sinks_) {
-      for (const auto& staged : sink.answers) answer_merge_.push_back(&staged);
-    }
-  }
-  std::sort(answer_merge_.begin(), answer_merge_.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* staged : answer_merge_) {
-    AppendAnswer(staged->second, staged->first.time);
-  }
-  for (ShardSink& sink : sinks_) sink.answers.clear();
-  for (ShardSink& sink : sinks_) {
-    sink.key_load.ForEach(
-        [this](KeyId key, uint64_t count) { key_load_[key] += count; });
-    sink.key_load.clear();
-  }
-
-  // Churn: fold worker-side counters, then apply the ring mutations staged
-  // by the previous round in global EventKey order. Workers are parked, so
-  // this is the one place the topology, the node tables, and the handoff
-  // envelopes may change (see docs/churn.md).
-  bool churn_applied = false;
-  {
-    std::vector<std::pair<runtime::EventKey, ChurnOp>> ops;
-    std::vector<std::pair<runtime::EventKey, uint64_t>> ticks;
-    for (ShardSink& sink : sinks_) {
-      churn_ += std::exchange(sink.churn, ChurnStats{});
-      replication_ += std::exchange(sink.replica, ReplicationStats{});
-      ticks.insert(ticks.end(), sink.promotion_ticks.begin(),
-                   sink.promotion_ticks.end());
-      sink.promotion_ticks.clear();
-      ops.insert(ops.end(), std::make_move_iterator(sink.churn_ops.begin()),
-                 std::make_move_iterator(sink.churn_ops.end()));
-      sink.churn_ops.clear();
-    }
-    if (!ticks.empty()) {
-      // Recovery samples merge in global EventKey order, so the series is
-      // identical for any shard count.
-      std::sort(ticks.begin(), ticks.end(), [](const auto& a, const auto& b) {
-        return a.first < b.first;
-      });
-      for (const auto& [key, t] : ticks) promotion_recovery_ticks_.push_back(t);
-    }
-    if (!ops.empty()) {
-      std::sort(ops.begin(), ops.end(), [](const auto& a, const auto& b) {
-        return a.first < b.first;
-      });
-      for (const auto& [key, op] : ops) ApplyChurn(op);
-      churn_applied = true;
-    }
-  }
-  // A responsibility change invalidates the frozen per-epoch rate
-  // snapshots (rates moved between nodes, and new nodes have none), so
-  // force a rebuild below — at a barrier, hence shard-count-invariant.
-  if (churn_applied) frozen_valid_ = false;
-
-  // Refresh the frozen rate snapshots when entering a new RIC epoch: for
-  // the rest of the epoch, worker-side RIC lookups see the rates as of this
-  // barrier — a deterministic function of the round schedule, which is
-  // itself independent of the shard count.
-  const uint64_t epoch =
-      config_.ric_epoch == 0 ? 0 : round_start / config_.ric_epoch;
-  if (!frozen_valid_ || epoch != frozen_epoch_) {
-    for (size_t n = 0; n < states_.size(); ++n) {
-      frozen_rates_[n].clear();
-      states_[n]->rates.SnapshotInto(round_start, &frozen_rates_[n]);
-    }
-    frozen_epoch_ = epoch;
-    frozen_valid_ = true;
-  }
-}
-
-sim::SimTime RJoinEngine::NextRendezvous(sim::SimTime after) {
-  // Frozen rate snapshots hold for one RIC epoch; overlap may not cross a
-  // boundary or workers would read rates one epoch stale. Everything else
-  // OnBarrier does (answer publication, counter folds) is order-preserving
-  // at any rendezvous spacing.
-  if (config_.ric_epoch == 0) return runtime::kNoRendezvous;
-  return ((after / config_.ric_epoch) + 1) * config_.ric_epoch;
-}
-
-uint64_t RJoinEngine::ReadRate(dht::NodeIndex cand, KeyId key,
-                               uint64_t now) {
-  if (WorkerSink() >= 0) {
-    const uint64_t* rate = frozen_rates_[cand].Find(key);
-    return rate == nullptr ? 0 : *rate;
-  }
-  return state(cand).rates.Rate(key, now);
 }
 
 StatusOr<uint64_t> RJoinEngine::SubmitQuery(dht::NodeIndex owner,
@@ -410,20 +304,15 @@ void RJoinEngine::HandleMessage(dht::NodeIndex self, MessageTask&& task) {
       return;
     case MessageKind::kNodeJoin: {
       const NodeJoin& m = task.node_join();
-      StageOrApplyChurn(ChurnOp{.kind = ChurnOp::Kind::kJoin,
-                                .id = m.id,
-                                .bootstrap = m.bootstrap});
+      ApplyJoin(m.id, m.bootstrap);
       return;
     }
     case MessageKind::kNodeLeave:
-      StageOrApplyChurn(ChurnOp{.kind = ChurnOp::Kind::kLeave,
-                                .node = task.node_leave().node});
+      ApplyLeave(task.node_leave().node);
       return;
     case MessageKind::kNodeCrash: {
       const NodeCrash& m = task.node_crash();
-      StageOrApplyChurn(ChurnOp{.kind = ChurnOp::Kind::kCrash,
-                                .node = m.node,
-                                .take_successors = m.take_successors});
+      ApplyCrash(m.node, m.take_successors);
       return;
     }
     case MessageKind::kStateHandoff:
@@ -451,7 +340,7 @@ bool RJoinEngine::MaybeForward(dht::NodeIndex self, KeyId key,
   // direct hop completes the delivery. Departed nodes drain their mail the
   // same way.
   transport_->SendDirect(self, owner, std::move(*task));
-  AddChurnCounters(ChurnStats{.forwarded_messages = 1});
+  ++churn_.forwarded_messages;
   return true;
 }
 
@@ -486,51 +375,13 @@ Status RJoinEngine::ScheduleCrash(sim::SimTime when, dht::NodeIndex node,
 
 Status RJoinEngine::ScheduleChurnEvent(sim::SimTime when, dht::NodeIndex dst,
                                        MessageTask task) {
-  RJOIN_CHECK(WorkerSink() < 0) << "churn is scheduled from the driver";
-  EnvelopeRef env = pump_->AcquireFor(dst);
-  env->time = std::max<sim::SimTime>(when, pump_->Now());
+  EnvelopeRef env = sim_->pool().Acquire();
+  env->time = std::max<sim::SimTime>(when, sim_->Now());
   env->src = dst;
-  env->seq = pump_->NextEmitSeq(dst);
   env->dst = dst;
   env->task = std::move(task);
-  pump_->ScheduleEnvelope(std::move(env));
+  sim_->ScheduleEnvelope(std::move(env));
   return Status::Ok();
-}
-
-void RJoinEngine::StageOrApplyChurn(ChurnOp op) {
-  const int shard = WorkerSink();
-  if (shard >= 0) {
-    // Worker context: ring mutations are serial-phase work. Stage the
-    // request keyed by this event's (time, src, seq); the driver applies
-    // all staged ops at the next rendezvous in global EventKey order,
-    // which is the same for any shard count.
-    const runtime::EventKey key = runtime_->CurrentEventKey();
-    sinks_[shard].churn_ops.emplace_back(key, std::move(op));
-    // Cap the epoch: no shard may outrun the staged mutation. At this
-    // instant no watermark can have passed key.time + lookahead (the
-    // staging shard's published floor is still <= key.time), so the cap
-    // holds for every shard — and the resulting rendezvous schedule is a
-    // pure function of the event population, hence shard-count-invariant.
-    runtime_->RequestRendezvousBy(
-        sim::SaturatingAdd(key.time, runtime_->lookahead()));
-    return;
-  }
-  // Serial simulator (or driver phase): nothing else is running, apply now.
-  ApplyChurn(op);
-}
-
-void RJoinEngine::ApplyChurn(const ChurnOp& op) {
-  switch (op.kind) {
-    case ChurnOp::Kind::kJoin:
-      ApplyJoin(op.id, op.bootstrap);
-      return;
-    case ChurnOp::Kind::kLeave:
-      ApplyLeave(op.node);
-      return;
-    case ChurnOp::Kind::kCrash:
-      ApplyCrash(op.node, op.take_successors);
-      return;
-  }
 }
 
 void RJoinEngine::ApplyJoin(const dht::NodeId& id, dht::NodeIndex bootstrap) {
@@ -629,8 +480,7 @@ void RJoinEngine::ApplyCrash(dht::NodeIndex node, uint32_t take_successors) {
 
   // Phase 2: per orphaned range, the surviving successor promotes whatever
   // replica slices it holds. Stamped with the crash time, so the recovery
-  // metric spans detection (the generation bump at this barrier) through
-  // install.
+  // metric spans detection (the generation bump above) through install.
   const uint64_t crash_time = Now();
   for (const dht::KeyRange& range : orphaned) {
     PromoteReplicas(network_->SuccessorOf(range.high), range, crash_time);
@@ -665,31 +515,6 @@ void RJoinEngine::GrowForNode(dht::NodeIndex index) {
   states_.push_back(std::make_unique<NodeState>(config_.ric_epoch));
   crashed_.push_back(0);
   Metrics().Resize(states_.size());
-  if (runtime_ != nullptr) {
-    runtime_->GrowNodes(states_.size());
-    frozen_rates_.emplace_back();
-    planner_seq_.push_back(0);
-  }
-}
-
-void RJoinEngine::AddChurnCounters(const ChurnStats& delta) {
-  const int shard = WorkerSink();
-  (shard >= 0 ? sinks_[shard].churn : churn_) += delta;
-}
-
-void RJoinEngine::AddReplicaCounters(const ReplicationStats& delta) {
-  const int shard = WorkerSink();
-  (shard >= 0 ? sinks_[shard].replica : replication_) += delta;
-}
-
-void RJoinEngine::RecordPromotionTicks(uint64_t ticks) {
-  const int shard = WorkerSink();
-  if (shard >= 0) {
-    sinks_[shard].promotion_ticks.emplace_back(runtime_->CurrentEventKey(),
-                                               ticks);
-    return;
-  }
-  promotion_recovery_ticks_.push_back(ticks);
 }
 
 bool RJoinEngine::IsExpired(const Residual& r) const {
@@ -950,7 +775,7 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
       TupleBucketAppend(st.tuple_chunks, st.tuples[msg.key], msg.tuple);
     }
     Metrics().AddStore(self);
-    RecordKeyLoad(msg.key);
+    ++key_load_[msg.key];
     stored = ReplicaUpdate::Op::kTuple;
   } else if (config_.enable_altt) {
     // Section 4 fix: keep attribute-level tuples for Delta so that delayed
@@ -1015,7 +840,7 @@ void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
   const StoredQuery& kept =
       AppendStoredQuery(st, st.queries[key], std::move(sq));
   Metrics().AddStore(self);
-  RecordKeyLoad(key);
+  ++key_load_[key];
 
   // Replication: the slice gained a stored residual. (Probe-and-forget
   // paths above change nothing durable, so they skip the mirror.)
@@ -1027,7 +852,7 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
     // The query's owner crashed: nobody is listening. This is the answer
     // loss the replication bench measures — graceful leavers, by contrast,
     // keep collecting their answers (they left the overlay, not the app).
-    AddReplicaCounters(ReplicationStats{.answers_lost = 1});
+    ++replication_.answers_lost;
     return;
   }
   // End-to-end answer latency in virtual time: publication of the tuple
@@ -1038,25 +863,11 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
     stats::Tracer::Record(stats::TraceCategory::kAnswer, 0, self,
                           static_cast<uint32_t>(msg.query_id), latency, Now());
   }
-  // A worker stages the flat row with its EventKey; the barrier appends
-  // it (runtime::EventKey::time is the delivery time).
-  const int shard = WorkerSink();
-  if (shard >= 0) {
-    stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
-    sinks_[shard].answers.emplace_back(runtime_->CurrentEventKey(), msg);
-    return;
-  }
-  AppendAnswer(msg, Now());
-}
-
-void RJoinEngine::AppendAnswer(const AnswerDeliver& msg,
-                               uint64_t delivered_at) {
   // Owner-side duplicate suppression for DISTINCT queries is a local
   // computation at the querying node, no network cost.
   const InputQuery* q = FindQuery(msg.query_id);
   const bool distinct = q != nullptr && q->distinct();
-  if (answers_.Append(msg.query_id, msg.row, msg.row_len, delivered_at,
-                      distinct)) {
+  if (answers_.Append(msg.query_id, msg.row, msg.row_len, Now(), distinct)) {
     Metrics().AddAnswer();
   }
 }
@@ -1088,7 +899,7 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
         transport_->ChargeTraffic(src, 1);
         transport_->ChargeTraffic(cand, 1);
       }
-      const uint64_t rate = ReadRate(cand, key, now);
+      const uint64_t rate = state(cand).rates.Rate(key, now);
       (*rates)[i] = rate;
       (*nodes)[i] = cand;
       st.ct.Merge(
@@ -1109,7 +920,7 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
     const dht::NodeId& ring = interner_->ring_id(candidates[i]);
     const dht::NodeIndex cand = network_->SuccessorOf(ring);
     if (config_.charge_ric_messages) transport_->ChargeRoute(prev, ring);
-    const uint64_t rate = ReadRate(cand, candidates[i], now);
+    const uint64_t rate = state(cand).rates.Rate(candidates[i], now);
     (*rates)[i] = rate;
     (*nodes)[i] = cand;
     st.ct.Merge(RicEntry{
@@ -1140,16 +951,7 @@ void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
       chosen = 0;
       break;
     case PlannerPolicy::kRandom:
-      if (runtime_ != nullptr) {
-        // Derived per-decision RNG: a pure function of (seed, deciding
-        // node, decision index), so draws are identical for any shard
-        // count and any thread interleaving.
-        chosen = static_cast<size_t>(
-            Rng(MixSeed(config_.seed, src, ++planner_seq_[src]))
-                .NextBounded(candidates.size()));
-      } else {
-        chosen = static_cast<size_t>(rng_.NextBounded(candidates.size()));
-      }
+      chosen = static_cast<size_t>(rng_.NextBounded(candidates.size()));
       break;
     case PlannerPolicy::kWorst: {
       // Adversarial oracle: reads true rates without RIC traffic.
@@ -1158,7 +960,7 @@ void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
       for (size_t i = 0; i < candidates.size(); ++i) {
         const dht::NodeIndex cand =
             network_->SuccessorOf(interner_->ring_id(candidates[i]));
-        const uint64_t rate = ReadRate(cand, candidates[i], now);
+        const uint64_t rate = state(cand).rates.Rate(candidates[i], now);
         if (rate > worst_rate) {
           worst_rate = rate;
           chosen = i;
@@ -1345,15 +1147,6 @@ std::vector<dht::KeyLoad> RJoinEngine::KeyLoadProfile() const {
 const InputQuery* RJoinEngine::FindQuery(uint64_t query_id) const {
   if (query_id == 0 || query_id >= next_query_id_) return nullptr;
   return &queries_.at(static_cast<uint32_t>(query_id - 1));
-}
-
-void RJoinEngine::RecordKeyLoad(KeyId key) {
-  const int shard = WorkerSink();
-  if (shard >= 0) {
-    ++sinks_[shard].key_load[key];
-    return;
-  }
-  ++key_load_[key];
 }
 
 }  // namespace rjoin::core

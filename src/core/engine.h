@@ -19,8 +19,7 @@
 #include "dht/chord_network.h"
 #include "dht/load_balancer.h"
 #include "dht/transport.h"
-#include "runtime/sharded_runtime.h"
-#include "sim/event_pump.h"
+#include "sim/simulator.h"
 #include "sql/parser.h"
 #include "sql/schema.h"
 #include "stats/metrics.h"
@@ -99,39 +98,21 @@ struct EngineConfig {
 ///
 /// Typical use:
 ///   auto net = dht::ChordNetwork::Create(1000);
-///   ... build MetricsRegistry, Simulator (or MakeEventPump), Transport ...
+///   ... build MetricsRegistry, Simulator, Transport ...
 ///   RJoinEngine engine(cfg, &catalog, net.get(), &transport, &sim);
 ///   engine.SubmitQuerySql(owner, "SELECT R.B, S.B FROM R,S,P WHERE ...");
 ///   engine.PublishTuple(publisher, "R", {Value::Int(3), Value::Int(5)});
 ///   sim.Run();
 ///   for (const Answer& a : engine.answers()) ...
-class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
+class RJoinEngine : public dht::MessageHandler {
  public:
-  /// `pump` is the pump `transport` sends through. When it is a
-  /// runtime::ShardedRuntime, per-shard answer/key-load staging replaces
-  /// the serial globals, worker threads answer remote RIC rate lookups from
-  /// frozen per-epoch snapshots instead of live cross-shard state
-  /// (driver-phase lookups stay live), and the engine registers as the
-  /// runtime's barrier hook.
+  /// `sim` is the event pump `transport` sends through.
   RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
               dht::ChordNetwork* network, dht::Transport* transport,
-              sim::EventPump* pump);
+              sim::Simulator* sim);
 
   RJoinEngine(const RJoinEngine&) = delete;
   RJoinEngine& operator=(const RJoinEngine&) = delete;
-
-  /// runtime::BarrierHook: serial rendezvous work — publish answers staged
-  /// by the previous epoch (in deterministic EventKey order), fold
-  /// per-shard key-load deltas, apply staged churn, and refresh the frozen
-  /// rate snapshots when the rendezvous cursor crosses into a new RIC
-  /// epoch.
-  void OnBarrier(sim::SimTime round_start) override;
-
-  /// runtime::BarrierHook: frozen rate snapshots go stale at RIC-epoch
-  /// boundaries, so the watermark scheduler must rendezvous no later than
-  /// the next one. Churn staged mid-epoch caps the horizon separately
-  /// (RequestRendezvousBy in StageOrApplyChurn).
-  sim::SimTime NextRendezvous(sim::SimTime after) override;
 
   /// Submits a continuous query from `owner`. The query is validated,
   /// compiled, and indexed in the network (attribute level). Returns the
@@ -202,11 +183,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   // ------------------------------------------------------ live churn ----
 
   /// Schedules an in-band ring join at virtual time `when` (clamped to
-  /// now): a NodeJoin message is delivered to `bootstrap`, staged by the
-  /// executing shard, and applied at the next round barrier (immediately
-  /// on the serial path). The join splices the ring, grows the node space,
-  /// and hands the moved key range (pred, id] from the joiner's successor
-  /// to the joiner as a StateHandoff. Driver-phase only.
+  /// now): a NodeJoin message is delivered to `bootstrap` and applied
+  /// there. The join splices the ring, grows the node space, and hands the
+  /// moved key range (pred, id] from the joiner's successor to the joiner
+  /// as a StateHandoff. Driver-phase only.
   Status ScheduleJoin(sim::SimTime when, const dht::NodeId& id,
                       dht::NodeIndex bootstrap);
 
@@ -226,9 +206,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   Status ScheduleCrash(sim::SimTime when, dht::NodeIndex node,
                        uint32_t take_successors = 0);
 
-  /// Counters of the churn subsystem. Emission-side counters advance at
-  /// barriers (driver), install/forward counters merge from the shard
-  /// sinks at barriers — all shard-count-invariant.
+  /// Counters of the churn subsystem.
   struct ChurnStats {
     uint64_t joins_applied = 0;
     uint64_t leaves_applied = 0;
@@ -244,31 +222,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     uint64_t handoffs_reforwarded = 0;  ///< batches split toward newer owners
     uint64_t handoff_recovery_ticks = 0;  ///< sum(install time - emit time)
     uint64_t forwarded_messages = 0;  ///< mis-addressed payloads re-sent
-
-    ChurnStats& operator+=(const ChurnStats& o) {
-      joins_applied += o.joins_applied;
-      leaves_applied += o.leaves_applied;
-      crashes_applied += o.crashes_applied;
-      ops_rejected += o.ops_rejected;
-      handoff_messages += o.handoff_messages;
-      handoff_queries += o.handoff_queries;
-      handoff_tuples += o.handoff_tuples;
-      handoff_altt += o.handoff_altt;
-      handoff_rates += o.handoff_rates;
-      handoff_bytes += o.handoff_bytes;
-      handoffs_installed += o.handoffs_installed;
-      handoffs_reforwarded += o.handoffs_reforwarded;
-      handoff_recovery_ticks += o.handoff_recovery_ticks;
-      forwarded_messages += o.forwarded_messages;
-      return *this;
-    }
   };
   const ChurnStats& churn_stats() const { return churn_; }
 
   /// Counters of the successor-list replication subsystem
-  /// (docs/failures.md). Mirror-side counters advance on workers and merge
-  /// from the shard sinks at barriers; crash/promotion counters advance at
-  /// barriers (driver) — all shard-count-invariant.
+  /// (docs/failures.md).
   struct ReplicationStats {
     uint64_t replica_updates = 0;  ///< mirrors sent (deltas and snapshots)
     uint64_t replica_keys = 0;     ///< keys mirrored across all updates
@@ -281,23 +239,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
     uint64_t promotions_installed = 0;  ///< promoted batches installed
     uint64_t promoted_records = 0;      ///< records recovered from replicas
     uint64_t answers_lost = 0;  ///< answers addressed to crashed owners
-
-    ReplicationStats& operator+=(const ReplicationStats& o) {
-      replica_updates += o.replica_updates;
-      replica_keys += o.replica_keys;
-      replica_bytes += o.replica_bytes;
-      mirror_gaps += o.mirror_gaps;
-      promotions_emitted += o.promotions_emitted;
-      promotions_installed += o.promotions_installed;
-      promoted_records += o.promoted_records;
-      answers_lost += o.answers_lost;
-      return *this;
-    }
   };
   const ReplicationStats& replication_stats() const { return replication_; }
 
   /// Per-promotion recovery times (install time - crash time, virtual
-  /// ticks), in deterministic EventKey order — the input of the bench's
+  /// ticks), in install order — the input of the bench's
   /// recovery_rounds_p99 scalar.
   const std::vector<uint64_t>& promotion_recovery_ticks() const {
     return promotion_recovery_ticks_;
@@ -342,24 +288,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   NodeState& state(dht::NodeIndex n) { return *states_[n]; }
 
   /// Virtual time for stamps and window math: the executing event's time,
-  /// or the pump's clock on the driver.
-  uint64_t Now() const { return pump_->Now(); }
+  /// or the simulator's clock on the driver.
+  uint64_t Now() const { return sim_->Now(); }
 
-  /// Registry the calling thread may write (shard delta on a worker).
-  stats::MetricsRegistry& Metrics() { return *pump_->ActiveMetrics(); }
-
-  /// Index of the calling worker's ShardSink, or -1 on the driver and on
-  /// the serial pump (where the engine's own globals take the write).
-  int WorkerSink() const {
-    if (runtime_ == nullptr) return -1;
-    return runtime::ShardedRuntime::CurrentShard();
-  }
-
-  /// Rate of `key` at its responsible node `cand` — the one synchronous
-  /// cross-node read of the engine (RIC, Section 6). Worker threads read
-  /// the frozen per-epoch snapshot (S-invariant and race-free); the driver
-  /// and the serial path read the live tracker.
-  uint64_t ReadRate(dht::NodeIndex cand, KeyId key, uint64_t now);
+  stats::MetricsRegistry& Metrics() { return sim_->metrics(); }
 
   /// Shared body of SubmitQuery and SubmitOneTimeQuery: compiles `spec`,
   /// stores the record under the next query id and indexes it.
@@ -381,38 +313,23 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// probe identically; only the message kind differs on the wire).
   void OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
               const RicVec& piggyback);
-  void OnAnswer(dht::NodeIndex self, AnswerDeliver& msg);
   /// Appends a delivered answer row to the log (DISTINCT decided here) and
-  /// counts it. The serial pump calls it at delivery, the runtime at the
-  /// barrier, in EventKey order.
-  void AppendAnswer(const AnswerDeliver& msg, uint64_t delivered_at);
+  /// counts it, unless the owner crashed.
+  void OnAnswer(dht::NodeIndex self, AnswerDeliver& msg);
 
   // ---- churn plumbing (docs/churn.md) ----
-
-  /// One staged topology mutation, applied at a round barrier in EventKey
-  /// order (immediately on the serial path).
-  struct ChurnOp {
-    enum class Kind { kJoin, kLeave, kCrash };
-    Kind kind = Kind::kLeave;
-    dht::NodeId id;                                 ///< join ring position
-    dht::NodeIndex bootstrap = dht::kInvalidNode;   ///< join entry point
-    dht::NodeIndex node = dht::kInvalidNode;        ///< leaving/crashing node
-    uint32_t take_successors = 0;  ///< crash: adjacent successors to kill too
-  };
 
   /// Wraps a churn task into an envelope delivered to `dst` at `when`.
   Status ScheduleChurnEvent(sim::SimTime when, dht::NodeIndex dst,
                             MessageTask task);
-  /// kNodeJoin/kNodeLeave handler body: stage on a worker, apply otherwise.
-  void StageOrApplyChurn(ChurnOp op);
-  void ApplyChurn(const ChurnOp& op);
+  /// kNodeJoin / kNodeLeave / kNodeCrash handler bodies.
   void ApplyJoin(const dht::NodeId& id, dht::NodeIndex bootstrap);
   void ApplyLeave(dht::NodeIndex node);
   /// Silent failure (docs/failures.md): crashes `node` plus the next
   /// `take_successors` alive ring successors — all removed before any
   /// recovery starts, so a correlated kill of a whole replica set really
   /// loses the data — then, per orphaned range, promotes the surviving
-  /// replica slices at the new owner. Barrier/serial-path only.
+  /// replica slices at the new owner.
   void ApplyCrash(dht::NodeIndex node, uint32_t take_successors);
   /// Destroys a crashed node's entire NodeState payload (stored queries,
   /// tuples, ALTT entries, replica store) with metric and pool-balance
@@ -426,12 +343,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// Re-aims the mirrors of every node whose replica target set changed
   /// around ring `position` (the node owning the position plus its
   /// replication-1 alive predecessors) — called when a churn op is
-  /// applied, so replica placement tracks the new topology.
+  /// applied, so replica placement tracks the new topology. The churn op
+  /// applies inside an event, so every send after it queues behind the
+  /// re-aim snapshots.
   void RefreshReplicasAround(const dht::NodeId& position);
-  /// Re-aims `node` now on the serial path; under the runtime, marks it
-  /// pending and schedules the re-aim on the node's own shard (see
-  /// ReplicaStore::reaim_pending).
-  void RequestReaim(dht::NodeIndex node);
   /// Forgets every baseline of `node` and sends a REPLACE of each owned
   /// key to its current successors.
   void Reaim(dht::NodeIndex node);
@@ -451,8 +366,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   void SendSnapshot(dht::NodeIndex self, dht::NodeIndex dst, KeyId key,
                     uint64_t seq);
   /// kReplicaUpdate handler: applies a mirror from the key's current owner
-  /// (requesting a resync on a gap), serves resync requests, and runs
-  /// deferred re-aims.
+  /// (requesting a resync on a gap) and serves resync requests.
   void OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg);
   /// Warmup write-through: copies `owner`'s rate bucket for `key` straight
   /// into its successors' replica slices (no messages — stream history
@@ -465,11 +379,6 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// Post-churn responsibility check: true when `self` no longer owns
   /// `key` and the payload was re-sent (one direct hop) to the owner.
   bool MaybeForward(dht::NodeIndex self, KeyId key, MessageTask* task);
-  /// Adds worker-side churn counters: into the shard sink on a worker
-  /// (merged into churn_ at the barrier), straight into churn_ otherwise.
-  void AddChurnCounters(const ChurnStats& delta);
-  /// Same discipline for replication counters.
-  void AddReplicaCounters(const ReplicationStats& delta);
 
   // ---- moving key slices (core/handoff.cc) ----
 
@@ -482,8 +391,7 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   KeySlice SliceOf(dht::NodeIndex node, KeyId key, bool take,
                    std::vector<FlatU64Set>* projections = nullptr);
   /// Takes the slices of every key in `range` from `from` (ring order) and
-  /// ships them to `to` as one StateHandoff. Serial-phase / serial-path
-  /// only.
+  /// ships them to `to` as one StateHandoff.
   void EmitHandoff(dht::NodeIndex from, dht::NodeIndex to,
                    const dht::KeyRange& range);
   /// Moves the replica slices `owner` holds for keys in `range` into one
@@ -504,10 +412,6 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// probes only pre-handoff tuples/ALTT entries.
   void InstallQuery(dht::NodeIndex self, KeyId key, Residual&& residual,
                     FlatU64Set&& seen);
-  /// Records one promotion install's recovery time: staged with the
-  /// current EventKey on a worker (merged in order at the barrier),
-  /// appended directly otherwise.
-  void RecordPromotionTicks(uint64_t ticks);
 
   /// Shared trigger step: try to bind `t` into the stored query `sq`
   /// (temporal check, predicate match, window admission, DISTINCT rule —
@@ -563,51 +467,13 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   StoredQuery& AppendStoredQuery(NodeState& st, BucketList& bucket,
                                  StoredQuery&& sq);
 
-  void RecordKeyLoad(KeyId key);
-
   EngineConfig config_;
   const sql::Catalog* catalog_;
   dht::ChordNetwork* network_;
   dht::Transport* transport_;
-  sim::EventPump* pump_;
+  sim::Simulator* sim_;
   KeyInterner* interner_ = &KeyInterner::Global();
-  Rng rng_;
-
-  // ---- sharded-runtime state (unused on the serial path) ----
-
-  /// Per-shard staging: everything a worker would otherwise write to a
-  /// global. Staged answers are appended to answers_ at barriers in
-  /// EventKey order, so the log (row ids and DISTINCT decisions included)
-  /// is the same for any shard count.
-  struct alignas(64) ShardSink {
-    std::vector<std::pair<runtime::EventKey, AnswerDeliver>> answers;
-    KeyIdMap<uint64_t> key_load;
-    /// Join/leave requests staged by this shard's events, applied by the
-    /// driver at the next barrier in global EventKey order.
-    std::vector<std::pair<runtime::EventKey, ChurnOp>> churn_ops;
-    ChurnStats churn;
-    ReplicationStats replica;
-    /// Per-promotion recovery times staged by this shard, merged into
-    /// promotion_recovery_ticks_ at barriers in global EventKey order.
-    std::vector<std::pair<runtime::EventKey, uint64_t>> promotion_ticks;
-  };
-
-  /// pump_ when it is the sharded runtime, else nullptr.
-  runtime::ShardedRuntime* runtime_ = nullptr;
-  std::vector<ShardSink> sinks_;
-  /// OnBarrier's merge buffer for the staged answers, reused across
-  /// barriers.
-  std::vector<const std::pair<runtime::EventKey, AnswerDeliver>*>
-      answer_merge_;
-  /// Frozen Rate() snapshots per node, rebuilt at epoch barriers; read-only
-  /// while workers run.
-  std::vector<KeyIdMap<uint64_t>> frozen_rates_;
-  uint64_t frozen_epoch_ = 0;
-  bool frozen_valid_ = false;
-  /// Per-node draw counter for the kRandom policy under the runtime
-  /// (replaces the shared rng_, whose draw order would depend on thread
-  /// interleaving).
-  std::vector<uint64_t> planner_seq_;
+  Rng rng_;  ///< the kRandom planner's draws
 
   std::vector<std::unique_ptr<NodeState>> states_;
   /// Compiled queries, query id q at index q - 1 (ids are dense from 1).
@@ -634,16 +500,14 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// it count as lost instead of delivering, and late ReplicaUpdates to it
   /// drop. Graceful leavers are NOT marked — a leaver departs the overlay
   /// but still collects its answers (the pre-existing churn semantics).
-  /// Written at barriers (workers parked), read by workers afterward.
   std::vector<uint8_t> crashed_;
   /// Arms the per-message responsibility check (MaybeForward) the first
   /// time any churn is applied; before that, the hot path is untouched.
   /// Never disarmed: candidate tables keep stale responsible-node
   /// addresses long after all in-flight mail has drained, and a fresh CT
   /// hit SendDirects to that cached address — so mis-addressed deliveries
-  /// remain possible for the rest of the run, not just until the heaps
-  /// empty. Written at barriers (workers parked), read by workers after
-  /// the start gate.
+  /// remain possible for the rest of the run, not just until the queue
+  /// empties.
   bool forwarding_armed_ = false;
 
   uint64_t next_query_id_ = 1;

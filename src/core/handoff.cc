@@ -291,24 +291,22 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
     st.rates.MergeSlice(o.slice->key, o.slice->rate);
   }
 
-  ChurnStats churn;
   const uint64_t trip_ticks = now >= b.emitted_at ? now - b.emitted_at : 0;
   if (b.promoted) {
     // Promotions ride the handoff plane but count on their own ledger:
     // their latency is the crash-recovery metric, not handoff recovery.
-    AddReplicaCounters(ReplicationStats{.promotions_installed = 1,
-                                        .promoted_records = installed_records});
-    RecordPromotionTicks(trip_ticks);
+    ++replication_.promotions_installed;
+    replication_.promoted_records += installed_records;
+    promotion_recovery_ticks_.push_back(trip_ticks);
   } else {
-    churn.handoffs_installed = 1;
-    churn.handoff_recovery_ticks = trip_ticks;
+    ++churn_.handoffs_installed;
+    churn_.handoff_recovery_ticks += trip_ticks;
   }
   for (auto& [owner, out] : reforward) {
-    ++churn.handoffs_reforwarded;
+    ++churn_.handoffs_reforwarded;
     transport_->SendDirect(self, owner,
                            MessageTask(StateHandoff{std::move(out)}));
   }
-  AddChurnCounters(churn);
 
   // Replication: the moved (or promoted) slices now live here — overwrite
   // the stale copies at this node's successors so a later crash promotes

@@ -74,7 +74,7 @@ struct KeySlice {
 
 /// Everything one responsibility transfer moves: whole key slices in ring
 /// order, travelling as one StateHandoff message through the normal
-/// message plane (and therefore through the sharded runtime's mailboxes).
+/// message plane.
 struct HandoffBatch {
   uint64_t emitted_at = 0;  ///< virtual emission time (recovery metric)
   /// True when this handoff is a replica promotion after a crash: the

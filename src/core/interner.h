@@ -25,8 +25,7 @@ namespace rjoin::core {
 /// buckets, rate tracking, candidate tables — works on a u32 and never
 /// re-hashes key text.
 ///
-/// Concurrency contract (core::Dictionary's; the shape the sharded runtime
-/// needs):
+/// Concurrency contract (core::Dictionary's):
 ///  * Reads — Find(), text(), level(), ring_id() — are lock-free and safe
 ///    from any thread, concurrently with inserts.
 ///  * Inserts take a mutex, but only for keys seen for the first time; a
@@ -34,14 +33,13 @@ namespace rjoin::core {
 ///  * Entries are immortal, so ids and `const std::string&` references
 ///    stay valid forever.
 ///
-/// Determinism: ids are assigned in first-intern order. Driver-phase
-/// interning (query submission, tuple publication) is sequential and thus
-/// canonical; worker-phase interning (rewrite candidates) may race, so id
-/// *values* can differ between runs — which is why no ordering the engine
-/// emits ever depends on id values (event keys are (time, src, seq); see
-/// docs/keys.md for the full argument). Within one process, text -> id is
-/// a fixed bijection (keyed by (text, level)), so an S=1 run and an S=4
-/// run of the same workload resolve identical keys to identical ids.
+/// Determinism: ids are assigned in first-intern order, and the interner is
+/// process-wide, so id *values* depend on what earlier runs in the process
+/// interned — which is why no ordering the engine emits ever depends on id
+/// values (events order by (time, insertion order); see docs/keys.md for
+/// the full argument). Within one process, text -> id is a fixed bijection
+/// (keyed by (text, level)), so two runs of the same workload resolve
+/// identical keys to identical ids.
 ///
 /// The hot path names keys by ids instead of text: (relation id, attribute
 /// index, level, value id) packs into a u64 code, and a second Dictionary

@@ -21,7 +21,7 @@ const char* LevelName(Level level);
 
 /// Dense interned identifier of an index key (see core::KeyInterner). The
 /// whole hot path — message payloads, node-state buckets, rate tracking,
-/// candidate tables, shard routing — carries this u32 instead of the
+/// candidate tables, routing — carries this u32 instead of the
 /// canonical key text; the text and its SHA-1 ring id are interned once.
 using KeyId = uint32_t;
 

@@ -93,8 +93,7 @@ void EnvelopeRef::Reset() {
 }
 
 MessagePool::MessagePool(size_t slab_envelopes)
-    : base_slab_size_(slab_envelopes > 0 ? slab_envelopes : 1),
-      owner_(std::this_thread::get_id()) {
+    : base_slab_size_(slab_envelopes > 0 ? slab_envelopes : 1) {
   std::lock_guard<std::mutex> lock(g_pools_mutex);
   LivePools().push_back(this);
 }
@@ -150,10 +149,6 @@ Envelope* MessagePool::NewEnvelope() {
 EnvelopeRef MessagePool::Acquire() {
   acquired_.fetch_add(1, std::memory_order_relaxed);
   Envelope* env = free_;
-  if (env == nullptr) {
-    // Reclaim everything other threads returned since the last miss.
-    env = remote_free_.exchange(nullptr, std::memory_order_acquire);
-  }
   if (env != nullptr) {
     free_ = env->link;
     env->link = nullptr;
@@ -164,20 +159,16 @@ EnvelopeRef MessagePool::Acquire() {
   // Hand out a clean envelope; Release() already dropped the payload.
   env->time = 0;
   env->src = dht::kInvalidNode;
-  env->seq = 0;
-  env->order = 0;
   env->dst = dht::kInvalidNode;
-  env->emit_time = 0;
-  env->route_key_id = kInvalidKeyId;
-  env->stage = EnvelopeStage::kDeliver;
+  env->order = 0;
   env->group = nullptr;
   return EnvelopeRef(env);
 }
 
 void MessagePool::Release(Envelope* env) {
-  // An envelope may still carry a MultiSendKeys chain behind it (teardown
-  // of a never-dispatched batch); `link` doubles as the freelist pointer,
-  // so walk the chain before repurposing it.
+  // An envelope may carry a chain behind it (the members of a delivery
+  // group); `link` doubles as the freelist pointer, so walk the chain
+  // before repurposing it.
   while (env != nullptr) {
     Envelope* next = env->link;
     if (env->group != nullptr) {
@@ -191,19 +182,11 @@ void MessagePool::Release(Envelope* env) {
       env->group = nullptr;
     }
     RJOIN_DCHECK(env->origin != nullptr);
-    env->task.Reset();  // free payload internals on the releasing thread
+    env->task.Reset();
     MessagePool* pool = env->origin;
     pool->released_.fetch_add(1, std::memory_order_relaxed);
-    if (std::this_thread::get_id() == pool->owner_) {
-      env->link = pool->free_;
-      pool->free_ = env;
-    } else {
-      Envelope* head = pool->remote_free_.load(std::memory_order_relaxed);
-      do {
-        env->link = head;
-      } while (!pool->remote_free_.compare_exchange_weak(
-          head, env, std::memory_order_release, std::memory_order_relaxed));
-    }
+    env->link = pool->free_;
+    pool->free_ = env;
     env = next;
   }
 }

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -97,25 +96,23 @@ struct AnswerDeliver {
   ValueId row[kMaxSelectItems] = {};
 };
 
-/// A closure riding the event plane. Only tests create them (through
-/// ShardedRuntime::ScheduleEvent, or on the simulator's queue directly).
-/// Not a network message; the closure may allocate, which is fine off the
-/// steady-state delivery path.
+/// A closure riding the event plane. Only tests create them, on the
+/// simulator's queue directly. Not a network message; the closure may
+/// allocate, which is fine off the steady-state delivery path.
 struct Control {
   std::function<void()> run;
 };
 
 /// Live churn, join half: a node announcing it wants to join the ring at
-/// `id`, delivered to a bootstrap node. The engine stages the request and
-/// applies it at the next round barrier (ring mutations are serial-phase
-/// work; see docs/churn.md for the determinism argument).
+/// `id`, delivered to a bootstrap node, which applies it on delivery (see
+/// docs/churn.md).
 struct NodeJoin {
   dht::NodeId id;
   dht::NodeIndex bootstrap = dht::kInvalidNode;
 };
 
-/// Live churn, leave half: node `node` departs gracefully. Staged and
-/// applied like NodeJoin; the departing node's responsibility range is
+/// Live churn, leave half: node `node` departs gracefully. Applied like
+/// NodeJoin; the departing node's responsibility range is
 /// handed to its successor as a StateHandoff.
 struct NodeLeave {
   dht::NodeIndex node = dht::kInvalidNode;
@@ -155,7 +152,6 @@ struct ReplicaUpdate {
     kAltt,     ///< delta: attribute-level `tuple` was stored until `expires`
     kRate,     ///< delta: `tuple` arrived and stored nothing (ALTT off)
     kResync,   ///< replica `from` -> owner: gap detected, send a REPLACE
-    kReaim,    ///< owner -> itself: re-send baselines after a topology change
   };
 
   ReplicaUpdate();
@@ -185,9 +181,9 @@ struct ReplicaUpdate {
 
 /// Failure injection: node `node` is killed silently — no goodbye, no
 /// handoff; its state survives only as replica slices at its successors.
-/// Staged and applied at a rendezvous like NodeJoin/NodeLeave.
+/// Applied on delivery like NodeJoin/NodeLeave.
 /// `take_successors` > 0 additionally kills that many adjacent ring
-/// successors in the same barrier (the correlated-kill worst case that
+/// successors in the same instant (the correlated-kill worst case that
 /// defeats a replication factor of take_successors + 1).
 struct NodeCrash {
   dht::NodeIndex node = dht::kInvalidNode;
@@ -263,61 +259,30 @@ class MessageTask {
 };
 
 // ---------------------------------------------------------------------------
-// Envelope: the one in-flight message representation, shared by the serial
-// sim::EventQueue, the dht::Transport, and the runtime::ShardedRuntime
-// shard heaps/mailboxes. Envelopes are slab-allocated by a MessagePool and
-// recycled through a freelist, so a message in steady state costs zero heap
-// allocations end to end.
+// Envelope: the one in-flight message representation, shared by the
+// sim::EventQueue and the dht::Transport. Envelopes are slab-allocated by a
+// MessagePool and recycled through a freelist, so a message in steady state
+// costs zero heap allocations end to end.
 // ---------------------------------------------------------------------------
 
 class MessagePool;
-
-/// Routing state of an in-flight envelope. Deferred driver-phase sends are
-/// scheduled on the emitting node's shard still in the kRoute/kDirect
-/// stage; the worker performs the routing work (or the one-hop charge) and
-/// reschedules the same envelope in the kDeliver stage — no intermediate
-/// allocation.
-enum class EnvelopeStage : uint8_t {
-  kDeliver = 0,  ///< dst/time final; dispatch hands the task to the engine
-  kRoute,        ///< still needs the O(log N) route toward `route_key`
-  kDirect,       ///< still needs the one-hop direct-send charge + latency
-  /// Head (or member) of a deferred MultiSendKeys batch: the whole link
-  /// chain is routed *together* by the transport's destination-coalescing
-  /// pass instead of one envelope at a time.
-  kRouteGroup,
-};
 
 struct Envelope {
   // --- scheduling identity -------------------------------------------------
   sim::SimTime time = 0;             ///< virtual delivery time
   dht::NodeIndex src = dht::kInvalidNode;  ///< emitting node
-  uint64_t seq = 0;     ///< per-src emission seq (the runtime ordering key)
-  uint64_t order = 0;   ///< serial EventQueue insertion seq (FIFO on ties)
   dht::NodeIndex dst = dht::kInvalidNode;  ///< receiving node
-  /// Virtual time the send was emitted (stamped by the runtime's
-  /// cross-shard push). Receivers fold `emit_time + min hop latency` into
-  /// their watermark frontier: a shard's emissions are nondecreasing in
-  /// time, so the last drained send-time from a peer bounds everything
-  /// that peer will still send.
-  sim::SimTime emit_time = 0;
+  uint64_t order = 0;   ///< EventQueue insertion seq (FIFO on ties)
 
   // --- payload -------------------------------------------------------------
   MessageTask task;
 
-  // --- routing stage (see EnvelopeStage) -----------------------------------
-  dht::NodeId route_key;  ///< target identifier while stage != kDeliver
-  /// Interned id of route_key (routed stages only). Carries the route-cache
-  /// key across a driver-phase defer so the worker-side routing stage can
-  /// hit the per-node route cache.
-  KeyId route_key_id = kInvalidKeyId;
-  EnvelopeStage stage = EnvelopeStage::kDeliver;
-
   // --- plumbing ------------------------------------------------------------
-  Envelope* link = nullptr;   ///< MultiSendKeys batch chain / pool freelist
+  Envelope* link = nullptr;   ///< delivery-group chain / pool freelist
   /// Head of a destination-coalesced delivery group: extra payloads that
   /// ride this envelope to the same dst (chained through their own `link`).
-  /// Only kDeliver envelopes carry one; the group shares this envelope's
-  /// (src, seq, time) identity and was charged as one wire message.
+  /// The group shares this envelope's (src, time) identity and was charged
+  /// as one wire message.
   Envelope* group = nullptr;
   MessagePool* origin = nullptr;  ///< pool the storage belongs to
 };
@@ -326,7 +291,7 @@ struct Envelope {
 // not widen it (docs/messaging.md records the sizes).
 static_assert(sizeof(ReplicaUpdate) <= sizeof(Rewrite),
               "replica deltas must fit the rewrite-sized payload slot");
-static_assert(sizeof(Envelope) == 488, "pooled Envelope size changed");
+static_assert(sizeof(Envelope) == 432, "pooled Envelope size changed");
 
 /// Move-only owner of a pooled Envelope; releasing returns the envelope
 /// (payload dropped) to its pool's freelist.
@@ -366,14 +331,9 @@ class EnvelopeRef {
   Envelope* env_ = nullptr;
 };
 
-/// Slab/freelist allocator for Envelopes. One pool per event-executing
-/// context: the serial simulator owns one, and every shard of the parallel
-/// runtime owns one. Acquire() is owner-thread-only (or any thread while
-/// the owner is parked at a barrier — the runtime's driver phase); Release
-/// from the owner thread pushes the local freelist, Release from any other
-/// thread pushes a lock-free remote list that the owner reclaims in bulk.
-/// Slabs are never freed until the pool dies, so pointers stay valid for
-/// the pool's whole lifetime.
+/// Slab/freelist allocator for Envelopes; the simulator owns one. Slabs are
+/// never freed until the pool dies, so pointers stay valid for the pool's
+/// whole lifetime.
 class MessagePool {
  public:
   static constexpr size_t kDefaultSlabEnvelopes = 256;
@@ -387,13 +347,10 @@ class MessagePool {
   /// only while the in-flight high-water mark is still rising).
   EnvelopeRef Acquire();
 
-  /// Returns `env` to its origin pool. Callable from any thread; drops the
-  /// payload first. Used by EnvelopeRef — call that instead where possible.
+  /// Returns `env`, and every envelope chained behind it, to its origin
+  /// pool, dropping the payloads first. Used by EnvelopeRef — call that
+  /// instead where possible.
   static void Release(Envelope* env);
-
-  /// Re-binds the owner thread (the thread whose Release calls may touch
-  /// the non-atomic freelist). Runtime workers call this once on startup.
-  void BindOwnerThread() { owner_ = std::this_thread::get_id(); }
 
   /// Allocation counters of this pool. `envelopes_allocated` only grows
   /// while the high-water mark of in-flight messages grows; in steady state
@@ -404,7 +361,7 @@ class MessagePool {
     uint64_t envelopes_allocated = 0;
     uint64_t acquired = 0;
     uint64_t recycled = 0;
-    uint64_t released = 0;  ///< envelopes returned (freelist or remote list)
+    uint64_t released = 0;  ///< envelopes returned to the freelist
 
     /// Envelopes handed out and not yet returned. Zero after a full drain —
     /// the no-envelope-lost/duplicated balance the churn tests assert.
@@ -420,8 +377,8 @@ class MessagePool {
     uint64_t acquired = 0;
     uint64_t released = 0;
 
-    /// Envelopes in flight across every pool. Zero once all runtimes have
-    /// drained and shut down — the balance the pool-balance suite asserts.
+    /// Envelopes in flight across every pool. Zero once every simulator has
+    /// drained — the balance the pool-balance suite asserts.
     uint64_t outstanding() const { return acquired - released; }
   };
   static GlobalStats Aggregate();
@@ -448,12 +405,9 @@ class MessagePool {
 
   const size_t base_slab_size_;
   std::vector<Slab> slabs_;
-  Envelope* free_ = nullptr;                    // owner-thread freelist
-  std::atomic<Envelope*> remote_free_{nullptr};  // cross-thread returns
-  std::thread::id owner_;
+  Envelope* free_ = nullptr;
 
-  // Relaxed atomics: written by the owner thread (released_ by any
-  // releasing thread), read by Aggregate()/stats().
+  // Relaxed atomics: written by the pool, read by Aggregate()/stats().
   std::atomic<uint64_t> slabs_allocated_{0};
   std::atomic<uint64_t> envelopes_allocated_{0};
   std::atomic<uint64_t> acquired_{0};
@@ -462,10 +416,8 @@ class MessagePool {
 };
 
 /// Executes due envelopes. dht::Transport is the one implementation: it
-/// finishes kRoute/kDirect stages (rescheduling the same envelope) and
-/// hands kDeliver payloads to the engine's dispatch switch. Both the serial
-/// simulator and the sharded runtime call this for every non-Control
-/// envelope they pop.
+/// hands delivered payloads to the engine's dispatch switch. The simulator
+/// calls this for every non-Control envelope it pops.
 class EnvelopeDispatcher {
  public:
   virtual ~EnvelopeDispatcher() = default;
@@ -474,8 +426,7 @@ class EnvelopeDispatcher {
 
 /// Executes a Control envelope: the closure moves out and the envelope
 /// recycles *before* the closure runs, so anything it schedules reuses the
-/// freed envelope first. Every event pump shares this one definition of
-/// the recycle-before-run contract.
+/// freed envelope first.
 inline void RunControl(EnvelopeRef env) {
   std::function<void()> run = std::move(env->task.control().run);
   env.Reset();

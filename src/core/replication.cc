@@ -35,7 +35,6 @@ uint64_t MirrorBytes(const ReplicaUpdate& mirror) {
     case Op::kAltt:
       return bytes + KeySlice::AlttBytes(mirror.tuple) + KeySlice::kRateBytes;
     case Op::kResync:
-    case Op::kReaim:
       break;
   }
   return bytes;
@@ -119,12 +118,6 @@ void RJoinEngine::MirrorDelta(dht::NodeIndex self, ReplicaUpdate&& delta) {
   // off, where this function is never reached.
   stats::AllocScope plane(stats::AllocPlane::kOther);
   ReplicaStore& store = ReplicasOf(self);
-  if (store.reaim_pending) {
-    // The re-aim snapshots are taken after this delivery's mutation, so
-    // they already carry the record.
-    Reaim(self);
-    return;
-  }
   uint64_t& last = store.last_mirror[delta.key];
   if (last == 0) {
     MirrorSnapshot(self, delta.key);  // No baseline at the successors yet.
@@ -134,10 +127,9 @@ void RJoinEngine::MirrorDelta(dht::NodeIndex self, ReplicaUpdate&& delta) {
   delta.prev = last;
   delta.seq = last = ++store.mirror_clock;
   const uint64_t fanout = succs.size();
-  AddReplicaCounters(
-      ReplicationStats{.replica_updates = fanout,
-                       .replica_keys = fanout,
-                       .replica_bytes = fanout * MirrorBytes(delta)});
+  replication_.replica_updates += fanout;
+  replication_.replica_keys += fanout;
+  replication_.replica_bytes += fanout * MirrorBytes(delta);
   for (size_t i = 0; i + 1 < fanout; ++i) {
     transport_->SendDirect(self, succs[i], MessageTask(delta.CopyDelta()));
   }
@@ -164,9 +156,9 @@ void RJoinEngine::SendSnapshot(dht::NodeIndex self, dht::NodeIndex dst,
   snap.from = self;
   snap.seq = seq;
   snap.snapshot = std::make_unique<KeySlice>(SliceOf(self, key, false));
-  AddReplicaCounters(ReplicationStats{.replica_updates = 1,
-                                      .replica_keys = 1,
-                                      .replica_bytes = MirrorBytes(snap)});
+  ++replication_.replica_updates;
+  ++replication_.replica_keys;
+  replication_.replica_bytes += MirrorBytes(snap);
   transport_->SendDirect(self, dst, MessageTask(std::move(snap)));
 }
 
@@ -178,36 +170,15 @@ void RJoinEngine::RefreshReplicasAround(const dht::NodeId& position) {
   dht::NodeIndex at = network_->SuccessorOf(position);
   const size_t hops =
       std::min<size_t>(config_.replication - 1, network_->num_alive() - 1);
-  RequestReaim(at);
+  Reaim(at);
   for (size_t i = 0; i < hops; ++i) {
     at = network_->node(at).predecessor();
-    RequestReaim(at);
+    Reaim(at);
   }
-}
-
-void RJoinEngine::RequestReaim(dht::NodeIndex node) {
-  if (runtime_ == nullptr) {
-    // Serial path: the churn op applies inside an event and every send
-    // after it queues behind these snapshots.
-    Reaim(node);
-    return;
-  }
-  // At a barrier the snapshots would be deferred to the node's shard,
-  // where an event of the same instant could send a delta ahead of them.
-  // So the node re-aims on its own shard instead: from the first mirror it
-  // emits, or from this self-addressed event, whichever runs first.
-  ReplicaStore& store = ReplicasOf(node);
-  if (store.reaim_pending) return;
-  store.reaim_pending = true;
-  RJOIN_CHECK(ScheduleChurnEvent(Now(), node,
-                                 MessageTask(ReplicaUpdate(
-                                     ReplicaUpdate::Op::kReaim)))
-                  .ok());
 }
 
 void RJoinEngine::Reaim(dht::NodeIndex node) {
   ReplicaStore& store = ReplicasOf(node);
-  store.reaim_pending = false;
   // Baselines at the old successor window no longer count: a key that is
   // not re-sent below starts over with a REPLACE at its next mirror.
   store.last_mirror.clear();
@@ -236,10 +207,6 @@ void RJoinEngine::WriteThroughRateReplica(dht::NodeIndex owner, KeyId key) {
 void RJoinEngine::OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg) {
   if (!crashed_.empty() && crashed_[self]) return;  // Mail to the dead.
   stats::AllocScope plane(stats::AllocPlane::kOther);
-  if (msg.op == ReplicaUpdate::Op::kReaim) {
-    if (ReplicasOf(self).reaim_pending) Reaim(self);
-    return;
-  }
   const dht::NodeIndex owner =
       network_->SuccessorOf(interner_->ring_id(msg.key));
   if (msg.op == ReplicaUpdate::Op::kResync) {
@@ -267,7 +234,7 @@ void RJoinEngine::OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg) {
   ReplicaUpdate request(ReplicaUpdate::Op::kResync);
   request.key = msg.key;
   request.from = self;
-  AddReplicaCounters(ReplicationStats{.mirror_gaps = 1});
+  ++replication_.mirror_gaps;
   transport_->SendDirect(self, msg.from, MessageTask(std::move(request)));
 }
 

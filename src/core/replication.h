@@ -60,10 +60,6 @@ struct ReplicaStore {
   /// Owner side: source of sequence numbers, monotone for the node's life
   /// (a REPLACE never reuses a number a replica may still hold).
   uint64_t mirror_clock = 0;
-  /// A topology change moved this node's successor window and the re-aim
-  /// REPLACEs are still to be sent (sharded runtime only: the barrier
-  /// defers them to the node's own shard).
-  bool reaim_pending = false;
 };
 
 /// Approximate wire size of a mirror, with KeySlice's per-record sizes

@@ -197,8 +197,8 @@ static_assert(std::is_trivially_copyable_v<InputQuery>);
 /// DISTINCT projection fingerprint of Section 4: tuple `t` (of FROM
 /// relation `rel`) projected onto the attributes of `rel` that `q`
 /// references, hashed over interned value ids. Vid equality is value
-/// equality (injective interner) and vids are canonical across shard
-/// counts, so the fingerprint is deterministic and needs no string
+/// equality (injective interner) and vids are canonical (driver-phase
+/// interning), so the fingerprint is deterministic and needs no string
 /// rendering. The single-tuple trigger and the batched probe kernel both
 /// hash with this one definition.
 uint64_t ProjectionFingerprint(const InputQuery& q, int rel,
@@ -279,8 +279,8 @@ class Residual {
   /// for every bound relation, the projection of its tuple over the
   /// attributes the query references, hashed over interned ValueIds. Two
   /// residuals with equal fingerprints are the same rewritten query (used
-  /// for DISTINCT set semantics). Vids are canonical across shard counts
-  /// (driver-phase interning), so this is bit-identical at S=1/4/7.
+  /// for DISTINCT set semantics). Vids are canonical (driver-phase
+  /// interning), so this is bit-identical from run to run.
   uint64_t ContentFingerprint64() const;
 
   /// Interned id of attribute (rel, attr), or kInvalidValueId if unbound.

@@ -30,16 +30,6 @@ uint64_t RateTracker::Rate(KeyId key, uint64_t now) const {
   return b.current + b.previous;
 }
 
-void RateTracker::SnapshotInto(uint64_t now, KeyIdMap<uint64_t>* out) const {
-  const uint64_t epoch = EpochOf(now);
-  counts_.ForEach([&](KeyId key, const RateBucket& bucket) {
-    RateBucket b = bucket;  // Roll a copy; lookups are logically const.
-    Roll(b, epoch);
-    const uint64_t rate = b.current + b.previous;
-    if (rate > 0) (*out)[key] = rate;
-  });
-}
-
 void RateTracker::AppendTrackedKeys(std::vector<KeyId>* out) const {
   counts_.ForEach([&](KeyId key, const RateBucket& bucket) {
     if (!bucket.empty()) out->push_back(key);
@@ -49,8 +39,7 @@ void RateTracker::AppendTrackedKeys(std::vector<KeyId>* out) const {
 RateBucket RateTracker::ExtractKey(KeyId key) {
   RateBucket* b = counts_.Find(key);
   if (b == nullptr || b->empty()) return RateBucket{};
-  // KeyIdMap never erases; an empty bucket is equivalent (Rate reads 0 and
-  // SnapshotInto skips zero rates).
+  // KeyIdMap never erases; an empty bucket is equivalent (Rate reads 0).
   return std::exchange(*b, RateBucket{});
 }
 

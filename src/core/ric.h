@@ -35,8 +35,8 @@ inline bool IsFresh(const RicEntry* found, uint64_t now, uint64_t validity) {
 /// piggyback is a flat POD, no heap vector per hop. Capacity covers one
 /// entry per indexing candidate of the widest supported query
 /// (kMaxQueryRels, plus slack); overflow drops deterministically
-/// (TryPush keeps the first kCap in construction order, which is identical
-/// across shard counts), costing at most a cache-warming hint.
+/// (TryPush keeps the first kCap in construction order), costing at most a
+/// cache-warming hint.
 struct RicVec {
   static constexpr int kCap = 12;
 
@@ -79,12 +79,6 @@ class RateTracker {
 
   /// Predicted arrivals over one observation window.
   uint64_t Rate(KeyId key, uint64_t now) const;
-
-  /// Writes Rate(key, now) for every tracked key with a non-zero rate into
-  /// `out` (missing keys read as 0). The sharded runtime freezes these
-  /// snapshots at epoch barriers so worker threads can answer remote RIC
-  /// lookups without reading live cross-shard state.
-  void SnapshotInto(uint64_t now, KeyIdMap<uint64_t>* out) const;
 
   // ---- churn migration (docs/churn.md: rates migrate and merge) --------
 

@@ -33,8 +33,8 @@ namespace rjoin::core {
 /// default scale, 30% of the stored-query slab nodes were never handed
 /// out).
 ///
-/// Single-threaded by design: each NodeState owns its pools, and a node's
-/// events execute on exactly one shard.
+/// Single-threaded by design: each NodeState owns its pools, and the
+/// simulator runs every event on one thread.
 template <typename T>
 class SlabPool {
  public:

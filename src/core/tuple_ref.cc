@@ -75,16 +75,6 @@ uint32_t TuplePool::InternRelation(std::string_view name) {
 
 uint32_t TuplePool::Allocate() {
   acquired_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Reclaim worker-released records in bulk (cf. MessagePool remote list).
-  uint32_t remote = remote_free_.exchange(kNil, std::memory_order_acquire);
-  while (remote != kNil) {
-    Rec& r = at(remote);
-    const uint32_t next = r.next;
-    r.next = free_;
-    free_ = remote;
-    remote = next;
-  }
   if (free_ != kNil) {
     recycled_.fetch_add(1, std::memory_order_relaxed);
     const uint32_t idx = free_;
@@ -109,12 +99,8 @@ uint32_t TuplePool::Allocate() {
 
 void TuplePool::ReleaseRecord(uint32_t idx) {
   released_.fetch_add(1, std::memory_order_relaxed);
-  Rec& r = at(idx);
-  uint32_t head = remote_free_.load(std::memory_order_relaxed);
-  do {
-    r.next = head;
-  } while (!remote_free_.compare_exchange_weak(
-      head, idx, std::memory_order_release, std::memory_order_relaxed));
+  at(idx).next = free_;
+  free_ = idx;
 }
 
 TupleRef TuplePool::Make(std::string_view relation,

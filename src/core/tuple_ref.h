@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,8 +32,8 @@ inline constexpr ValueId kInvalidValueId = static_cast<ValueId>(-1);
 ///    inserts; returned references are stable forever (entries immortal).
 ///  * Intern() takes a mutex only on first sight. All inserts happen in
 ///    the driver phase (tuple publication, query Create), which is
-///    sequential — so ids are canonical across shard counts and vid-based
-///    fingerprints are bit-identical at S=1/4/7 (docs/keys.md argument).
+///    sequential — so ids are canonical and vid-based fingerprints are
+///    bit-identical from run to run (docs/keys.md argument).
 class ValueInterner {
  public:
   /// Process-wide interner the engine uses by default.
@@ -75,15 +74,13 @@ class TupleRef;
 /// copying a handle is one atomic increment, no control blocks.
 ///
 /// Concurrency contract:
-///  * Allocate() is driver-phase only (tuple publication is sequential),
-///    under a mutex that also drains the lock-free remote-free list.
-///  * Release (refcount -> 0) may happen on any worker (windowed GC,
-///    Δ-expiry, handoff): the record is pushed onto a Treiber stack of
-///    u32 indices; the next Allocate() reclaims in bulk. Same discipline
-///    as MessagePool's remote-return path.
+///  * Allocate() and Release (refcount -> 0: windowed GC, Δ-expiry,
+///    handoff) run on the simulator's thread; a released record goes to
+///    the front of the freelist.
 ///  * Dereference is lock-free: slabs live on an atomic spine and are
 ///    never freed while the pool lives, so TupleRef handles stay valid
 ///    for the pool's whole lifetime.
+///  * Relation names intern from any thread (core::Dictionary).
 class TuplePool {
  public:
   /// Covers the paper's workload (10 attributes per relation) with slack.
@@ -99,7 +96,7 @@ class TuplePool {
     uint32_t relation = 0;  ///< dense relation id (TuplePool dictionary)
     uint16_t arity = 0;
     std::atomic<uint32_t> refs{0};
-    uint32_t next = kNil;  ///< freelist / remote-stack link (refs == 0)
+    uint32_t next = kNil;  ///< freelist link (refs == 0)
     ValueId vals[kInlineArity] = {};
     /// Wide-tuple fallback: allocated once per slot, then reused across
     /// recycles, so steady state stays allocation-free even past
@@ -161,7 +158,7 @@ class TuplePool {
     }
   }
 
-  /// refs hit zero: push onto the any-thread remote stack.
+  /// refs hit zero: push onto the freelist.
   void ReleaseRecord(uint32_t idx);
 
   struct NameHash {
@@ -171,12 +168,10 @@ class TuplePool {
   // 4,096-record slabs, 16M records hard cap.
   using RecordSpine = SlabSpine<Rec, 12, 1u << 12>;
   RecordSpine records_;
-  std::mutex mutex_;                  // guards allocation
-  uint32_t allocated_ = 0;            // slab high-water mark
-  uint32_t free_ = kNil;              // owner freelist (under mutex_)
-  std::atomic<uint32_t> remote_free_{kNil};
+  uint32_t allocated_ = 0;  // slab high-water mark
+  uint32_t free_ = kNil;
 
-  // Relation names, interned driver-phase and read lock-free by workers
+  // Relation names, interned driver-phase and read lock-free when
   // materializing answers and building key text: 1,024-name slabs.
   Dictionary<std::string, NameHash, 10, (kMaxRelations >> 10)> relations_{
       "relation"};

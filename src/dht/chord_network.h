@@ -70,7 +70,7 @@ class ChordNetwork {
   /// (pred, node] so the layer above can promote whatever replicas of it
   /// survive. The splice itself is identical to LeaveNode's: it stands in
   /// for the stabilization rounds a real ring would run after detecting the
-  /// failure, compressed into the rendezvous that applies the crash (the
+  /// failure, compressed into the event that applies the crash (the
   /// successor "detects" the crash through the topology-generation bump —
   /// see docs/failures.md). Unlike FailNode, the ring stays exact, so
   /// routing and the forwarding rule keep working without protocol rounds.

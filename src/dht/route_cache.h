@@ -26,10 +26,9 @@ namespace rjoin::dht {
 /// under the new generation. There is no per-entry invalidation to get
 /// wrong; churn simply starts an empty table.
 ///
-/// Thread-safety: none required. A node's sends execute only on its owner
-/// shard's worker (or on the driver while workers are parked), so each
-/// RouteCache is touched by one thread at a time. Global hit/miss counters
-/// are relaxed atomics aggregated like core::MessagePool's.
+/// Thread-safety: none required; the simulator runs every send on one
+/// thread. Global hit/miss counters are relaxed atomics aggregated like
+/// core::MessagePool's.
 class RouteCache {
  public:
   /// Longest forwarding tail an entry can hold. Greedy Chord paths are

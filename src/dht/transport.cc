@@ -31,13 +31,13 @@ bool RouteCacheEnabledFromEnv() {
 
 }  // namespace
 
-Transport::Transport(ChordNetwork* network, sim::EventPump* pump,
+Transport::Transport(ChordNetwork* network, sim::Simulator* sim,
                      sim::LatencyModel* latency)
     : network_(network),
-      pump_(pump),
+      sim_(sim),
       latency_(latency),
       route_cache_enabled_(RouteCacheEnabledFromEnv()) {
-  pump_->set_dispatcher(this);
+  sim_->set_dispatcher(this);
 }
 
 Transport::CoalesceStats Transport::AggregateCoalesce() {
@@ -52,26 +52,50 @@ std::vector<NodeIndex>& Transport::RouteScratch() {
   return path;
 }
 
-core::EnvelopeRef Transport::MakeStaged(NodeIndex src, core::MessageTask task,
-                                        core::EnvelopeStage stage) {
-  core::EnvelopeRef env = pump_->AcquireFor(src);
+core::EnvelopeRef Transport::NewEnvelope(NodeIndex src,
+                                         core::MessageTask task) {
+  core::EnvelopeRef env = sim_->pool().Acquire();
   env->src = src;
-  env->stage = stage;
   env->task = std::move(task);
   return env;
 }
 
 size_t Transport::SendKey(NodeIndex src, core::KeyId key,
                           core::MessageTask task) {
-  core::EnvelopeRef env =
-      MakeStaged(src, std::move(task), core::EnvelopeStage::kRoute);
-  env->route_key = interner_->ring_id(key);
-  env->route_key_id = key;  // lets the routing stage hit the route cache
-  if (pump_->DefersSends()) {
-    pump_->Defer(src, std::move(env));
-    return 0;
+  core::EnvelopeRef env = NewEnvelope(src, std::move(task));
+  const NodeId& ring_id = interner_->ring_id(key);
+  if (!network_->node(src).alive()) {
+    // A departed node draining in-flight work: it cannot greedy-route (it
+    // is off the ring) but still knows the responsible node — one direct
+    // hop, like the forwarding rule of docs/churn.md.
+    env->dst = CachedSuccessorOf(key, ring_id);
+    SendOneHop(std::move(env));
+    return 1;
   }
-  return FinishRoute(std::move(env));
+  const RouteView view = ResolveRoute(src, key, ring_id);
+  stats::MetricsRegistry& metrics = Metrics();
+  Rng& rng = sim_->rng();
+  sim::SimTime delay = 0;
+  // Each node of the path except the last transmits the message once: the
+  // source, then every forwarding hop before the responsible node.
+  if (view.count > 0) {
+    metrics.AddTraffic(src);
+    delay += latency_->Delay(rng);
+    for (uint32_t i = 0; i + 1 < view.count; ++i) {
+      metrics.AddTraffic(view.hops[i]);
+      delay += latency_->Delay(rng);
+    }
+  }
+  RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
+  env->dst = view.dst_or(src);
+  const uint32_t hops = view.count;
+  stats::Tracer::RecordRouteHops(hops);
+  if (stats::Tracer::On()) {
+    TraceMessage(stats::TraceCategory::kRoute, env->task.kind(), src, env->dst,
+                 hops);
+  }
+  sim_->Deliver(delay, std::move(env));
+  return hops;
 }
 
 Transport::RouteView Transport::ResolveRoute(NodeIndex src, core::KeyId key_id,
@@ -116,105 +140,29 @@ NodeIndex Transport::CachedSuccessorOf(core::KeyId key_id,
   return responsible;
 }
 
-size_t Transport::FinishRoute(core::EnvelopeRef env) {
-  if (!network_->node(env->src).alive()) {
-    // A departed node draining in-flight work (or a deferred route whose
-    // source left at a barrier in between): it cannot greedy-route (it is
-    // off the ring) but still knows the responsible node — one direct hop,
-    // like the forwarding rule of docs/churn.md.
-    env->dst = CachedSuccessorOf(env->route_key_id, env->route_key);
-    FinishDirect(std::move(env));
-    return 1;
-  }
-  const RouteView view =
-      ResolveRoute(env->src, env->route_key_id, env->route_key);
-  stats::MetricsRegistry& metrics = Metrics();
-  const uint64_t seq = pump_->NextEmitSeq(env->src);
-  Rng& msg_rng = pump_->MessageRng(env->src, seq);
-  sim::SimTime delay = 0;
-  // Each node of the path except the last transmits the message once: the
-  // source, then every forwarding hop before the responsible node.
-  if (view.count > 0) {
-    metrics.AddTraffic(env->src);
-    delay += latency_->Delay(msg_rng);
-    for (uint32_t i = 0; i + 1 < view.count; ++i) {
-      metrics.AddTraffic(view.hops[i]);
-      delay += latency_->Delay(msg_rng);
-    }
-  }
-  RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
-  env->dst = view.dst_or(env->src);
-  env->stage = core::EnvelopeStage::kDeliver;
-  const NodeIndex src = env->src;
-  const uint32_t hops = view.count;
-  stats::Tracer::RecordRouteHops(hops);
-  if (stats::Tracer::On()) {
-    TraceMessage(stats::TraceCategory::kRoute, env->task.kind(), src, env->dst,
-                 hops);
-  }
-  pump_->Deliver(src, seq, delay, std::move(env));
-  return hops;
-}
-
-void Transport::FinishDirect(core::EnvelopeRef env) {
+void Transport::SendOneHop(core::EnvelopeRef env) {
   Metrics().AddTraffic(env->src);
-  const uint64_t seq = pump_->NextEmitSeq(env->src);
-  const sim::SimTime delay =
-      latency_->Delay(pump_->MessageRng(env->src, seq));
+  const sim::SimTime delay = latency_->Delay(sim_->rng());
   RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
-  env->stage = core::EnvelopeStage::kDeliver;
-  const NodeIndex src = env->src;
   stats::Tracer::RecordRouteHops(1);
   if (stats::Tracer::On()) {
-    TraceMessage(stats::TraceCategory::kSend, env->task.kind(), src, env->dst,
-                 1);
+    TraceMessage(stats::TraceCategory::kSend, env->task.kind(), env->src,
+                 env->dst, 1);
   }
-  pump_->Deliver(src, seq, delay, std::move(env));
-}
-
-size_t Transport::MultiSendKeys(
-    NodeIndex src,
-    std::vector<std::pair<core::KeyId, core::MessageTask>>* messages) {
-  // Materialize the batch as one kRouteGroup chain up front — the same
-  // shape on every path, so the coalescing pass (and therefore grouping,
-  // charging, and emission order) is identical for inline and deferred
-  // execution.
-  core::EnvelopeRef head;
-  core::Envelope* tail = nullptr;
-  for (auto& [key, task] : *messages) {
-    core::EnvelopeRef env =
-        MakeStaged(src, std::move(task), core::EnvelopeStage::kRouteGroup);
-    env->route_key = interner_->ring_id(key);
-    env->route_key_id = key;
-    if (tail == nullptr) {
-      head = std::move(env);
-      tail = head.get();
-    } else {
-      tail->link = env.release();
-      tail = tail->link;
-    }
-  }
-  messages->clear();
-  if (!head) return 0;
-  if (pump_->DefersSends()) {
-    pump_->Defer(src, std::move(head));
-    return 0;
-  }
-  return CoalesceAndSend(std::move(head));
+  sim_->Deliver(delay, std::move(env));
 }
 
 namespace {
 
-/// Per-thread grouping scratch for CoalesceAndSend: a dense dst -> group
-/// slot map stamped per batch (no clearing between batches) plus the group
-/// list itself. Workers coalesce concurrently, so this is thread-local like
-/// RouteScratch.
+/// Per-thread grouping scratch for MultiSendKeys: a dense dst -> group slot
+/// map stamped per batch (no clearing between batches) plus the group list
+/// itself.
 struct CoalesceScratch {
   struct Group {
     NodeIndex dst = kInvalidNode;
+    core::KeyId key = core::kInvalidKeyId;  // the head payload's key
     core::Envelope* head = nullptr;
     core::Envelope* member_tail = nullptr;  // last of head->group chain
-    uint32_t payloads = 0;
   };
   std::vector<Group> groups;
   std::vector<uint32_t> slot_of_dst;  // group index, valid iff stamped
@@ -229,8 +177,10 @@ struct CoalesceScratch {
 
 }  // namespace
 
-size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
-  const NodeIndex src = chain->src;
+size_t Transport::MultiSendKeys(
+    NodeIndex src,
+    std::vector<std::pair<core::KeyId, core::MessageTask>>* messages) {
+  if (messages->empty()) return 0;
   const bool dead_src = !network_->node(src).alive();
   CoalesceScratch& scratch = CoalesceScratch::Get();
   if (scratch.slot_of_dst.size() < network_->num_total()) {
@@ -248,50 +198,42 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
   // destination becomes the group head; the rest chain off its `group`.
   // The same rule covers a departed sender: its one-hop forwarding target
   // IS the responsible node.
-  uint64_t payloads = 0;
-  core::Envelope* cur = chain.release();
-  while (cur != nullptr) {
-    core::Envelope* next = cur->link;
-    cur->link = nullptr;
-    ++payloads;
-    const NodeIndex dst =
-        CachedSuccessorOf(cur->route_key_id, cur->route_key);
+  const uint64_t payloads = messages->size();
+  for (auto& [key, task] : *messages) {
+    core::Envelope* env = NewEnvelope(src, std::move(task)).release();
+    const NodeIndex dst = CachedSuccessorOf(key, interner_->ring_id(key));
     if (scratch.stamp[dst] == scratch.batch) {
       CoalesceScratch::Group& g = scratch.groups[scratch.slot_of_dst[dst]];
       if (g.member_tail == nullptr) {
-        g.head->group = cur;
+        g.head->group = env;
       } else {
-        g.member_tail->link = cur;
+        g.member_tail->link = env;
       }
-      g.member_tail = cur;
-      ++g.payloads;
+      g.member_tail = env;
     } else {
       scratch.stamp[dst] = scratch.batch;
       scratch.slot_of_dst[dst] =
           static_cast<uint32_t>(scratch.groups.size());
-      scratch.groups.push_back(
-          CoalesceScratch::Group{dst, cur, nullptr, 1});
+      scratch.groups.push_back(CoalesceScratch::Group{dst, key, env, nullptr});
     }
-    cur = next;
   }
+  messages->clear();
 
   // Pass 2: emit one wire message per destination group, in first-seen
-  // order — one emission seq, one route's charges and latency draws, one
-  // delivery event carrying every payload of the group.
+  // order — one route's charges and latency draws, one delivery event
+  // carrying every payload of the group.
   RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
   size_t total_hops = 0;
   stats::MetricsRegistry& metrics = Metrics();
+  Rng& rng = sim_->rng();
   for (CoalesceScratch::Group& g : scratch.groups) {
     core::EnvelopeRef env(g.head);
-    env->stage = core::EnvelopeStage::kDeliver;
     env->dst = g.dst;
-    const uint64_t seq = pump_->NextEmitSeq(src);
-    Rng& msg_rng = pump_->MessageRng(src, seq);
     sim::SimTime delay = 0;
     size_t hops = 0;
     if (dead_src) {
       metrics.AddTraffic(src);
-      delay = latency_->Delay(msg_rng);
+      delay = latency_->Delay(rng);
       hops = 1;
     } else {
       // One wire-route walk per group. The per-node tail cache is NOT
@@ -300,15 +242,15 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
       // table (and the hit-rate signal) — the walk itself is already
       // amortized over every payload of the group.
       std::vector<NodeIndex>& path = RouteScratch();
-      network_->RoutePath(src, env->route_key, &path);
+      network_->RoutePath(src, interner_->ring_id(g.key), &path);
       RJOIN_DCHECK(path.back() == g.dst);
       hops = path.size() - 1;
       if (hops > 0) {
         metrics.AddTraffic(src);
-        delay += latency_->Delay(msg_rng);
+        delay += latency_->Delay(rng);
         for (size_t i = 1; i + 1 < path.size(); ++i) {
           metrics.AddTraffic(path[i]);
-          delay += latency_->Delay(msg_rng);
+          delay += latency_->Delay(rng);
         }
       }
     }
@@ -319,7 +261,7 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
                             : stats::TraceCategory::kRoute,
                    env->task.kind(), src, g.dst, hops);
     }
-    pump_->Deliver(src, seq, delay, std::move(env));
+    sim_->Deliver(delay, std::move(env));
   }
   g_coalesce_groups.fetch_add(scratch.groups.size(),
                               std::memory_order_relaxed);
@@ -329,35 +271,12 @@ size_t Transport::CoalesceAndSend(core::EnvelopeRef chain) {
 
 void Transport::SendDirect(NodeIndex src, NodeIndex dst,
                            core::MessageTask task) {
-  core::EnvelopeRef env =
-      MakeStaged(src, std::move(task), core::EnvelopeStage::kDirect);
+  core::EnvelopeRef env = NewEnvelope(src, std::move(task));
   env->dst = dst;
-  if (pump_->DefersSends()) {
-    pump_->Defer(src, std::move(env));
-    return;
-  }
-  FinishDirect(std::move(env));
+  SendOneHop(std::move(env));
 }
 
 void Transport::DispatchEnvelope(core::EnvelopeRef env) {
-  // Only a deferred MultiSendKeys batch arrives as a chain.
-  RJOIN_DCHECK(env->link == nullptr ||
-               env->stage == core::EnvelopeStage::kRouteGroup);
-  switch (env->stage) {
-    case core::EnvelopeStage::kRoute:
-      FinishRoute(std::move(env));
-      return;
-    case core::EnvelopeStage::kDirect:
-      FinishDirect(std::move(env));
-      return;
-    case core::EnvelopeStage::kRouteGroup:
-      // A deferred MultiSendKeys batch: the whole chain coalesces by
-      // destination instead of dispatching one envelope at a time.
-      CoalesceAndSend(std::move(env));
-      return;
-    case core::EnvelopeStage::kDeliver:
-      break;
-  }
   RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
   const NodeIndex dst = env->dst;
   core::Envelope* members = env->group;  // coalesced co-payloads, if any

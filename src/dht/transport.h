@@ -8,8 +8,8 @@
 #include "core/messages.h"
 #include "dht/chord_network.h"
 #include "dht/id.h"
-#include "sim/event_pump.h"
 #include "sim/latency.h"
+#include "sim/simulator.h"
 #include "stats/metrics.h"
 
 namespace rjoin::dht {
@@ -31,21 +31,19 @@ class MessageHandler {
 ///
 /// Every message transmission (creation and every DHT-routing forward) is
 /// charged one unit of traffic to the transmitting node, matching the
-/// traffic definition of Section 8. Delivery is asynchronous through the
-/// event pump (sim::EventPump: the serial simulator or the sharded
-/// parallel runtime), with per-hop latency drawn from the latency model
-/// (bounded by delta).
+/// traffic definition of Section 8. Sends route inline; delivery is
+/// asynchronous through the sim::Simulator, with per-hop latency drawn from
+/// the latency model (bounded by delta).
 ///
 /// Messages are typed core::MessageTask payloads carried in pooled
-/// core::Envelopes: the transport is the core::EnvelopeDispatcher the pump
-/// calls, finishing deferred routing stages and handing delivered payloads
-/// to the MessageHandler. The steady-state path — acquire envelope, route,
-/// schedule, pop, dispatch, recycle — performs zero heap allocations per
-/// message.
+/// core::Envelopes: the transport is the core::EnvelopeDispatcher the
+/// simulator calls, handing delivered payloads to the MessageHandler. The
+/// steady-state path — acquire envelope, route, schedule, pop, dispatch,
+/// recycle — performs zero heap allocations per message.
 class Transport : public core::EnvelopeDispatcher {
  public:
-  /// Attaches itself to `pump` as its dispatcher.
-  Transport(ChordNetwork* network, sim::EventPump* pump,
+  /// Attaches itself to `sim` as its dispatcher.
+  Transport(ChordNetwork* network, sim::Simulator* sim,
             sim::LatencyModel* latency);
 
   Transport(const Transport&) = delete;
@@ -57,18 +55,16 @@ class Transport : public core::EnvelopeDispatcher {
   /// ring identifier — no SHA-1, no key text, anywhere on the path — and
   /// memoizes the route in the sender's RouteCache, so a warm send resolves
   /// its path in O(1) instead of an O(log N) finger walk. Returns the
-  /// number of hops (0 when the pump deferred the send).
+  /// number of hops.
   size_t SendKey(NodeIndex src, core::KeyId key, core::MessageTask task);
 
   /// The paper's multiSend(M, I), with destination coalescing: the batch is
-  /// grouped by responsible node (resolved through the per-node route
-  /// cache) and each group travels as ONE wire message — one emission seq,
-  /// one route's worth of traffic charges and latency draws, one delivery
-  /// event — whose envelope carries the remaining payloads as a `group`
-  /// chain. Grouping is a pure function of the batch and the topology, so
-  /// serial and sharded runs coalesce identically. This is the publication
-  /// fan-out path (2k index messages per tuple). Returns total wire hops
-  /// (0 when deferred). Drains `*messages` in place and clears it, keeping
+  /// grouped by responsible node (resolved through the successor cache)
+  /// and each group travels as ONE wire message — one route's worth of
+  /// traffic charges and latency draws, one delivery event — whose
+  /// envelope carries the remaining payloads as a `group` chain. This is
+  /// the publication fan-out path (2k index messages per tuple). Returns
+  /// total wire hops. Drains `*messages` in place and clears it, keeping
   /// its capacity — the publish path reuses one batch buffer forever.
   size_t MultiSendKeys(
       NodeIndex src,
@@ -77,11 +73,8 @@ class Transport : public core::EnvelopeDispatcher {
   /// One-hop delivery to a node whose address is already known.
   void SendDirect(NodeIndex src, NodeIndex dst, core::MessageTask task);
 
-  /// core::EnvelopeDispatcher: executes a due envelope — kRoute/kDirect
-  /// stages finish their routing work and reschedule the same envelope; a
-  /// kRouteGroup chain (a deferred MultiSendKeys batch) coalesces and
-  /// sends; kDeliver recycles the envelope and hands the payload to the
-  /// handler.
+  /// core::EnvelopeDispatcher: recycles a due envelope and hands its
+  /// payload, then each coalesced co-payload, to the handler.
   void DispatchEnvelope(core::EnvelopeRef env) override;
 
   /// Charges `count` messages of RIC traffic to `node` without a payload.
@@ -92,8 +85,8 @@ class Transport : public core::EnvelopeDispatcher {
 
   /// Charges RIC traffic for an O(log N) route from src towards `key`,
   /// hop-by-hop at each forwarding node, without delivering a payload.
-  /// Returns the hop count. Always recomputes: the charged source may live
-  /// on a foreign shard, whose route cache this thread must not touch.
+  /// Returns the hop count. Always recomputes, so the route caches and
+  /// their hit counters see payload sends only.
   size_t ChargeRoute(NodeIndex src, const NodeId& key);
 
   /// Route-cache kill switch (RJOIN_ROUTE_CACHE=0 disables; default on).
@@ -110,25 +103,17 @@ class Transport : public core::EnvelopeDispatcher {
   static CoalesceStats AggregateCoalesce();
 
  private:
-  /// Registry for the calling thread (a shard's delta on a worker).
-  stats::MetricsRegistry& Metrics() { return *pump_->ActiveMetrics(); }
+  stats::MetricsRegistry& Metrics() { return sim_->metrics(); }
 
-  /// Scratch path buffer for the calling thread (workers dispatch
-  /// concurrently, so the buffer cannot live on the transport).
+  /// Scratch path buffer of the calling thread.
   static std::vector<NodeIndex>& RouteScratch();
 
-  /// A fresh envelope from `src` in routing stage `stage`.
-  core::EnvelopeRef MakeStaged(NodeIndex src, core::MessageTask task,
-                               core::EnvelopeStage stage);
+  /// A fresh envelope carrying `task` from `src`.
+  core::EnvelopeRef NewEnvelope(NodeIndex src, core::MessageTask task);
 
-  /// Finishes the O(log N) routing of a kRoute envelope and reschedules it
-  /// as kDeliver. A departed source sends one direct hop to the
-  /// responsible node instead. Returns the hop count.
-  size_t FinishRoute(core::EnvelopeRef env);
-
-  /// Finishes a kDirect envelope: one traffic unit, one latency draw,
-  /// reschedule as kDeliver.
-  void FinishDirect(core::EnvelopeRef env);
+  /// Sends `env` (src and dst set) as one direct hop: one traffic unit,
+  /// one latency draw.
+  void SendOneHop(core::EnvelopeRef env);
 
   /// A resolved forwarding tail: hops[0..count-1] are the nodes after the
   /// source on the greedy route, hops[count-1] the responsible node; count
@@ -151,16 +136,12 @@ class Transport : public core::EnvelopeDispatcher {
 
   /// Resolves Successor(ring_id of key_id) through the thread's
   /// SuccessorCache (destination resolution is sender-independent, so the
-  /// fan-out's grouping pass shares one memo across every node this thread
-  /// runs). Falls back to the ring search when the cache is disabled.
+  /// fan-out's grouping pass shares one memo across every sender). Falls
+  /// back to the ring search when the cache is disabled.
   NodeIndex CachedSuccessorOf(core::KeyId key_id, const NodeId& ring_id);
 
-  /// Destination-coalesced emission of a kRouteGroup chain (inline, or a
-  /// dispatched deferred chain). Returns total wire hops.
-  size_t CoalesceAndSend(core::EnvelopeRef chain);
-
   ChordNetwork* network_;
-  sim::EventPump* pump_;
+  sim::Simulator* sim_;
   sim::LatencyModel* latency_;
   MessageHandler* handler_ = nullptr;
   core::KeyInterner* interner_ = &core::KeyInterner::Global();

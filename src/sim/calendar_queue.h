@@ -15,8 +15,8 @@
 
 namespace rjoin::sim {
 
-/// Two-level calendar queue over pooled envelopes: the event pump both the
-/// serial simulator and every runtime shard use instead of a binary heap.
+/// Two-level calendar queue over pooled envelopes: the simulator's event
+/// set, used instead of a binary heap.
 ///
 /// Level one is a ring of kBuckets one-tick buckets covering the window
 /// [wstart_, wstart_ + kBuckets); an event at time t in the window lands in
@@ -29,16 +29,14 @@ namespace rjoin::sim {
 /// codebase, whose hop latencies are tiny next to kBuckets — versus the
 /// O(log H) sift of a binary heap at 10^5+ pending events.
 ///
-/// Ordering: events pop in ascending `Later` order (the same comparator the
-/// heaps used — (time, insertion order) serially, (time, src, emit-seq) on
-/// shards). Within a bucket all events share one virtual tick; the bucket
-/// keeps arrivals in a vector, sorts lazily when the bucket becomes the
-/// drain target, and binary-inserts same-tick arrivals that land while the
-/// bucket is already draining — those always order after everything already
-/// popped (serially, order stamps are monotone; on a shard, a same-tick
-/// arrival is a self-send of the executing event, whose emit-seq exceeds
-/// every seq already executed). FIFO-within-a-tick is therefore exactly the
-/// heap's order, which is what keeps S=1/4/7 runs bit-identical.
+/// Ordering: events pop in ascending `Later` order ((time, insertion
+/// order), the comparator a binary heap would use). Within a bucket all
+/// events share one virtual tick; the bucket keeps arrivals in a vector,
+/// sorts lazily when the bucket becomes the drain target, and
+/// binary-inserts same-tick arrivals that land while the bucket is already
+/// draining — those always order after everything already popped, because
+/// order stamps are monotone. FIFO-within-a-tick is therefore exactly the
+/// heap's order, which keeps runs bit-identical to a heap-driven pump.
 ///
 /// `Later(a, b)` must return true iff a orders strictly after b and must be
 /// consistent with Envelope::time as the primary key.
@@ -178,8 +176,7 @@ class CalendarQueue {
 
   /// Makes room for one more event in `v`. Growing a bucket or the
   /// overflow heap is capacity acquisition of an amortized structure, so it
-  /// is charged to kPoolCapacity whichever plane the pushing code runs in
-  /// (on a shard, when a bucket grows depends on the schedule).
+  /// is charged to kPoolCapacity whichever plane the pushing code runs in.
   static void MakeRoom(std::vector<core::EnvelopeRef>& v) {
     if (v.size() < v.capacity()) return;
     stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);

@@ -20,14 +20,6 @@ class LatencyModel {
 
   /// The universal bound delta on a single hop.
   virtual SimTime max_delay() const = 0;
-
-  /// Lower bound on a single hop. The sharded runtime uses this as its
-  /// conservative lookahead: a shard may execute ahead of its peers by up
-  /// to this many ticks, because no message a peer emits can be due sooner
-  /// than its emission time plus this bound. Models whose hops can take 0
-  /// ticks must return 0 (the runtime then defers such cross-node
-  /// deliveries by one tick, still deterministically).
-  virtual SimTime min_delay() const { return 1; }
 };
 
 /// Every hop takes exactly `ticks`.
@@ -36,7 +28,6 @@ class FixedLatency : public LatencyModel {
   explicit FixedLatency(SimTime ticks = 1) : ticks_(ticks) {}
   SimTime Delay(Rng&) override { return ticks_; }
   SimTime max_delay() const override { return ticks_; }
-  SimTime min_delay() const override { return ticks_; }
 
  private:
   SimTime ticks_;
@@ -50,7 +41,6 @@ class UniformLatency : public LatencyModel {
     return lo_ + rng.NextBounded(hi_ - lo_ + 1);
   }
   SimTime max_delay() const override { return hi_; }
-  SimTime min_delay() const override { return lo_; }
 
  private:
   SimTime lo_;
@@ -70,7 +60,6 @@ class BurstyLatency : public LatencyModel {
     return rng.NextBernoulli(p_) ? burst_ : base_;
   }
   SimTime max_delay() const override { return burst_ > base_ ? burst_ : base_; }
-  SimTime min_delay() const override { return burst_ < base_ ? burst_ : base_; }
 
  private:
   SimTime base_;

@@ -8,15 +8,8 @@ namespace rjoin::sim {
 Simulator::Simulator(stats::MetricsRegistry* metrics, uint64_t seed)
     : metrics_(metrics), rng_(seed) {}
 
-void Simulator::Defer(NodeIndex, core::EnvelopeRef) {
-  RJOIN_CHECK(false) << "the serial pump routes sends inline";
-}
-
-void Simulator::Deliver(NodeIndex src, uint64_t seq, SimTime delay,
-                        core::EnvelopeRef env) {
+void Simulator::Deliver(SimTime delay, core::EnvelopeRef env) {
   env->time = now_ + delay;
-  env->src = src;
-  env->seq = seq;
   queue_.Push(std::move(env));
 }
 
@@ -30,8 +23,8 @@ void Simulator::Step() {
   now_ = env->time;
   ++executed_;
   if (stats::Tracer::On()) {
-    // Serial path: the queue's insertion order stands in for the emission
-    // seq (the serial ordering key, docs/messaging.md).
+    // The queue's insertion order is the ordering key after time
+    // (docs/messaging.md).
     stats::Tracer::SetContext(env->time, env->src, env->order);
   }
   if (env->task.kind() == core::MessageKind::kControl) {
@@ -45,7 +38,7 @@ void Simulator::Step() {
 
 void Simulator::EnterDriverPhase() {
   // Sends the driver makes until the next Run route inline, so their
-  // records carry the driver's EventKey (now, 0, 0), as on the runtime.
+  // records carry the driver's clock as (now, 0, 0).
   if (stats::Tracer::On()) stats::Tracer::SetContext(now_, 0, 0);
 }
 

@@ -12,12 +12,12 @@ using SimTime = uint64_t;
 
 inline constexpr SimTime kTimeZero = 0;
 
-/// "Never": the identity of min-folds over times (watermark frontiers,
-/// rendezvous horizons). Arithmetic on it must saturate, not wrap.
+/// "Never": the identity of min-folds over times (the calendar queue's
+/// empty ring). Arithmetic on it must saturate, not wrap.
 inline constexpr SimTime kTimeMax = UINT64_MAX;
 
-/// a + b clamped to kTimeMax (frontier math adds lookaheads to kTimeMax
-/// sentinels; an overflowing add would wrap into the past).
+/// a + b clamped to kTimeMax (an overflowing add would wrap into the
+/// past).
 inline constexpr SimTime SaturatingAdd(SimTime a, SimTime b) {
   return a > kTimeMax - b ? kTimeMax : a + b;
 }

@@ -17,34 +17,6 @@ bool Query::References(const std::string& relation) const {
          relations.end();
 }
 
-namespace {
-void PushUnique(std::vector<AttrRef>& out, const AttrRef& a) {
-  if (std::find(out.begin(), out.end(), a) == out.end()) out.push_back(a);
-}
-}  // namespace
-
-std::vector<AttrRef> Query::WhereAttrsOf(const std::string& relation) const {
-  std::vector<AttrRef> out;
-  for (const auto& j : joins) {
-    if (j.left.relation == relation) PushUnique(out, j.left);
-    if (j.right.relation == relation) PushUnique(out, j.right);
-  }
-  for (const auto& s : selections) {
-    if (s.attr.relation == relation) PushUnique(out, s.attr);
-  }
-  return out;
-}
-
-std::vector<AttrRef> Query::AllWhereAttrs() const {
-  std::vector<AttrRef> out;
-  for (const auto& j : joins) {
-    PushUnique(out, j.left);
-    PushUnique(out, j.right);
-  }
-  for (const auto& s : selections) PushUnique(out, s.attr);
-  return out;
-}
-
 std::string Query::ToString() const {
   std::string out = "SELECT ";
   if (distinct) out += "DISTINCT ";

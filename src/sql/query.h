@@ -75,15 +75,6 @@ struct Query {
   /// True if `relation` appears in the FROM list.
   bool References(const std::string& relation) const;
 
-  /// All RelName.AttName expressions appearing in the WHERE clause for a
-  /// given relation (join sides plus selection attributes), deduplicated.
-  std::vector<AttrRef> WhereAttrsOf(const std::string& relation) const;
-
-  /// All RelName.AttName expressions in the WHERE clause, deduplicated, in
-  /// order of first appearance (the paper indexes input queries by one of
-  /// these).
-  std::vector<AttrRef> AllWhereAttrs() const;
-
   /// SQL text form (parseable back by Parser).
   std::string ToString() const;
 };

@@ -3,10 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <vector>
-
-#include "util/logging.h"
 
 namespace rjoin::stats {
 
@@ -33,34 +30,19 @@ struct NodeMetrics {
 /// Registry of per-node counters plus network-wide totals. All RJoin and DHT
 /// components report through this single object so experiments can snapshot
 /// and diff.
-///
-/// Sharded mode: the parallel runtime gives every worker thread its own
-/// full-size registry (a *delta* registry, see EnableDeltaTracking), so a
-/// worker charging traffic to any node — including routing hops through
-/// nodes owned by other shards — only ever writes memory it owns. At every
-/// round barrier the runtime drains the deltas into the main registry with
-/// MergeFrom(); counters are sums, so the merged totals are bit-identical
-/// for any shard count. BindOwnerThread() arms a debug-build assertion that
-/// catches writes from any thread other than the owning worker.
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(size_t num_nodes = 0)
-      : nodes_(num_nodes), touched_(num_nodes, 0) {}
+  explicit MetricsRegistry(size_t num_nodes = 0) : nodes_(num_nodes) {}
 
   /// Grows the registry (new nodes joining).
   void Resize(size_t num_nodes) {
-    if (num_nodes > nodes_.size()) {
-      nodes_.resize(num_nodes);
-      touched_.resize(num_nodes, 0);
-    }
+    if (num_nodes > nodes_.size()) nodes_.resize(num_nodes);
   }
   size_t num_nodes() const { return nodes_.size(); }
 
   /// Records `count` messages sent by `node`. `ric` marks RIC-request
   /// traffic, reported as a separate series in the paper's figures.
   void AddTraffic(NodeIndex node, uint64_t count = 1, bool ric = false) {
-    AssertOwner();
-    Touch(node);
     nodes_[node].messages_sent += count;
     total_messages_ += count;
     if (ric) {
@@ -70,29 +52,21 @@ class MetricsRegistry {
   }
 
   void AddQpl(NodeIndex node, uint64_t count = 1) {
-    AssertOwner();
-    Touch(node);
     nodes_[node].qpl += count;
     total_qpl_ += count;
   }
 
   void AddStore(NodeIndex node, uint64_t count = 1) {
-    AssertOwner();
-    Touch(node);
     nodes_[node].storage_total += count;
     nodes_[node].storage_current += static_cast<int64_t>(count);
     total_storage_ += count;
   }
 
   void RemoveStore(NodeIndex node, uint64_t count = 1) {
-    AssertOwner();
-    Touch(node);
     nodes_[node].storage_current -= static_cast<int64_t>(count);
   }
 
   void AddAlttStore(NodeIndex node, uint64_t count = 1) {
-    AssertOwner();
-    Touch(node);
     nodes_[node].altt_stored += count;
   }
 
@@ -106,62 +80,15 @@ class MetricsRegistry {
 
   /// Number of delivered answers (maintained by the RJoin engine).
   uint64_t answers_delivered() const { return answers_delivered_; }
-  void AddAnswer() {
-    AssertOwner();
-    ++answers_delivered_;
-  }
-
-  // ------------------------------------------------------ sharded support
-
-  /// Marks this registry as a per-shard delta: mutators keep a dirty-node
-  /// list so MergeFrom() only walks nodes actually written since the last
-  /// merge (a round typically touches a small fraction of the network).
-  void EnableDeltaTracking() { track_dirty_ = true; }
-
-  /// Binds the registry to the calling thread; from then on (debug builds)
-  /// every mutator asserts it runs on that thread. This is the assertion
-  /// mode that catches cross-shard writes: a worker writing through another
-  /// shard's registry trips it immediately. MergeFrom() on the *source* is
-  /// exempt — draining is the round barrier's (single-threaded) job.
-  void BindOwnerThread() {
-    owner_ = std::this_thread::get_id();
-    owner_bound_ = true;
-  }
-
-  /// Drains `shard`'s counters into this registry and zeroes them, using the
-  /// shard's dirty list when delta tracking is enabled. Addition is
-  /// commutative, so merging shards in any fixed order reproduces the serial
-  /// totals exactly.
-  void MergeFrom(MetricsRegistry* shard);
+  void AddAnswer() { ++answers_delivered_; }
 
  private:
-  void Touch(NodeIndex node) {
-    if (track_dirty_ && !touched_[node]) {
-      touched_[node] = 1;
-      dirty_.push_back(node);
-    }
-  }
-
-  void AssertOwner() const {
-#ifndef NDEBUG
-    RJOIN_CHECK(!owner_bound_ || owner_ == std::this_thread::get_id())
-        << "MetricsRegistry written from a thread that does not own it "
-           "(cross-shard metrics write)";
-#endif
-  }
-
   std::vector<NodeMetrics> nodes_;
   uint64_t total_messages_ = 0;
   uint64_t total_ric_messages_ = 0;
   uint64_t total_qpl_ = 0;
   uint64_t total_storage_ = 0;
   uint64_t answers_delivered_ = 0;
-
-  bool track_dirty_ = false;
-  std::vector<uint8_t> touched_;
-  std::vector<NodeIndex> dirty_;
-  bool owner_bound_ = false;
-  std::thread::id owner_;
 };
 
 }  // namespace rjoin::stats

@@ -109,29 +109,9 @@ void PrintMessagePlaneSummary(std::ostream& os,
      << " (" << s.coalesce_groups << " wire messages, "
      << s.coalesce_payloads << " payloads)\n";
   os << "event queue depth p99:   " << s.queue_depth_p99 << "\n";
-  os << "mailbox batches:         " << s.mailbox_batches << "\n";
-  os << "mailbox batch width:     "
-     << (s.mailbox_batches > 0
-             ? static_cast<double>(s.mailbox_envelopes) /
-                   static_cast<double>(s.mailbox_batches)
-             : 0.0)
-     << " (" << s.mailbox_envelopes << " envelopes)\n";
-  os << "scheduler epochs:        " << s.sched_epochs << " (vs "
-     << s.equivalent_rounds << " lockstep rounds)\n";
-  os << "overlap ratio:           "
-     << (s.equivalent_rounds > 0
-             ? 1.0 - static_cast<double>(s.sched_epochs) /
-                         static_cast<double>(s.equivalent_rounds)
-             : 0.0)
-     << "\n";
-  os << "watermark stalls:        " << s.watermark_stalls << "\n";
-  os << "rendezvous caps (churn): " << s.rendezvous_caps << "\n";
   os << "answer latency (vticks): p50 " << s.answer_latency_p50 << "  p95 "
      << s.answer_latency_p95 << "  p99 " << s.answer_latency_p99 << " ("
-     << s.answers << " answers)\n";
-  os << "stall wall time:         " << std::fixed << std::setprecision(6)
-     << s.stall_wall_seconds << " s (p99 park " << s.stall_p99_us
-     << " us)\n\n";
+     << s.answers << " answers)\n\n";
 }
 
 }  // namespace rjoin::stats

@@ -55,9 +55,9 @@ void PrintRankedFigure(std::ostream& os, const std::string& title,
                        size_t sample_points = 10);
 
 /// Message-plane counters for one measured interval. Plain numbers so the
-/// stats layer stays independent of core/runtime: benches fill them from
-/// core::MessagePool::Aggregate(), core::KeyInterner::Global().stats(),
-/// and runtime::ShardedRuntime::AggregateMailbox() deltas.
+/// stats layer stays independent of core: benches fill them from
+/// core::MessagePool::Aggregate() and core::KeyInterner::Global().stats()
+/// deltas.
 struct MessagePlaneSummary {
   uint64_t messages = 0;         ///< pooled-envelope acquires
   uint64_t envelope_allocs = 0;  ///< envelope heap allocations
@@ -65,8 +65,6 @@ struct MessagePlaneSummary {
   uint64_t interned_keys = 0;    ///< distinct keys in the interner
   uint64_t interner_hits = 0;    ///< Intern() calls resolved lock-free
   uint64_t interner_misses = 0;  ///< first-sight inserts
-  uint64_t mailbox_batches = 0;  ///< cross-shard (src, dst) chain takeovers
-  uint64_t mailbox_envelopes = 0;  ///< envelopes those chains carried
   // Routing plane (docs/routing.md): per-node route-cache effectiveness and
   // destination coalescing of the publication fan-out.
   uint64_t route_cache_hits = 0;    ///< sends resolved from a cached path
@@ -74,19 +72,12 @@ struct MessagePlaneSummary {
   uint64_t coalesce_groups = 0;     ///< wire messages MultiSendKeys emitted
   uint64_t coalesce_payloads = 0;   ///< payloads those wire messages carried
   uint64_t queue_depth_p99 = 0;     ///< p99 pending events at event-pump push
-  uint64_t sched_epochs = 0;       ///< watermark rendezvous epochs run
-  uint64_t watermark_stalls = 0;   ///< worker park episodes (perf signal)
-  uint64_t rendezvous_caps = 0;    ///< epochs cut short by staged churn
-  uint64_t equivalent_rounds = 0;  ///< lockstep rounds the same span implies
   // Observability layer (docs/observability.md): end-to-end answer latency
-  // in virtual ticks (deterministic) and the wall-clock stall breakdown
-  // (a perf signal, like watermark_stalls).
+  // in virtual ticks (deterministic).
   uint64_t answers = 0;                 ///< answer-latency samples
   uint64_t answer_latency_p50 = 0;
   uint64_t answer_latency_p95 = 0;
   uint64_t answer_latency_p99 = 0;
-  double stall_wall_seconds = 0.0;      ///< total time workers spent parked
-  uint64_t stall_p99_us = 0;            ///< p99 single park, wall microsecs
   // Per-subsystem heap-allocation counts (alloc_tracker.h planes), so an
   // allocation regression is locatable: which plane started allocating.
   uint64_t alloc_tuple = 0;     ///< tuple dictionaries, tuple records
@@ -99,11 +90,8 @@ struct MessagePlaneSummary {
 /// Prints the message-plane summary: messages dispatched, envelope heap
 /// allocations and the allocs-per-message ratio (near zero once the pools
 /// reach their steady-state high-water mark), the key-interner size and
-/// hit rate (near one once the key dictionary is warm), the mean
-/// cross-shard mailbox batch width, and the watermark-scheduler health
-/// block — epochs vs the equivalent lockstep rounds (their ratio's
-/// complement is the overlap ratio: the fraction of global barriers the
-/// watermark model eliminated) and stall/cap counts (sharded runs only).
+/// hit rate (near one once the key dictionary is warm), routing and
+/// coalescing rates, queue depth and answer latency.
 void PrintMessagePlaneSummary(std::ostream& os,
                               const MessagePlaneSummary& s);
 

@@ -78,8 +78,6 @@ const char* TraceCategoryName(TraceCategory cat) {
     case TraceCategory::kRewrite: return "rewrite";
     case TraceCategory::kAnswer: return "answer";
     case TraceCategory::kChurn: return "churn";
-    case TraceCategory::kStall: return "stall";
-    case TraceCategory::kRendezvous: return "rendezvous";
   }
   return "?";
 }
@@ -92,7 +90,6 @@ struct Tracer::Shard {
   size_t capacity = 0;
   uint64_t recorded = 0;  // lifetime appends; ring keeps the last
                           // min(recorded, capacity) of them
-  uint32_t track = Tracer::kDriverTrack;
   bool in_use = true;
   uint64_t ctx_time = 0;
   uint64_t ctx_seq = 0;
@@ -109,9 +106,9 @@ struct Tracer::Shard {
 
 namespace {
 
-// Thread-exit hook: returns the shard to the registry free pool so long
-// benches (many sequential runtimes) reuse slabs instead of growing one
-// per worker thread ever started.
+// Thread-exit hook: returns the shard to the registry free pool so a
+// process that starts many threads reuses slabs instead of growing one per
+// thread ever started.
 struct TlsTraceHandleImpl {
   Tracer::Shard* shard = nullptr;
   ~TlsTraceHandleImpl();
@@ -154,7 +151,6 @@ Tracer::Shard* Tracer::LocalShard() {
   for (auto& s : shards_) {
     if (!s->in_use) {
       s->in_use = true;
-      s->track = kDriverTrack;
       s->ctx_time = s->ctx_seq = 0;
       s->ctx_src = 0;
       return s.get();
@@ -168,8 +164,6 @@ void Tracer::ReleaseShard(Shard* shard) {
   std::lock_guard<std::mutex> lock(mu_);
   shard->in_use = false;
 }
-
-void Tracer::BindTrack(uint32_t track) { TlsTraceHandle::Get()->track = track; }
 
 void Tracer::SetContext(uint64_t time, uint32_t src, uint64_t seq) {
   Shard* s = TlsTraceHandle::Get();
@@ -202,7 +196,6 @@ void Tracer::Record(TraceCategory cat, uint8_t kind, uint32_t node,
   e.arg = arg;
   e.node = node;
   e.peer = peer;
-  e.track = s->track;
   e.cat = cat;
   e.kind = kind;
   s->Append(e);
@@ -217,9 +210,6 @@ void Tracer::RecordRewriteDepth(uint64_t bound) {
 void Tracer::RecordRouteHops(uint64_t hops) {
   TlsTraceHandle::Get()->hist.route_hops.Record(hops);
 }
-void Tracer::RecordStallNanos(uint64_t ns) {
-  TlsTraceHandle::Get()->hist.stall_ns.Record(ns);
-}
 void Tracer::RecordQueueDepth(uint64_t pending) {
   TlsTraceHandle::Get()->hist.queue_depth.Record(pending);
 }
@@ -228,7 +218,6 @@ void Tracer::HistogramSet::MergeFrom(const HistogramSet& other) {
   answer_latency.MergeFrom(other.answer_latency);
   rewrite_depth.MergeFrom(other.rewrite_depth);
   route_hops.MergeFrom(other.route_hops);
-  stall_ns.MergeFrom(other.stall_ns);
   queue_depth.MergeFrom(other.queue_depth);
 }
 
@@ -240,9 +229,9 @@ Tracer::HistogramSet Tracer::AggregateHistograms() const {
 }
 
 std::vector<TraceEvent> Tracer::MergedEvents() const {
-  // A given EventKey executes wholly on one thread, so sorting by key and
+  // A given event executes wholly on one thread, so sorting by its key and
   // breaking ties by per-thread record index is a total order that does
-  // not depend on thread registration order or shard count.
+  // not depend on thread registration order.
   struct Tagged {
     TraceEvent e;
     uint64_t local_index;
@@ -261,7 +250,6 @@ std::vector<TraceEvent> Tracer::MergedEvents() const {
     if (a.e.key_time != b.e.key_time) return a.e.key_time < b.e.key_time;
     if (a.e.key_src != b.e.key_src) return a.e.key_src < b.e.key_src;
     if (a.e.key_seq != b.e.key_seq) return a.e.key_seq < b.e.key_seq;
-    if (a.e.track != b.e.track) return a.e.track < b.e.track;
     return a.local_index < b.local_index;
   });
   std::vector<TraceEvent> out;
@@ -282,16 +270,8 @@ namespace {
 void WriteEventJson(std::ostream& out, const TraceEvent& e, int pid,
                     int64_t tid) {
   out << "{\"name\":\"" << EventName(e) << "\",\"cat\":\""
-      << TraceCategoryName(e.cat) << "\",\"ph\":\""
-      << (e.cat == TraceCategory::kStall ? 'X' : 'i') << "\",\"ts\":"
-      << e.vtime << ",\"pid\":" << pid << ",\"tid\":" << tid;
-  if (e.cat == TraceCategory::kStall) {
-    // Instant events live on the virtual timeline; the stall's duration is
-    // the one wall-clock quantity, exported in wall microseconds.
-    out << ",\"dur\":" << (e.arg / 1000);
-  } else {
-    out << ",\"s\":\"t\"";
-  }
+      << TraceCategoryName(e.cat) << "\",\"ph\":\"i\",\"ts\":" << e.vtime
+      << ",\"pid\":" << pid << ",\"tid\":" << tid << ",\"s\":\"t\"";
   out << ",\"args\":{\"node\":" << e.node << ",\"peer\":" << e.peer
       << ",\"arg\":" << e.arg << ",\"src\":" << e.key_src << ",\"seq\":"
       << e.key_seq << ",\"wall_ns\":" << e.wall_ns << "}}";
@@ -309,7 +289,7 @@ void Tracer::WriteChromeTrace(std::ostream& out) const {
   };
   sep();
   out << "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
-         "\"args\":{\"name\":\"rjoin shards\"}}";
+         "\"args\":{\"name\":\"rjoin\"}}";
   sep();
   out << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\","
          "\"args\":{\"name\":\"driver\"}}";
@@ -324,23 +304,9 @@ void Tracer::WriteChromeTrace(std::ostream& out) const {
           << node << "\"}}";
     }
   }
-  std::vector<uint32_t> shard_tracks;
-  for (const TraceEvent& e : events) {
-    if (e.track != kDriverTrack) shard_tracks.push_back(e.track);
-  }
-  std::sort(shard_tracks.begin(), shard_tracks.end());
-  shard_tracks.erase(std::unique(shard_tracks.begin(), shard_tracks.end()),
-                     shard_tracks.end());
-  for (uint32_t track : shard_tracks) {
-    sep();
-    out << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << (track + 1)
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":\"shard " << track
-        << "\"}}";
-  }
   for (const TraceEvent& e : events) {
     sep();
-    const int64_t tid = e.track == kDriverTrack ? 0 : e.track + 1;
-    WriteEventJson(out, e, /*pid=*/0, tid);
+    WriteEventJson(out, e, /*pid=*/0, /*tid=*/0);
     for (uint32_t node : track_nodes_) {
       if (e.node == node || e.peer == node) {
         sep();

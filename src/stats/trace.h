@@ -20,8 +20,6 @@ enum class TraceCategory : uint8_t {
   kRewrite,     // residual shipped onward after a rewrite; arg = bound count
   kAnswer,      // completed answer row delivered to the query owner
   kChurn,       // topology change applied; kind = ChurnTraceKind
-  kStall,       // worker parked waiting on a watermark; arg = wall ns
-  kRendezvous,  // driver rendezvous completed; arg = epoch horizon
 };
 const char* TraceCategoryName(TraceCategory cat);
 
@@ -35,9 +33,9 @@ enum class ChurnTraceKind : uint8_t {
 
 // One trace record. Dual-stamped: `vtime` is the virtual time of the
 // traced action, `wall_ns` the steady-clock offset from tracer start.
-// (key_time, key_src, key_seq) identify the executing event (the
-// runtime's EventKey) so merged traces have a schedule-independent total
-// order; driver-phase records use (driver clock, 0, 0).
+// (key_time, key_src, key_seq) identify the executing event (its time,
+// sender and queue insertion order) so merged traces have a total order;
+// driver-phase records use (driver clock, 0, 0).
 struct TraceEvent {
   uint64_t vtime = 0;
   uint64_t wall_ns = 0;
@@ -47,7 +45,6 @@ struct TraceEvent {
   uint32_t key_src = 0;
   uint32_t node = 0;
   uint32_t peer = 0;
-  uint32_t track = 0;
   TraceCategory cat = TraceCategory::kSend;
   uint8_t kind = 0;
 };
@@ -60,11 +57,9 @@ struct TraceEvent {
 // was called), so the disabled hot path is one relaxed atomic load.
 //
 // Merge/read APIs (MergedEvents, AggregateHistograms, WriteChromeTrace,
-// Reset) must run while recording threads are quiesced — parked at a
-// rendezvous or joined — exactly like MessagePool::Aggregate().
+// Reset) must run while no other thread records.
 class Tracer {
  public:
-  static constexpr uint32_t kDriverTrack = 0xFFFFFFFFu;
   struct Shard;  // per-thread recording state; defined in trace.cc
 
   static Tracer& Global();
@@ -77,11 +72,8 @@ class Tracer {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  // Bind the calling thread's records to a display track (shard id);
-  // unbound threads (driver, serial simulator) record on kDriverTrack.
-  static void BindTrack(uint32_t track);
-  // Stamp the EventKey of the event the calling thread is executing; all
-  // records until the next call carry it.
+  // Stamp the key (time, src, seq) of the event the calling thread is
+  // executing; all records until the next call carry it.
   static void SetContext(uint64_t time, uint32_t src, uint64_t seq);
   // Append a typed event (no-op when disabled).
   static void Record(TraceCategory cat, uint8_t kind, uint32_t node,
@@ -95,14 +87,13 @@ class Tracer {
   static void RecordAnswerLatency(uint64_t vticks);
   static void RecordRewriteDepth(uint64_t bound);
   static void RecordRouteHops(uint64_t hops);
-  static void RecordStallNanos(uint64_t ns);
   static void RecordQueueDepth(uint64_t pending);
 
   struct HistogramSet {
     LogHistogram answer_latency;  // pubT of completing tuple -> AnswerDeliver
     LogHistogram rewrite_depth;   // bound tuples at each rewrite ship
     LogHistogram route_hops;      // per-message routing path length
-    LogHistogram stall_ns;        // wall-clock park durations
+    LogHistogram stall_ns;        // always empty; perfbench still reads it
     LogHistogram queue_depth;     // pending events at each event-pump Push
     void MergeFrom(const HistogramSet& other);
   };
@@ -114,8 +105,8 @@ class Tracer {
   uint64_t DroppedEvents() const;
 
   // Chrome trace-event JSON (loads in Perfetto / chrome://tracing): pid 0
-  // holds one track per shard plus the driver track; pid 1 duplicates
-  // events onto one track per node listed in RJOIN_TRACE_NODES.
+  // holds every event on one track; pid 1 duplicates events onto one track
+  // per node listed in RJOIN_TRACE_NODES.
   void WriteChromeTrace(std::ostream& out) const;
   bool WriteChromeTraceFile(const std::string& path) const;
 

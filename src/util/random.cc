@@ -64,14 +64,4 @@ bool Rng::NextBernoulli(double p) {
 
 Rng Rng::Fork() { return Rng(Next()); }
 
-uint64_t MixSeed(uint64_t a, uint64_t b, uint64_t c) {
-  uint64_t state = a;
-  uint64_t out = SplitMix64(state);
-  state ^= b + 0x9e3779b97f4a7c15ULL;
-  out ^= SplitMix64(state);
-  state ^= c + 0xbf58476d1ce4e5b9ULL;
-  out ^= SplitMix64(state);
-  return out;
-}
-
 }  // namespace rjoin

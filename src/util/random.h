@@ -34,13 +34,6 @@ class Rng {
   uint64_t s_[4];
 };
 
-/// Mixes three 64-bit values into one seed (splitmix64 absorption). The
-/// sharded runtime derives one Rng per (source node, emission sequence) from
-/// this, so random draws are a pure function of message identity rather than
-/// of thread interleaving — the property that makes parallel runs replayable
-/// and shard-count-invariant.
-uint64_t MixSeed(uint64_t a, uint64_t b, uint64_t c);
-
 }  // namespace rjoin
 
 #endif  // RJOIN_UTIL_RANDOM_H_

@@ -41,8 +41,8 @@ struct FaultPlan {
 /// Churn parameters of an experiment: how many nodes join and leave while
 /// the tuple stream is running. The trace is generated up front (a pure
 /// function of these parameters), then scheduled as in-band NodeJoin /
-/// NodeLeave messages, so every run — serial or sharded, any shard count —
-/// sees the same topology mutations at the same virtual instants.
+/// NodeLeave messages, so every run of the same spec sees the same
+/// topology mutations at the same virtual instants.
 struct ChurnSpec {
   /// Churn operations per published tuple (joins + leaves combined). Used
   /// only when `joins`/`leaves` are both 0; RJOIN_CHURN sets this knob

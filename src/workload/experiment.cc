@@ -24,16 +24,6 @@ double ScaleFromEnv(double default_factor) {
   return v > 0.0 ? v : default_factor;
 }
 
-uint32_t ResolveShardCount(uint32_t requested) {
-  if (requested == ExperimentConfig::kForceSerial) return 0;
-  if (requested >= 1) return std::min<uint32_t>(requested, 64);
-  const char* env = std::getenv("RJOIN_SHARDS");
-  if (env == nullptr || *env == '\0') return 0;
-  const long v = std::atol(env);
-  if (v <= 0) return 0;
-  return static_cast<uint32_t>(std::min<long>(v, 64));
-}
-
 std::optional<ChurnSpec> ResolveChurnSpec(const ExperimentConfig& config) {
   if (config.churn.has_value()) return config.churn;
   const char* env = std::getenv("RJOIN_CHURN");
@@ -94,7 +84,8 @@ Experiment::Experiment(ExperimentConfig config)
     : config_(std::move(config)),
       resolved_churn_(ResolveChurnSpec(config_)),
       catalog_(BuildCatalog(config_.workload)),
-      latency_(1) {
+      latency_(1),
+      sim_(&metrics_, config_.seed ^ 0xabcdef) {
   if (config_.node_positions.has_value()) {
     network_ = dht::ChordNetwork::CreateWithPositions(*config_.node_positions);
   } else {
@@ -106,11 +97,8 @@ Experiment::Experiment(ExperimentConfig config)
         dht::ChordNetwork::Create(config_.num_nodes + spares, config_.seed);
   }
   metrics_.Resize(network_->num_total());
-  pump_ = runtime::MakeEventPump(ResolveShardCount(config_.shards),
-                                 network_->num_total(), latency_, &metrics_,
-                                 config_.seed ^ 0xabcdef);
   transport_ =
-      std::make_unique<dht::Transport>(network_.get(), pump_.get(), &latency_);
+      std::make_unique<dht::Transport>(network_.get(), &sim_, &latency_);
   core::EngineConfig ecfg;
   ecfg.policy = config_.policy;
   ecfg.rewrite_levels = config_.rewrite_levels;
@@ -124,7 +112,7 @@ Experiment::Experiment(ExperimentConfig config)
   ecfg.ric_epoch = std::max<uint64_t>(1, 16 * config_.tuple_gap);
   ecfg.ct_validity = 4 * ecfg.ric_epoch;
   engine_ = std::make_unique<core::RJoinEngine>(
-      ecfg, catalog_.get(), network_.get(), transport_.get(), pump_.get());
+      ecfg, catalog_.get(), network_.get(), transport_.get(), &sim_);
 }
 
 Experiment::~Experiment() = default;
@@ -197,8 +185,8 @@ ExperimentResult Experiment::Run() {
 
   // Phase 1.5: lay out the churn trace across the coming stream span; its
   // events are released into the event plane as the stream clock reaches
-  // them (in-band NodeJoin/NodeLeave messages the engine stages and
-  // applies at round barriers).
+  // them (in-band NodeJoin/NodeLeave messages the engine applies on
+  // delivery).
   if (resolved_churn_.has_value()) BuildChurnTrace(NowTime());
 
   // Phase 2: stream tuples. Each tuple is processed to quiescence so the
@@ -223,8 +211,8 @@ ExperimentResult Experiment::Run() {
     RJOIN_CHECK(t.ok()) << t.status().ToString();
     if (config_.pipeline_stream) {
       // Streaming mode: advance one inter-arrival slot and keep cascades
-      // from multiple tuples in flight (the parallel runtime's bread and
-      // butter). The final drain happens after the loop.
+      // from multiple tuples in flight. The final drain happens after the
+      // loop.
       RunUntilTime(NowTime() + config_.tuple_gap);
     } else {
       RunToQuiescence();

@@ -11,9 +11,8 @@
 #include "dht/chord_network.h"
 #include "dht/route_cache.h"
 #include "dht/transport.h"
-#include "runtime/sharded_runtime.h"
 #include "sim/latency.h"
-#include "sim/event_pump.h"
+#include "sim/simulator.h"
 #include "sql/schema.h"
 #include "stats/alloc_tracker.h"
 #include "stats/distribution.h"
@@ -72,24 +71,18 @@ struct ExperimentConfig {
 
   bool keep_history = false;  ///< record tuples for oracle checks
 
-  /// Worker shards of the parallel runtime. 0 (default) resolves from the
-  /// RJOIN_SHARDS environment variable; when that is unset/0 too, the
-  /// experiment runs on the serial sim::Simulator. Any value >= 1
-  /// (explicit or via env) runs on the ShardedRuntime — S=1
-  /// executes the identical round schedule serially, so S=1 vs S=4 runs
-  /// are bit-identical (see docs/runtime.md). kForceSerial pins the legacy
-  /// serial path even when RJOIN_SHARDS is set (baseline rows of the
-  /// scaling bench).
+  /// Accepted and ignored: every experiment runs on the serial
+  /// sim::Simulator. The worker count of the removed parallel runtime,
+  /// kept with kForceSerial because perfbench/rjbench.cc still sets them.
   uint32_t shards = 0;
 
   static constexpr uint32_t kForceSerial = UINT32_MAX;
 
   /// Stream tuples back-to-back (one publication per tuple_gap of virtual
   /// time, with cascades from many tuples in flight at once) instead of
-  /// draining each tuple to quiescence before the next. This is the
-  /// steady-state streaming mode the scaling bench measures; per-tuple
-  /// samples then reflect what had completed by each publication slot
-  /// rather than each tuple's full cost.
+  /// draining each tuple to quiescence before the next. Per-tuple samples
+  /// then reflect what had completed by each publication slot rather than
+  /// each tuple's full cost.
   bool pipeline_stream = false;
 
   uint64_t seed = 1;
@@ -120,12 +113,6 @@ struct ExperimentConfig {
 /// Reads the RJOIN_SCALE environment variable: "paper" => 1.0, a number =>
 /// that factor, unset => `default_factor`.
 double ScaleFromEnv(double default_factor = 0.25);
-
-/// Resolves the shard count an experiment will actually use: `requested`
-/// when >= 1, else the RJOIN_SHARDS environment variable (clamped to
-/// [1, 64]), else 0 = the serial simulator path.
-/// ExperimentConfig::kForceSerial always resolves to 0.
-uint32_t ResolveShardCount(uint32_t requested);
 
 /// Resolves the churn spec an experiment will use: the config's spec when
 /// set, else one built from the RJOIN_CHURN environment variable (churn
@@ -202,15 +189,10 @@ class Experiment {
   dht::ChordNetwork& network() { return *network_; }
   const ExperimentConfig& config() const { return config_; }
 
-  /// The parallel runtime, or nullptr on the serial path.
-  runtime::ShardedRuntime* runtime() {
-    return dynamic_cast<runtime::ShardedRuntime*>(pump_.get());
-  }
-
-  /// Event-pump seams (serial simulator or sharded runtime).
-  void RunToQuiescence() { pump_->Run(); }
-  void RunUntilTime(sim::SimTime until) { pump_->RunUntil(until); }
-  sim::SimTime NowTime() const { return pump_->Now(); }
+  /// Event-pump seams.
+  void RunToQuiescence() { sim_.Run(); }
+  void RunUntilTime(sim::SimTime until) { sim_.RunUntil(until); }
+  sim::SimTime NowTime() const { return sim_.Now(); }
 
  private:
   LoadSnapshot Snapshot(size_t after_tuples) const;
@@ -233,9 +215,9 @@ class Experiment {
   std::unique_ptr<dht::ChordNetwork> network_;
   sim::FixedLatency latency_;
   stats::MetricsRegistry metrics_;
-  // After latency_ and metrics_, which it reads; before transport_ and
-  // engine_, which hold it.
-  std::unique_ptr<sim::EventPump> pump_;
+  // After metrics_, which it writes; before transport_ and engine_, which
+  // hold it.
+  sim::Simulator sim_;
   std::unique_ptr<dht::Transport> transport_;
   std::unique_ptr<core::RJoinEngine> engine_;
 };

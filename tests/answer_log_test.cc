@@ -1,7 +1,7 @@
 // Tests of the answer log (core::AnswerLog): records, interned rows and
-// exact DISTINCT as a unit, then the engine's answer sink on both pumps —
-// allocation-free once warm, the same log at every shard count, and one
-// answers_delivered count per logged answer.
+// exact DISTINCT as a unit, then the engine's answer sink — allocation-free
+// once warm, the same log on every run, and one answers_delivered count per
+// logged answer.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,8 @@
 #include "core/engine.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
-#include "runtime/sharded_runtime.h"
-#include "sim/event_pump.h"
 #include "sim/latency.h"
+#include "sim/simulator.h"
 #include "sql/evaluator.h"
 #include "sql/schema.h"
 #include "stats/alloc_tracker.h"
@@ -183,28 +182,25 @@ sql::Catalog TestCatalog() {
   return c;
 }
 
-/// `shards` = 0 is the serial pump; otherwise the sharded runtime.
 struct Harness {
-  Harness(size_t nodes, uint32_t shards)
+  explicit Harness(size_t nodes)
       : network(dht::ChordNetwork::Create(nodes, 5)),
         latency(1),
         metrics(network->num_total()),
-        pump(runtime::MakeEventPump(shards, network->num_total(), latency,
-                                    &metrics, 9)),
-        transport(network.get(), pump.get(), &latency),
-        engine(EngineConfig{}, &catalog, network.get(), &transport,
-               pump.get()) {}
+        sim(&metrics, 9),
+        transport(network.get(), &sim, &latency),
+        engine(EngineConfig{}, &catalog, network.get(), &transport, &sim) {}
 
   void Submit(dht::NodeIndex owner, const std::string& text) {
     ASSERT_TRUE(engine.SubmitQuerySql(owner, text).ok()) << text;
-    pump->Run();
+    sim.Run();
   }
 
   sql::Catalog catalog = TestCatalog();
   std::unique_ptr<dht::ChordNetwork> network;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
-  std::unique_ptr<sim::EventPump> pump;
+  sim::Simulator sim;
   dht::Transport transport;
   RJoinEngine engine;
 };
@@ -228,10 +224,10 @@ struct SinkStream {
       EXPECT_TRUE(h.engine
                       .PublishTuple(next % 16, next % 2 == 0 ? "R" : "S", row)
                       .ok());
-      h.pump->Run();
+      h.sim.Run();
       if (next % 4 == 3) h.engine.SweepWindows();
       constexpr sim::SimTime kRing = 1024;  // sim::CalendarQueue buckets
-      h.pump->RunUntil((h.pump->Now() / kRing + 1) * kRing);
+      h.sim.RunUntil((h.sim.Now() / kRing + 1) * kRing);
     }
   }
 
@@ -239,16 +235,18 @@ struct SinkStream {
   std::vector<sql::Value> row = std::vector<sql::Value>(3, sql::Value::Int(0));
 };
 
+/// The parameter names the event pump. The serial simulator is the only
+/// one left; the dimension stays so the test's id does not change.
 class AnswerSinkTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(AnswerSinkTest, WarmDeliveryAllocatesOnlyLogCapacity) {
-  Harness h(32, GetParam());
+  Harness h(32);
   for (dht::NodeIndex owner = 0; owner < 8; ++owner) {
     h.Submit(owner,
              "SELECT R.B, S.B FROM R, S WHERE R.A = S.A WINDOW 8 TUPLES");
   }
   SinkStream stream;
-  stream.Run(h, 400);  // warm every pool, table and staging vector
+  stream.Run(h, 400);  // warm every pool and table
   const size_t answers = h.engine.answers().size();
   const stats::AllocCounts before = stats::ReadAllocCounts();
   stream.Run(h, 200);
@@ -260,12 +258,8 @@ TEST_P(AnswerSinkTest, WarmDeliveryAllocatesOnlyLogCapacity) {
       << "other plane: " << after.other() - before.other();
 }
 
-INSTANTIATE_TEST_SUITE_P(Pumps, AnswerSinkTest, ::testing::Values(0u, 3u),
-                         [](const auto& info) {
-                           return info.param == 0
-                                      ? std::string("Serial")
-                                      : "S" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(Pumps, AnswerSinkTest, ::testing::Values(0u),
+                         [](const auto&) { return std::string("Serial"); });
 
 struct LoggedAnswer {
   uint64_t query;
@@ -282,11 +276,11 @@ struct DistinctRun {
 
 /// DISTINCT and bag queries with owners spread over the ring, fed a seeded
 /// stream in bursts of four same-instant publications, so owner-side
-/// duplicate suppression fires on every shard.
-DistinctRun RunDistinct(uint32_t shards) {
+/// duplicate suppression fires at several owners.
+DistinctRun RunDistinct() {
   const uint64_t deliveries_before =
       stats::Tracer::Global().AggregateHistograms().answer_latency.count();
-  Harness h(48, shards);
+  Harness h(48);
   const char* const kQueries[] = {
       "SELECT DISTINCT R.A, S.A FROM R, S WHERE R.B = S.B",
       "SELECT DISTINCT S.C FROM S, P WHERE S.B = P.B",
@@ -308,9 +302,9 @@ DistinctRun RunDistinct(uint32_t shards) {
     const auto publisher = static_cast<dht::NodeIndex>(rng.NextBounded(48));
     const char* relation = kRelations[rng.NextBounded(3)];
     EXPECT_TRUE(h.engine.PublishTuple(publisher, relation, row).ok());
-    if (i % 4 == 3) h.pump->Run();
+    if (i % 4 == 3) h.sim.Run();
   }
-  h.pump->Run();
+  h.sim.Run();
   DistinctRun out;
   for (const Answer& a : h.engine.answers()) {
     out.log.push_back({a.query_id, a.delivered_at, sql::AnswerRowKey(a.row)});
@@ -322,27 +316,14 @@ DistinctRun RunDistinct(uint32_t shards) {
   return out;
 }
 
-/// (query, row) pairs of a log, sorted: its rows as a multiset per query.
-std::vector<std::pair<uint64_t, std::string>> RowMultiset(
-    const DistinctRun& run) {
-  std::vector<std::pair<uint64_t, std::string>> out;
-  for (const LoggedAnswer& a : run.log) out.emplace_back(a.query, a.row);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 TEST(AnswerSinkDistinctTest, LogsAgreeAcrossPumpsAndShardCounts) {
-  const DistinctRun serial = RunDistinct(0);
-  const DistinctRun s1 = RunDistinct(1);
-  const DistinctRun s4 = RunDistinct(4);
-  const DistinctRun s7 = RunDistinct(7);
-  ASSERT_FALSE(s1.log.empty());
-  EXPECT_GT(s1.deliveries, s1.log.size())
+  const DistinctRun first = RunDistinct();
+  const DistinctRun second = RunDistinct();
+  ASSERT_FALSE(first.log.empty());
+  EXPECT_GT(first.deliveries, first.log.size())
       << "no duplicate reached an owner: DISTINCT suppressed nothing";
-  EXPECT_EQ(s4.log, s1.log);
-  EXPECT_EQ(s7.log, s1.log);
-  EXPECT_EQ(RowMultiset(serial), RowMultiset(s1));
-  for (const DistinctRun* run : {&serial, &s1, &s4, &s7}) {
+  EXPECT_EQ(second.log, first.log);
+  for (const DistinctRun* run : {&first, &second}) {
     EXPECT_EQ(run->delivered, run->log.size());
   }
 }

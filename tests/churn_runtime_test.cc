@@ -1,10 +1,10 @@
-// Tests of live topology churn in the sharded runtime: nodes join and
-// leave *while* the tuple stream is running, state moves between owners as
-// StateHandoff batches, and the battery asserts the two hard properties of
-// docs/churn.md — (1) the answer stream is bit-identical for any shard
-// count under any churn trace, and (2) the delivered answers still match
-// the centralized sql::Evaluator oracle (eventual completeness across
-// handoffs, ALTT Delta included).
+// Tests of live topology churn: nodes join and leave *while* the tuple
+// stream is running, state moves between owners as StateHandoff batches,
+// and the battery asserts the two hard properties of docs/churn.md — (1)
+// the answer stream is bit-identical from run to run under any churn
+// trace, and (2) the delivered answers still match the centralized
+// sql::Evaluator oracle (eventual completeness across handoffs, ALTT Delta
+// included).
 
 #include <gtest/gtest.h>
 
@@ -17,9 +17,8 @@
 #include "core/engine.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
-#include "runtime/sharded_runtime.h"
-#include "sim/event_pump.h"
 #include "sim/latency.h"
+#include "sim/simulator.h"
 #include "sql/evaluator.h"
 #include "stats/metrics.h"
 #include "workload/churn.h"
@@ -32,19 +31,16 @@ namespace {
 // --------------------------------------------------- hand-driven churn ----
 
 /// Minimal hand-wired harness: explicit joins/leaves between publishes,
-/// oracle checks at the end. With shards == 0 it exercises the serial
-/// immediate-apply path; with shards >= 1 the same script runs on the
-/// sharded runtime (churn staged and applied at barriers).
+/// oracle checks at the end.
 struct ChurnHarness {
-  explicit ChurnHarness(size_t nodes, uint32_t shards = 0, uint64_t seed = 7,
+  explicit ChurnHarness(size_t nodes, uint64_t seed = 7,
                         core::EngineConfig config = HistoryConfig())
       : network(dht::ChordNetwork::Create(nodes, seed)),
         latency(1),
         metrics(network->num_total()),
-        pump(runtime::MakeEventPump(shards, network->num_total(), latency,
-                                    &metrics, seed * 31)),
-        transport(network.get(), pump.get(), &latency),
-        engine(config, &catalog, network.get(), &transport, pump.get()) {}
+        sim(&metrics, seed * 31),
+        transport(network.get(), &sim, &latency),
+        engine(config, &catalog, network.get(), &transport, &sim) {}
 
   static core::EngineConfig HistoryConfig() {
     core::EngineConfig cfg;
@@ -63,7 +59,7 @@ struct ChurnHarness {
   uint64_t Submit(dht::NodeIndex owner, const std::string& text) {
     auto id = engine.SubmitQuerySql(owner, text);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
-    pump->Run();
+    sim.Run();
     return *id;
   }
 
@@ -74,7 +70,7 @@ struct ChurnHarness {
     for (int64_t v : ints) vals.push_back(sql::Value::Int(v));
     auto t = engine.PublishTuple(node, rel, std::move(vals));
     EXPECT_TRUE(t.ok()) << t.status().ToString();
-    pump->Run();
+    sim.Run();
     return t.ok() ? *t : core::TupleRef();
   }
 
@@ -100,7 +96,7 @@ struct ChurnHarness {
   std::unique_ptr<dht::ChordNetwork> network;
   sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
-  std::unique_ptr<sim::EventPump> pump;
+  sim::Simulator sim;
   dht::Transport transport;
   core::RJoinEngine engine;
 };
@@ -114,12 +110,12 @@ TEST(SerialChurnTest, JoinMovesStateAndAnswersStayComplete) {
   // some seed; 8 joins guarantee several non-empty handoffs.
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(h.engine
-                    .ScheduleJoin(h.pump->Now(),
+                    .ScheduleJoin(h.sim.Now(),
                                   dht::NodeId::FromKey("joiner:" +
                                                        std::to_string(i)),
                                   0)
                     .ok());
-    h.pump->Run();
+    h.sim.Run();
   }
   EXPECT_EQ(h.engine.churn_stats().joins_applied, 8u);
   EXPECT_GT(h.engine.churn_stats().handoff_messages, 0u);
@@ -143,8 +139,8 @@ TEST(SerialChurnTest, LeaveHandsOffAndAnswersStayComplete) {
   for (dht::NodeIndex victim = 3; victim < 16 && h.network->num_alive() > 4;
        ++victim) {
     if (victim == 0 || victim == 1 || victim == 2) continue;
-    ASSERT_TRUE(h.engine.ScheduleLeave(h.pump->Now(), victim).ok());
-    h.pump->Run();
+    ASSERT_TRUE(h.engine.ScheduleLeave(h.sim.Now(), victim).ok());
+    h.sim.Run();
     ++leaves;
   }
   EXPECT_EQ(h.engine.churn_stats().leaves_applied, leaves);
@@ -159,11 +155,11 @@ TEST(SerialChurnTest, LeaveHandsOffAndAnswersStayComplete) {
 TEST(SerialChurnTest, LeaveOfLastNodeIsRejected) {
   ChurnHarness h(2);
   ASSERT_TRUE(h.engine.ScheduleLeave(0, 0).ok());
-  h.pump->Run();
+  h.sim.Run();
   EXPECT_EQ(h.engine.churn_stats().leaves_applied, 1u);
   // The survivor cannot leave: its range would be ownerless.
-  ASSERT_TRUE(h.engine.ScheduleLeave(h.pump->Now(), 1).ok());
-  h.pump->Run();
+  ASSERT_TRUE(h.engine.ScheduleLeave(h.sim.Now(), 1).ok());
+  h.sim.Run();
   EXPECT_EQ(h.engine.churn_stats().leaves_applied, 1u);
   EXPECT_EQ(h.engine.churn_stats().ops_rejected, 1u);
 }
@@ -214,12 +210,12 @@ struct DistinctLeaveRun {
 /// tuples with p and with a new projection p' arrive at the key's new
 /// owner. The moved query must suppress p (its projection memory moved
 /// with it) and record p'.
-DistinctLeaveRun RunDistinctLeave(uint32_t shards) {
+DistinctLeaveRun RunDistinctLeave() {
   core::EngineConfig config = ChurnHarness::HistoryConfig();
   // First-in-clause placement pins the chain: the input query waits under
   // R.A and its R-bound rewrite under the implied value key S.A=7.
   config.policy = core::PlannerPolicy::kFirstInClause;
-  ChurnHarness h(16, shards, 7, config);
+  ChurnHarness h(16, 7, config);
   core::KeyInterner& interner = core::KeyInterner::Global();
   const core::KeyId key = interner.InternValue("S", "A", sql::Value::Int(7));
   const dht::NodeIndex holder = h.network->SuccessorOf(interner.ring_id(key));
@@ -235,8 +231,8 @@ DistinctLeaveRun RunDistinctLeave(uint32_t shards) {
       *iq, s_rel, h.Publish(client, "S", {7, 20, 21}));
   ExpectProjections(h.engine, holder, key, q, {p});
 
-  EXPECT_TRUE(h.engine.ScheduleLeave(h.pump->Now(), holder).ok());
-  h.pump->Run();
+  EXPECT_TRUE(h.engine.ScheduleLeave(h.sim.Now(), holder).ok());
+  h.sim.Run();
   EXPECT_EQ(h.engine.churn_stats().leaves_applied, 1u);
   const dht::NodeIndex heir = h.network->SuccessorOf(interner.ring_id(key));
   EXPECT_NE(heir, holder);
@@ -263,13 +259,13 @@ DistinctLeaveRun RunDistinctLeave(uint32_t shards) {
 }
 
 TEST(ChurnRuntimeTest, DistinctProjectionMemorySurvivesGracefulLeave) {
-  const DistinctLeaveRun serial = RunDistinctLeave(0);
-  const DistinctLeaveRun sharded = RunDistinctLeave(4);
-  EXPECT_EQ(serial.rows, sharded.rows);
-  EXPECT_EQ(serial.messages, sharded.messages);
+  const DistinctLeaveRun first = RunDistinctLeave();
+  const DistinctLeaveRun second = RunDistinctLeave();
+  EXPECT_EQ(first.rows, second.rows);
+  EXPECT_EQ(first.messages, second.messages);
 }
 
-// ------------------------------------------------- sharded equivalence ----
+// ------------------------------------------------- run-to-run identity ----
 
 workload::ExperimentConfig BaseChurnConfig() {
   workload::ExperimentConfig cfg;
@@ -298,8 +294,7 @@ struct RunOutput {
   std::map<uint64_t, std::vector<std::string>> oracle_rows;
 };
 
-RunOutput RunWith(workload::ExperimentConfig cfg, uint32_t shards) {
-  cfg.shards = shards;
+RunOutput RunWith(const workload::ExperimentConfig& cfg) {
   workload::Experiment e(cfg);
   RunOutput out;
   out.result = e.Run();
@@ -372,13 +367,12 @@ TEST(ChurnRuntimeTest, JoinOnlyTraceIsShardCountInvariantAndComplete) {
   workload::ChurnSpec churn;
   churn.joins = 12;
   cfg.churn = churn;
-  const RunOutput s1 = RunWith(cfg, 1);
+  const RunOutput s1 = RunWith(cfg);
   EXPECT_EQ(s1.churn.joins_applied, 12u);
   EXPECT_GT(s1.churn.handoff_messages, 0u);
   EXPECT_GT(s1.answers.size(), 0u);
   ExpectMatchesOracle(s1);
-  ExpectIdentical(s1, RunWith(cfg, 4));
-  ExpectIdentical(s1, RunWith(cfg, 7));  // uneven partition
+  ExpectIdentical(s1, RunWith(cfg));
 }
 
 TEST(ChurnRuntimeTest, LeaveOnlyTraceIsShardCountInvariantAndComplete) {
@@ -387,55 +381,49 @@ TEST(ChurnRuntimeTest, LeaveOnlyTraceIsShardCountInvariantAndComplete) {
   churn.leaves = 12;
   churn.spare_nodes = 12;  // leave victims reserved at startup
   cfg.churn = churn;
-  const RunOutput s1 = RunWith(cfg, 1);
+  const RunOutput s1 = RunWith(cfg);
   EXPECT_EQ(s1.churn.leaves_applied, 12u);
   EXPECT_GT(s1.churn.handoff_messages, 0u);
   ExpectMatchesOracle(s1);
-  ExpectIdentical(s1, RunWith(cfg, 4));
-  ExpectIdentical(s1, RunWith(cfg, 7));
+  ExpectIdentical(s1, RunWith(cfg));
 }
 
 TEST(ChurnRuntimeTest, MixedTraceMeetsAcceptanceBar) {
-  // The acceptance scenario: >= 10 joins + 10 leaves mid-stream, same
-  // answer stream at S=1/4/7, oracle equality.
+  // The acceptance scenario: >= 10 joins + 10 leaves mid-stream, the same
+  // answer stream on a second run, oracle equality.
   workload::ExperimentConfig cfg = BaseChurnConfig();
   workload::ChurnSpec churn;
   churn.joins = 12;
   churn.leaves = 12;
   churn.spare_nodes = 6;  // half the victims are spares, half are joiners
   cfg.churn = churn;
-  const RunOutput s1 = RunWith(cfg, 1);
+  const RunOutput s1 = RunWith(cfg);
   EXPECT_GE(s1.churn.joins_applied, 10u);
   EXPECT_GE(s1.churn.leaves_applied, 10u);
   EXPECT_GT(s1.churn.handoff_messages, 0u);
   EXPECT_GT(s1.answers.size(), 0u);
   ExpectMatchesOracle(s1);
-  ExpectIdentical(s1, RunWith(cfg, 4));
-  ExpectIdentical(s1, RunWith(cfg, 7));
+  ExpectIdentical(s1, RunWith(cfg));
 }
 
 TEST(ChurnRuntimeTest, RouteCacheOnOffIsBitIdenticalUnderChurn) {
   // The route cache memoizes per-topology-generation paths; every churn op
   // bumps the generation. The whole-run result surface — answer stream,
   // traffic totals, handoff accounting — must be bit-identical with the
-  // cache killed (RJOIN_ROUTE_CACHE=0), at every shard count: the cache
-  // changes who computes a path, never the path.
+  // cache killed (RJOIN_ROUTE_CACHE=0): the cache changes who computes a
+  // path, never the path.
   workload::ExperimentConfig cfg = BaseChurnConfig();
   workload::ChurnSpec churn;
   churn.joins = 10;
   churn.leaves = 10;
   churn.spare_nodes = 5;
   cfg.churn = churn;
-  const RunOutput on1 = RunWith(cfg, 1);
-  const RunOutput on4 = RunWith(cfg, 4);
+  const RunOutput on = RunWith(cfg);
   ASSERT_EQ(setenv("RJOIN_ROUTE_CACHE", "0", 1), 0);
-  const RunOutput off1 = RunWith(cfg, 1);
-  const RunOutput off7 = RunWith(cfg, 7);
+  const RunOutput off = RunWith(cfg);
   unsetenv("RJOIN_ROUTE_CACHE");
-  ExpectIdentical(on1, off1);
-  ExpectIdentical(on1, on4);
-  ExpectIdentical(on1, off7);
-  ExpectMatchesOracle(on1);
+  ExpectIdentical(on, off);
+  ExpectMatchesOracle(on);
 }
 
 TEST(ChurnRuntimeTest, WindowedChurnHonorsAlttAcrossHandoff) {
@@ -454,9 +442,9 @@ TEST(ChurnRuntimeTest, WindowedChurnHonorsAlttAcrossHandoff) {
   churn.leaves = 8;
   churn.spare_nodes = 4;
   cfg.churn = churn;
-  const RunOutput s1 = RunWith(cfg, 1);
+  const RunOutput s1 = RunWith(cfg);
   EXPECT_GT(s1.churn.handoff_messages, 0u);
-  ExpectIdentical(s1, RunWith(cfg, 4));
+  ExpectIdentical(s1, RunWith(cfg));
 }
 
 TEST(ChurnRuntimeTest, PipelinedStormIsShardCountInvariant) {
@@ -470,10 +458,10 @@ TEST(ChurnRuntimeTest, PipelinedStormIsShardCountInvariant) {
   churn.spare_nodes = 8;
   churn.settle_ticks = 32;
   cfg.churn = churn;
-  const RunOutput s1 = RunWith(cfg, 1);
+  const RunOutput s1 = RunWith(cfg);
   EXPECT_GE(s1.churn.joins_applied + s1.churn.leaves_applied, 24u);
   ExpectMatchesOracle(s1);
-  ExpectIdentical(s1, RunWith(cfg, 4));
+  ExpectIdentical(s1, RunWith(cfg));
 }
 
 class SeededChurnStormTest : public ::testing::TestWithParam<uint64_t> {};
@@ -487,43 +475,14 @@ TEST_P(SeededChurnStormTest, RandomTraceStaysEquivalentAndComplete) {
   churn.spare_nodes = 6;
   churn.seed = GetParam() * 131 + 7;
   cfg.churn = churn;
-  const RunOutput s1 = RunWith(cfg, 1);
+  const RunOutput s1 = RunWith(cfg);
   EXPECT_GT(s1.churn.joins_applied + s1.churn.leaves_applied, 0u);
   ExpectMatchesOracle(s1);
-  ExpectIdentical(s1, RunWith(cfg, 4));
+  ExpectIdentical(s1, RunWith(cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededChurnStormTest,
                          ::testing::Values(11, 12, 13));
-
-TEST(ChurnRuntimeTest, JoinedNodesBalanceAcrossShards) {
-  // Churn-joined nodes (indices past the initial size) must round-robin
-  // across shards: a join-heavy run may not pile every new node onto the
-  // last block-partition shard, and growing may not move existing nodes.
-  constexpr size_t kInitial = 40;
-  constexpr size_t kJoined = 13;
-  constexpr uint32_t kShards = 4;
-  stats::MetricsRegistry metrics(kInitial);
-  runtime::ShardedRuntime rt({.shards = kShards, .lookahead = 1}, kInitial,
-                             &metrics);
-  std::vector<uint32_t> before(kInitial);
-  for (stats::NodeIndex n = 0; n < kInitial; ++n) before[n] = rt.ShardOf(n);
-  rt.GrowNodes(kInitial + kJoined);
-
-  std::vector<size_t> histogram(kShards, 0);
-  for (stats::NodeIndex n = kInitial; n < kInitial + kJoined; ++n) {
-    const uint32_t s = rt.ShardOf(n);
-    ASSERT_LT(s, kShards);
-    ++histogram[s];
-  }
-  const auto [lo, hi] = std::minmax_element(histogram.begin(),
-                                            histogram.end());
-  EXPECT_LE(*hi - *lo, 1u) << "joined-node ownership is unbalanced";
-  EXPECT_GT(*lo, 0u);  // every shard picked up join work
-  for (stats::NodeIndex n = 0; n < kInitial; ++n) {
-    EXPECT_EQ(rt.ShardOf(n), before[n]) << "node " << n << " moved shards";
-  }
-}
 
 TEST(ChurnTraceTest, GeneratorIsDeterministicAndClampsLeaves)
 {

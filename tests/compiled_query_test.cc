@@ -220,7 +220,6 @@ TEST(KeyResolutionRunTest, CandidatesOfStoredResidualsBuildNoText) {
   cfg.window =
       WindowSpec{true, WindowSpec::Unit::kTuples, WindowSpec::Kind::kSliding,
                  64};
-  cfg.shards = workload::ExperimentConfig::kForceSerial;
   cfg.seed = 5;
   workload::Experiment e(cfg);
   e.Run();

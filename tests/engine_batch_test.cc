@@ -13,9 +13,8 @@
 #include "core/engine.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
-#include "runtime/sharded_runtime.h"
 #include "sim/latency.h"
-#include "sim/event_pump.h"
+#include "sim/simulator.h"
 #include "sql/evaluator.h"
 #include "sql/schema.h"
 #include "stats/metrics.h"
@@ -25,20 +24,16 @@ namespace rjoin::core {
 namespace {
 
 struct Harness {
-  /// `shards` > 0 routes the engine through the sharded parallel runtime
-  /// (the RJOIN_SHARDS path); 0 keeps the serial simulator.
-  Harness(size_t nodes, EngineConfig cfg, uint64_t seed = 7,
-          uint32_t shards = 0)
+  Harness(size_t nodes, EngineConfig cfg, uint64_t seed = 7)
       : catalog(TestCatalog()),
         network(dht::ChordNetwork::Create(nodes, seed)),
-        latency(std::make_unique<sim::FixedLatency>(1)),
+        latency(1),
         metrics(network->num_total()),
-        pump(runtime::MakeEventPump(shards, network->num_total(), *latency,
-                                    &metrics, seed * 31)),
-        transport(network.get(), pump.get(), latency.get()),
-        engine(cfg, &catalog, network.get(), &transport, pump.get()) {}
+        sim(&metrics, seed * 31),
+        transport(network.get(), &sim, &latency),
+        engine(cfg, &catalog, network.get(), &transport, &sim) {}
 
-  void Run() { pump->Run(); }
+  void Run() { sim.Run(); }
 
   static sql::Catalog TestCatalog() {
     sql::Catalog c;
@@ -57,9 +52,9 @@ struct Harness {
 
   sql::Catalog catalog;
   std::unique_ptr<dht::ChordNetwork> network;
-  std::unique_ptr<sim::LatencyModel> latency;
+  sim::FixedLatency latency;
   stats::MetricsRegistry metrics;
-  std::unique_ptr<sim::EventPump> pump;
+  sim::Simulator sim;
   dht::Transport transport;
   RJoinEngine engine;
 };
@@ -355,18 +350,16 @@ TEST(TupleGeneratorBatchTest, NextBatchGroupsByRelationPreservingOrder) {
   }
 }
 
-// ------------------------------------------- sharded-runtime equivalence --
+// ------------------------------------------ whole-workload equivalence --
 //
 // Batched ingest must stay observationally identical to per-tuple ingest
-// when the engine runs on the sharded parallel runtime (the RJOIN_SHARDS
-// path): same MultiSend envelope chains, same emission-seq draws, same
-// barrier schedule.
+// over a whole workload — same coalesced fan-out, same latency draws — and
+// a batched run must reproduce itself bit for bit.
 
 /// Runs the standard two-query workload with `batched` choosing the ingest
-/// path, on `shards` workers (0 = serial).
-std::unique_ptr<Harness> RunShardedWorkload(bool batched, uint32_t shards) {
-  auto harness =
-      std::make_unique<Harness>(64, EngineConfig{}, /*seed=*/7, shards);
+/// path.
+std::unique_ptr<Harness> RunWorkload(bool batched) {
+  auto harness = std::make_unique<Harness>(64, EngineConfig{});
   Harness& h = *harness;
   RunQueries(h);
   if (batched) {
@@ -405,14 +398,14 @@ void ExpectEquivalent(Harness& a, Harness& b) {
 }
 
 TEST(ShardedBatchTest, BatchEqualsSinglesOnTheShardedRuntime) {
-  auto singles = RunShardedWorkload(/*batched=*/false, /*shards=*/4);
-  auto batched = RunShardedWorkload(/*batched=*/true, /*shards=*/4);
+  auto singles = RunWorkload(/*batched=*/false);
+  auto batched = RunWorkload(/*batched=*/true);
   ExpectEquivalent(*singles, *batched);
 }
 
 TEST(ShardedBatchTest, ShardedBatchMatchesOneShardBitIdentically) {
-  auto s1p = RunShardedWorkload(/*batched=*/true, /*shards=*/1);
-  auto s4p = RunShardedWorkload(/*batched=*/true, /*shards=*/4);
+  auto s1p = RunWorkload(/*batched=*/true);
+  auto s4p = RunWorkload(/*batched=*/true);
   Harness& s1 = *s1p;
   Harness& s4 = *s4p;
   ExpectEquivalent(s1, s4);
@@ -430,10 +423,10 @@ TEST(ShardedBatchTest, ShardedBatchMatchesOneShardBitIdentically) {
 
 TEST(ShardedBatchTest, ObserveBulkMatchesSinglesOnTheShardedRuntime) {
   // Identical stream history — bulk vs per-tuple — then the same RIC-driven
-  // workload on 4 shards: any rate divergence changes indexing decisions
-  // and therefore traffic.
-  Harness bulk(64, EngineConfig{}, /*seed=*/7, /*shards=*/4);
-  Harness singles(64, EngineConfig{}, /*seed=*/7, /*shards=*/4);
+  // workload: any rate divergence changes indexing decisions and therefore
+  // traffic.
+  Harness bulk(64, EngineConfig{});
+  Harness singles(64, EngineConfig{});
 
   std::vector<std::pair<std::string, std::vector<int64_t>>> history = {
       {"R", {1, 10, 100}}, {"R", {1, 11, 101}}, {"S", {1, 5, 50}},

@@ -5,7 +5,7 @@
 // property to check: at quiescence every replica slice equals its owner's
 // slice — residuals in order, tuple refs in order, live ALTT entries with
 // their expiries, and the rate bucket. The suite checks it under churn and
-// crashes for r = 2/3 on every event pump, forces reordering with a uniform
+// crashes for r = 2/3, forces reordering with a uniform
 // latency model to exercise the gap fallback, drives a handoff and a
 // promotion whose keys move again in flight (whole slices travel on), and
 // pins the steady-state allocation budget of the mirror and RIC paths.
@@ -156,13 +156,15 @@ size_t ExpectReplicasMatchOwners(const core::RJoinEngine& engine,
 
 // ------------------------------------------- replicas equal owners ----
 
-using EqualityParam = std::tuple<uint32_t /*r*/, uint32_t /*shards*/,
+/// (r, event pump, windowed). The serial simulator is the only pump left;
+/// its dimension stays so the test ids do not change.
+using EqualityParam = std::tuple<uint32_t /*r*/, uint32_t /*pump*/,
                                  bool /*windowed*/>;
 
 class ReplicaEqualityTest : public ::testing::TestWithParam<EqualityParam> {};
 
 TEST_P(ReplicaEqualityTest, ReplicaSlicesEqualOwnerSlicesAtQuiescence) {
-  const auto [replication, shards, windowed] = GetParam();
+  const auto [replication, pump, windowed] = GetParam();
   // The experiment only wires network, engine and event pump; the test
   // drives queries, tuples and churn itself so it can compare replicas at
   // every quiescent point — between sweeps too, where only the replicas'
@@ -173,7 +175,7 @@ TEST_P(ReplicaEqualityTest, ReplicaSlicesEqualOwnerSlicesAtQuiescence) {
   cfg.workload.num_attributes = 4;
   cfg.workload.num_values = 25;
   cfg.replication = replication;
-  cfg.shards = shards;
+  cfg.shards = pump;
   cfg.warmup_observations = 0;
   workload::Experiment e(cfg);
   core::RJoinEngine& engine = e.engine();
@@ -251,7 +253,7 @@ INSTANTIATE_TEST_SUITE_P(
     RShardsWindows, ReplicaEqualityTest,
     ::testing::Combine(
         ::testing::Values(2u, 3u),
-        ::testing::Values(workload::ExperimentConfig::kForceSerial, 1u, 4u),
+        ::testing::Values(workload::ExperimentConfig::kForceSerial),
         ::testing::Bool()));
 
 // ------------------------------------------------ chained re-forward ----
@@ -272,17 +274,15 @@ struct ChainedRun {
 /// same instant a node joins inside X's range, at the ring position of a
 /// key X stores rewritten queries under. X's handoff (or the survivor's
 /// promotion of its replica slices) reaches X's successor after the join,
-/// so that successor must send the joiner's slices on, whole. The joiner
-/// bootstraps through the highest-indexed node: the sharded runtime
-/// applies same-instant churn in (time, node) order, so the departure
-/// applies first on every event pump.
-ChainedRun RunChainedChurn(uint32_t shards, bool crash) {
+/// so that successor must send the joiner's slices on, whole. Events of
+/// one instant run in the order they were scheduled, so the departure
+/// applies first.
+ChainedRun RunChainedChurn(bool crash) {
   workload::ExperimentConfig cfg;
   cfg.num_nodes = 20;
   cfg.workload.num_relations = 2;
   cfg.workload.num_attributes = 2;
   cfg.replication = crash ? 2 : 1;
-  cfg.shards = shards;
   cfg.warmup_observations = 0;
   cfg.keep_history = true;
   workload::Experiment e(cfg);
@@ -374,49 +374,29 @@ void ExpectChainedRunsIdentical(const ChainedRun& a, const ChainedRun& b) {
 }
 
 TEST(ChainedReforwardTest, LeaveThenJoinInsideRangeReforwardsHandoff) {
-  std::vector<ChainedRun> sharded;
-  for (uint32_t shards :
-       {workload::ExperimentConfig::kForceSerial, 1u, 4u, 7u}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ChainedRun run = RunChainedChurn(shards, /*crash=*/false);
-    EXPECT_EQ(run.churn.leaves_applied, 1u);
-    EXPECT_EQ(run.churn.joins_applied, 1u);
-    EXPECT_GE(run.churn.handoffs_reforwarded, 1u);
-    EXPECT_FALSE(run.expected.empty());
-    EXPECT_EQ(run.got, run.expected);
-    if (shards != workload::ExperimentConfig::kForceSerial) {
-      sharded.push_back(std::move(run));
-    }
-  }
-  for (size_t i = 1; i < sharded.size(); ++i) {
-    ExpectChainedRunsIdentical(sharded.front(), sharded[i]);
-  }
+  const ChainedRun run = RunChainedChurn(/*crash=*/false);
+  EXPECT_EQ(run.churn.leaves_applied, 1u);
+  EXPECT_EQ(run.churn.joins_applied, 1u);
+  EXPECT_GE(run.churn.handoffs_reforwarded, 1u);
+  EXPECT_FALSE(run.expected.empty());
+  EXPECT_EQ(run.got, run.expected);
+  ExpectChainedRunsIdentical(run, RunChainedChurn(/*crash=*/false));
 }
 
 TEST(ChainedReforwardTest, CrashThenJoinInsideRangeReforwardsPromotion) {
-  std::vector<ChainedRun> sharded;
-  for (uint32_t shards :
-       {workload::ExperimentConfig::kForceSerial, 1u, 4u, 7u}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ChainedRun run = RunChainedChurn(shards, /*crash=*/true);
-    EXPECT_EQ(run.churn.crashes_applied, 1u);
-    EXPECT_EQ(run.churn.joins_applied, 1u);
-    EXPECT_GE(run.churn.handoffs_reforwarded, 1u);
-    // The survivor installs the promotion, the joiner its re-forwarded
-    // part: both count as promotion installs.
-    EXPECT_GE(run.replication.promotions_installed, 2u);
-    EXPECT_GT(run.replication.promoted_records, 0u);
-    EXPECT_EQ(run.replication.answers_lost, 0u);
-    EXPECT_FALSE(run.expected.empty());
-    EXPECT_EQ(run.got, run.expected);
-    EXPECT_GT(run.replicas_compared, 0u);
-    if (shards != workload::ExperimentConfig::kForceSerial) {
-      sharded.push_back(std::move(run));
-    }
-  }
-  for (size_t i = 1; i < sharded.size(); ++i) {
-    ExpectChainedRunsIdentical(sharded.front(), sharded[i]);
-  }
+  const ChainedRun run = RunChainedChurn(/*crash=*/true);
+  EXPECT_EQ(run.churn.crashes_applied, 1u);
+  EXPECT_EQ(run.churn.joins_applied, 1u);
+  EXPECT_GE(run.churn.handoffs_reforwarded, 1u);
+  // The survivor installs the promotion, the joiner its re-forwarded part:
+  // both count as promotion installs.
+  EXPECT_GE(run.replication.promotions_installed, 2u);
+  EXPECT_GT(run.replication.promoted_records, 0u);
+  EXPECT_EQ(run.replication.answers_lost, 0u);
+  EXPECT_FALSE(run.expected.empty());
+  EXPECT_EQ(run.got, run.expected);
+  EXPECT_GT(run.replicas_compared, 0u);
+  ExpectChainedRunsIdentical(run, RunChainedChurn(/*crash=*/true));
 }
 
 // ------------------------------------------------------ reordering ----

@@ -161,23 +161,6 @@ TEST(ParserTest, Errors) {
       Parser::Parse("SELECT R.A FROM R,S WHERE R.A=S.A WINDOW 10").ok());
 }
 
-// ----------------------------------------------------------- Query model --
-
-TEST(QueryTest, WhereAttrsInClauseOrder) {
-  auto q = Parser::Parse(
-      "SELECT R.B FROM R,S,P WHERE R.A=S.A AND S.B=P.B AND P.C=1");
-  ASSERT_TRUE(q.ok());
-  auto attrs = q->AllWhereAttrs();
-  ASSERT_EQ(attrs.size(), 5u);
-  EXPECT_EQ(attrs[0].ToString(), "R.A");
-  EXPECT_EQ(attrs[1].ToString(), "S.A");
-  EXPECT_EQ(attrs[2].ToString(), "S.B");
-  EXPECT_EQ(attrs[3].ToString(), "P.B");
-  EXPECT_EQ(attrs[4].ToString(), "P.C");
-  auto s_attrs = q->WhereAttrsOf("S");
-  ASSERT_EQ(s_attrs.size(), 2u);
-}
-
 // -------------------------------------------------------------- Rewriter --
 
 class RewriterTest : public ::testing::Test {

@@ -10,6 +10,7 @@
 #include "stats/histogram.h"
 #include "stats/trace.h"
 #include "workload/experiment.h"
+#include "workload/generator.h"
 
 namespace rjoin {
 namespace {
@@ -125,7 +126,7 @@ TEST(LogHistogramTest, DiffFromIsolatesNewSamples) {
 
 // Small experiment that still exercises routing, rewrites, answers, and
 // (optionally) churn, and fits comfortably in the default per-thread ring.
-workload::ExperimentConfig SmallConfig(uint32_t shards, bool churn) {
+workload::ExperimentConfig SmallConfig(bool churn) {
   workload::ExperimentConfig cfg;
   cfg.num_nodes = 48;
   cfg.num_queries = 150;
@@ -136,7 +137,6 @@ workload::ExperimentConfig SmallConfig(uint32_t shards, bool churn) {
   cfg.workload.num_values = 40;
   cfg.workload.zipf_theta = 0.9;
   cfg.seed = 7;
-  cfg.shards = shards;  // explicit, overriding RJOIN_SHARDS
   if (churn) {
     workload::ChurnSpec spec;
     spec.joins = 2;
@@ -153,7 +153,7 @@ workload::ExperimentConfig SmallConfig(uint32_t shards, bool churn) {
 }
 
 struct TraceRun {
-  std::vector<TraceEvent> events;  // kStall/kRendezvous filtered out
+  std::vector<TraceEvent> events;
   Tracer::HistogramSet hist;
   uint64_t answers = 0;
   uint64_t crashes_applied = 0;
@@ -172,41 +172,30 @@ size_t CountNamed(const std::string& chrome, const std::string& name) {
   return n;
 }
 
-// kStall and kRendezvous are wall-clock/schedule-dependent by design
-// (docs/observability.md); everything else must be bit-identical across
-// shard counts.
-bool IsScheduleDependent(const TraceEvent& e) {
-  return e.cat == TraceCategory::kStall ||
-         e.cat == TraceCategory::kRendezvous;
-}
-
-TraceRun RunTraced(uint32_t shards, bool churn) {
+TraceRun RunTraced(bool churn) {
   Tracer::Global().set_enabled(true);
   Tracer::Global().Reset();
   TraceRun out;
   {
-    workload::Experiment exp(SmallConfig(shards, churn));
+    workload::Experiment exp(SmallConfig(churn));
     const workload::ExperimentResult result = exp.Run();
     out.answers = result.answers_delivered;
     out.crashes_applied = exp.engine().churn_stats().crashes_applied;
     out.promotions_emitted =
         exp.engine().replication_stats().promotions_emitted;
-  }  // destructor joins the worker threads; the tracer is quiesced
+  }
   EXPECT_EQ(Tracer::Global().DroppedEvents(), 0u);
   std::ostringstream chrome;
   Tracer::Global().WriteChromeTrace(chrome);
   out.chrome = chrome.str();
-  for (const TraceEvent& e : Tracer::Global().MergedEvents()) {
-    if (!IsScheduleDependent(e)) out.events.push_back(e);
-  }
+  out.events = Tracer::Global().MergedEvents();
   out.hist = Tracer::Global().AggregateHistograms();
   Tracer::Global().Reset();
   Tracer::Global().set_enabled(false);
   return out;
 }
 
-// The deterministic payload of an event: everything except wall_ns and the
-// recording track (which depend on thread placement).
+// The deterministic payload of an event: everything except wall_ns.
 auto Signature(const TraceEvent& e) {
   return std::make_tuple(e.key_time, e.key_src, e.key_seq,
                          static_cast<uint32_t>(e.cat), e.kind, e.node, e.peer,
@@ -235,21 +224,20 @@ void ExpectSameTrace(const TraceRun& a, const TraceRun& b,
   }
 }
 
+// A run's merged trace is a function of its configuration: a second run
+// reproduces every record but the wall clock.
 TEST(TraceDeterminismTest, MergedTraceIdenticalAcrossShardCounts) {
-  const TraceRun s1 = RunTraced(1, /*churn=*/false);
+  const TraceRun s1 = RunTraced(/*churn=*/false);
   ASSERT_FALSE(s1.events.empty());
   EXPECT_GT(s1.answers, 0u);
   EXPECT_GT(s1.hist.answer_latency.count(), 0u);
   EXPECT_GT(s1.hist.route_hops.count(), 0u);
   EXPECT_GT(s1.hist.rewrite_depth.count(), 0u);
-  const TraceRun s4 = RunTraced(4, /*churn=*/false);
-  const TraceRun s7 = RunTraced(7, /*churn=*/false);
-  ExpectSameTrace(s1, s4, "S=1 vs S=4");
-  ExpectSameTrace(s1, s7, "S=1 vs S=7");
+  ExpectSameTrace(s1, RunTraced(/*churn=*/false), "second run");
 }
 
 TEST(TraceDeterminismTest, MergedTraceIdenticalAcrossShardCountsUnderChurn) {
-  const TraceRun s1 = RunTraced(1, /*churn=*/true);
+  const TraceRun s1 = RunTraced(/*churn=*/true);
   ASSERT_FALSE(s1.events.empty());
   bool saw_churn = false;
   for (const TraceEvent& e : s1.events) {
@@ -264,26 +252,18 @@ TEST(TraceDeterminismTest, MergedTraceIdenticalAcrossShardCountsUnderChurn) {
   EXPECT_EQ(CountNamed(s1.chrome, "churn:promote"), s1.promotions_emitted);
   EXPECT_GT(CountNamed(s1.chrome, "churn:join"), 0u);
   EXPECT_GT(CountNamed(s1.chrome, "churn:leave"), 0u);
-  const TraceRun s4 = RunTraced(4, /*churn=*/true);
-  const TraceRun s7 = RunTraced(7, /*churn=*/true);
-  ExpectSameTrace(s1, s4, "churn S=1 vs S=4");
-  ExpectSameTrace(s1, s7, "churn S=1 vs S=7");
-  for (const TraceRun* run : {&s4, &s7}) {
-    EXPECT_EQ(run->crashes_applied, s1.crashes_applied);
-    EXPECT_EQ(run->promotions_emitted, s1.promotions_emitted);
-    EXPECT_EQ(CountNamed(run->chrome, "churn:crash"), s1.crashes_applied);
-    EXPECT_EQ(CountNamed(run->chrome, "churn:promote"),
-              s1.promotions_emitted);
-  }
+  const TraceRun again = RunTraced(/*churn=*/true);
+  ExpectSameTrace(s1, again, "churn, second run");
+  EXPECT_EQ(again.crashes_applied, s1.crashes_applied);
+  EXPECT_EQ(again.promotions_emitted, s1.promotions_emitted);
 }
 
-// The serial pump stamps each event's sender into the trace context, and
+// The simulator stamps each event's sender into the trace context, and
 // the transport records it as the peer of each delivery. Every envelope
 // must therefore name its sender: a send, a coalesced fan-out group, a
 // direct hop or a scheduled churn notice.
 TEST(TraceDeterminismTest, SerialTraceNamesEverySender) {
-  const TraceRun run =
-      RunTraced(workload::ExperimentConfig::kForceSerial, /*churn=*/true);
+  const TraceRun run = RunTraced(/*churn=*/true);
   size_t delivers = 0;
   size_t anonymous_peers = 0;
   size_t anonymous_contexts = 0;
@@ -300,36 +280,50 @@ TEST(TraceDeterminismTest, SerialTraceNamesEverySender) {
                                     << " records";
 }
 
-// A driver-phase send carries the driver's clock on either pump: the
-// serial pump routes a publication inline under the driver context it sets
-// as Run/RunUntil return, the runtime defers it to an event at the same
-// instant. So the publication routes of a serial run happen at the times
-// S=1's do.
+// A driver-phase send carries the driver's clock: the simulator routes a
+// publication inline under the driver context (now, 0, 0) it sets as
+// Run/RunUntil return. RunUntil moves the clock past the last event, so a
+// publication recorded under the last event's context would show an
+// earlier time than the one it was published at.
 TEST(TraceDeterminismTest, SerialPublicationsCarryTheDriverClock) {
-  auto publication_vtimes = [](const TraceRun& run) {
-    std::vector<uint64_t> out;
-    for (const TraceEvent& e : run.events) {
-      if (e.cat == TraceCategory::kRoute &&
-          e.kind == static_cast<uint8_t>(core::MessageKind::kTuplePublish)) {
-        out.push_back(e.vtime);
-      }
+  Tracer::Global().set_enabled(true);
+  Tracer::Global().Reset();
+  std::vector<uint64_t> published_at;
+  {
+    workload::Experiment exp(SmallConfig(/*churn=*/false));
+    workload::TupleGenerator tuples(exp.config().workload, &exp.catalog(), 3);
+    workload::TupleGenerator::Draw draw;
+    for (int i = 0; i < 8; ++i) {
+      exp.RunUntilTime(exp.NowTime() + 100);
+      published_at.push_back(exp.NowTime());
+      tuples.Next(&draw);
+      ASSERT_TRUE(
+          exp.engine().PublishTuple(0, draw.relation, draw.values).ok());
+      exp.RunToQuiescence();
     }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  const std::vector<uint64_t> serial = publication_vtimes(
-      RunTraced(workload::ExperimentConfig::kForceSerial, /*churn=*/false));
-  const std::vector<uint64_t> s1 =
-      publication_vtimes(RunTraced(1, /*churn=*/false));
-  ASSERT_FALSE(s1.empty());
-  EXPECT_EQ(serial, s1);
+  }
+  std::vector<uint64_t> routed_at;
+  for (const TraceEvent& e : Tracer::Global().MergedEvents()) {
+    if (e.cat != TraceCategory::kRoute ||
+        e.kind != static_cast<uint8_t>(core::MessageKind::kTuplePublish)) {
+      continue;
+    }
+    EXPECT_EQ(e.key_src, 0u);
+    EXPECT_EQ(e.key_seq, 0u);
+    routed_at.push_back(e.vtime);
+  }
+  Tracer::Global().Reset();
+  Tracer::Global().set_enabled(false);
+  routed_at.erase(std::unique(routed_at.begin(), routed_at.end()),
+                  routed_at.end());
+  EXPECT_EQ(routed_at, published_at);
 }
 
 TEST(TraceDeterminismTest, DisabledTracerStillFeedsHistograms) {
   Tracer::Global().set_enabled(false);
   Tracer::Global().Reset();
   {
-    workload::Experiment exp(SmallConfig(1, /*churn=*/false));
+    workload::Experiment exp(SmallConfig(/*churn=*/false));
     exp.Run();
   }
   EXPECT_TRUE(Tracer::Global().MergedEvents().empty());
@@ -343,7 +337,7 @@ TEST(TraceExportTest, ChromeTraceCarriesAllCategories) {
   Tracer::Global().set_enabled(true);
   Tracer::Global().Reset();
   {
-    workload::Experiment exp(SmallConfig(4, /*churn=*/true));
+    workload::Experiment exp(SmallConfig(/*churn=*/true));
     exp.Run();
   }
   std::ostringstream os;
@@ -351,8 +345,8 @@ TEST(TraceExportTest, ChromeTraceCarriesAllCategories) {
   const std::string json = os.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   // Every category the small churny run must produce.
-  for (const char* name : {"send", "route", "deliver", "rewrite", "answer",
-                           "churn", "rendezvous"}) {
+  for (const char* name :
+       {"send", "route", "deliver", "rewrite", "answer", "churn"}) {
     EXPECT_NE(json.find(std::string("\"cat\":\"") + name + "\""),
               std::string::npos)
         << "missing category " << name;

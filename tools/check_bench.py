@@ -5,9 +5,9 @@ Usage: check_bench.py FRESH_BENCH_JSON TRAJECTORY_DIR [--max-regression R]
 
 Compares a freshly produced BENCH_fig3_tuples.json against the most recent
 committed point in bench/trajectory/ whose provenance matches the fresh
-run's machine and knobs (hardware_threads, build_type, rjoin_scale,
-rjoin_shards) — cross-machine wall-clock numbers are not comparable, so
-only provenance-matched baselines gate.
+run's machine and knobs (hardware_threads, build_type, rjoin_scale) —
+cross-machine wall-clock numbers are not comparable, so only
+provenance-matched baselines gate.
 
 Fails (exit 1) when:
   - tuples_per_sec regressed by more than --max-regression (default 10%);
@@ -31,7 +31,7 @@ correctness schema:
     configuration the recovery design guarantees single-kill completeness
     for, so any loss is a correctness bug, not a perf regression;
   - recovery_rounds_p99 must be positive (crashes promoted) and at most
-    --max-recovery-rounds (default 8) rendezvous rounds.
+    --max-recovery-rounds (default 8) rounds.
 These are absolute gates: no provenance-matched baseline is required.
 
 When no committed point matches the fresh provenance (first run on a new
@@ -46,8 +46,7 @@ import os
 import sys
 
 # Provenance keys that must agree for wall-clock numbers to be comparable.
-MATCH_KEYS = ["hardware_threads", "build_type", "rjoin_scale",
-              "rjoin_shards"]
+MATCH_KEYS = ["hardware_threads", "build_type", "rjoin_scale"]
 
 ALLOCS_EPSILON = 1e-9
 LOSS_EPSILON = 1e-12
@@ -102,7 +101,7 @@ def gate_failures(fresh, path, max_recovery_rounds):
              "replica promotions, so the gate measured nothing")
     if p99 > max_recovery_rounds:
         fail(f"recovery_rounds_p99 {p99:.2f} exceeds the "
-             f"{max_recovery_rounds} rendezvous-round bound")
+             f"{max_recovery_rounds}-round bound")
     print("check_bench: OK")
 
 

@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """CI validator for the observability outputs of a bench run.
 
-Usage: check_trace.py BENCH_DIR [--shards N]
+Usage: check_trace.py BENCH_DIR
 
 Checks, for every BENCH_*.json in BENCH_DIR:
   - the file parses and carries the full scalar schema (throughput,
-    message-plane, scheduler, and observability scalars) plus the
-    provenance object (see bench/trajectory/README.md);
+    message-plane and observability scalars) plus the provenance object
+    (see bench/trajectory/README.md);
 and for every TRACE_*.json:
   - the file parses as Chrome trace-event JSON ("traceEvents" array);
   - the union of event categories across all traces covers every category
-    the run must produce: send, route, deliver, rewrite, answer — plus
-    rendezvous when the run was sharded (--shards > 0).
+    the run must produce: send, route, deliver, rewrite, answer.
 
 Exits non-zero with a description of the first failure.
 """
@@ -37,12 +36,6 @@ REQUIRED_SCALARS = [
     "coalesced_fanout_width",
     "coalesced_groups",
     "event_queue_depth_p99",
-    "mailbox_batches",
-    "mailbox_batch_width",
-    "sched_epochs",
-    "watermark_stalls",
-    "rendezvous_caps",
-    "overlap_ratio",
     "hardware_threads",
     "answers",
     "answer_latency_p50",
@@ -51,8 +44,6 @@ REQUIRED_SCALARS = [
     "route_hops_p50",
     "route_hops_p99",
     "rewrite_depth_p99",
-    "stall_wall_seconds",
-    "stall_p99_us",
     "trace_events",
 ]
 
@@ -60,7 +51,6 @@ REQUIRED_PROVENANCE = [
     "git_sha",
     "build_type",
     "hardware_threads",
-    "rjoin_shards",
     "rjoin_churn",
     "rjoin_trace",
     "rjoin_scale",
@@ -92,8 +82,7 @@ def check_bench_json(path):
         fail(f"{path}: missing provenance keys: {missing}")
     print(f"check_trace: {os.path.basename(path)}: "
           f"{len(scalars)} scalars, provenance ok "
-          f"(sha={prov['git_sha'][:12]}, shards={prov['rjoin_shards']}, "
-          f"trace={prov['rjoin_trace']})")
+          f"(sha={prov['git_sha'][:12]}, trace={prov['rjoin_trace']})")
     return doc
 
 
@@ -121,8 +110,6 @@ def check_trace_json(path):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("bench_dir")
-    ap.add_argument("--shards", type=int, default=0,
-                    help="shard count the run used (0 = serial)")
     args = ap.parse_args()
 
     bench_files = sorted(glob.glob(os.path.join(args.bench_dir,
@@ -144,10 +131,7 @@ def main():
     for path in trace_files:
         cats |= check_trace_json(path)
 
-    required = set(REQUIRED_CATEGORIES)
-    if args.shards > 0:
-        required.add("rendezvous")
-    missing = required - cats
+    missing = REQUIRED_CATEGORIES - cats
     if missing:
         fail(f"traces missing categories: {sorted(missing)} "
              f"(have {sorted(cats)})")
