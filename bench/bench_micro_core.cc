@@ -53,7 +53,7 @@ void BM_Sha1Block(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1Block)->Arg(64)->Arg(1024)->Arg(16384);
 
-// The key-id plane hot path: interning an already-seen key (lock-free
+// The key-id plane hot path: interning an already-seen key (one
 // dictionary probe, no allocation) vs. the SHA-1 the string-keyed plane
 // paid per message (BM_Sha1Short above).
 void BM_InternHitValueKey(benchmark::State& state) {

@@ -22,52 +22,52 @@ constexpr uint32_t kNil = SlabPool<StoredQuery>::kNil;
 
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
-/// Reusable per-thread match buffer of the batched probe kernel (phase 1
-/// collects pointers to matched refs here; phase 2 consumes them). The
-/// pointers address chunk/span storage that phase 2 never mutates.
+/// Reusable match buffer of the batched probe kernel (phase 1 collects
+/// pointers to matched refs here; phase 2 consumes them). The pointers
+/// address chunk/span storage that phase 2 never mutates.
 std::vector<const TupleRef*>& MatchBuffer() {
-  static thread_local std::vector<const TupleRef*> buf;
+  static std::vector<const TupleRef*> buf;
   buf.clear();
   return buf;
 }
 
-/// Reusable per-thread span list: the value-bucket probe describes its
-/// chunk chain as (data, count) runs so the kernel reads chunk storage in
-/// place — no gather, no refcount traffic.
+/// Reusable span list: the value-bucket probe describes its chunk chain as
+/// (data, count) runs so the kernel reads chunk storage in place — no
+/// gather, no refcount traffic.
 std::vector<TupleSpan>& SpanListBuffer() {
-  static thread_local std::vector<TupleSpan> buf;
+  static std::vector<TupleSpan> buf;
   buf.clear();
   return buf;
 }
 
-/// Reusable per-thread span buffer: the ALTT probe gathers its non-expired
-/// chain entries into contiguous storage for the batched kernel. Cleared
-/// after use so the handles do not pin records between probes.
+/// Reusable span buffer: the ALTT probe gathers its non-expired chain
+/// entries into contiguous storage for the batched kernel. Cleared after
+/// use so the handles do not pin records between probes.
 std::vector<TupleRef>& AlttSpanBuffer() {
-  static thread_local std::vector<TupleRef> buf;
+  static std::vector<TupleRef> buf;
   buf.clear();
   return buf;
 }
 
-/// Reusable per-thread candidate buffer for IndexResidual (one rewrite hop
-/// enumerates its indexing candidates allocation-free once warm).
+/// Reusable candidate buffer for IndexResidual (one rewrite hop enumerates
+/// its indexing candidates allocation-free once warm).
 std::vector<KeyId>& CandidateBuffer() {
-  static thread_local std::vector<KeyId> buf;
+  static std::vector<KeyId> buf;
   return buf;
 }
 
-/// Reusable per-thread RIC gather scratch (rates / responsible nodes /
-/// positions of candidate-table misses).
+/// Reusable RIC gather scratch (rates / responsible nodes / positions of
+/// candidate-table misses).
 std::vector<uint64_t>& RicRateBuffer() {
-  static thread_local std::vector<uint64_t> buf;
+  static std::vector<uint64_t> buf;
   return buf;
 }
 std::vector<dht::NodeIndex>& RicNodeBuffer() {
-  static thread_local std::vector<dht::NodeIndex> buf;
+  static std::vector<dht::NodeIndex> buf;
   return buf;
 }
 std::vector<size_t>& RicMissBuffer() {
-  static thread_local std::vector<size_t> buf;
+  static std::vector<size_t> buf;
   buf.clear();
   return buf;
 }
@@ -632,7 +632,7 @@ void RJoinEngine::ProbeTupleSpans(dht::NodeIndex self, KeyId key,
     int attr;
     ValueId vid;
   };
-  static thread_local std::vector<Pred> preds;
+  static std::vector<Pred> preds;
   preds.clear();
   for (int i = 0; i < q.num_selections(); ++i) {
     const InputQuery::Selection sel = q.selection(i);
@@ -933,8 +933,8 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
 }
 
 void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
-  // Candidate enumeration fills a reusable thread-local buffer — the
-  // per-rewrite hot path does not allocate here once warm.
+  // Candidate enumeration fills a reusable buffer — the per-rewrite hot
+  // path does not allocate here once warm.
   std::vector<KeyId>& candidates = CandidateBuffer();
   IndexingCandidates(residual, config_.rewrite_levels, *interner_,
                      &candidates);
@@ -1087,7 +1087,7 @@ void RJoinEngine::SweepWindows() {
       // (no refcount traffic), the chunks recycle through the pool's
       // freelist, and the survivors move back in — so every chunk stays
       // full except the tail, the invariant the probe's span walk assumes.
-      static thread_local std::vector<TupleRef> survivors;
+      static std::vector<TupleRef> survivors;
       survivors.clear();
       TupleBucketForEach(st.tuple_chunks, bucket, [&](TupleRef& t) {
         if (TupleOutOfWindows(t)) {

@@ -431,10 +431,10 @@ class RJoinEngine : public dht::MessageHandler {
   /// the same relation (one index key maps to one relation): phase 1
   /// evaluates the temporal check, window admission, and join predicates
   /// over value-id columns in a tight loop, collecting matched refs into a
-  /// reusable thread-local buffer; phase 2 runs the DISTINCT rule and binds
-  /// the matches (which may emit async messages — never touching the
-  /// spans). Callers pass one span per tuple-bucket chunk (probing the
-  /// chunk storage in place) or a single gathered span (ALTT).
+  /// reusable buffer; phase 2 runs the DISTINCT rule and binds the matches
+  /// (which may emit async messages — never touching the spans). Callers
+  /// pass one span per tuple-bucket chunk (probing the chunk storage in
+  /// place) or a single gathered span (ALTT).
   void ProbeTupleSpans(dht::NodeIndex self, KeyId key, StoredQuery& sq,
                        const TupleSpan* spans, uint32_t num_spans);
 

@@ -1,6 +1,5 @@
 #include "core/interner.h"
 
-#include <tuple>
 #include <utility>
 
 #include "sql/schema.h"
@@ -28,11 +27,11 @@ auto SameKey(std::string_view text, Level level) {
   };
 }
 
-/// Reusable per-thread buffer for building candidate key text before the
-/// intern lookup; the hit path allocates nothing beyond the buffer's
-/// high-water mark.
+/// Reusable buffer for building candidate key text before the intern
+/// lookup; the hit path allocates nothing beyond the buffer's high-water
+/// mark.
 std::string& KeyBuffer() {
-  static thread_local std::string buf;
+  static std::string buf;
   buf.clear();
   return buf;
 }
@@ -92,18 +91,17 @@ KeyId KeyInterner::Find(std::string_view text) const {
 
 KeyId KeyInterner::Intern(std::string_view text, Level level) {
   const uint64_t hash = HashKey(text, level);
-  const auto same = SameKey(text, level);
-  KeyId id = keys_.Find(hash, same);
-  bool inserted = false;
-  if (id == kInvalidKeyId) {
-    std::tie(id, inserted) = keys_.Insert(hash, same, [&](Entry& e) {
-      e.text.assign(text);
-      e.level = level;
-      e.ring_id = dht::NodeId::FromKey(text);
-    });
+  const KeyId id = keys_.Find(hash, SameKey(text, level));
+  if (id != kInvalidKeyId) {
+    ++hits_;
+    return id;
   }
-  (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-  return id;
+  ++misses_;
+  return keys_.Insert(hash, [&](Entry& e) {
+    e.text.assign(text);
+    e.level = level;
+    e.ring_id = dht::NodeId::FromKey(text);
+  });
 }
 
 uint64_t KeyInterner::CodeHash::operator()(const CodeEntry& e) const {
@@ -113,10 +111,10 @@ uint64_t KeyInterner::CodeHash::operator()(const CodeEntry& e) const {
 template <typename Miss>
 KeyId KeyInterner::Resolve(uint64_t code, const Miss& miss) {
   const uint64_t hash = rjoin::SplitMix64(code);
-  const auto same = [code](const CodeEntry& e) { return e.code == code; };
-  const uint32_t found = codes_.Find(hash, same);
+  const uint32_t found =
+      codes_.Find(hash, [code](const CodeEntry& e) { return e.code == code; });
   if (found != kNotInterned) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++hits_;
     return codes_.at(found).key;
   }
   // First sight of the code: the text form builds and interns the key (a
@@ -124,7 +122,7 @@ KeyId KeyInterner::Resolve(uint64_t code, const Miss& miss) {
   // forms name one text by construction.
   const KeyId key = miss();
   rjoin::stats::AllocScope scope(rjoin::stats::AllocPlane::kPoolCapacity);
-  codes_.Insert(hash, same, [code, key](CodeEntry& e) {
+  codes_.Insert(hash, [code, key](CodeEntry& e) {
     e.code = code;
     e.key = key;
   });
@@ -149,7 +147,7 @@ KeyId KeyInterner::ResolveValue(const sql::Catalog& catalog, uint32_t rel,
 
 KeyId KeyInterner::InternAttribute(std::string_view relation,
                                    std::string_view attr) {
-  text_builds_.fetch_add(1, std::memory_order_relaxed);
+  ++text_builds_;
   std::string& buf = KeyBuffer();
   buf.append(relation);
   buf += kKeySep;
@@ -160,7 +158,7 @@ KeyId KeyInterner::InternAttribute(std::string_view relation,
 KeyId KeyInterner::InternValue(std::string_view relation,
                                std::string_view attr,
                                const sql::Value& value) {
-  text_builds_.fetch_add(1, std::memory_order_relaxed);
+  ++text_builds_;
   std::string& buf = KeyBuffer();
   buf.append(relation);
   buf += kKeySep;
@@ -173,7 +171,7 @@ KeyId KeyInterner::InternValue(std::string_view relation,
 KeyId KeyInterner::WithShard(KeyId attr_key, uint32_t shard) {
   if (shard == 0) return attr_key;
   return Resolve(KeyCode(CodeKind::kShard, shard, attr_key), [&] {
-    text_builds_.fetch_add(1, std::memory_order_relaxed);
+    ++text_builds_;
     const Entry& base = keys_.at(attr_key);
     std::string& buf = KeyBuffer();
     buf.append(base.text);
@@ -187,9 +185,9 @@ KeyId KeyInterner::WithShard(KeyId attr_key, uint32_t shard) {
 KeyInterner::Stats KeyInterner::stats() const {
   Stats s;
   s.entries = keys_.size();
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.text_builds = text_builds_.load(std::memory_order_relaxed);
+  s.hits = hits_;
+  s.misses = misses_;
+  s.text_builds = text_builds_;
   return s;
 }
 

@@ -1,7 +1,6 @@
 #ifndef RJOIN_CORE_INTERNER_H_
 #define RJOIN_CORE_INTERNER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -25,13 +24,10 @@ namespace rjoin::core {
 /// buckets, rate tracking, candidate tables — works on a u32 and never
 /// re-hashes key text.
 ///
-/// Concurrency contract (core::Dictionary's):
-///  * Reads — Find(), text(), level(), ring_id() — are lock-free and safe
-///    from any thread, concurrently with inserts.
-///  * Inserts take a mutex, but only for keys seen for the first time; a
-///    repeated Intern() is a lock-free hit. Steady state interns nothing.
-///  * Entries are immortal, so ids and `const std::string&` references
-///    stay valid forever.
+/// A repeated Intern() is one hash probe; only a key's first sight
+/// inserts, so the steady state interns nothing. Entries are immortal, so
+/// ids and `const std::string&` references stay valid forever. Like every
+/// dictionary (core::Dictionary), it runs on the simulator's one thread.
 ///
 /// Determinism: ids are assigned in first-intern order, and the interner is
 /// process-wide, so id *values* depend on what earlier runs in the process
@@ -61,9 +57,9 @@ class KeyInterner {
   /// Interns a boundary-form key.
   KeyId Intern(const IndexKey& key) { return Intern(key.text, key.level); }
 
-  /// Attribute-level key Hash(R + A), built into a reusable thread-local
-  /// buffer (no allocation on the hit path). The text form, for callers
-  /// that hold names and raw values (stream-history setup, tests).
+  /// Attribute-level key Hash(R + A), built into a reusable buffer (no
+  /// allocation on the hit path). The text form, for callers that hold
+  /// names and raw values (stream-history setup, tests).
   KeyId InternAttribute(std::string_view relation, std::string_view attr);
 
   /// Value-level key Hash(R + A + v), text form.
@@ -88,7 +84,6 @@ class KeyInterner {
   KeyId WithShard(KeyId attr_key, uint32_t shard);
 
   /// Id of (text, level) if already interned, else kInvalidKeyId.
-  /// Lock-free.
   KeyId Find(std::string_view text, Level level) const;
 
   /// Level-agnostic lookup (tests and other cold boundaries): the
@@ -109,10 +104,10 @@ class KeyInterner {
   uint32_t size() const { return keys_.size(); }
 
   /// Intern-traffic counters, one hit or miss per key resolution (text or
-  /// id form). hits = resolutions that inserted no key (the steady state,
-  /// and racing first-sight calls that lost the lock); misses = key
-  /// inserts, so misses == entries. text_builds counts key texts built:
-  /// every text-form call, and each code's first sight in the id forms.
+  /// id form). hits = resolutions that inserted no key (the steady state);
+  /// misses = key inserts, so misses == entries. text_builds counts key
+  /// texts built: every text-form call, and each code's first sight in the
+  /// id forms.
   struct Stats {
     uint64_t entries = 0;
     uint64_t hits = 0;
@@ -148,9 +143,9 @@ class KeyInterner {
   Dictionary<Entry, EntryHash, 10, 1u << 12> keys_{"key"};
   // Codes outnumber keys only by int/string aliases of one value text.
   Dictionary<CodeEntry, CodeHash, 10, 1u << 13> codes_{"key code"};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> text_builds_{0};
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t text_builds_ = 0;
 };
 
 }  // namespace rjoin::core

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
+#include <vector>
 
 #include "core/handoff.h"
 #include "stats/alloc_tracker.h"
@@ -72,16 +72,12 @@ ReplicaUpdate ReplicaUpdate::CopyDelta() const {
 namespace {
 
 // Totals of pools that have been destroyed, plus a registry of live pools
-// so Aggregate() can fold in their current counters. The mutex guards only
-// registration and aggregation — never the per-message hot path.
-std::mutex g_pools_mutex;
+// so Aggregate() can fold in their current counters.
+MessagePool::GlobalStats g_retired;
 std::vector<const MessagePool*>& LivePools() {
   static std::vector<const MessagePool*> pools;
   return pools;
 }
-std::atomic<uint64_t> g_retired_envelopes_allocated{0};
-std::atomic<uint64_t> g_retired_acquired{0};
-std::atomic<uint64_t> g_retired_released{0};
 
 }  // namespace
 
@@ -94,7 +90,6 @@ void EnvelopeRef::Reset() {
 
 MessagePool::MessagePool(size_t slab_envelopes)
     : base_slab_size_(slab_envelopes > 0 ? slab_envelopes : 1) {
-  std::lock_guard<std::mutex> lock(g_pools_mutex);
   LivePools().push_back(this);
 }
 
@@ -104,25 +99,10 @@ MessagePool::~MessagePool() {
     std::destroy_n(slab.envelopes, slab.used);
     storage.deallocate(slab.envelopes, slab.size);
   }
-  // Deregister and fold the counters into the retired totals under one
-  // lock, so a concurrent Aggregate() sees the pool either live or
-  // retired — never both (which would double-count it).
-  std::lock_guard<std::mutex> lock(g_pools_mutex);
-  auto& pools = LivePools();
-  for (size_t i = 0; i < pools.size(); ++i) {
-    if (pools[i] == this) {
-      pools[i] = pools.back();
-      pools.pop_back();
-      break;
-    }
-  }
-  g_retired_envelopes_allocated.fetch_add(
-      envelopes_allocated_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  g_retired_acquired.fetch_add(acquired_.load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-  g_retired_released.fetch_add(released_.load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
+  std::erase(LivePools(), this);
+  g_retired.envelopes_allocated += stats_.envelopes_allocated;
+  g_retired.acquired += stats_.acquired;
+  g_retired.released += stats_.released;
 }
 
 Envelope* MessagePool::NewEnvelope() {
@@ -137,22 +117,22 @@ Envelope* MessagePool::NewEnvelope() {
         slabs_.empty() ? base_slab_size_
                        : std::min(slabs_.back().size * 2, kMaxSlabEnvelopes);
     slabs_.push_back(Slab{std::allocator<Envelope>().allocate(size), size, 0});
-    slabs_allocated_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.slabs_allocated;
   }
   Slab& slab = slabs_.back();
   Envelope* env = std::construct_at(slab.envelopes + slab.used++);
   env->origin = this;
-  envelopes_allocated_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.envelopes_allocated;
   return env;
 }
 
 EnvelopeRef MessagePool::Acquire() {
-  acquired_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.acquired;
   Envelope* env = free_;
   if (env != nullptr) {
     free_ = env->link;
     env->link = nullptr;
-    recycled_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.recycled;
   } else {
     env = NewEnvelope();
   }
@@ -184,38 +164,19 @@ void MessagePool::Release(Envelope* env) {
     RJOIN_DCHECK(env->origin != nullptr);
     env->task.Reset();
     MessagePool* pool = env->origin;
-    pool->released_.fetch_add(1, std::memory_order_relaxed);
+    ++pool->stats_.released;
     env->link = pool->free_;
     pool->free_ = env;
     env = next;
   }
 }
 
-MessagePool::Stats MessagePool::stats() const {
-  Stats s;
-  s.slabs_allocated = slabs_allocated_.load(std::memory_order_relaxed);
-  s.envelopes_allocated =
-      envelopes_allocated_.load(std::memory_order_relaxed);
-  s.acquired = acquired_.load(std::memory_order_relaxed);
-  s.recycled = recycled_.load(std::memory_order_relaxed);
-  s.released = released_.load(std::memory_order_relaxed);
-  return s;
-}
-
 MessagePool::GlobalStats MessagePool::Aggregate() {
-  GlobalStats g;
-  // Retired totals and the live list are read under the same lock the
-  // destructor folds them under, so every pool counts exactly once.
-  std::lock_guard<std::mutex> lock(g_pools_mutex);
-  g.envelopes_allocated =
-      g_retired_envelopes_allocated.load(std::memory_order_relaxed);
-  g.acquired = g_retired_acquired.load(std::memory_order_relaxed);
-  g.released = g_retired_released.load(std::memory_order_relaxed);
+  GlobalStats g = g_retired;
   for (const MessagePool* pool : LivePools()) {
-    g.envelopes_allocated +=
-        pool->envelopes_allocated_.load(std::memory_order_relaxed);
-    g.acquired += pool->acquired_.load(std::memory_order_relaxed);
-    g.released += pool->released_.load(std::memory_order_relaxed);
+    g.envelopes_allocated += pool->stats_.envelopes_allocated;
+    g.acquired += pool->stats_.acquired;
+    g.released += pool->stats_.released;
   }
   return g;
 }

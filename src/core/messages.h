@@ -1,7 +1,6 @@
 #ifndef RJOIN_CORE_MESSAGES_H_
 #define RJOIN_CORE_MESSAGES_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -331,9 +330,9 @@ class EnvelopeRef {
   Envelope* env_ = nullptr;
 };
 
-/// Slab/freelist allocator for Envelopes; the simulator owns one. Slabs are
-/// never freed until the pool dies, so pointers stay valid for the pool's
-/// whole lifetime.
+/// Slab/freelist allocator for Envelopes; the simulator owns one and only
+/// its thread touches it. Slabs are never freed until the pool dies, so
+/// pointers stay valid for the pool's whole lifetime.
 class MessagePool {
  public:
   static constexpr size_t kDefaultSlabEnvelopes = 256;
@@ -367,7 +366,7 @@ class MessagePool {
     /// the no-envelope-lost/duplicated balance the churn tests assert.
     uint64_t outstanding() const { return acquired - released; }
   };
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
   /// Process-wide totals across all pools, live and destroyed. The bench
   /// reporter diffs these around a figure to derive `allocs_per_tuple` and
@@ -406,13 +405,7 @@ class MessagePool {
   const size_t base_slab_size_;
   std::vector<Slab> slabs_;
   Envelope* free_ = nullptr;
-
-  // Relaxed atomics: written by the pool, read by Aggregate()/stats().
-  std::atomic<uint64_t> slabs_allocated_{0};
-  std::atomic<uint64_t> envelopes_allocated_{0};
-  std::atomic<uint64_t> acquired_{0};
-  std::atomic<uint64_t> recycled_{0};
-  std::atomic<uint64_t> released_{0};
+  Stats stats_;
 };
 
 /// Executes due envelopes. dht::Transport is the one implementation: it

@@ -59,13 +59,13 @@ enum class RewriteIndexLevels {
 /// in WHERE-clause order, followed by attribute-level pairs per `levels`.
 ///
 /// Candidates come back as interned KeyIds, resolved from the compiled
-/// query's ids (KeyInterner::ResolveAttribute / ResolveValue): a lock-free
-/// code lookup in steady state, key text only on a key's first sight. The
+/// query's ids (KeyInterner::ResolveAttribute / ResolveValue): one code
+/// lookup in steady state, key text only on a key's first sight. The
 /// planner/engine compare, route, and store by u32 id from here on.
 ///
 /// The out-parameter form clears and fills a caller-owned buffer — the
-/// engine passes a reusable thread-local vector, so the per-rewrite
-/// candidate enumeration is allocation-free once warm.
+/// engine passes a reusable vector, so the per-rewrite candidate
+/// enumeration is allocation-free once warm.
 void IndexingCandidates(const Residual& residual, RewriteIndexLevels levels,
                         KeyInterner& interner, std::vector<KeyId>* out);
 

@@ -12,10 +12,10 @@ namespace rjoin::core {
 
 namespace {
 
-/// Reusable per-thread replica target set (the mirror fan-out resolves its
-/// successor list allocation-free once warm).
+/// Reusable replica target set (the mirror fan-out resolves its successor
+/// list allocation-free once warm).
 std::vector<dht::NodeIndex>& ReplicaTargetBuffer() {
-  static thread_local std::vector<dht::NodeIndex> buf;
+  static std::vector<dht::NodeIndex> buf;
   return buf;
 }
 

@@ -42,12 +42,10 @@ ValueId ValueInterner::Find(const sql::Value& v) const {
 }
 
 ValueId ValueInterner::Intern(const sql::Value& v) {
-  const uint64_t hash = HashValue(v);
-  const auto same = [&v](const sql::Value& e) { return e == v; };
-  const ValueId id = values_.Find(hash, same);
+  const ValueId id = Find(v);
   if (id != kInvalidValueId) return id;
   rjoin::stats::AllocScope scope(rjoin::stats::AllocPlane::kTuple);
-  return values_.Insert(hash, same, [&v](sql::Value& e) { e = v; }).first;
+  return values_.Insert(HashValue(v), [&v](sql::Value& e) { e = v; });
 }
 
 // ---------------------------------------------------------------------------
@@ -64,24 +62,22 @@ uint64_t TuplePool::NameHash::operator()(const std::string& name) const {
 
 uint32_t TuplePool::InternRelation(std::string_view name) {
   const uint64_t hash = rjoin::Fnv1a64(name);
-  const auto same = [name](const std::string& e) { return e == name; };
-  const uint32_t id = relations_.Find(hash, same);
+  const uint32_t id =
+      relations_.Find(hash, [name](const std::string& e) { return e == name; });
   if (id != kNotInterned) return id;
   rjoin::stats::AllocScope scope(rjoin::stats::AllocPlane::kTuple);
-  return relations_.Insert(hash, same, [name](std::string& e) {
-    e.assign(name);
-  }).first;
+  return relations_.Insert(hash, [name](std::string& e) { e.assign(name); });
 }
 
 uint32_t TuplePool::Allocate() {
-  acquired_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.acquired;
   if (free_ != kNil) {
-    recycled_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.recycled;
     const uint32_t idx = free_;
     Rec& r = at(idx);
     free_ = r.next;
     r.next = kNil;
-    r.refs.store(1, std::memory_order_relaxed);
+    r.refs = 1;
     return idx;
   }
   const uint32_t idx = allocated_++;
@@ -90,15 +86,15 @@ uint32_t TuplePool::Allocate() {
     // Slab growth is capacity acquisition, not per-record traffic.
     rjoin::stats::AllocScope scope(rjoin::stats::AllocPlane::kPoolCapacity);
     records_.AddSlab(idx);
-    slabs_allocated_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.slabs_allocated;
+    stats_.records_allocated += RecordSpine::kSlabSize;
   }
-  Rec& r = at(idx);
-  r.refs.store(1, std::memory_order_relaxed);
+  at(idx).refs = 1;
   return idx;
 }
 
 void TuplePool::ReleaseRecord(uint32_t idx) {
-  released_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.released;
   at(idx).next = free_;
   free_ = idx;
 }
@@ -129,16 +125,6 @@ TupleRef TuplePool::Make(std::string_view relation,
     out[i] = vi.Intern(values[i]);
   }
   return TupleRef::AdoptRaw(idx);
-}
-
-TuplePool::Stats TuplePool::stats() const {
-  Stats s;
-  s.slabs_allocated = slabs_allocated_.load(std::memory_order_relaxed);
-  s.records_allocated = s.slabs_allocated * RecordSpine::kSlabSize;
-  s.acquired = acquired_.load(std::memory_order_relaxed);
-  s.recycled = recycled_.load(std::memory_order_relaxed);
-  s.released = released_.load(std::memory_order_relaxed);
-  return s;
 }
 
 sql::TuplePtr TupleRef::Materialize() const {

@@ -1,7 +1,6 @@
 #ifndef RJOIN_CORE_TUPLE_REF_H_
 #define RJOIN_CORE_TUPLE_REF_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,13 +26,10 @@ inline constexpr ValueId kInvalidValueId = static_cast<ValueId>(-1);
 /// *is* value equality — the whole point: the rewrite hot path compares
 /// u32s instead of std::variant<int64_t, std::string>.
 ///
-/// Concurrency contract (core::Dictionary's, as for KeyInterner):
-///  * value(), size(), Find() are lock-free, safe concurrently with
-///    inserts; returned references are stable forever (entries immortal).
-///  * Intern() takes a mutex only on first sight. All inserts happen in
-///    the driver phase (tuple publication, query Create), which is
-///    sequential — so ids are canonical and vid-based fingerprints are
-///    bit-identical from run to run (docs/keys.md argument).
+/// Returned references are stable forever (entries immortal). Inserts
+/// happen in the driver phase (tuple publication, query Create), in a
+/// fixed order, so ids are canonical and vid-based fingerprints are
+/// bit-identical from run to run (docs/keys.md argument).
 class ValueInterner {
  public:
   /// Process-wide interner the engine uses by default.
@@ -42,7 +38,7 @@ class ValueInterner {
   /// Id of `v`, interning on first sight (driver phase only).
   ValueId Intern(const sql::Value& v);
 
-  /// Id of `v` if already interned, else kInvalidValueId. Lock-free.
+  /// Id of `v` if already interned, else kInvalidValueId.
   ValueId Find(const sql::Value& v) const;
 
   /// The interned value. Reference stable for the interner's lifetime.
@@ -71,16 +67,13 @@ class TupleRef;
 /// (arity <= kInlineArity, which covers the paper's 10-attribute
 /// relations), with a per-slot reusable overflow array for wider tuples.
 /// Publish, ALTT append, handoff, and GC move 4-byte handles (TupleRef);
-/// copying a handle is one atomic increment, no control blocks.
+/// copying a handle is one increment, no control blocks.
 ///
-/// Concurrency contract:
-///  * Allocate() and Release (refcount -> 0: windowed GC, Δ-expiry,
-///    handoff) run on the simulator's thread; a released record goes to
-///    the front of the freelist.
-///  * Dereference is lock-free: slabs live on an atomic spine and are
-///    never freed while the pool lives, so TupleRef handles stay valid
-///    for the pool's whole lifetime.
-///  * Relation names intern from any thread (core::Dictionary).
+/// Allocate(), copies, drops and Release (refcount -> 0: windowed GC,
+/// Δ-expiry, handoff) all run on the simulator's one thread; a released
+/// record goes to the front of the freelist. Slabs are never freed while
+/// the pool lives, so TupleRef handles stay valid for the pool's whole
+/// lifetime.
 class TuplePool {
  public:
   /// Covers the paper's workload (10 attributes per relation) with slack.
@@ -95,7 +88,7 @@ class TuplePool {
     uint64_t tuple_id = 0;
     uint32_t relation = 0;  ///< dense relation id (TuplePool dictionary)
     uint16_t arity = 0;
-    std::atomic<uint32_t> refs{0};
+    uint32_t refs = 0;
     uint32_t next = kNil;  ///< freelist link (refs == 0)
     ValueId vals[kInlineArity] = {};
     /// Wide-tuple fallback: allocated once per slot, then reused across
@@ -123,12 +116,12 @@ class TuplePool {
   /// Hard cap on relation names: ids fit in 12 bits.
   static constexpr uint32_t kMaxRelations = 1u << 12;
 
-  /// Name of an interned relation id. Lock-free; reference stable.
+  /// Name of an interned relation id. The reference is stable.
   const std::string& relation_name(uint32_t rel_id) const {
     return relations_.at(rel_id);
   }
 
-  /// Record `idx`. Lock-free.
+  /// Record `idx`.
   const Rec& at(uint32_t idx) const { return records_.at(idx); }
   Rec& at(uint32_t idx) { return records_.at(idx); }
 
@@ -141,7 +134,7 @@ class TuplePool {
     uint64_t released = 0;           ///< refcounts that reached zero
     uint64_t outstanding() const { return acquired - released; }
   };
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
  private:
   friend class TupleRef;
@@ -149,13 +142,9 @@ class TuplePool {
   /// Pops a clean record (refs == 1) off the freelist or grows a slab.
   uint32_t Allocate();
 
-  void IncRef(uint32_t idx) {
-    at(idx).refs.fetch_add(1, std::memory_order_relaxed);
-  }
+  void IncRef(uint32_t idx) { ++at(idx).refs; }
   void DecRef(uint32_t idx) {
-    if (at(idx).refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      ReleaseRecord(idx);
-    }
+    if (--at(idx).refs == 0) ReleaseRecord(idx);
   }
 
   /// refs hit zero: push onto the freelist.
@@ -171,21 +160,18 @@ class TuplePool {
   uint32_t allocated_ = 0;  // slab high-water mark
   uint32_t free_ = kNil;
 
-  // Relation names, interned driver-phase and read lock-free when
-  // materializing answers and building key text: 1,024-name slabs.
+  // Relation names, interned driver-phase and read when materializing
+  // answers and building key text: 1,024-name slabs.
   Dictionary<std::string, NameHash, 10, (kMaxRelations >> 10)> relations_{
       "relation"};
 
-  std::atomic<uint64_t> slabs_allocated_{0};
-  std::atomic<uint64_t> acquired_{0};
-  std::atomic<uint64_t> recycled_{0};
-  std::atomic<uint64_t> released_{0};
+  Stats stats_;
 };
 
-/// RAII handle to a pooled tuple record: 4 bytes, copy = one atomic
-/// increment, destroy = one atomic decrement. This is what messages,
-/// node-state buckets, residual bindings, and handoff batches move around
-/// instead of shared_ptr<const Tuple>.
+/// RAII handle to a pooled tuple record: 4 bytes, copy = one increment,
+/// destroy = one decrement. This is what messages, node-state buckets,
+/// residual bindings, and handoff batches move around instead of
+/// shared_ptr<const Tuple>.
 class TupleRef {
  public:
   TupleRef() = default;

@@ -1,7 +1,6 @@
 #include "dht/chord_network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <string>
 
@@ -12,9 +11,9 @@ namespace rjoin::dht {
 void ChordNetwork::BumpGeneration() {
   // One process-global counter (starting at 1) keeps generation stamps
   // unique across every network in the process — required by the
-  // thread-local SuccessorCache, which outlives individual networks.
-  static std::atomic<uint64_t> g_generation{0};
-  generation_ = g_generation.fetch_add(1, std::memory_order_relaxed) + 1;
+  // process-wide SuccessorCache, which outlives individual networks.
+  static uint64_t g_generation = 0;
+  generation_ = ++g_generation;
 }
 
 std::unique_ptr<ChordNetwork> ChordNetwork::Create(size_t n, uint64_t seed) {

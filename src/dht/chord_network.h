@@ -146,8 +146,8 @@ class ChordNetwork {
   std::vector<NodeIndex> Route(NodeIndex src, const NodeId& key) const;
 
   /// Route() into a caller-owned buffer (cleared first). The transport's
-  /// per-message hot path reuses one thread-local buffer so routing does
-  /// not heap-allocate a fresh path vector per message.
+  /// per-message hot path reuses one buffer so routing does not
+  /// heap-allocate a fresh path vector per message.
   void RoutePath(NodeIndex src, const NodeId& key,
                  std::vector<NodeIndex>* path) const;
 
@@ -184,13 +184,12 @@ class ChordNetwork {
   /// caches stamp their entries with this; a mismatch invalidates them.
   /// Generations are drawn from one process-global counter starting at 1,
   /// so every topology state of every ChordNetwork in the process has a
-  /// unique stamp — a cache shared across networks (the thread-local
+  /// unique stamp — a cache shared across networks (the process-wide
   /// SuccessorCache) can never mistake one network's entry for another's,
   /// and stamp 0 always means "never filled".
   uint64_t topology_generation() const { return generation_; }
 
-  /// Node `i`'s route memo (created on first use). Only the thread that
-  /// owns node `i`'s sends may touch it — see RouteCache's threading note.
+  /// Node `i`'s route memo (created on first use).
   RouteCache& route_cache(NodeIndex i) {
     if (route_caches_[i] == nullptr) {
       route_caches_[i] = std::make_unique<RouteCache>();

@@ -1,18 +1,14 @@
 #include "dht/route_cache.h"
 
-#include <atomic>
-
 #include "util/logging.h"
 
 namespace rjoin::dht {
 
 namespace {
 
-// Process-wide effectiveness counters, written relaxed from whichever
-// thread owns the sending node (same aggregation shape as the pool and
-// mailbox counters): cheap on the hot path, exact in aggregate.
-std::atomic<uint64_t> g_hits{0};
-std::atomic<uint64_t> g_misses{0};
+// Process-wide effectiveness counters of both cache levels.
+uint64_t g_hits = 0;
+uint64_t g_misses = 0;
 
 }  // namespace
 
@@ -29,10 +25,10 @@ const RouteCache::Entry* RouteCache::Lookup(core::KeyId key,
                                             uint64_t generation) {
   Revalidate(generation);
   if (const Entry* e = entries_.Find(key)) {
-    g_hits.fetch_add(1, std::memory_order_relaxed);
+    ++g_hits;
     return e;
   }
-  g_misses.fetch_add(1, std::memory_order_relaxed);
+  ++g_misses;
   return nullptr;
 }
 
@@ -51,10 +47,10 @@ void RouteCache::Insert(core::KeyId key, uint64_t generation,
 
 NodeIndex SuccessorCache::Lookup(core::KeyId key, uint64_t generation) {
   if (key < slots_.size() && slots_[key].generation == generation) {
-    g_hits.fetch_add(1, std::memory_order_relaxed);
+    ++g_hits;
     return slots_[key].node;
   }
-  g_misses.fetch_add(1, std::memory_order_relaxed);
+  ++g_misses;
   return kInvalidNode;
 }
 
@@ -72,15 +68,15 @@ void SuccessorCache::Insert(core::KeyId key, uint64_t generation,
   slots_[key] = Slot{generation, responsible};
 }
 
-SuccessorCache& SuccessorCache::Tls() {
-  static thread_local SuccessorCache cache;
+SuccessorCache& SuccessorCache::Global() {
+  static SuccessorCache cache;
   return cache;
 }
 
 RouteCache::Stats RouteCache::Aggregate() {
   Stats s;
-  s.hits = g_hits.load(std::memory_order_relaxed);
-  s.misses = g_misses.load(std::memory_order_relaxed);
+  s.hits = g_hits;
+  s.misses = g_misses;
   return s;
 }
 

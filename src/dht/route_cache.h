@@ -26,9 +26,8 @@ namespace rjoin::dht {
 /// under the new generation. There is no per-entry invalidation to get
 /// wrong; churn simply starts an empty table.
 ///
-/// Thread-safety: none required; the simulator runs every send on one
-/// thread. Global hit/miss counters are relaxed atomics aggregated like
-/// core::MessagePool's.
+/// The simulator runs every send on its one thread; the global hit/miss
+/// counters are plain process-wide totals.
 class RouteCache {
  public:
   /// Longest forwarding tail an entry can hold. Greedy Chord paths are
@@ -83,15 +82,15 @@ class RouteCache {
 /// Destination-resolution memo: interned KeyId -> responsible NodeIndex,
 /// each entry stamped with the topology generation it was computed under.
 /// Responsibility — unlike a forwarding path — does not depend on the
-/// sender, so this cache is shared by every node the calling thread
-/// executes (one instance per thread, `SuccessorCache::Tls()`). It serves
-/// the publication fan-out's grouping pass in Transport::MultiSendKeys,
-/// where the (publisher, key) pair is cold by construction (publishers are
-/// drawn at random) but the key's responsible node is hot.
+/// sender, so one process-wide instance (`SuccessorCache::Global()`) is
+/// shared by every node. It serves the publication fan-out's grouping pass
+/// in Transport::MultiSendKeys, where the (publisher, key) pair is cold by
+/// construction (publishers are drawn at random) but the key's responsible
+/// node is hot.
 ///
 /// Entries are validated per lookup against the caller's current
 /// generation; ChordNetwork generations are process-globally unique, so a
-/// thread that touches several networks (tests, bench repeats) can never
+/// process that runs several networks (tests, bench repeats) can never
 /// read one network's entry as another's. Hits and misses land in the same
 /// process-wide counters as RouteCache's — both levels are the one cached
 /// routing plane that `route_cache_hit_rate` reports on.
@@ -105,17 +104,17 @@ class SuccessorCache {
   void Insert(core::KeyId key, uint64_t generation, NodeIndex responsible);
 
   /// Bulk-warm bookkeeping: the transport sweeps every interned key into
-  /// the cache the first time a thread routes under a new topology
-  /// generation (a DHT node's successor knowledge IS prewarmed state —
-  /// only keys interned after the sweep can miss). The sweep's inserts are
-  /// not counted as lookups.
+  /// the cache the first time it routes under a new topology generation (a
+  /// DHT node's successor knowledge IS prewarmed state — only keys
+  /// interned after the sweep can miss). The sweep's inserts are not
+  /// counted as lookups.
   uint64_t swept_generation() const { return swept_generation_; }
   void set_swept_generation(uint64_t generation) {
     swept_generation_ = generation;
   }
 
-  /// The calling thread's instance.
-  static SuccessorCache& Tls();
+  /// The process-wide instance.
+  static SuccessorCache& Global();
 
  private:
   struct Slot {

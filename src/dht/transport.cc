@@ -1,6 +1,5 @@
 #include "dht/transport.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -21,8 +20,8 @@ void TraceMessage(stats::TraceCategory cat, core::MessageKind kind,
 
 // Process-wide destination-coalescing totals (same aggregation shape as the
 // route-cache and pool counters).
-std::atomic<uint64_t> g_coalesce_groups{0};
-std::atomic<uint64_t> g_coalesce_payloads{0};
+uint64_t g_coalesce_groups = 0;
+uint64_t g_coalesce_payloads = 0;
 
 bool RouteCacheEnabledFromEnv() {
   const char* v = std::getenv("RJOIN_ROUTE_CACHE");
@@ -42,13 +41,13 @@ Transport::Transport(ChordNetwork* network, sim::Simulator* sim,
 
 Transport::CoalesceStats Transport::AggregateCoalesce() {
   CoalesceStats s;
-  s.groups = g_coalesce_groups.load(std::memory_order_relaxed);
-  s.payloads = g_coalesce_payloads.load(std::memory_order_relaxed);
+  s.groups = g_coalesce_groups;
+  s.payloads = g_coalesce_payloads;
   return s;
 }
 
 std::vector<NodeIndex>& Transport::RouteScratch() {
-  static thread_local std::vector<NodeIndex> path;
+  static std::vector<NodeIndex> path;
   return path;
 }
 
@@ -119,13 +118,13 @@ Transport::RouteView Transport::ResolveRoute(NodeIndex src, core::KeyId key_id,
 NodeIndex Transport::CachedSuccessorOf(core::KeyId key_id,
                                        const NodeId& ring_id) {
   if (!route_cache_enabled_) return network_->SuccessorOf(ring_id);
-  SuccessorCache& cache = SuccessorCache::Tls();
+  SuccessorCache& cache = SuccessorCache::Global();
   const uint64_t gen = network_->topology_generation();
   if (cache.swept_generation() != gen) {
-    // First route under this topology on this thread: prewarm the whole
-    // interned key set (successor knowledge is exactly the state a DHT
-    // node maintains proactively). One O(K log N) sweep per generation per
-    // thread; afterwards only keys interned mid-stream can miss.
+    // First route under this topology: prewarm the whole interned key set
+    // (successor knowledge is exactly the state a DHT node maintains
+    // proactively). One O(K log N) sweep per generation; afterwards only
+    // keys interned mid-stream can miss.
     const uint32_t keys = interner_->size();
     for (uint32_t k = 0; k < keys; ++k) {
       cache.Insert(k, gen, network_->SuccessorOf(interner_->ring_id(k)));
@@ -154,7 +153,7 @@ void Transport::SendOneHop(core::EnvelopeRef env) {
 
 namespace {
 
-/// Per-thread grouping scratch for MultiSendKeys: a dense dst -> group slot
+/// Reusable grouping scratch for MultiSendKeys: a dense dst -> group slot
 /// map stamped per batch (no clearing between batches) plus the group list
 /// itself.
 struct CoalesceScratch {
@@ -170,7 +169,7 @@ struct CoalesceScratch {
   uint64_t batch = 0;
 
   static CoalesceScratch& Get() {
-    static thread_local CoalesceScratch s;
+    static CoalesceScratch s;
     return s;
   }
 };
@@ -190,7 +189,7 @@ size_t Transport::MultiSendKeys(
   scratch.groups.clear();
   ++scratch.batch;
 
-  // Pass 1: resolve each payload's responsible node through the thread's
+  // Pass 1: resolve each payload's responsible node through the
   // SuccessorCache — responsibility is sender-independent, so this is the
   // resolution with actual reuse (a random publisher rarely repeats a
   // (src, key) pair, but the key's responsible node is hot) — and bucket
@@ -263,9 +262,8 @@ size_t Transport::MultiSendKeys(
     }
     sim_->Deliver(delay, std::move(env));
   }
-  g_coalesce_groups.fetch_add(scratch.groups.size(),
-                              std::memory_order_relaxed);
-  g_coalesce_payloads.fetch_add(payloads, std::memory_order_relaxed);
+  g_coalesce_groups += scratch.groups.size();
+  g_coalesce_payloads += payloads;
   return total_hops;
 }
 

@@ -105,7 +105,7 @@ class Transport : public core::EnvelopeDispatcher {
  private:
   stats::MetricsRegistry& Metrics() { return sim_->metrics(); }
 
-  /// Scratch path buffer of the calling thread.
+  /// Reusable scratch path buffer.
   static std::vector<NodeIndex>& RouteScratch();
 
   /// A fresh envelope carrying `task` from `src`.
@@ -118,8 +118,8 @@ class Transport : public core::EnvelopeDispatcher {
   /// A resolved forwarding tail: hops[0..count-1] are the nodes after the
   /// source on the greedy route, hops[count-1] the responsible node; count
   /// may be 0 when the source itself is responsible. Points into either the
-  /// sender's RouteCache entry or the thread's RouteScratch — consume
-  /// before the next resolve.
+  /// sender's RouteCache entry or RouteScratch — consume before the next
+  /// resolve.
   struct RouteView {
     const NodeIndex* hops = nullptr;
     uint32_t count = 0;
@@ -134,7 +134,7 @@ class Transport : public core::EnvelopeDispatcher {
   RouteView ResolveRoute(NodeIndex src, core::KeyId key_id,
                          const NodeId& ring_id);
 
-  /// Resolves Successor(ring_id of key_id) through the thread's
+  /// Resolves Successor(ring_id of key_id) through the process-wide
   /// SuccessorCache (destination resolution is sender-independent, so the
   /// fan-out's grouping pass shares one memo across every sender). Falls
   /// back to the ring search when the cache is disabled.

@@ -18,7 +18,7 @@ namespace rjoin::stats {
 // All state is a fixed array of uint64_t counters plus min/max/sum, so
 // Record() never allocates and MergeFrom() is an elementwise add —
 // commutative and associative, which is what makes percentiles computed
-// from merged per-thread histograms independent of merge order.
+// from merged histograms independent of merge order.
 // Percentile() reports the *lower bound* of the bucket holding the
 // requested rank; because bucket bounds are integers derived only from the
 // (deterministic) counts, the reported value is bit-identical for any

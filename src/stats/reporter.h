@@ -63,7 +63,7 @@ struct MessagePlaneSummary {
   uint64_t envelope_allocs = 0;  ///< envelope heap allocations
   double wall_seconds = 0.0;
   uint64_t interned_keys = 0;    ///< distinct keys in the interner
-  uint64_t interner_hits = 0;    ///< Intern() calls resolved lock-free
+  uint64_t interner_hits = 0;    ///< Intern() calls that found the key
   uint64_t interner_misses = 0;  ///< first-sight inserts
   // Routing plane (docs/routing.md): per-node route-cache effectiveness and
   // destination coalescing of the publication fan-out.

@@ -24,7 +24,7 @@ bool EnvTraceOn() {
 }
 
 size_t EnvTraceCap() {
-  constexpr size_t kDefault = 1u << 16;  // events per recording thread
+  constexpr size_t kDefault = 1u << 16;  // ring events
   const char* v = std::getenv("RJOIN_TRACE_CAP");
   if (v == nullptr || *v == '\0') return kDefault;
   const long long n = std::atoll(v);
@@ -82,187 +82,85 @@ const char* TraceCategoryName(TraceCategory cat) {
   return "?";
 }
 
-// Per-thread recording state. Owned by the Tracer registry for the whole
-// process lifetime (so merge readers never chase a freed pointer) and
-// handed back for reuse when the recording thread exits.
-struct Tracer::Shard {
-  std::unique_ptr<TraceEvent[]> ring;
-  size_t capacity = 0;
-  uint64_t recorded = 0;  // lifetime appends; ring keeps the last
-                          // min(recorded, capacity) of them
-  bool in_use = true;
-  uint64_t ctx_time = 0;
-  uint64_t ctx_seq = 0;
-  uint32_t ctx_src = 0;
-  HistogramSet hist;
-
-  size_t size() const { return std::min<uint64_t>(recorded, capacity); }
-
-  void Append(const TraceEvent& e) {
-    ring[recorded % capacity] = e;
-    ++recorded;
-  }
-};
-
-namespace {
-
-// Thread-exit hook: returns the shard to the registry free pool so a
-// process that starts many threads reuses slabs instead of growing one per
-// thread ever started.
-struct TlsTraceHandleImpl {
-  Tracer::Shard* shard = nullptr;
-  ~TlsTraceHandleImpl();
-};
-thread_local TlsTraceHandleImpl tls_trace;
-
-}  // namespace
-
-struct TlsTraceHandle {
-  static Tracer::Shard* Get() {
-    if (tls_trace.shard == nullptr)
-      tls_trace.shard = Tracer::Global().LocalShard();
-    return tls_trace.shard;
-  }
-  static void Release(Tracer::Shard* shard) {
-    Tracer::Global().ReleaseShard(shard);
-  }
-};
-
-namespace {
-TlsTraceHandleImpl::~TlsTraceHandleImpl() {
-  if (shard != nullptr) TlsTraceHandle::Release(shard);
-}
-}  // namespace
-
 Tracer::Tracer()
-    : capacity_(EnvTraceCap()),
+    : enabled_(EnvTraceOn()),
+      capacity_(EnvTraceCap()),
       track_nodes_(EnvTraceNodes()),
-      wall_start_ns_(WallNowNs()) {
-  enabled_.store(EnvTraceOn(), std::memory_order_relaxed);
-}
+      wall_start_ns_(WallNowNs()) {}
 
 Tracer& Tracer::Global() {
   static Tracer* tracer = new Tracer();  // intentionally leaked
   return *tracer;
 }
 
-Tracer::Shard* Tracer::LocalShard() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& s : shards_) {
-    if (!s->in_use) {
-      s->in_use = true;
-      s->ctx_time = s->ctx_seq = 0;
-      s->ctx_src = 0;
-      return s.get();
-    }
-  }
-  shards_.push_back(std::make_unique<Shard>());
-  return shards_.back().get();
-}
-
-void Tracer::ReleaseShard(Shard* shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  shard->in_use = false;
-}
-
 void Tracer::SetContext(uint64_t time, uint32_t src, uint64_t seq) {
-  Shard* s = TlsTraceHandle::Get();
-  s->ctx_time = time;
-  s->ctx_src = src;
-  s->ctx_seq = seq;
+  Tracer& t = Global();
+  t.ctx_time_ = time;
+  t.ctx_src_ = src;
+  t.ctx_seq_ = seq;
 }
 
 void Tracer::RecordAtContext(TraceCategory cat, uint8_t kind, uint32_t node,
                              uint32_t peer, uint64_t arg) {
   if (!On()) return;
-  Record(cat, kind, node, peer, arg, TlsTraceHandle::Get()->ctx_time);
+  Record(cat, kind, node, peer, arg, Global().ctx_time_);
 }
 
 void Tracer::Record(TraceCategory cat, uint8_t kind, uint32_t node,
                     uint32_t peer, uint64_t arg, uint64_t vtime) {
   Tracer& t = Global();
-  if (!t.enabled()) return;
-  Shard* s = TlsTraceHandle::Get();
-  if (!s->ring) {
-    s->capacity = t.capacity_;
-    s->ring = std::make_unique<TraceEvent[]>(s->capacity);
-  }
-  TraceEvent e;
+  if (!t.enabled_) return;
+  if (!t.ring_) t.ring_ = std::make_unique<TraceEvent[]>(t.capacity_);
+  TraceEvent& e = t.ring_[t.recorded_ % t.capacity_];
+  ++t.recorded_;
   e.vtime = vtime;
   e.wall_ns = WallNowNs() - t.wall_start_ns_;
-  e.key_time = s->ctx_time;
-  e.key_src = s->ctx_src;
-  e.key_seq = s->ctx_seq;
+  e.key_time = t.ctx_time_;
+  e.key_src = t.ctx_src_;
+  e.key_seq = t.ctx_seq_;
   e.arg = arg;
   e.node = node;
   e.peer = peer;
   e.cat = cat;
   e.kind = kind;
-  s->Append(e);
 }
 
 void Tracer::RecordAnswerLatency(uint64_t vticks) {
-  TlsTraceHandle::Get()->hist.answer_latency.Record(vticks);
+  Global().hist_.answer_latency.Record(vticks);
 }
 void Tracer::RecordRewriteDepth(uint64_t bound) {
-  TlsTraceHandle::Get()->hist.rewrite_depth.Record(bound);
+  Global().hist_.rewrite_depth.Record(bound);
 }
 void Tracer::RecordRouteHops(uint64_t hops) {
-  TlsTraceHandle::Get()->hist.route_hops.Record(hops);
+  Global().hist_.route_hops.Record(hops);
 }
 void Tracer::RecordQueueDepth(uint64_t pending) {
-  TlsTraceHandle::Get()->hist.queue_depth.Record(pending);
-}
-
-void Tracer::HistogramSet::MergeFrom(const HistogramSet& other) {
-  answer_latency.MergeFrom(other.answer_latency);
-  rewrite_depth.MergeFrom(other.rewrite_depth);
-  route_hops.MergeFrom(other.route_hops);
-  queue_depth.MergeFrom(other.queue_depth);
-}
-
-Tracer::HistogramSet Tracer::AggregateHistograms() const {
-  HistogramSet out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& s : shards_) out.MergeFrom(s->hist);
-  return out;
+  Global().hist_.queue_depth.Record(pending);
 }
 
 std::vector<TraceEvent> Tracer::MergedEvents() const {
-  // A given event executes wholly on one thread, so sorting by its key and
-  // breaking ties by per-thread record index is a total order that does
-  // not depend on thread registration order.
+  // Records sit in the ring in execution order, which orders events by
+  // (time, insertion order), not by the exported (time, sender, insertion
+  // order) key; sorting by the key and breaking ties by record index keeps
+  // each event's records in program order.
   struct Tagged {
     TraceEvent e;
-    uint64_t local_index;
+    uint64_t index;
   };
   std::vector<Tagged> tagged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& s : shards_) {
-      if (!s->ring) continue;
-      const uint64_t first = s->recorded - s->size();
-      for (uint64_t i = first; i < s->recorded; ++i)
-        tagged.push_back({s->ring[i % s->capacity], i});
-    }
+  for (uint64_t i = recorded_ - retained(); i < recorded_; ++i) {
+    tagged.push_back({ring_[i % capacity_], i});
   }
   std::sort(tagged.begin(), tagged.end(), [](const Tagged& a, const Tagged& b) {
     if (a.e.key_time != b.e.key_time) return a.e.key_time < b.e.key_time;
     if (a.e.key_src != b.e.key_src) return a.e.key_src < b.e.key_src;
     if (a.e.key_seq != b.e.key_seq) return a.e.key_seq < b.e.key_seq;
-    return a.local_index < b.local_index;
+    return a.index < b.index;
   });
   std::vector<TraceEvent> out;
   out.reserve(tagged.size());
   for (const auto& t : tagged) out.push_back(t.e);
   return out;
-}
-
-uint64_t Tracer::DroppedEvents() const {
-  uint64_t dropped = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& s : shards_) dropped += s->recorded - s->size();
-  return dropped;
 }
 
 namespace {
@@ -325,13 +223,10 @@ bool Tracer::WriteChromeTraceFile(const std::string& path) const {
 }
 
 void Tracer::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& s : shards_) {
-    s->recorded = 0;
-    s->ctx_time = s->ctx_seq = 0;
-    s->ctx_src = 0;
-    s->hist = HistogramSet{};
-  }
+  recorded_ = 0;
+  ctx_time_ = ctx_seq_ = 0;
+  ctx_src_ = 0;
+  hist_ = HistogramSet{};
 }
 
 }  // namespace rjoin::stats

@@ -1,9 +1,8 @@
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -34,8 +33,8 @@ enum class ChurnTraceKind : uint8_t {
 // One trace record. Dual-stamped: `vtime` is the virtual time of the
 // traced action, `wall_ns` the steady-clock offset from tracer start.
 // (key_time, key_src, key_seq) identify the executing event (its time,
-// sender and queue insertion order) so merged traces have a total order;
-// driver-phase records use (driver clock, 0, 0).
+// sender and queue insertion order) so the exported trace has a total
+// order; driver-phase records use (driver clock, 0, 0).
 struct TraceEvent {
   uint64_t vtime = 0;
   uint64_t wall_ns = 0;
@@ -49,31 +48,24 @@ struct TraceEvent {
   uint8_t kind = 0;
 };
 
-// Process-wide tracer: one slab-backed ring of TraceEvents plus one set of
-// log-bucketed histograms per recording thread, registered lazily and
-// reused across thread lifetimes. Histograms are always on (a few counter
-// bumps per sample, no allocation past the first per-thread touch); the
-// typed event ring records only when RJOIN_TRACE is set (or set_enabled()
-// was called), so the disabled hot path is one relaxed atomic load.
-//
-// Merge/read APIs (MergedEvents, AggregateHistograms, WriteChromeTrace,
-// Reset) must run while no other thread records.
+// Process-wide tracer: one ring of TraceEvents plus one set of
+// log-bucketed histograms, written by the simulator's one thread.
+// Histograms are always on (a few counter bumps per sample, no
+// allocation); the typed event ring records only when RJOIN_TRACE is set
+// (or set_enabled() was called), so the disabled hot path is one load. The
+// ring is allocated on the first recorded event.
 class Tracer {
  public:
-  struct Shard;  // per-thread recording state; defined in trace.cc
-
   static Tracer& Global();
 
-  // One relaxed load; callers gate event recording on this.
-  static bool On() { return Global().enabled_.load(std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  // One load; callers gate event recording on this.
+  static bool On() { return Global().enabled_; }
+  bool enabled() const { return enabled_; }
   // Test/bench override of the RJOIN_TRACE env default.
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
+  void set_enabled(bool on) { enabled_ = on; }
 
-  // Stamp the key (time, src, seq) of the event the calling thread is
-  // executing; all records until the next call carry it.
+  // Stamp the key (time, src, seq) of the executing event; all records
+  // until the next call carry it.
   static void SetContext(uint64_t time, uint32_t src, uint64_t seq);
   // Append a typed event (no-op when disabled).
   static void Record(TraceCategory cat, uint8_t kind, uint32_t node,
@@ -95,14 +87,14 @@ class Tracer {
     LogHistogram route_hops;      // per-message routing path length
     LogHistogram stall_ns;        // always empty; perfbench still reads it
     LogHistogram queue_depth;     // pending events at each event-pump Push
-    void MergeFrom(const HistogramSet& other);
   };
-  HistogramSet AggregateHistograms() const;
+  // The histograms recorded since the last Reset().
+  HistogramSet AggregateHistograms() const { return hist_; }
 
-  // All retained events in deterministic (key_time, key_src, key_seq,
-  // per-thread record order) order.
+  // All retained events in (key_time, key_src, key_seq, record index)
+  // order.
   std::vector<TraceEvent> MergedEvents() const;
-  uint64_t DroppedEvents() const;
+  uint64_t DroppedEvents() const { return recorded_ - retained(); }
 
   // Chrome trace-event JSON (loads in Perfetto / chrome://tracing): pid 0
   // holds every event on one track; pid 1 duplicates events onto one track
@@ -110,22 +102,25 @@ class Tracer {
   void WriteChromeTrace(std::ostream& out) const;
   bool WriteChromeTraceFile(const std::string& path) const;
 
-  // Clears every ring and histogram (capacity and thread bindings stay).
+  // Clears the ring, the context and the histograms (the ring's capacity
+  // stays).
   void Reset();
 
  private:
-  friend struct TlsTraceHandle;
-
   Tracer();
-  Shard* LocalShard();
-  void ReleaseShard(Shard* shard);
+  size_t retained() const { return std::min<uint64_t>(recorded_, capacity_); }
 
-  std::atomic<bool> enabled_{false};
-  size_t capacity_;                       // ring events per thread
-  std::vector<uint32_t> track_nodes_;     // RJOIN_TRACE_NODES
+  bool enabled_;
+  size_t capacity_;                    // ring events (RJOIN_TRACE_CAP)
+  std::vector<uint32_t> track_nodes_;  // RJOIN_TRACE_NODES
   uint64_t wall_start_ns_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<TraceEvent[]> ring_;
+  uint64_t recorded_ = 0;  // lifetime appends; the ring keeps the last
+                           // min(recorded_, capacity_) of them
+  uint64_t ctx_time_ = 0;
+  uint64_t ctx_seq_ = 0;
+  uint32_t ctx_src_ = 0;
+  HistogramSet hist_;
 };
 
 }  // namespace rjoin::stats

@@ -226,7 +226,7 @@ struct SinkStream {
                       .ok());
       h.sim.Run();
       if (next % 4 == 3) h.engine.SweepWindows();
-      constexpr sim::SimTime kRing = 1024;  // sim::CalendarQueue buckets
+      constexpr sim::SimTime kRing = 1024;  // sim::EventQueue::kBuckets
       h.sim.RunUntil((h.sim.Now() / kRing + 1) * kRing);
     }
   }
@@ -235,11 +235,7 @@ struct SinkStream {
   std::vector<sql::Value> row = std::vector<sql::Value>(3, sql::Value::Int(0));
 };
 
-/// The parameter names the event pump. The serial simulator is the only
-/// one left; the dimension stays so the test's id does not change.
-class AnswerSinkTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(AnswerSinkTest, WarmDeliveryAllocatesOnlyLogCapacity) {
+TEST(AnswerSinkTest, WarmDeliveryAllocatesOnlyLogCapacity) {
   Harness h(32);
   for (dht::NodeIndex owner = 0; owner < 8; ++owner) {
     h.Submit(owner,
@@ -257,9 +253,6 @@ TEST_P(AnswerSinkTest, WarmDeliveryAllocatesOnlyLogCapacity) {
             after.pool_capacity() - before.pool_capacity())
       << "other plane: " << after.other() - before.other();
 }
-
-INSTANTIATE_TEST_SUITE_P(Pumps, AnswerSinkTest, ::testing::Values(0u),
-                         [](const auto&) { return std::string("Serial"); });
 
 struct LoggedAnswer {
   uint64_t query;

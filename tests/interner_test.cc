@@ -1,5 +1,5 @@
 // Tests of the interned key-id plane: KeyInterner identity/lookup
-// semantics, concurrent intern/lookup (run under TSan in CI) of the key,
+// semantics, dense first-intern ids across index doublings in the key,
 // value and relation-name dictionaries, the KeyIdMap flat container, the
 // FlatU64Set (DISTINCT fingerprint semantics, including the deliberate
 // collision behavior, and erase against a reference set), node-state slab
@@ -7,11 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <random>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -101,189 +99,43 @@ TEST(KeyInternerTest, SurvivesIndexResizes) {
   KeyInterner in;
   std::vector<KeyId> ids;
   for (int i = 0; i < 5000; ++i) {
-    ids.push_back(in.Intern("key-" + std::to_string(i), Level::kValue));
+    const std::string text = "key-" + std::to_string(i);
+    ids.push_back(in.Intern(text, Level::kValue));
+    EXPECT_EQ(ids.back(), static_cast<KeyId>(i));
+    EXPECT_EQ(in.Find(text), ids.back());
+    EXPECT_EQ(in.text(ids.back()), text);
   }
   EXPECT_EQ(in.size(), 5000u);
+  // Waves of attribute-level first sights, the keys churn brings, across
+  // one more resize, each followed by a repeated value-level intern: a hit
+  // that keeps its id.
+  for (int wave = 0; wave < 40; ++wave) {
+    for (int k = 0; k < 50; ++k) {
+      const std::string text =
+          "churn-" + std::to_string(wave) + "-" + std::to_string(k);
+      const KeyId id = in.Intern(text, Level::kAttribute);
+      EXPECT_EQ(in.Find(text, Level::kAttribute), id);
+      EXPECT_EQ(in.level(id), Level::kAttribute);
+      const int i = wave * 50 + k;
+      EXPECT_EQ(in.Intern("key-" + std::to_string(i), Level::kValue), ids[i]);
+    }
+  }
+  EXPECT_EQ(in.size(), 7000u);
+  EXPECT_EQ(in.stats().misses, 7000u);
+  EXPECT_EQ(in.stats().hits, 2000u);
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(in.Find("key-" + std::to_string(i)), ids[i]);
     EXPECT_EQ(in.text(ids[i]), "key-" + std::to_string(i));
   }
 }
 
-// The concurrency shape the sharded runtime produces: many threads
-// interning overlapping key sets (mostly hits) while also looking up
-// entries interned by other threads. Run under TSan in CI.
-TEST(KeyInternerTest, ConcurrentInternAndLookupAgree) {
-  KeyInterner in;
-  constexpr int kThreads = 8;
-  constexpr int kKeys = 2000;  // spans several index resizes
-  std::vector<std::vector<KeyId>> ids(kThreads,
-                                      std::vector<KeyId>(kKeys, 0));
-  std::atomic<int> ready{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }
-      for (int k = 0; k < kKeys; ++k) {
-        const std::string text = "shared-" + std::to_string(k);
-        const KeyId id = in.Intern(text, Level::kValue);
-        ids[t][k] = id;
-        // Entry fields must be fully visible through the published id.
-        EXPECT_EQ(in.text(id), text);
-        EXPECT_EQ(in.Find(text), id);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  // Every thread resolved every text to the same id.
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(ids[t], ids[0]);
-  }
-  EXPECT_EQ(in.size(), static_cast<uint32_t>(kKeys));
-}
-
-// The churn shape: while worker-like threads keep interning/looking up the
-// steady-state key population, a "churn" thread interns waves of brand-new
-// keys (the joiner's re-sharded attribute keys and fresh value keys churn
-// traces produce) and immediately resolves them. Mixes first-sight inserts
-// with concurrent hits across index resizes. Run under TSan in CI.
-TEST(KeyInternerTest, ChurnInterleavedInternAndLookupStress) {
-  KeyInterner in;
-  constexpr int kWorkers = 6;
-  constexpr int kSteadyKeys = 600;
-  constexpr int kChurnWaves = 40;
-  constexpr int kKeysPerWave = 50;
-  std::atomic<int> ready{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kWorkers; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kWorkers + 1) {
-      }
-      uint64_t rounds = 0;
-      // At least one full round regardless of scheduling (a single-core
-      // host can let the churn thread finish first).
-      do {
-        for (int k = 0; k < kSteadyKeys; ++k) {
-          const std::string text = "steady-" + std::to_string(k);
-          const KeyId id = in.Intern(text, Level::kValue);
-          EXPECT_EQ(in.Find(text, Level::kValue), id);
-          EXPECT_EQ(in.text(id), text);
-        }
-        ++rounds;
-      } while (!stop.load(std::memory_order_acquire));
-      EXPECT_GT(rounds, 0u) << "worker " << t << " never completed a round";
-    });
-  }
-  std::thread churn([&] {
-    ready.fetch_add(1);
-    while (ready.load() < kWorkers + 1) {
-    }
-    for (int wave = 0; wave < kChurnWaves; ++wave) {
-      for (int k = 0; k < kKeysPerWave; ++k) {
-        const std::string text =
-            "churn-" + std::to_string(wave) + "-" + std::to_string(k);
-        const KeyId id = in.Intern(text, Level::kAttribute);
-        EXPECT_EQ(in.Find(text, Level::kAttribute), id);
-        EXPECT_EQ(in.level(id), Level::kAttribute);
-      }
-    }
-    stop.store(true, std::memory_order_release);
-  });
-  churn.join();
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(in.size(),
-            static_cast<uint32_t>(kSteadyKeys + kChurnWaves * kKeysPerWave));
-}
-
 // ------------------------------------------ value and relation dictionaries --
-
-// Several threads intern the same n entries in one shared order, pairs of
-// them from the same offset (so first sights race), while reader threads
-// look up and read back every entry an interner has published. `intern(i)`
-// returns entry i's id, `find(i)` its id without inserting (entry i must be
-// interned), and `matches(id, i)` reads entry `id` back against entry i.
-// Asserts one id per entry, dense in [0, n). Run under TSan in CI.
-template <typename Intern, typename Find, typename Matches>
-void InternConcurrently(int n, const Intern& intern, const Find& find,
-                        const Matches& matches) {
-  constexpr int kInterners = 4;
-  constexpr int kReaders = 2;
-  std::vector<std::vector<uint32_t>> ids(kInterners,
-                                         std::vector<uint32_t>(n));
-  std::unique_ptr<std::atomic<uint32_t>[]> published(
-      new std::atomic<uint32_t>[n]);
-  for (int i = 0; i < n; ++i) published[i].store(kNotInterned);
-  std::atomic<int> interning{kInterners};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kInterners; ++t) {
-    threads.emplace_back([&, t] {
-      for (int k = 0; k < n; ++k) {
-        const int i = (k + t / 2 * n / 2) % n;
-        const uint32_t id = intern(i);
-        ids[t][i] = id;
-        EXPECT_EQ(find(i), id);
-        EXPECT_TRUE(matches(id, i)) << i;
-        published[i].store(id, std::memory_order_release);
-      }
-      interning.fetch_sub(1);
-    });
-  }
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&] {
-      // At least one full pass, however the threads are scheduled.
-      do {
-        for (int i = 0; i < n; ++i) {
-          const uint32_t id = published[i].load(std::memory_order_acquire);
-          if (id == kNotInterned) continue;
-          EXPECT_EQ(find(i), id);
-          EXPECT_TRUE(matches(id, i)) << i;
-        }
-      } while (interning.load() > 0);
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::vector<bool> taken(n, false);
-  for (int i = 0; i < n; ++i) {
-    for (int t = 1; t < kInterners; ++t) EXPECT_EQ(ids[t][i], ids[0][i]);
-    ASSERT_LT(ids[0][i], static_cast<uint32_t>(n));
-    EXPECT_FALSE(taken[ids[0][i]]) << "two entries share id " << ids[0][i];
-    taken[ids[0][i]] = true;
-  }
-}
 
 /// Entry i of the value tests: ints (negative ones too) and strings, with
 /// the int 12 and the string "12" both present.
 sql::Value TestValue(int i) {
   return i % 2 == 0 ? sql::Value::Int(i / 2 - 700)
                     : sql::Value::Str(std::to_string(i / 2));
-}
-
-TEST(DictionaryTest, ValuesInternConcurrentlyToOneDenseIdEach) {
-  ValueInterner values;
-  constexpr int kValues = 3000;  // spans several index doublings
-  InternConcurrently(
-      kValues, [&](int i) { return values.Intern(TestValue(i)); },
-      [&](int i) { return values.Find(TestValue(i)); },
-      [&](ValueId id, int i) { return values.value(id) == TestValue(i); });
-  EXPECT_EQ(values.size(), static_cast<uint32_t>(kValues));
-  EXPECT_NE(values.Find(sql::Value::Int(12)),
-            values.Find(sql::Value::Str("12")));
-  EXPECT_EQ(values.Find(sql::Value::Int(100000)), kInvalidValueId);
-}
-
-TEST(DictionaryTest, RelationNamesInternConcurrentlyToOneDenseIdEach) {
-  TuplePool pool;
-  constexpr int kNames = 1000;  // spans one index doubling
-  auto name = [](int i) { return "Rel" + std::to_string(i); };
-  // A repeated InternRelation is the lock-free lookup.
-  auto intern = [&](int i) { return pool.InternRelation(name(i)); };
-  InternConcurrently(kNames, intern, intern, [&](uint32_t id, int i) {
-    return pool.relation_name(id) == name(i);
-  });
 }
 
 // Entries are never evicted, so a full dictionary is a fatal error that
@@ -317,6 +169,40 @@ TEST(DictionaryTest, OneThreadAssignsIdsInFirstInternOrder) {
   EXPECT_EQ(keys.Intern("k", Level::kAttribute), 1u);
   EXPECT_EQ(keys.InternAttribute("R", "A"), 2u);
   EXPECT_EQ(keys.Intern("k", Level::kValue), 0u);
+
+  // 3,000 values across several index doublings: dense distinct ids in
+  // first-intern order, each found and read back.
+  ValueInterner many;
+  constexpr int kValues = 3000;
+  for (int i = 0; i < kValues; ++i) {
+    const ValueId id = many.Intern(TestValue(i));
+    EXPECT_EQ(id, static_cast<ValueId>(i));
+    EXPECT_EQ(many.Find(TestValue(i)), id);
+    EXPECT_EQ(many.value(id), TestValue(i));
+  }
+  for (int i = 0; i < kValues; ++i) {
+    EXPECT_EQ(many.Intern(TestValue(i)), static_cast<ValueId>(i));
+  }
+  EXPECT_EQ(many.size(), static_cast<uint32_t>(kValues));
+  const ValueId int12 = many.Find(sql::Value::Int(12));
+  const ValueId str12 = many.Find(sql::Value::Str("12"));
+  EXPECT_NE(int12, kInvalidValueId);
+  EXPECT_NE(str12, kInvalidValueId);
+  EXPECT_NE(int12, str12);
+  EXPECT_EQ(many.Find(sql::Value::Int(100000)), kInvalidValueId);
+
+  // 1,000 relation names across one index doubling.
+  TuplePool names;
+  constexpr int kNames = 1000;
+  auto name = [](int i) { return "Rel" + std::to_string(i); };
+  for (int i = 0; i < kNames; ++i) {
+    EXPECT_EQ(names.InternRelation(name(i)), static_cast<uint32_t>(i));
+  }
+  for (int i = 0; i < kNames; ++i) {
+    // A repeated InternRelation is the lookup.
+    EXPECT_EQ(names.InternRelation(name(i)), static_cast<uint32_t>(i));
+    EXPECT_EQ(names.relation_name(static_cast<uint32_t>(i)), name(i));
+  }
 }
 
 // ------------------------------------------------- handoff emission order --

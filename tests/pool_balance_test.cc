@@ -302,13 +302,12 @@ TEST(PoolBalanceTest, DeltaExpiryDrainsAlttPool) {
 
 // ------------------------------------------------ mid-stream teardown ----
 
-workload::ExperimentConfig TeardownConfig(uint32_t pump) {
+workload::ExperimentConfig TeardownConfig() {
   workload::ExperimentConfig cfg;
   cfg.num_nodes = 32;
   cfg.workload.num_relations = 3;
   cfg.workload.num_attributes = 3;
   cfg.workload.num_values = 4;
-  cfg.shards = pump;
   cfg.seed = 3;
   return cfg;
 }
@@ -385,20 +384,16 @@ std::set<std::pair<KeyId, uint64_t>> DriveToMidStreamCut(
   return moved;
 }
 
-/// The parameter names the event pump. The serial simulator is the only
-/// one left; the dimension stays so the test's id does not change.
-class MidStreamTeardownTest : public ::testing::TestWithParam<uint32_t> {};
-
 // Experiment destroys its engine, and every InputQuery with it, before its
 // event pump. Residuals still queued in the pump (rewrites, handoff
 // slices) are then destroyed after their query: the sanitizer builds
 // catch any residual path that reads its query on the way out.
-TEST_P(MidStreamTeardownTest, QueuedWorkDiesAfterTheEngine) {
+TEST(MidStreamTeardownTest, QueuedWorkDiesAfterTheEngine) {
   // The script's premise, on a twin run drained after the cut: answers
   // were still on their way, and the leaver's stored queries were in the
   // handoff, stored nowhere until it installed.
   {
-    workload::Experiment twin(TeardownConfig(GetParam()));
+    workload::Experiment twin(TeardownConfig());
     const auto moved = DriveToMidStreamCut(twin);
     ASSERT_FALSE(moved.empty());
     EXPECT_EQ(CountStoredAnywhere(twin.engine(), moved), 0u);
@@ -411,7 +406,7 @@ TEST_P(MidStreamTeardownTest, QueuedWorkDiesAfterTheEngine) {
   const TuplePool::Stats tuples_before = TuplePool::Global().stats();
   const MessagePool::GlobalStats msgs_before = MessagePool::Aggregate();
   {
-    workload::Experiment e(TeardownConfig(GetParam()));
+    workload::Experiment e(TeardownConfig());
     DriveToMidStreamCut(e);
     EXPECT_GT(MessagePool::Aggregate().outstanding(),
               msgs_before.outstanding());
@@ -420,11 +415,6 @@ TEST_P(MidStreamTeardownTest, QueuedWorkDiesAfterTheEngine) {
             tuples_before.outstanding());
   EXPECT_EQ(MessagePool::Aggregate().outstanding(), msgs_before.outstanding());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Pumps, MidStreamTeardownTest,
-    ::testing::Values(workload::ExperimentConfig::kForceSerial),
-    [](const auto&) { return std::string("Serial"); });
 
 // --------------------------------- batched probe kernel equivalence ----
 

@@ -156,15 +156,13 @@ size_t ExpectReplicasMatchOwners(const core::RJoinEngine& engine,
 
 // ------------------------------------------- replicas equal owners ----
 
-/// (r, event pump, windowed). The serial simulator is the only pump left;
-/// its dimension stays so the test ids do not change.
-using EqualityParam = std::tuple<uint32_t /*r*/, uint32_t /*pump*/,
-                                 bool /*windowed*/>;
+/// (r, windowed).
+using EqualityParam = std::tuple<uint32_t /*r*/, bool /*windowed*/>;
 
 class ReplicaEqualityTest : public ::testing::TestWithParam<EqualityParam> {};
 
 TEST_P(ReplicaEqualityTest, ReplicaSlicesEqualOwnerSlicesAtQuiescence) {
-  const auto [replication, pump, windowed] = GetParam();
+  const auto [replication, windowed] = GetParam();
   // The experiment only wires network, engine and event pump; the test
   // drives queries, tuples and churn itself so it can compare replicas at
   // every quiescent point — between sweeps too, where only the replicas'
@@ -175,7 +173,6 @@ TEST_P(ReplicaEqualityTest, ReplicaSlicesEqualOwnerSlicesAtQuiescence) {
   cfg.workload.num_attributes = 4;
   cfg.workload.num_values = 25;
   cfg.replication = replication;
-  cfg.shards = pump;
   cfg.warmup_observations = 0;
   workload::Experiment e(cfg);
   core::RJoinEngine& engine = e.engine();
@@ -249,12 +246,9 @@ TEST_P(ReplicaEqualityTest, ReplicaSlicesEqualOwnerSlicesAtQuiescence) {
   EXPECT_EQ(engine.replication_stats().mirror_gaps, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RShardsWindows, ReplicaEqualityTest,
-    ::testing::Combine(
-        ::testing::Values(2u, 3u),
-        ::testing::Values(workload::ExperimentConfig::kForceSerial),
-        ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(RWindows, ReplicaEqualityTest,
+                         ::testing::Combine(::testing::Values(2u, 3u),
+                                            ::testing::Bool()));
 
 // ------------------------------------------------ chained re-forward ----
 
@@ -526,7 +520,7 @@ struct SteadyHarness {
     }
   }
 
-  static constexpr sim::SimTime kRing = 1024;  // sim::CalendarQueue buckets
+  static constexpr sim::SimTime kRing = 1024;  // sim::EventQueue::kBuckets
 
   int next = 0;  // position in the stream's 32-tuple period
   std::vector<sql::Value> row = std::vector<sql::Value>(2);

@@ -159,9 +159,9 @@ TEST(SuccessorCacheTest, StaleGenerationMissesPerEntry) {
   EXPECT_EQ(cache.Lookup(1, 6), 20u);
   // The overwritten slot no longer answers for the old generation either.
   EXPECT_EQ(cache.Lookup(1, 5), kInvalidNode);
-  // Untouched entries stay valid under their own stamp (a thread only ever
-  // queries with its network's current generation, but the memo itself is
-  // per-entry, not per-table).
+  // Untouched entries stay valid under their own stamp (the transport only
+  // ever queries with its network's current generation, but the memo
+  // itself is per-entry, not per-table).
   EXPECT_EQ(cache.Lookup(2, 5), 11u);
 }
 

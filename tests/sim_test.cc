@@ -62,7 +62,7 @@ TEST(EventQueueTest, PoppedEnvelopesRecycleThroughThePool) {
 
 // -------------------------------------------- calendar-queue edge cases --
 //
-// The EventQueue is backed by a windowed calendar (sim/calendar_queue.h);
+// The EventQueue is a windowed calendar queue (sim/event_queue.h);
 // these tests force its off-window machinery: overflow migration, window
 // rebase on a past push, interleaved push/pop on the active bucket, and a
 // randomized shootout against an order-stamp sort oracle.

@@ -125,7 +125,7 @@ TEST(LogHistogramTest, DiffFromIsolatesNewSamples) {
 // ----------------------------------------------------- trace determinism
 
 // Small experiment that still exercises routing, rewrites, answers, and
-// (optionally) churn, and fits comfortably in the default per-thread ring.
+// (optionally) churn, and fits comfortably in the default ring.
 workload::ExperimentConfig SmallConfig(bool churn) {
   workload::ExperimentConfig cfg;
   cfg.num_nodes = 48;
