@@ -49,50 +49,46 @@ int main() {
   bench::JsonReporter json("ablation", "Ablation study", base);
 
   std::vector<Row> rows;
+  {
+    workload::ExperimentConfig cfg = base;
+    rows.push_back(RunVariant("RJoin (all optimizations)", cfg));
+  }
+  {
+    workload::ExperimentConfig cfg = base;
+    cfg.reuse_ric_info = false;
+    rows.push_back(RunVariant("no CT/piggyback reuse (S7 off)", cfg));
+  }
+  {
+    workload::ExperimentConfig cfg = base;
+    cfg.charge_ric = false;
+    rows.push_back(RunVariant("free statistics (oracle RIC)", cfg));
+  }
+  {
+    workload::ExperimentConfig cfg = base;
+    cfg.rewrite_levels = core::RewriteIndexLevels::kIncludeAttribute;
+    rows.push_back(RunVariant("full S6 candidate set", cfg));
+  }
+  {
+    workload::ExperimentConfig cfg = base;
+    cfg.attr_replication = 4;
+    rows.push_back(RunVariant("attr replication r=4", cfg));
+  }
+  json.AddTuplesProcessed(rows.size() * base.num_tuples);
 
-  bench::RunRepeated(json, [&] {
-    rows.clear();
-    {
-      workload::ExperimentConfig cfg = base;
-      rows.push_back(RunVariant("RJoin (all optimizations)", cfg));
-    }
-    {
-      workload::ExperimentConfig cfg = base;
-      cfg.reuse_ric_info = false;
-      rows.push_back(RunVariant("no CT/piggyback reuse (S7 off)", cfg));
-    }
-    {
-      workload::ExperimentConfig cfg = base;
-      cfg.charge_ric = false;
-      rows.push_back(RunVariant("free statistics (oracle RIC)", cfg));
-    }
-    {
-      workload::ExperimentConfig cfg = base;
-      cfg.rewrite_levels = core::RewriteIndexLevels::kIncludeAttribute;
-      rows.push_back(RunVariant("full S6 candidate set", cfg));
-    }
-    {
-      workload::ExperimentConfig cfg = base;
-      cfg.attr_replication = 4;
-      rows.push_back(RunVariant("attr replication r=4", cfg));
-    }
-    json.AddTuplesProcessed(rows.size() * base.num_tuples);
-
-    std::vector<double> xs;
-    stats::Series msgs{"msgs_per_node", {}}, ric{"ric_per_node", {}},
-        qpl{"qpl_per_node", {}}, max_qpl{"max_qpl", {}};
-    for (size_t i = 0; i < rows.size(); ++i) {
-      xs.push_back(static_cast<double>(i));
-      msgs.values.push_back(rows[i].total_msgs_per_node);
-      ric.values.push_back(rows[i].ric_msgs_per_node);
-      qpl.values.push_back(rows[i].qpl_per_node);
-      max_qpl.values.push_back(static_cast<double>(rows[i].max_qpl));
-      json.AddScalar(rows[i].label + " msgs/node",
-                     rows[i].total_msgs_per_node);
-    }
-    json.AddChart("Ablations (per-node averages)", "variant index", xs,
-                  {msgs, ric, qpl, max_qpl});
-  });
+  std::vector<double> xs;
+  stats::Series msgs{"msgs_per_node", {}}, ric{"ric_per_node", {}},
+      qpl{"qpl_per_node", {}}, max_qpl{"max_qpl", {}};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    xs.push_back(static_cast<double>(i));
+    msgs.values.push_back(rows[i].total_msgs_per_node);
+    ric.values.push_back(rows[i].ric_msgs_per_node);
+    qpl.values.push_back(rows[i].qpl_per_node);
+    max_qpl.values.push_back(static_cast<double>(rows[i].max_qpl));
+    json.AddScalar(rows[i].label + " msgs/node",
+                   rows[i].total_msgs_per_node);
+  }
+  json.AddChart("Ablations (per-node averages)", "variant index", xs,
+                {msgs, ric, qpl, max_qpl});
   json.Write();
 
   std::cout << "== Ablations (per-node averages over the whole run) ==\n";

@@ -92,51 +92,6 @@ std::string BenchOutDir() {
   return dir;
 }
 
-size_t BenchRepeat() {
-  const char* env = std::getenv("RJOIN_BENCH_REPEAT");
-  if (env == nullptr || *env == '\0') return 1;
-  const long v = std::atol(env);
-  if (v <= 1) return 1;
-  return static_cast<size_t>(std::min<long>(v, 32));
-}
-
-void RunRepeated(JsonReporter& json, const std::function<void()>& body) {
-  const size_t repeats = BenchRepeat();
-  std::vector<double> secs;
-  std::vector<double> tps;
-  secs.reserve(repeats);
-  tps.reserve(repeats);
-  for (size_t i = 0; i < repeats; ++i) {
-    const uint64_t tuples_before = json.tuples_processed();
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    const double tuples =
-        static_cast<double>(json.tuples_processed() - tuples_before);
-    secs.push_back(s);
-    tps.push_back(s > 0.0 ? tuples / s : 0.0);
-    if (repeats > 1) {
-      std::cout << "# repeat " << (i + 1) << "/" << repeats << ": " << s
-                << " s, " << tps.back() << " tuples/s\n";
-    }
-  }
-  if (repeats == 1) return;
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    const size_t n = v.size();
-    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-  };
-  const double tps_median = median(tps);
-  const auto [tps_min, tps_max] = std::minmax_element(tps.begin(), tps.end());
-  json.AddScalar("bench_repeats", static_cast<double>(repeats));
-  json.AddScalar("tuples_per_sec_median", tps_median);
-  json.AddScalar("tuples_per_sec_spread",
-                 tps_median > 0.0 ? (*tps_max - *tps_min) / tps_median : 0.0);
-  json.AddScalar("wall_seconds_median", median(secs));
-}
-
 namespace {
 
 void AppendJsonString(std::ostream& os, const std::string& s) {
@@ -297,21 +252,11 @@ stats::MessagePlaneSummary JsonReporter::PlaneDelta() const {
   return s;
 }
 
-void JsonReporter::UpsertChart(Chart&& chart) {
-  for (Chart& existing : charts_) {
-    if (existing.title == chart.title) {
-      existing = std::move(chart);
-      return;
-    }
-  }
-  charts_.push_back(std::move(chart));
-}
-
 void JsonReporter::AddChart(const std::string& title,
                             const std::string& x_label,
                             std::vector<double> xs,
                             std::vector<stats::Series> series) {
-  UpsertChart(Chart{title, x_label, std::move(xs), std::move(series)});
+  charts_.push_back(Chart{title, x_label, std::move(xs), std::move(series)});
 }
 
 void JsonReporter::AddChart(const stats::TableReporter& table) {
@@ -342,7 +287,7 @@ void JsonReporter::AddRankedChart(
     }
     chart.series.push_back(std::move(s));
   }
-  UpsertChart(std::move(chart));
+  charts_.push_back(std::move(chart));
 }
 
 void JsonReporter::AddScalar(const std::string& name, double value) {

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -51,23 +50,6 @@ stats::RankedDistribution Ranked(const std::vector<uint64_t>& loads);
 /// bench aborts loudly if that fails) so pointing RJOIN_BENCH_OUT at a
 /// fresh path never silently drops the results.
 std::string BenchOutDir();
-
-/// Number of times each figure body runs: $RJOIN_BENCH_REPEAT clamped to
-/// [1, 32], default 1. Repeats quantify run-to-run noise on a machine —
-/// one fast run is a point estimate, the median of N is a measurement.
-size_t BenchRepeat();
-
-class JsonReporter;
-
-/// Runs `body` BenchRepeat() times, timing each repeat and snapshotting the
-/// reporter's tuple counter around it. With N > 1, records the scalars
-/// "bench_repeats", "tuples_per_sec_median", "tuples_per_sec_spread"
-/// ((max - min) / median), and "wall_seconds_median" on `json`. Charts and
-/// named scalars the body re-adds overwrite their previous repeat's values
-/// (see JsonReporter::UpsertChart), so the emitted JSON has one copy of
-/// everything regardless of N. Repeats re-run the same seeds: virtual-cost
-/// results are identical, only wall-clock timing varies.
-void RunRepeated(JsonReporter& json, const std::function<void()>& body);
 
 /// Machine-readable bench output: collects the figure's charts and writes
 /// them as `BENCH_<figure>.json` so the perf trajectory across PRs can be
@@ -130,8 +112,7 @@ class JsonReporter {
   /// the cold ramp — pool/dictionary capacity growth from process start —
   /// into every tuple, which is not what the <= 1 steady-state target
   /// measures. The whole-run average is still emitted as
-  /// "allocs_per_tuple_lifetime". Under RJOIN_BENCH_REPEAT the last
-  /// repeat's window wins (same rule as UpsertChart).
+  /// "allocs_per_tuple_lifetime".
   void SetSteadyStateAllocs(const stats::AllocCounts& begin,
                             const stats::AllocCounts& end,
                             uint64_t window_tuples);
@@ -144,9 +125,6 @@ class JsonReporter {
   /// "route_cache_hit_rate_lifetime".
   void SetSteadyStateRouteCache(const dht::RouteCache::Stats& begin,
                                 const dht::RouteCache::Stats& end);
-
-  /// Running tuple total (RunRepeated snapshots it around each repeat).
-  uint64_t tuples_processed() const { return tuples_processed_; }
 
   /// Writes BENCH_<figure>.json into $RJOIN_BENCH_OUT (default: the working
   /// directory) and returns the path. Logs the path to stdout. Every file
@@ -171,11 +149,6 @@ class JsonReporter {
   /// Message-plane counters (envelope pools, key interner, routing)
   /// measured since construction.
   stats::MessagePlaneSummary PlaneDelta() const;
-
-  /// Appends `chart`, replacing an existing chart with the same title —
-  /// RunRepeated re-runs a figure body, and the last repeat wins instead of
-  /// duplicating every chart N times.
-  void UpsertChart(Chart&& chart);
 
   std::string figure_;
   std::string title_;

@@ -40,55 +40,53 @@ int main() {
   bench::JsonReporter json("fig2_ric_effect",
                            "Figure 2: effect of RIC information", base);
 
-  bench::RunRepeated(json, [&] {
-    std::vector<std::vector<double>> msgs(3), qpl(3), storage(3);
-    std::vector<double> ric_requests;
+  std::vector<std::vector<double>> msgs(3), qpl(3), storage(3);
+  std::vector<double> ric_requests;
 
-    for (size_t v = 0; v < 3; ++v) {
-      workload::ExperimentConfig cfg = base;
-      cfg.policy = kVariants[v].policy;
-      cfg.charge_ric = kVariants[v].charge_ric;
-      workload::Experiment experiment(cfg);
-      auto result = experiment.Run();
-      json.AddTuplesProcessed(result.num_tuples);
-      for (const auto& snap : result.snapshots) {
-        msgs[v].push_back(bench::PerNode(snap.messages));
-        qpl[v].push_back(bench::PerNode(snap.qpl));
-        storage[v].push_back(bench::PerNode(snap.storage));
-        if (kVariants[v].policy == core::PlannerPolicy::kRic) {
-          ric_requests.push_back(bench::PerNode(snap.ric_messages));
-        }
+  for (size_t v = 0; v < 3; ++v) {
+    workload::ExperimentConfig cfg = base;
+    cfg.policy = kVariants[v].policy;
+    cfg.charge_ric = kVariants[v].charge_ric;
+    workload::Experiment experiment(cfg);
+    auto result = experiment.Run();
+    json.AddTuplesProcessed(result.num_tuples);
+    for (const auto& snap : result.snapshots) {
+      msgs[v].push_back(bench::PerNode(snap.messages));
+      qpl[v].push_back(bench::PerNode(snap.qpl));
+      storage[v].push_back(bench::PerNode(snap.storage));
+      if (kVariants[v].policy == core::PlannerPolicy::kRic) {
+        ric_requests.push_back(bench::PerNode(snap.ric_messages));
       }
     }
+  }
 
-    std::vector<double> xs(kCheckpoints.begin(), kCheckpoints.end());
+  std::vector<double> xs(kCheckpoints.begin(), kCheckpoints.end());
 
-    stats::TableReporter a("Fig 2(a): total messages per node", "# tuples");
-    a.set_x(xs);
-    for (size_t v = 0; v < 3; ++v) {
-      a.AddSeries({kVariants[v].label, msgs[v]});
-    }
-    a.AddSeries({"RequestRIC", ric_requests});
-    a.Print(std::cout);
-    json.AddChart(a);
+  stats::TableReporter a("Fig 2(a): total messages per node", "# tuples");
+  a.set_x(xs);
+  for (size_t v = 0; v < 3; ++v) {
+    a.AddSeries({kVariants[v].label, msgs[v]});
+  }
+  a.AddSeries({"RequestRIC", ric_requests});
+  a.Print(std::cout);
+  json.AddChart(a);
 
-    stats::TableReporter b("Fig 2(b): query processing load per node",
-                           "# tuples");
-    b.set_x(xs);
-    for (size_t v = 0; v < 3; ++v) {
-      b.AddSeries({kVariants[v].label, qpl[v]});
-    }
-    b.Print(std::cout);
-    json.AddChart(b);
+  stats::TableReporter b("Fig 2(b): query processing load per node",
+                         "# tuples");
+  b.set_x(xs);
+  for (size_t v = 0; v < 3; ++v) {
+    b.AddSeries({kVariants[v].label, qpl[v]});
+  }
+  b.Print(std::cout);
+  json.AddChart(b);
 
-    stats::TableReporter c("Fig 2(c): storage load per node", "# tuples");
-    c.set_x(xs);
-    for (size_t v = 0; v < 3; ++v) {
-      c.AddSeries({kVariants[v].label, storage[v]});
-    }
-    c.Print(std::cout);
-    json.AddChart(c);
-  });
+  stats::TableReporter c("Fig 2(c): storage load per node", "# tuples");
+  c.set_x(xs);
+  for (size_t v = 0; v < 3; ++v) {
+    c.AddSeries({kVariants[v].label, storage[v]});
+  }
+  c.Print(std::cout);
+  json.AddChart(c);
   json.Write();
 
   return 0;

@@ -22,40 +22,38 @@ int main() {
   bench::JsonReporter json("fig5_skew", "Figure 5: effect of skewed data",
                            base);
 
-  bench::RunRepeated(json, [&] {
-    std::vector<double> xs, total_series, ric_series;
-    std::vector<std::string> labels;
-    std::vector<stats::RankedDistribution> qpl_dists, sl_dists;
+  std::vector<double> xs, total_series, ric_series;
+  std::vector<std::string> labels;
+  std::vector<stats::RankedDistribution> qpl_dists, sl_dists;
 
-    for (double theta : kThetas) {
-      workload::ExperimentConfig cfg = base;
-      cfg.workload.zipf_theta = theta;
-      workload::Experiment experiment(cfg);
-      auto result = experiment.Run();
-      json.AddTuplesProcessed(result.num_tuples);
+  for (double theta : kThetas) {
+    workload::ExperimentConfig cfg = base;
+    cfg.workload.zipf_theta = theta;
+    workload::Experiment experiment(cfg);
+    auto result = experiment.Run();
+    json.AddTuplesProcessed(result.num_tuples);
 
-      xs.push_back(theta);
-      total_series.push_back(result.MsgsPerNodePerTuple());
-      ric_series.push_back(result.RicMsgsPerNodePerTuple());
-      labels.push_back("theta=" + std::to_string(theta).substr(0, 3));
-      qpl_dists.push_back(bench::Ranked(result.final_snapshot.qpl));
-      sl_dists.push_back(bench::Ranked(result.final_snapshot.storage));
-    }
+    xs.push_back(theta);
+    total_series.push_back(result.MsgsPerNodePerTuple());
+    ric_series.push_back(result.RicMsgsPerNodePerTuple());
+    labels.push_back("theta=" + std::to_string(theta).substr(0, 3));
+    qpl_dists.push_back(bench::Ranked(result.final_snapshot.qpl));
+    sl_dists.push_back(bench::Ranked(result.final_snapshot.storage));
+  }
 
-    stats::TableReporter a("Fig 5(a): messages per node per tuple",
-                           "zipf theta");
-    a.set_x(xs);
-    a.AddSeries({"TotalHops", total_series});
-    a.AddSeries({"RequestRIC", ric_series});
-    a.Print(std::cout);
-    json.AddChart(a);
+  stats::TableReporter a("Fig 5(a): messages per node per tuple",
+                         "zipf theta");
+  a.set_x(xs);
+  a.AddSeries({"TotalHops", total_series});
+  a.AddSeries({"RequestRIC", ric_series});
+  a.Print(std::cout);
+  json.AddChart(a);
 
-    PrintRankedFigure(std::cout, "Fig 5(b): query processing load", labels,
-                      qpl_dists);
-    PrintRankedFigure(std::cout, "Fig 5(c): storage load", labels, sl_dists);
-    json.AddRankedChart("Fig 5(b): query processing load", labels, qpl_dists);
-    json.AddRankedChart("Fig 5(c): storage load", labels, sl_dists);
-  });
+  PrintRankedFigure(std::cout, "Fig 5(b): query processing load", labels,
+                    qpl_dists);
+  PrintRankedFigure(std::cout, "Fig 5(c): storage load", labels, sl_dists);
+  json.AddRankedChart("Fig 5(b): query processing load", labels, qpl_dists);
+  json.AddRankedChart("Fig 5(c): storage load", labels, sl_dists);
   json.Write();
   return 0;
 }

@@ -21,40 +21,38 @@ int main() {
   bench::JsonReporter json("fig6_arity",
                            "Figure 6: effect of query complexity", base);
 
-  bench::RunRepeated(json, [&] {
-    std::vector<double> xs, total_series, ric_series;
-    std::vector<std::string> labels;
-    std::vector<stats::RankedDistribution> qpl_dists, sl_dists;
+  std::vector<double> xs, total_series, ric_series;
+  std::vector<std::string> labels;
+  std::vector<stats::RankedDistribution> qpl_dists, sl_dists;
 
-    for (int way : kWays) {
-      workload::ExperimentConfig cfg = base;
-      cfg.way = way;
-      workload::Experiment experiment(cfg);
-      auto result = experiment.Run();
-      json.AddTuplesProcessed(result.num_tuples);
+  for (int way : kWays) {
+    workload::ExperimentConfig cfg = base;
+    cfg.way = way;
+    workload::Experiment experiment(cfg);
+    auto result = experiment.Run();
+    json.AddTuplesProcessed(result.num_tuples);
 
-      xs.push_back(way);
-      total_series.push_back(result.MsgsPerNodePerTuple());
-      ric_series.push_back(result.RicMsgsPerNodePerTuple());
-      labels.push_back(std::to_string(way) + "-way joins");
-      qpl_dists.push_back(bench::Ranked(result.final_snapshot.qpl));
-      sl_dists.push_back(bench::Ranked(result.final_snapshot.storage));
-    }
+    xs.push_back(way);
+    total_series.push_back(result.MsgsPerNodePerTuple());
+    ric_series.push_back(result.RicMsgsPerNodePerTuple());
+    labels.push_back(std::to_string(way) + "-way joins");
+    qpl_dists.push_back(bench::Ranked(result.final_snapshot.qpl));
+    sl_dists.push_back(bench::Ranked(result.final_snapshot.storage));
+  }
 
-    stats::TableReporter a("Fig 6(a): messages per node per tuple",
-                           "# of joins in queries");
-    a.set_x(xs);
-    a.AddSeries({"TotalHops", total_series});
-    a.AddSeries({"RequestRIC", ric_series});
-    a.Print(std::cout);
-    json.AddChart(a);
+  stats::TableReporter a("Fig 6(a): messages per node per tuple",
+                         "# of joins in queries");
+  a.set_x(xs);
+  a.AddSeries({"TotalHops", total_series});
+  a.AddSeries({"RequestRIC", ric_series});
+  a.Print(std::cout);
+  json.AddChart(a);
 
-    PrintRankedFigure(std::cout, "Fig 6(b): query processing load", labels,
-                      qpl_dists);
-    PrintRankedFigure(std::cout, "Fig 6(c): storage load", labels, sl_dists);
-    json.AddRankedChart("Fig 6(b): query processing load", labels, qpl_dists);
-    json.AddRankedChart("Fig 6(c): storage load", labels, sl_dists);
-  });
+  PrintRankedFigure(std::cout, "Fig 6(b): query processing load", labels,
+                    qpl_dists);
+  PrintRankedFigure(std::cout, "Fig 6(c): storage load", labels, sl_dists);
+  json.AddRankedChart("Fig 6(b): query processing load", labels, qpl_dists);
+  json.AddRankedChart("Fig 6(c): storage load", labels, sl_dists);
   json.Write();
   return 0;
 }

@@ -26,46 +26,44 @@ int main() {
   bench::JsonReporter json("fig7_windows",
                            "Figure 7: effect of sliding window size", base);
 
-  bench::RunRepeated(json, [&] {
-    std::vector<double> xs, total_series, ric_series;
-    std::vector<std::string> labels;
-    std::vector<stats::RankedDistribution> qpl_dists, sl_dists;
+  std::vector<double> xs, total_series, ric_series;
+  std::vector<std::string> labels;
+  std::vector<stats::RankedDistribution> qpl_dists, sl_dists;
 
-    for (uint64_t w : kWindows) {
-      workload::ExperimentConfig cfg = base;
-      sql::WindowSpec window;
-      window.use_windows = true;
-      window.unit = sql::WindowSpec::Unit::kTuples;
-      window.kind = sql::WindowSpec::Kind::kSliding;
-      window.size = w;
-      cfg.window = window;
-      workload::Experiment experiment(cfg);
-      auto result = experiment.Run();
-      json.AddTuplesProcessed(result.num_tuples);
+  for (uint64_t w : kWindows) {
+    workload::ExperimentConfig cfg = base;
+    sql::WindowSpec window;
+    window.use_windows = true;
+    window.unit = sql::WindowSpec::Unit::kTuples;
+    window.kind = sql::WindowSpec::Kind::kSliding;
+    window.size = w;
+    cfg.window = window;
+    workload::Experiment experiment(cfg);
+    auto result = experiment.Run();
+    json.AddTuplesProcessed(result.num_tuples);
 
-      xs.push_back(static_cast<double>(w));
-      total_series.push_back(result.MsgsPerNodePerTuple());
-      ric_series.push_back(result.RicMsgsPerNodePerTuple());
-      labels.push_back("W=" + std::to_string(w));
-      qpl_dists.push_back(bench::Ranked(result.final_snapshot.qpl));
-      sl_dists.push_back(bench::Ranked(result.final_snapshot.storage));
-    }
+    xs.push_back(static_cast<double>(w));
+    total_series.push_back(result.MsgsPerNodePerTuple());
+    ric_series.push_back(result.RicMsgsPerNodePerTuple());
+    labels.push_back("W=" + std::to_string(w));
+    qpl_dists.push_back(bench::Ranked(result.final_snapshot.qpl));
+    sl_dists.push_back(bench::Ranked(result.final_snapshot.storage));
+  }
 
-    stats::TableReporter a("Fig 7(a): messages per node per tuple",
-                           "window (tuples)");
-    a.set_x(xs);
-    a.AddSeries({"TotalHops", total_series});
-    a.AddSeries({"RequestRIC", ric_series});
-    a.Print(std::cout);
-    json.AddChart(a);
+  stats::TableReporter a("Fig 7(a): messages per node per tuple",
+                         "window (tuples)");
+  a.set_x(xs);
+  a.AddSeries({"TotalHops", total_series});
+  a.AddSeries({"RequestRIC", ric_series});
+  a.Print(std::cout);
+  json.AddChart(a);
 
-    PrintRankedFigure(std::cout, "Fig 7(b): query processing load", labels,
-                      qpl_dists);
-    PrintRankedFigure(std::cout, "Fig 7(c): storage load (current)", labels,
-                      sl_dists);
-    json.AddRankedChart("Fig 7(b): query processing load", labels, qpl_dists);
-    json.AddRankedChart("Fig 7(c): storage load (current)", labels, sl_dists);
-  });
+  PrintRankedFigure(std::cout, "Fig 7(b): query processing load", labels,
+                    qpl_dists);
+  PrintRankedFigure(std::cout, "Fig 7(c): storage load (current)", labels,
+                    sl_dists);
+  json.AddRankedChart("Fig 7(b): query processing load", labels, qpl_dists);
+  json.AddRankedChart("Fig 7(c): storage load (current)", labels, sl_dists);
   json.Write();
   return 0;
 }

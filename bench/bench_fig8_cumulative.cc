@@ -28,53 +28,51 @@ int main() {
       "fig8_cumulative", "Figure 8: cumulative load vs tuples per window size",
       base);
 
-  bench::RunRepeated(json, [&] {
-    std::vector<stats::Series> qpl_series, sl_series;
-    std::vector<double> xs;
+  std::vector<stats::Series> qpl_series, sl_series;
+  std::vector<double> xs;
 
-    for (uint64_t w : kWindows) {
-      workload::ExperimentConfig cfg = base;
-      sql::WindowSpec window;
-      window.use_windows = true;
-      window.unit = sql::WindowSpec::Unit::kTuples;
-      window.size = w;
-      cfg.window = window;
-      workload::Experiment experiment(cfg);
-      auto result = experiment.Run();
-      json.AddTuplesProcessed(result.num_tuples);
+  for (uint64_t w : kWindows) {
+    workload::ExperimentConfig cfg = base;
+    sql::WindowSpec window;
+    window.use_windows = true;
+    window.unit = sql::WindowSpec::Unit::kTuples;
+    window.size = w;
+    cfg.window = window;
+    workload::Experiment experiment(cfg);
+    auto result = experiment.Run();
+    json.AddTuplesProcessed(result.num_tuples);
 
-      stats::Series q{"W=" + std::to_string(w), {}};
-      stats::Series s{"W=" + std::to_string(w), {}};
-      if (xs.empty()) {
-        for (size_t i = kSampleEvery; i <= result.per_tuple.size();
-             i += kSampleEvery) {
-          xs.push_back(static_cast<double>(i));
-        }
-      }
+    stats::Series q{"W=" + std::to_string(w), {}};
+    stats::Series s{"W=" + std::to_string(w), {}};
+    if (xs.empty()) {
       for (size_t i = kSampleEvery; i <= result.per_tuple.size();
            i += kSampleEvery) {
-        q.values.push_back(
-            static_cast<double>(result.per_tuple[i - 1].total_qpl));
-        s.values.push_back(
-            static_cast<double>(result.per_tuple[i - 1].total_storage));
+        xs.push_back(static_cast<double>(i));
       }
-      qpl_series.push_back(std::move(q));
-      sl_series.push_back(std::move(s));
     }
+    for (size_t i = kSampleEvery; i <= result.per_tuple.size();
+         i += kSampleEvery) {
+      q.values.push_back(
+          static_cast<double>(result.per_tuple[i - 1].total_qpl));
+      s.values.push_back(
+          static_cast<double>(result.per_tuple[i - 1].total_storage));
+    }
+    qpl_series.push_back(std::move(q));
+    sl_series.push_back(std::move(s));
+  }
 
-    stats::TableReporter a("Fig 8(a): cumulative query processing load",
-                           "# tuples");
-    a.set_x(xs);
-    for (auto& s : qpl_series) a.AddSeries(s);
-    a.Print(std::cout);
-    json.AddChart(a);
+  stats::TableReporter a("Fig 8(a): cumulative query processing load",
+                         "# tuples");
+  a.set_x(xs);
+  for (auto& s : qpl_series) a.AddSeries(s);
+  a.Print(std::cout);
+  json.AddChart(a);
 
-    stats::TableReporter b("Fig 8(b): cumulative storage load", "# tuples");
-    b.set_x(xs);
-    for (auto& s : sl_series) b.AddSeries(s);
-    b.Print(std::cout);
-    json.AddChart(b);
-  });
+  stats::TableReporter b("Fig 8(b): cumulative storage load", "# tuples");
+  b.set_x(xs);
+  for (auto& s : sl_series) b.AddSeries(s);
+  b.Print(std::cout);
+  json.AddChart(b);
   json.Write();
   return 0;
 }

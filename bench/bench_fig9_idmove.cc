@@ -22,44 +22,42 @@ int main() {
   bench::JsonReporter json("fig9_idmove", "Figure 9: effect of id movement",
                            cfg);
 
-  bench::RunRepeated(json, [&] {
-    workload::Experiment baseline(cfg);
-    auto base_result = baseline.Run();
-    json.AddTuplesProcessed(base_result.num_tuples);
-    auto profile = baseline.KeyLoadProfile();
+  workload::Experiment baseline(cfg);
+  auto base_result = baseline.Run();
+  json.AddTuplesProcessed(base_result.num_tuples);
+  auto profile = baseline.KeyLoadProfile();
 
-    workload::ExperimentConfig balanced_cfg = cfg;
-    balanced_cfg.node_positions =
-        dht::IdMovementBalancer::ComputeBalancedPositions(profile,
-                                                          cfg.num_nodes);
-    workload::Experiment balanced(balanced_cfg);
-    auto bal_result = balanced.Run();
-    json.AddTuplesProcessed(bal_result.num_tuples);
+  workload::ExperimentConfig balanced_cfg = cfg;
+  balanced_cfg.node_positions =
+      dht::IdMovementBalancer::ComputeBalancedPositions(profile,
+                                                        cfg.num_nodes);
+  workload::Experiment balanced(balanced_cfg);
+  auto bal_result = balanced.Run();
+  json.AddTuplesProcessed(bal_result.num_tuples);
 
-    stats::PrintRankedFigure(
-        std::cout, "Fig 9(a): query processing load",
-        {"Without", "WithIdMove"},
-        {bench::Ranked(base_result.final_snapshot.qpl),
-         bench::Ranked(bal_result.final_snapshot.qpl)});
-    stats::PrintRankedFigure(
-        std::cout, "Fig 9(b): storage load",
-        {"Without", "WithIdMove"},
-        {bench::Ranked(base_result.final_snapshot.storage),
-         bench::Ranked(bal_result.final_snapshot.storage)});
+  stats::PrintRankedFigure(
+      std::cout, "Fig 9(a): query processing load",
+      {"Without", "WithIdMove"},
+      {bench::Ranked(base_result.final_snapshot.qpl),
+       bench::Ranked(bal_result.final_snapshot.qpl)});
+  stats::PrintRankedFigure(
+      std::cout, "Fig 9(b): storage load",
+      {"Without", "WithIdMove"},
+      {bench::Ranked(base_result.final_snapshot.storage),
+       bench::Ranked(bal_result.final_snapshot.storage)});
 
-    const auto gb = bench::Ranked(base_result.final_snapshot.storage);
-    const auto gw = bench::Ranked(bal_result.final_snapshot.storage);
-    std::cout << "storage gini without=" << gb.gini() << " with=" << gw.gini()
-              << "\n";
-    json.AddRankedChart("Fig 9(a): query processing load",
-                        {"Without", "WithIdMove"},
-                        {bench::Ranked(base_result.final_snapshot.qpl),
-                         bench::Ranked(bal_result.final_snapshot.qpl)});
-    json.AddRankedChart("Fig 9(b): storage load", {"Without", "WithIdMove"},
-                        {gb, gw});
-    json.AddScalar("storage_gini_without", gb.gini());
-    json.AddScalar("storage_gini_with", gw.gini());
-  });
+  const auto gb = bench::Ranked(base_result.final_snapshot.storage);
+  const auto gw = bench::Ranked(bal_result.final_snapshot.storage);
+  std::cout << "storage gini without=" << gb.gini() << " with=" << gw.gini()
+            << "\n";
+  json.AddRankedChart("Fig 9(a): query processing load",
+                      {"Without", "WithIdMove"},
+                      {bench::Ranked(base_result.final_snapshot.qpl),
+                       bench::Ranked(bal_result.final_snapshot.qpl)});
+  json.AddRankedChart("Fig 9(b): storage load", {"Without", "WithIdMove"},
+                      {gb, gw});
+  json.AddScalar("storage_gini_without", gb.gini());
+  json.AddScalar("storage_gini_with", gw.gini());
   json.Write();
   return 0;
 }

@@ -563,15 +563,6 @@ void RJoinEngine::DropStoredQuery(dht::NodeIndex self, KeyId key,
   BucketUnlink(st.query_pool, bucket, prev_idx, idx);
 }
 
-StoredQuery& RJoinEngine::AppendStoredQuery(NodeState& st, BucketList& bucket,
-                                            StoredQuery&& sq) {
-  stats::AllocScope plane(stats::AllocPlane::kResidual);
-  const uint32_t idx = BucketAppend(st.query_pool, bucket);
-  auto& node = st.query_pool.at(idx);
-  node.value = std::move(sq);
-  return node.value;
-}
-
 void RJoinEngine::ProbeStoredState(dht::NodeIndex self, KeyId key,
                                    StoredQuery& sq) {
   NodeState& st = state(self);
@@ -619,35 +610,13 @@ void RJoinEngine::ProbeTupleSpans(dht::NodeIndex self, KeyId key,
   Residual& r = sq.residual;
   const InputQuery& q = *r.origin();
   // Every tuple under one index key belongs to one relation, so the FROM
-  // position and the temporal bounds are loop invariants of the spans.
+  // position, the temporal bounds and the predicate program are loop
+  // invariants of the spans.
   const int rel = q.RelIndexOf(spans[0].data[0]->relation);
   if (rel < 0 || r.IsBound(rel)) return;
   const bool one_time = q.one_time();
   const uint64_t ins_time = q.ins_time();
-
-  // Hoist the predicate program: original selections on `rel` plus join
-  // predicates whose other side is bound, each reduced to one (column,
-  // value-id) equality. Phase 1 below is then a tight u32-compare loop.
-  struct Pred {
-    int attr;
-    ValueId vid;
-  };
-  static std::vector<Pred> preds;
-  preds.clear();
-  for (int i = 0; i < q.num_selections(); ++i) {
-    const InputQuery::Selection sel = q.selection(i);
-    if (sel.rel == rel) preds.push_back(Pred{sel.attr, sel.value_id});
-  }
-  for (int i = 0; i < q.num_joins(); ++i) {
-    const InputQuery::Join j = q.join(i);
-    if (j.left_rel == rel && r.IsBound(j.right_rel)) {
-      preds.push_back(Pred{j.left_attr,
-                           r.BoundValueId(j.right_rel, j.right_attr)});
-    } else if (j.right_rel == rel && r.IsBound(j.left_rel)) {
-      preds.push_back(Pred{j.right_attr,
-                           r.BoundValueId(j.left_rel, j.left_attr)});
-    }
-  }
+  const ColumnPredicates preds = r.PredicatesOn(rel);
 
   // Phase 1: pure evaluation over the spans — temporal check, window
   // admission, predicate program — collecting matched refs. No sends, no
@@ -666,20 +635,14 @@ void RJoinEngine::ProbeTupleSpans(dht::NodeIndex self, KeyId key,
         if (rec.pub_time < ins_time) continue;
       }
       if (!r.WindowAdmits(rel, tuples[i])) continue;
-      const ValueId* cols = rec.columns();
-      bool ok = true;
-      for (const Pred& p : preds) {
-        if (cols[p.attr] != p.vid) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) matches.push_back(&tuples[i]);
+      if (preds.Matches(rec.columns())) matches.push_back(&tuples[i]);
     }
   }
 
-  // Phase 2: DISTINCT rule + bind + forward for the matches. Sends are
-  // async (never re-entering this node's state), so the spans stay stable.
+  // Phase 2: DISTINCT rule of Section 4 (a match triggers only if its
+  // projection over the referenced attributes is new), then bind and
+  // forward. Sends are async (never re-entering this node's state), so the
+  // spans stay stable.
   FlatU64Set* seen =
       q.distinct() && interner_->level(key) == Level::kValue
           ? &state(self).ProjectionsOf(sq)
@@ -693,33 +656,31 @@ void RJoinEngine::ProbeTupleSpans(dht::NodeIndex self, KeyId key,
   }
 }
 
-void RJoinEngine::TryTrigger(dht::NodeIndex self, StoredQuery& sq,
-                             KeyId key, const TupleRef& t) {
-  Residual& r = sq.residual;
-  const int rel = r.origin()->RelIndexOf(t->relation);
-  if (rel < 0 || r.IsBound(rel)) return;
-  if (r.origin()->one_time()) {
-    // One-time semantics: a snapshot over what existed at submission.
-    if (t->pub_time > r.origin()->ins_time()) return;
-  } else {
-    // Temporal condition of Definition 1 / Procedure 2: pubT(t) >= insT(q).
-    if (t->pub_time < r.origin()->ins_time()) return;
-  }
-  if (!r.WindowAdmits(rel, t)) return;
-  if (!r.Matches(rel, t)) return;
-
-  // DISTINCT rule of Section 4: a new tuple triggers this stored query only
-  // if its projection over the referenced attributes is new. Projections
-  // are 64-bit fingerprints over interned value ids (see FlatU64Set) —
-  // no rendering, no allocation per trigger.
-  if (r.origin()->distinct() && interner_->level(key) == Level::kValue) {
-    if (!state(self).ProjectionsOf(sq).Insert(
-            ProjectionFingerprint(*r.origin(), rel, t))) {
-      return;
+void RJoinEngine::TriggerStored(dht::NodeIndex self, KeyId key,
+                                const TupleRef& tuple, uint32_t* bound) {
+  NodeState& st = state(self);
+  BucketList* bucket = st.queries.Find(key);
+  if (bucket == nullptr) return;
+  const TupleSpan arrival{&tuple, 1};
+  uint32_t remaining = bound == nullptr ? UINT32_MAX : *bound;
+  // Arrival order; drops unlink in place.
+  uint32_t prev = kNil;
+  uint32_t cur = bucket->head;
+  while (cur != kNil && remaining > 0) {
+    --remaining;
+    StoredQuery& sq = st.query_pool.at(cur).value;
+    const uint32_t next = st.query_pool.at(cur).next;
+    // Section 5: a triggering tuple that falls beyond the residual's
+    // window proves the window closed — the residual is deleted.
+    if (sq.residual.WindowClosedBy(tuple)) {
+      DropStoredQuery(self, key, *bucket, prev, cur);
+      if (bound != nullptr) --*bound;
+    } else {
+      ProbeTupleSpans(self, key, sq, &arrival, 1);
+      prev = cur;
     }
+    cur = next;
   }
-
-  CompleteOrForward(self, r.Bind(rel, t), t->pub_time);
 }
 
 void RJoinEngine::CompleteOrForward(dht::NodeIndex self, Residual next,
@@ -743,26 +704,7 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
   Metrics().AddQpl(self);
   NodeState& st = state(self);
   st.rates.Record(msg.key, Now());
-
-  if (BucketList* bucket = st.queries.Find(msg.key)) {
-    // Walk the intrusive list in arrival order; drops unlink in place.
-    uint32_t prev = kNil;
-    uint32_t cur = bucket->head;
-    while (cur != kNil) {
-      StoredQuery& sq = st.query_pool.at(cur).value;
-      // Section 5: a triggering tuple that falls beyond the residual's
-      // window proves the window closed — the residual is deleted.
-      if (sq.residual.WindowClosedBy(msg.tuple)) {
-        const uint32_t next = st.query_pool.at(cur).next;
-        DropStoredQuery(self, msg.key, *bucket, prev, cur);
-        cur = next;
-        continue;
-      }
-      TryTrigger(self, sq, msg.key, msg.tuple);
-      prev = cur;
-      cur = st.query_pool.at(cur).next;
-    }
-  }
+  TriggerStored(self, msg.key, msg.tuple);
 
   ReplicaUpdate::Op stored = ReplicaUpdate::Op::kRate;
   uint64_t expires = 0;
@@ -789,7 +731,6 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
     stored = ReplicaUpdate::Op::kAltt;
     const uint32_t idx = BucketAppend(st.altt_pool, dq);
     st.altt_pool.at(idx).value = AlttEntry{msg.tuple, expires};
-    Metrics().AddAlttStore(self);
     // Amortized expiry: entries append in arrival order, so stale ones
     // cluster at the head.
     while (dq.head != kNil &&
@@ -805,46 +746,62 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
   }
 }
 
-void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
-                         const RicVec& piggyback) {
+const StoredQuery* RJoinEngine::ProbeAndStore(dht::NodeIndex self, KeyId key,
+                                              Residual&& residual,
+                                              FlatU64Set* seen, bool moved) {
   Metrics().AddQpl(self);
   NodeState& st = state(self);
-  for (const RicEntry& e : piggyback) st.ct.Merge(e);
 
   // DISTINCT set semantics: identical rewritten queries are handled once.
   const bool distinct = residual.origin()->distinct();
   uint64_t fp = 0;
   if (distinct) {
     fp = StoredFingerprint(key, residual);
-    if (st.distinct_fingerprints.Contains(fp)) return;
+    if (st.distinct_fingerprints.Contains(fp)) return nullptr;
   }
 
   // Procedure 3: probe already-present tuples first — stored tuples can be
   // older than the residual, so this must happen even if the residual's
   // window admits no *future* tuples anymore.
   StoredQuery sq{std::move(residual)};
-  if (distinct) sq.projections = st.projection_pool.Allocate();
+  if (distinct) {
+    sq.projections = st.projection_pool.Allocate();
+    if (seen != nullptr) st.ProjectionsOf(sq) = std::move(*seen);
+  }
   ProbeStoredState(self, key, sq);
 
   // Store for future tuples unless this is a one-time query (they never
   // wait for future tuples: probe-and-forget) or the window has already
-  // closed (Section 5's status reduction).
-  if (sq.residual.origin()->one_time() || IsExpired(sq.residual)) {
+  // closed (Section 5's status reduction). The clock check assumes every
+  // published tuple has reached its keys; a moved residual may still meet
+  // one forwarded from its old owner, so it keeps the fate that owner gave
+  // it and the next sweep or window-closing tuple drops it.
+  if (!moved &&
+      (sq.residual.origin()->one_time() || IsExpired(sq.residual))) {
     if (distinct) st.projection_pool.Free(sq.projections);
-    return;
+    return nullptr;
   }
-  if (distinct) {
-    stats::AllocScope plane(stats::AllocPlane::kResidual);
-    st.distinct_fingerprints.Insert(fp);
-  }
-  const StoredQuery& kept =
-      AppendStoredQuery(st, st.queries[key], std::move(sq));
+  BucketList& bucket = st.queries[key];
+  stats::AllocScope plane(stats::AllocPlane::kResidual);
+  if (distinct) st.distinct_fingerprints.Insert(fp);
+  StoredQuery& kept =
+      st.query_pool.at(BucketAppend(st.query_pool, bucket)).value;
+  kept = std::move(sq);
   Metrics().AddStore(self);
-  ++key_load_[key];
+  return &kept;
+}
 
+void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
+                         const RicVec& piggyback) {
+  NodeState& st = state(self);
+  for (const RicEntry& e : piggyback) st.ct.Merge(e);
+  const StoredQuery* kept = ProbeAndStore(self, key, std::move(residual),
+                                          /*seen=*/nullptr, /*moved=*/false);
+  if (kept == nullptr) return;
+  ++key_load_[key];
   // Replication: the slice gained a stored residual. (Probe-and-forget
-  // paths above change nothing durable, so they skip the mirror.)
-  if (config_.replication > 1) MirrorStored(self, key, kept.residual);
+  // paths change nothing durable, so they skip the mirror.)
+  if (config_.replication > 1) MirrorStored(self, key, kept->residual);
 }
 
 void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {

@@ -407,34 +407,42 @@ class RJoinEngine : public dht::MessageHandler {
   /// local state only — moved-vs-moved pairs were already evaluated at the
   /// old owner).
   void OnStateHandoff(dht::NodeIndex self, StateHandoff& msg);
-  /// OnEval's storage logic for a migrated stored query: a DISTINCT query
-  /// keeps its moved FlatU64Set `seen` (in this node's projection pool);
-  /// probes only pre-handoff tuples/ALTT entries.
-  void InstallQuery(dht::NodeIndex self, KeyId key, Residual&& residual,
-                    FlatU64Set&& seen);
 
-  /// Shared trigger step: try to bind `t` into the stored query `sq`
-  /// (temporal check, predicate match, window admission, DISTINCT rule —
-  /// all over interned value ids, allocation-free).
-  /// On success forwards or completes the new residual.
-  void TryTrigger(dht::NodeIndex self, StoredQuery& sq, KeyId key,
-                  const TupleRef& t);
+  /// Procedure 3's store step, the one body of fresh deliveries (OnEval)
+  /// and handoff installs: DISTINCT set semantics (a residual identical to
+  /// one stored under `key` is dropped), the probe of what `self` stores
+  /// under `key`, then storage. `seen`, when given, is the DISTINCT
+  /// projection memory the residual brings along. A fresh one-time
+  /// residual, or a fresh one whose window already closed (Section 5), is
+  /// probed but not stored; a `moved` one is stored as its old owner kept
+  /// it (docs/churn.md). Returns the stored query, or nullptr.
+  const StoredQuery* ProbeAndStore(dht::NodeIndex self, KeyId key,
+                                   Residual&& residual, FlatU64Set* seen,
+                                   bool moved);
+
+  /// Procedure 2's walk, the one body of fresh deliveries (OnNewTuple) and
+  /// handoff installs: visits the queries `self` stores under `key` in
+  /// arrival order, drops each one whose window `tuple` closes (Section 5)
+  /// and triggers the rest with `tuple`. With `bound`, visits only the
+  /// first *bound queries and lowers *bound by one per drop, so the count
+  /// keeps naming the same prefix for the next walk.
+  void TriggerStored(dht::NodeIndex self, KeyId key, const TupleRef& tuple,
+                     uint32_t* bound = nullptr);
 
   /// Probes `sq` against everything already stored at `self` under `key`:
   /// the value-level tuple bucket, or the non-expired ALTT entries for an
-  /// attribute-level key. The one definition of the arrival probe, shared
-  /// by OnEval (Procedure 3) and InstallQuery (a migrated query must see
-  /// exactly what a fresh arrival would).
+  /// attribute-level key.
   void ProbeStoredState(dht::NodeIndex self, KeyId key, StoredQuery& sq);
 
-  /// Batched probe kernel over contiguous spans of stored tuples, all of
-  /// the same relation (one index key maps to one relation): phase 1
-  /// evaluates the temporal check, window admission, and join predicates
-  /// over value-id columns in a tight loop, collecting matched refs into a
-  /// reusable buffer; phase 2 runs the DISTINCT rule and binds the matches
-  /// (which may emit async messages — never touching the spans). Callers
-  /// pass one span per tuple-bucket chunk (probing the chunk storage in
-  /// place) or a single gathered span (ALTT).
+  /// The trigger kernel, the one test of a stored query against tuples, all
+  /// of the same relation (one index key maps to one relation): phase 1
+  /// evaluates the temporal check, window admission, and the residual's
+  /// ColumnPredicates over value-id columns in a tight loop, collecting
+  /// matched refs into a reusable buffer; phase 2 runs the DISTINCT rule
+  /// and binds the matches (which may emit async messages — never touching
+  /// the spans). Callers pass one span per tuple-bucket chunk (probing the
+  /// chunk storage in place), a single gathered span (ALTT), or a one-tuple
+  /// span (an arriving tuple).
   void ProbeTupleSpans(dht::NodeIndex self, KeyId key, StoredQuery& sq,
                        const TupleSpan* spans, uint32_t num_spans);
 
@@ -462,10 +470,6 @@ class RJoinEngine : public dht::MessageHandler {
   /// fingerprint bookkeeping.
   void DropStoredQuery(dht::NodeIndex self, KeyId key, BucketList& bucket,
                        uint32_t prev_idx, uint32_t idx);
-
-  /// Appends a pooled StoredQuery node to `bucket`; returns the node.
-  StoredQuery& AppendStoredQuery(NodeState& st, BucketList& bucket,
-                                 StoredQuery&& sq);
 
   EngineConfig config_;
   const sql::Catalog* catalog_;

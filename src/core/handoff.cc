@@ -129,38 +129,6 @@ void RJoinEngine::PromoteReplicas(dht::NodeIndex owner,
                          MessageTask(StateHandoff{std::move(batch)}));
 }
 
-void RJoinEngine::InstallQuery(dht::NodeIndex self, KeyId key,
-                               Residual&& residual, FlatU64Set&& seen) {
-  NodeState& st = state(self);
-  Metrics().AddQpl(self);
-  const bool distinct = residual.origin()->distinct();
-  uint64_t fp = 0;
-  StoredQuery sq{std::move(residual)};
-  if (distinct) {
-    fp = StoredFingerprint(key, sq.residual);
-    // An identical rewritten query was already indexed at the new owner
-    // after the responsibility change: set semantics keep one copy.
-    if (st.distinct_fingerprints.Contains(fp)) return;
-    sq.projections = st.projection_pool.Allocate();
-    st.ProjectionsOf(sq) = std::move(seen);
-  }
-
-  // Probe the destination's pre-handoff state, exactly as OnEval probes on
-  // arrival: tuples that landed here after the ring change but before this
-  // batch are precisely the ones the moved query has never seen. (Moved
-  // tuples of the same batch install after the queries, so they are not
-  // visible here — those pairs were already evaluated at the old owner.)
-  ProbeStoredState(self, key, sq);
-
-  if (IsExpired(sq.residual)) {  // Window closed while in flight.
-    if (distinct) st.projection_pool.Free(sq.projections);
-    return;
-  }
-  if (distinct) st.distinct_fingerprints.Insert(fp);
-  AppendStoredQuery(st, st.queries[key], std::move(sq));
-  Metrics().AddStore(self);
-}
-
 void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
   RJOIN_CHECK(msg.batch != nullptr);
   HandoffBatch& b = *msg.batch;
@@ -168,8 +136,8 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
   const uint64_t now = Now();
 
   // A slice this node installs. `preexisting` is the number of queries
-  // stored under the key before this batch: the moved-tuple trigger walk
-  // below visits only those (moved queries append behind them, and every
+  // stored under the key before this batch: it bounds the trigger walk of
+  // moved tuples to them (moved queries append behind them, and every
   // moved-vs-moved pair was already evaluated at the old owner).
   // `projections` points at the slice's first residual's FlatU64Set
   // (null for promotions, which carry none).
@@ -214,45 +182,21 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
     out->slices.push_back(std::move(s));
   }
 
-  // The limited trigger walk shared by moved tuples and moved ALTT
-  // entries: visit at most `preexisting` stored queries; drops shrink the
-  // count so later moved tuples stay inside the pre-existing prefix.
-  auto trigger_preexisting = [&](Owned& o, const TupleRef& tuple) {
-    const KeyId key = o.slice->key;
-    BucketList* bucket = st.queries.Find(key);
-    if (bucket == nullptr) return;
-    uint32_t remaining = o.preexisting;
-    uint32_t prev = kNil;
-    uint32_t cur = bucket->head;
-    while (cur != kNil && remaining > 0) {
-      --remaining;
-      StoredQuery& sq = st.query_pool.at(cur).value;
-      const uint32_t next = st.query_pool.at(cur).next;
-      if (sq.residual.WindowClosedBy(tuple)) {
-        DropStoredQuery(self, key, *bucket, prev, cur);
-        --o.preexisting;
-        cur = next;
-        continue;
-      }
-      TryTrigger(self, sq, key, tuple);
-      prev = cur;
-      cur = next;
-    }
-  };
-
   // The install passes run over the owned slices in batch order, record
   // kind by record kind: every query, then every tuple, then every ALTT
-  // entry, then every rate bucket.
+  // entry, then every rate bucket. Queries and tuples go through the store
+  // step and the walk fresh deliveries use.
   uint64_t installed_records = 0;
-  // Pass A: stored queries (probe pre-handoff tuples/ALTT, then store).
+  // Pass A: stored queries (probe pre-handoff tuples/ALTT, then store). A
+  // DISTINCT query keeps its moved projection memory.
   for (Owned& o : owned) {
     std::vector<Residual>& queries = o.slice->queries;
     for (size_t i = 0; i < queries.size(); ++i) {
       o.touched = true;
       ++installed_records;
-      InstallQuery(self, o.slice->key, std::move(queries[i]),
-                   o.projections == nullptr ? FlatU64Set{}
-                                            : std::move(o.projections[i]));
+      ProbeAndStore(self, o.slice->key, std::move(queries[i]),
+                    o.projections == nullptr ? nullptr : &o.projections[i],
+                    /*moved=*/true);
     }
   }
   // Pass B: value-level tuples (trigger pre-existing queries, then store).
@@ -261,7 +205,7 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
       Metrics().AddQpl(self);
       o.touched = true;
       ++installed_records;
-      trigger_preexisting(o, t);
+      TriggerStored(self, o.slice->key, t, &o.preexisting);
       stats::AllocScope plane(stats::AllocPlane::kTuple);
       TupleBucketAppend(st.tuple_chunks, st.tuples[o.slice->key],
                         std::move(t));
@@ -276,7 +220,7 @@ void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
       Metrics().AddQpl(self);
       o.touched = true;
       ++installed_records;
-      trigger_preexisting(o, e.tuple);
+      TriggerStored(self, o.slice->key, e.tuple, &o.preexisting);
       stats::AllocScope plane(stats::AllocPlane::kTuple);
       const uint32_t idx = BucketAppend(st.altt_pool, st.altt[o.slice->key]);
       st.altt_pool.at(idx).value = std::move(e);

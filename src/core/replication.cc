@@ -241,8 +241,7 @@ void RJoinEngine::OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg) {
 void RJoinEngine::SweepReplicaSlices(bool drop_tuples) {
   // Replica slices age by the owners' rules, locally (no messages): without
   // this pass a promotion after a sweep would resurrect records the owner
-  // already dropped, and lapsed ALTT entries would pile up. (Queries are
-  // additionally re-filtered at install.)
+  // already dropped, and lapsed ALTT entries would pile up.
   const bool windowed = num_windowed_queries_ > 0;
   const uint64_t now = Now();
   for (auto& stp : states_) {

@@ -216,36 +216,25 @@ uint64_t ProjectionFingerprint(const InputQuery& q, int rel,
   return h;
 }
 
-bool Residual::Matches(int rel, const TupleRef& t) const {
+ColumnPredicates Residual::PredicatesOn(int rel) const {
   const InputQuery& q = *origin_;
-  const ValueId* cols = t.rec().columns();
-  // Original selection predicates on this relation: one u32 compare each.
+  ColumnPredicates out;
+  auto add = [&out](int attr, ValueId vid) {
+    out.terms[out.size++] = {attr, vid};
+  };
   for (int i = 0; i < q.num_selections(); ++i) {
     const InputQuery::Selection sel = q.selection(i);
-    if (sel.rel != rel) continue;
-    if (cols[sel.attr] != sel.value_id) return false;
+    if (sel.rel == rel) add(sel.attr, sel.value_id);
   }
-  // Join predicates whose other side is already bound act as implied
-  // selections (the rewriting of Section 3).
   for (int i = 0; i < q.num_joins(); ++i) {
     const InputQuery::Join j = q.join(i);
-    int my_attr, other_rel, other_attr;
-    if (j.left_rel == rel) {
-      my_attr = j.left_attr;
-      other_rel = j.right_rel;
-      other_attr = j.right_attr;
-    } else if (j.right_rel == rel) {
-      my_attr = j.right_attr;
-      other_rel = j.left_rel;
-      other_attr = j.left_attr;
-    } else {
-      continue;
+    if (j.left_rel == rel && IsBound(j.right_rel)) {
+      add(j.left_attr, BoundValueId(j.right_rel, j.right_attr));
+    } else if (j.right_rel == rel && IsBound(j.left_rel)) {
+      add(j.right_attr, BoundValueId(j.left_rel, j.left_attr));
     }
-    const ValueId other = BoundValueId(other_rel, other_attr);
-    if (other == kInvalidValueId) continue;  // Both sides still unbound.
-    if (cols[my_attr] != other) return false;
   }
-  return true;
+  return out;
 }
 
 namespace {

@@ -204,6 +204,33 @@ static_assert(std::is_trivially_copyable_v<InputQuery>);
 uint64_t ProjectionFingerprint(const InputQuery& q, int rel,
                                const TupleRef& t);
 
+/// The constraints a residual places on one FROM relation, each reduced to
+/// a (column, value id) equality: the query's selections on the relation,
+/// then its join predicates whose other side is already bound (the
+/// rewriting of Section 3). Join predicates between two unbound relations
+/// impose nothing yet. Interning is injective, so value-id equality is
+/// value equality.
+struct ColumnPredicates {
+  struct Term {
+    int attr;
+    ValueId vid;
+  };
+  /// terms[0, size) hold the list. The rest stays uninitialized on
+  /// purpose: the trigger kernel builds a list for every stored query an
+  /// arriving tuple visits, and clearing all 256 bytes each time made that
+  /// walk about 1.5x slower.
+  std::array<Term, kMaxQueryTerms> terms;
+  size_t size = 0;
+
+  /// True iff the tuple columns `cols` satisfy every term.
+  bool Matches(const ValueId* cols) const {
+    for (size_t i = 0; i < size; ++i) {
+      if (cols[terms[i].attr] != terms[i].vid) return false;
+    }
+    return true;
+  }
+};
+
 /// A (possibly partially evaluated) query travelling through the network.
 /// Instead of materializing rewritten SQL text, a residual references its
 /// immutable input query plus the tuples bound so far — semantically
@@ -247,14 +274,16 @@ class Residual {
   uint64_t window_min() const { return window_min_; }
   uint64_t window_max() const { return window_max_; }
 
-  /// True iff tuple `t` (of FROM-relation index `rel`) satisfies every
-  /// constraint the residual currently places on that relation: original
-  /// selections on the relation, and join predicates whose other side is
-  /// already bound. Join predicates between two unbound relations impose
-  /// nothing yet. Temporal checks are separate (see WindowAdmits). Every
-  /// predicate is one u32 ValueId comparison (interning is injective, so
-  /// vid equality is value equality).
-  bool Matches(int rel, const TupleRef& t) const;
+  /// The constraints the residual currently places on FROM relation `rel`.
+  /// The engine's probe kernel builds them once per call and evaluates them
+  /// over every candidate tuple.
+  ColumnPredicates PredicatesOn(int rel) const;
+
+  /// True iff tuple `t` (of FROM-relation index `rel`) satisfies
+  /// PredicatesOn(rel). Temporal checks are separate (see WindowAdmits).
+  bool Matches(int rel, const TupleRef& t) const {
+    return PredicatesOn(rel).Matches(t.rec().columns());
+  }
 
   /// Window validity test of Section 5 for binding `t`: the resulting
   /// combination must fit in one window. Always true without windows.

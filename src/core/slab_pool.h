@@ -16,7 +16,7 @@ namespace rjoin::core {
 /// entries): the same slab/freelist discipline core::MessagePool applies
 /// to envelopes, applied to the next allocation hot spot after delivery.
 /// Nodes live in slabs (stable addresses — the engine holds references
-/// across TryTrigger calls), are chained through u32 `next` indices
+/// across probe-kernel calls), are chained through u32 `next` indices
 /// instead of pointers, and recycle through a freelist, so steady-state
 /// store/drop cycles perform zero heap allocations.
 ///

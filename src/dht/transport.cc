@@ -71,48 +71,55 @@ size_t Transport::SendKey(NodeIndex src, core::KeyId key,
     SendOneHop(std::move(env));
     return 1;
   }
-  const RouteView view = ResolveRoute(src, key, ring_id);
-  stats::MetricsRegistry& metrics = Metrics();
+  return SendRouted(std::move(env), ResolveRoute(src, key, ring_id));
+}
+
+size_t Transport::SendRouted(core::EnvelopeRef env, RouteView route) {
+  const NodeIndex src = env->src;
+  ChargeHops(src, route, /*ric=*/false);
   Rng& rng = sim_->rng();
   sim::SimTime delay = 0;
-  // Each node of the path except the last transmits the message once: the
-  // source, then every forwarding hop before the responsible node.
-  if (view.count > 0) {
-    metrics.AddTraffic(src);
-    delay += latency_->Delay(rng);
-    for (uint32_t i = 0; i + 1 < view.count; ++i) {
-      metrics.AddTraffic(view.hops[i]);
-      delay += latency_->Delay(rng);
-    }
-  }
+  for (uint32_t i = 0; i < route.count; ++i) delay += latency_->Delay(rng);
   RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
-  env->dst = view.dst_or(src);
-  const uint32_t hops = view.count;
-  stats::Tracer::RecordRouteHops(hops);
+  env->dst = route.dst_or(src);
+  stats::Tracer::RecordRouteHops(route.count);
   if (stats::Tracer::On()) {
     TraceMessage(stats::TraceCategory::kRoute, env->task.kind(), src, env->dst,
-                 hops);
+                 route.count);
   }
   sim_->Deliver(delay, std::move(env));
-  return hops;
+  return route.count;
+}
+
+void Transport::ChargeHops(NodeIndex src, RouteView route, bool ric) {
+  // Each node of the path except the last transmits the message once: the
+  // source, then every forwarding hop before the responsible node.
+  if (route.count == 0) return;
+  stats::MetricsRegistry& metrics = Metrics();
+  metrics.AddTraffic(src, 1, ric);
+  for (uint32_t i = 0; i + 1 < route.count; ++i) {
+    metrics.AddTraffic(route.hops[i], 1, ric);
+  }
+}
+
+Transport::RouteView Transport::WalkRoute(NodeIndex src,
+                                          const NodeId& ring_id) {
+  std::vector<NodeIndex>& path = RouteScratch();
+  network_->RoutePath(src, ring_id, &path);
+  return RouteView{path.data() + 1, static_cast<uint32_t>(path.size() - 1)};
 }
 
 Transport::RouteView Transport::ResolveRoute(NodeIndex src, core::KeyId key_id,
                                              const NodeId& ring_id) {
-  if (route_cache_enabled_) {
-    RouteCache& cache = network_->route_cache(src);
-    const uint64_t gen = network_->topology_generation();
-    if (const RouteCache::Entry* e = cache.Lookup(key_id, gen)) {
-      return RouteView{e->hop, e->hops};
-    }
-    std::vector<NodeIndex>& path = RouteScratch();
-    network_->RoutePath(src, ring_id, &path);
-    cache.Insert(key_id, gen, path);
-    return RouteView{path.data() + 1, static_cast<uint32_t>(path.size() - 1)};
+  if (!route_cache_enabled_) return WalkRoute(src, ring_id);
+  RouteCache& cache = network_->route_cache(src);
+  const uint64_t gen = network_->topology_generation();
+  if (const RouteCache::Entry* e = cache.Lookup(key_id, gen)) {
+    return RouteView{e->hop, e->hops};
   }
-  std::vector<NodeIndex>& path = RouteScratch();
-  network_->RoutePath(src, ring_id, &path);
-  return RouteView{path.data() + 1, static_cast<uint32_t>(path.size() - 1)};
+  const RouteView route = WalkRoute(src, ring_id);
+  cache.Insert(key_id, gen, RouteScratch());
+  return route;
 }
 
 NodeIndex Transport::CachedSuccessorOf(core::KeyId key_id,
@@ -221,46 +228,23 @@ size_t Transport::MultiSendKeys(
   // Pass 2: emit one wire message per destination group, in first-seen
   // order — one route's charges and latency draws, one delivery event
   // carrying every payload of the group.
-  RJOIN_CHECK(handler_ != nullptr) << "no message handler registered";
   size_t total_hops = 0;
-  stats::MetricsRegistry& metrics = Metrics();
-  Rng& rng = sim_->rng();
   for (CoalesceScratch::Group& g : scratch.groups) {
     core::EnvelopeRef env(g.head);
-    env->dst = g.dst;
-    sim::SimTime delay = 0;
-    size_t hops = 0;
     if (dead_src) {
-      metrics.AddTraffic(src);
-      delay = latency_->Delay(rng);
-      hops = 1;
-    } else {
-      // One wire-route walk per group. The per-node tail cache is NOT
-      // consulted here: a random publisher's (src, key) pair has no reuse
-      // by construction, so caching these walks would only pollute the
-      // table (and the hit-rate signal) — the walk itself is already
-      // amortized over every payload of the group.
-      std::vector<NodeIndex>& path = RouteScratch();
-      network_->RoutePath(src, interner_->ring_id(g.key), &path);
-      RJOIN_DCHECK(path.back() == g.dst);
-      hops = path.size() - 1;
-      if (hops > 0) {
-        metrics.AddTraffic(src);
-        delay += latency_->Delay(rng);
-        for (size_t i = 1; i + 1 < path.size(); ++i) {
-          metrics.AddTraffic(path[i]);
-          delay += latency_->Delay(rng);
-        }
-      }
+      env->dst = g.dst;
+      SendOneHop(std::move(env));
+      total_hops += 1;
+      continue;
     }
-    total_hops += hops;
-    stats::Tracer::RecordRouteHops(hops);
-    if (stats::Tracer::On()) {
-      TraceMessage(dead_src ? stats::TraceCategory::kSend
-                            : stats::TraceCategory::kRoute,
-                   env->task.kind(), src, g.dst, hops);
-    }
-    sim_->Deliver(delay, std::move(env));
+    // One wire-route walk per group. The per-node tail cache is NOT
+    // consulted here: a random publisher's (src, key) pair has no reuse by
+    // construction, so caching these walks would only pollute the table
+    // (and the hit-rate signal) — the walk itself is already amortized over
+    // every payload of the group.
+    const RouteView route = WalkRoute(src, interner_->ring_id(g.key));
+    RJOIN_DCHECK(route.dst_or(src) == g.dst);
+    total_hops += SendRouted(std::move(env), route);
   }
   g_coalesce_groups += scratch.groups.size();
   g_coalesce_payloads += payloads;
@@ -314,13 +298,9 @@ size_t Transport::ChargeRoute(NodeIndex src, const NodeId& key) {
     Metrics().AddTraffic(src, 1, /*ric=*/true);  // departed: one hop
     return 1;
   }
-  std::vector<NodeIndex>& path = RouteScratch();
-  network_->RoutePath(src, key, &path);
-  stats::MetricsRegistry& metrics = Metrics();
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    metrics.AddTraffic(path[i], 1, /*ric=*/true);
-  }
-  return path.size() - 1;
+  const RouteView route = WalkRoute(src, key);
+  ChargeHops(src, route, /*ric=*/true);
+  return route.count;
 }
 
 }  // namespace rjoin::dht

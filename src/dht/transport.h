@@ -134,6 +134,21 @@ class Transport : public core::EnvelopeDispatcher {
   RouteView ResolveRoute(NodeIndex src, core::KeyId key_id,
                          const NodeId& ring_id);
 
+  /// One uncached RoutePath walk src -> Successor(ring_id), into
+  /// RouteScratch.
+  RouteView WalkRoute(NodeIndex src, const NodeId& ring_id);
+
+  /// The one routed-send body of SendKey and each MultiSendKeys group:
+  /// charges the route's transmissions, draws one latency per hop, records
+  /// the hop histogram and trace, and delivers `env` (src set) to the
+  /// route's last node. Returns the hop count.
+  size_t SendRouted(core::EnvelopeRef env, RouteView route);
+
+  /// Charges one message of traffic (`ric` marks RIC traffic) to every node
+  /// that transmits along `route` from `src`: the source, then each
+  /// forwarding hop before the last node.
+  void ChargeHops(NodeIndex src, RouteView route, bool ric);
+
   /// Resolves Successor(ring_id of key_id) through the process-wide
   /// SuccessorCache (destination resolution is sender-independent, so the
   /// fan-out's grouping pass shares one memo across every sender). Falls

@@ -23,8 +23,6 @@ struct NodeMetrics {
   uint64_t storage_total = 0;      ///< cumulative items ever stored
   int64_t storage_current = 0;     ///< items stored right now (windows GC
                                    ///< decrements this)
-  uint64_t altt_stored = 0;        ///< attribute-level tuple-table inserts
-                                   ///< (reported separately; Section 4 fix)
 };
 
 /// Registry of per-node counters plus network-wide totals. All RJoin and DHT
@@ -64,10 +62,6 @@ class MetricsRegistry {
 
   void RemoveStore(NodeIndex node, uint64_t count = 1) {
     nodes_[node].storage_current -= static_cast<int64_t>(count);
-  }
-
-  void AddAlttStore(NodeIndex node, uint64_t count = 1) {
-    nodes_[node].altt_stored += count;
   }
 
   const NodeMetrics& node(NodeIndex i) const { return nodes_[i]; }

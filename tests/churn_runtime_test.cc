@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -444,8 +445,78 @@ TEST(ChurnRuntimeTest, WindowedChurnHonorsAlttAcrossHandoff) {
   cfg.churn = churn;
   const RunOutput s1 = RunWith(cfg);
   EXPECT_GT(s1.churn.handoff_messages, 0u);
+  ExpectMatchesOracle(s1);
   ExpectIdentical(s1, RunWith(cfg));
 }
+
+/// A churn storm over sliding tuple windows short enough that a handoff
+/// can move a residual after the stream published the tuple that completes
+/// it, while that tuple is still in flight to the moved key (routed to the
+/// old owner, then forwarded one hop). The new owner must keep the
+/// residual, as the old owner did.
+struct InFlightCompletionCase {
+  uint64_t seed;
+  uint64_t window;       ///< WINDOW n TUPLES, sliding
+  bool pipelined;
+  uint32_t replication;  ///< 0: RJOIN_REPLICATION decides
+  size_t crashes;        ///< uncorrelated: r = 2 loses nothing
+
+  std::string Name() const {
+    std::string name =
+        "Seed" + std::to_string(seed) + "Window" + std::to_string(window);
+    if (pipelined) name += "Pipelined";
+    if (crashes > 0) {
+      name += "R" + std::to_string(replication) + "Crashes" +
+              std::to_string(crashes);
+    }
+    return name;
+  }
+};
+
+void PrintTo(const InFlightCompletionCase& c, std::ostream* os) {
+  *os << c.Name();
+}
+
+class InFlightCompletionTest
+    : public ::testing::TestWithParam<InFlightCompletionCase> {};
+
+TEST_P(InFlightCompletionTest, MovedResidualMeetsTupleInFlight) {
+  const InFlightCompletionCase& c = GetParam();
+  workload::ExperimentConfig cfg = BaseChurnConfig();
+  cfg.seed = c.seed;
+  cfg.num_tuples = 64;
+  cfg.pipeline_stream = c.pipelined;
+  cfg.replication = c.replication;
+  sql::WindowSpec w;
+  w.use_windows = true;
+  w.unit = sql::WindowSpec::Unit::kTuples;
+  w.size = c.window;
+  cfg.window = w;
+  cfg.sweep_every = 8;
+  workload::ChurnSpec churn;
+  churn.rate = 0.5;
+  churn.spare_nodes = 8;
+  churn.seed = c.seed * 131 + 7;
+  if (c.crashes > 0) {
+    workload::FaultPlan faults;
+    faults.crashes = c.crashes;
+    churn.faults = faults;
+  }
+  cfg.churn = churn;
+  const RunOutput s1 = RunWith(cfg);
+  EXPECT_GT(s1.churn.handoff_messages, 0u);
+  ExpectMatchesOracle(s1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, InFlightCompletionTest,
+    ::testing::Values(InFlightCompletionCase{15, 4, false, 0, 0},
+                      InFlightCompletionCase{62, 4, false, 0, 0},
+                      InFlightCompletionCase{39, 8, true, 0, 0},
+                      InFlightCompletionCase{31, 4, false, 2, 4},
+                      InFlightCompletionCase{39, 4, false, 2, 4},
+                      InFlightCompletionCase{78, 4, true, 2, 4}),
+    [](const auto& info) { return info.param.Name(); });
 
 TEST(ChurnRuntimeTest, PipelinedStormIsShardCountInvariant) {
   // Churn storm under pipelined streaming: many tuples and handoffs in

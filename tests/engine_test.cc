@@ -598,6 +598,71 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DistinctOracleTest,
 
 // ------------------------------------------------ Traffic properties ----
 
+// ------------------------------------------------------- Wide tuples ----
+
+/// Two 16-attribute relations joined on attributes 13-15: every join
+/// column lies past TuplePool::kInlineArity, in the record's overflow
+/// array. The windowed run sweeps stored tuples away and lets ALTT entries
+/// lapse, so later publications reuse wide records and their overflow
+/// arrays. The oracle reads the published rows, not the records.
+class WideTupleOracleTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(WideTupleOracleTest, OverflowColumnsJoinLikeTheOracle) {
+  static_assert(TuplePool::kInlineArity < 13);
+  const bool windowed = GetParam();
+  std::vector<std::string> attrs;
+  for (int i = 0; i < 16; ++i) attrs.push_back("A" + std::to_string(i));
+  sql::Catalog catalog;
+  ASSERT_TRUE(catalog.AddRelation(sql::Schema("W", attrs)).ok());
+  ASSERT_TRUE(catalog.AddRelation(sql::Schema("V", attrs)).ok());
+  EngineConfig cfg;
+  if (windowed) cfg.altt_delta = 16;  // finite: sweeps may drop tuples
+  Harness h(16, cfg, std::make_unique<sim::FixedLatency>(1),
+            std::move(catalog));
+  const uint64_t q = h.Submit(
+      0, std::string("SELECT W.A0, V.A0, W.A14 FROM W, V WHERE W.A13 = V.A13 "
+                     "AND W.A14 = V.A14 AND W.A15 = V.A15") +
+             (windowed ? " WINDOW 12 TUPLES" : ""));
+
+  const uint64_t recycled_before = TuplePool::Global().stats().recycled;
+  std::vector<sql::TuplePtr> history;
+  for (int64_t i = 0; i < 80; ++i) {
+    std::vector<sql::Value> row;
+    for (int64_t a = 0; a < 13; ++a) {
+      row.push_back(sql::Value::Int(100 * i + a));
+    }
+    row.push_back(sql::Value::Int(i % 3));
+    row.push_back(sql::Value::Int(i / 2 % 2));
+    row.push_back(sql::Value::Int(7));
+    const std::string relation = i % 2 == 0 ? "W" : "V";
+    auto t = h.engine.PublishTuple(static_cast<dht::NodeIndex>(i % 16),
+                                   relation, row);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    history.push_back(sql::MakeTuple(relation, row, (*t)->pub_time,
+                                     (*t)->seq_no, (*t)->tuple_id));
+    h.simulator.Run();
+    h.Tick(2);
+    if (windowed && i % 8 == 7) h.engine.SweepWindows();
+  }
+
+  sql::CentralizedEvaluator oracle(&h.catalog);
+  const InputQuery* iq = h.engine.FindQuery(q);
+  const auto exp_keys =
+      SortedRowKeys(oracle.Evaluate(iq->spec(), iq->ins_time(), history));
+  const auto got_keys = SortedRowKeys(h.engine.AnswersFor(q));
+  EXPECT_GT(exp_keys.size(), 0u);
+  EXPECT_EQ(got_keys, exp_keys) << MultisetDiff(got_keys, exp_keys);
+  if (windowed) {
+    EXPECT_GT(TuplePool::Global().stats().recycled, recycled_before)
+        << "no wide record was reused";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, WideTupleOracleTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Windowed" : "Unwindowed";
+                         });
+
 TEST(EngineTest, RicPolicyBeatsWorstOnSkewedWorkload) {
   auto run = [](PlannerPolicy policy) {
     workload::WorkloadParams wp;  // Paper defaults, smaller domain counts.
